@@ -11,10 +11,7 @@ from __future__ import annotations
 import mbcheck.values as V
 
 
-def item_value(x):
-    """Model value for a stored element: ints keep integer arithmetic,
-    anything else hashable rides along as an opaque atom."""
-    return V.integer(x) if type(x) is int else V.atom(x)
+item_value = V.item
 
 
 class Cell:

@@ -44,9 +44,7 @@ class ArrayStack:
 
 def _strong_spec(bugs):
     model = [
-        ModelQuery(
-            "sequence", lambda o: V.sequence(item_value(x) for x in o.storage)
-        ),
+        ModelQuery("sequence", lambda o: V.item_sequence(o.storage)),
     ]
     routines = {
         "push": RoutineSpec(

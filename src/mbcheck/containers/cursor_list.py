@@ -146,10 +146,7 @@ def _true_tail(o):
 
 def _strong_spec(bugs, redundant_index_clause=False):
     model = [
-        ModelQuery(
-            "sequence",
-            lambda o: V.sequence(item_value(x) for x in walk(o.first_cell)),
-        ),
+        ModelQuery("sequence", lambda o: V.item_sequence(walk(o.first_cell))),
         ModelQuery("index", lambda o: V.integer(o.index)),
     ]
     invariants = [

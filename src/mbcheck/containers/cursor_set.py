@@ -136,10 +136,7 @@ def _first_position(s, v):
 
 def _strong_spec(bugs):
     model = [
-        ModelQuery(
-            "sequence",
-            lambda o: V.sequence(item_value(x) for x in walk(o.first_cell)),
-        ),
+        ModelQuery("sequence", lambda o: V.item_sequence(walk(o.first_cell))),
         ModelQuery("index", lambda o: V.integer(o.index)),
     ]
     invariants = [

@@ -105,9 +105,7 @@ def _forced(ctx):
 
 def _strong_spec(bugs):
     model = [
-        ModelQuery(
-            "sequence", lambda o: V.sequence(item_value(x) for x in o.storage)
-        ),
+        ModelQuery("sequence", lambda o: V.item_sequence(o.storage)),
         ModelQuery("lower", lambda o: V.integer(o.lower)),
     ]
     routines = {

@@ -63,9 +63,7 @@ class RingQueue:
 
 def _strong_spec(bugs):
     model = [
-        ModelQuery(
-            "sequence", lambda o: V.sequence(item_value(x) for x in o._logical())
-        ),
+        ModelQuery("sequence", lambda o: V.item_sequence(o._logical())),
     ]
     invariants = [
         InvariantClause(

@@ -138,10 +138,7 @@ def _back_links_sound(o):
 
 def _strong_spec(bugs):
     model = [
-        ModelQuery(
-            "sequence",
-            lambda o: V.sequence(item_value(x) for x in walk(o.first_cell)),
-        ),
+        ModelQuery("sequence", lambda o: V.item_sequence(walk(o.first_cell))),
         ModelQuery("index", lambda o: V.integer(o.index)),
     ]
     invariants = [

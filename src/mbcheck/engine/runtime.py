@@ -296,14 +296,6 @@ class Engine:
         finally:
             self._suppress -= 1
 
-    def eval_model(self, co):
-        """Model map of one object, evaluated under the guard."""
-        self._suppress += 1
-        try:
-            return {q.name: q.evaluate(co.concrete) for q in co.spec.model}
-        finally:
-            self._suppress -= 1
-
     # --- the protocol ---
 
     def call(self, co, routine_name, *args):
@@ -326,19 +318,42 @@ class Engine:
             if is_top:
                 self._sink = None
 
+    def _frame_models(self, co, routine, arg_cos, sink, ordinal):
+        """Model maps of the frame universe: the target's under key -1 and
+        each present reference argument's under its position, evaluated with
+        checking suppressed. On failure, records a ``model_eval_error`` on
+        clause ``model`` and returns None."""
+        self._suppress += 1
+        try:
+            models = {-1: {q.name: q.evaluate(co.concrete) for q in co.spec.model}}
+            for k in routine.ref_params:
+                aco = arg_cos[k]
+                if aco is not None:
+                    models[k] = {q.name: q.evaluate(aco.concrete) for q in aco.spec.model}
+            return models
+        except Exception as e:
+            sink.append(
+                Violation(
+                    MODEL_EVAL_ERROR,
+                    co.spec.name,
+                    routine.name,
+                    "model",
+                    CALLEE,
+                    ordinal,
+                    co.token,
+                    repr(e),
+                )
+            )
+            return None
+        finally:
+            self._suppress -= 1
+
     def _protocol(self, co, routine, args, ordinal, sink, start):
         hook = self.hook
         spec = co.spec
         cname = spec.name
         rname = routine.name
-
-        def violation(kind, clause, blame, token, detail=""):
-            sink.append(
-                Violation(kind, cname, rname, clause, blame, ordinal, token, detail)
-            )
-
-        def outcome(result=None, invalid=False, body_ran=False):
-            return CallOutcome(result, tuple(sink[start:]), invalid, body_ran)
+        token = co.token
 
         # reference-argument wrappers
         arg_cos = [None] * len(args)
@@ -348,22 +363,9 @@ class Engine:
                 arg_cos[k] = a._checked
 
         # pre-state models for the whole frame universe (doubles as snapshot)
-        entry_models = {}
-        self._suppress += 1
-        try:
-            entry_models[-1] = {q.name: q.evaluate(co.concrete) for q in spec.model}
-            for k in routine.ref_params:
-                aco = arg_cos[k]
-                if aco is not None:
-                    entry_models[k] = {
-                        q.name: q.evaluate(aco.concrete) for q in aco.spec.model
-                    }
-        except Exception as e:
-            self._suppress -= 1
-            violation(MODEL_EVAL_ERROR, "model", CALLEE, co.token, repr(e))
-            return outcome()
-        else:
-            self._suppress -= 1
+        entry_models = self._frame_models(co, routine, arg_cos, sink, ordinal)
+        if entry_models is None:
+            return CallOutcome(None, tuple(sink[start:]), False, False)
 
         # (1) entry invariants, target only, only when closed
         if not co.is_open:
@@ -374,20 +376,26 @@ class Engine:
                 if not invariant_clause_eligible(cl, co):
                     continue
                 if hook is not None:
-                    hook(("entry_clause", co.token, cl.name))
+                    hook(("entry_clause", token, cl.name))
                 self._suppress += 1
                 try:
                     ok = cl.fn(tmodel, obj)
                 except Exception as e:
-                    violation(MODEL_EVAL_ERROR, cl.name, CALLEE, co.token, repr(e))
+                    sink.append(
+                        Violation(
+                            MODEL_EVAL_ERROR, cname, rname, cl.name, CALLEE, ordinal, token, repr(e)
+                        )
+                    )
                     ok, failed = True, True
                 finally:
                     self._suppress -= 1
                 if not ok:
-                    violation(INVARIANT_ENTRY, cl.name, CALLEE, co.token)
+                    sink.append(
+                        Violation(INVARIANT_ENTRY, cname, rname, cl.name, CALLEE, ordinal, token)
+                    )
                     failed = True
             if failed:
-                return outcome()
+                return CallOutcome(None, tuple(sink[start:]), False, False)
 
         # (2) preconditions; first failing clause aborts
         ctx = CallCtx(self, co, routine, args, arg_cos, entry_models)
@@ -398,23 +406,27 @@ class Engine:
             try:
                 ok = p.fn(ctx)
             except Exception as e:
-                violation(MODEL_EVAL_ERROR, p.name, CALLEE, co.token, repr(e))
-                return outcome()
+                sink.append(
+                    Violation(
+                        MODEL_EVAL_ERROR, cname, rname, p.name, CALLEE, ordinal, token, repr(e)
+                    )
+                )
+                return CallOutcome(None, tuple(sink[start:]), False, False)
             finally:
                 self._suppress -= 1
             if not ok:
-                violation(PRECONDITION, p.name, CALLER, co.token)
-                return outcome(invalid=True)
+                sink.append(Violation(PRECONDITION, cname, rname, p.name, CALLER, ordinal, token))
+                return CallOutcome(None, tuple(sink[start:]), True, False)
 
-        # (3) snapshot: entry_models, rekeyed by object identity
-        snap_entries = {}
-        for idx, m in entry_models.items():
-            token = co.token if idx == -1 else arg_cos[idx].token
-            for qn, val in m.items():
-                snap_entries[(token, qn)] = val
-        snapshot = ModelSnapshot(snap_entries, rname, ordinal)
+        # (3) snapshot: entry_models rekeyed by object identity; only the hook
+        # reads it
         if hook is not None:
-            hook(("snapshot", rname, snapshot))
+            snap_entries = {}
+            for idx, m in entry_models.items():
+                t = token if idx == -1 else arg_cos[idx].token
+                for qn, val in m.items():
+                    snap_entries[(t, qn)] = val
+            hook(("snapshot", rname, ModelSnapshot(snap_entries, rname, ordinal)))
 
         # (4) open the target and open-listed arguments
         saved = [(co, co.is_open)]
@@ -434,32 +446,21 @@ class Engine:
             result = routine.body(co.concrete, *args)
         except Exception as e:
             crashed = True
-            violation(MODEL_EVAL_ERROR, "crash", CALLEE, co.token, repr(e))
+            sink.append(
+                Violation(MODEL_EVAL_ERROR, cname, rname, "crash", CALLEE, ordinal, token, repr(e))
+            )
         finally:
             for o, flag in saved:
                 o.is_open = flag
             if hook is not None:
                 hook(("restore", rname))
         if crashed:
-            return outcome(body_ran=True)
+            return CallOutcome(None, tuple(sink[start:]), False, True)
 
         # post-state models
-        exit_models = {}
-        self._suppress += 1
-        try:
-            exit_models[-1] = {q.name: q.evaluate(co.concrete) for q in spec.model}
-            for k in routine.ref_params:
-                aco = arg_cos[k]
-                if aco is not None:
-                    exit_models[k] = {
-                        q.name: q.evaluate(aco.concrete) for q in aco.spec.model
-                    }
-        except Exception as e:
-            self._suppress -= 1
-            violation(MODEL_EVAL_ERROR, "model", CALLEE, co.token, repr(e))
-            return outcome(result, body_ran=True)
-        else:
-            self._suppress -= 1
+        exit_models = self._frame_models(co, routine, arg_cos, sink, ordinal)
+        if exit_models is None:
+            return CallOutcome(result, tuple(sink[start:]), False, True)
 
         # (7) exit invariants: target plus opened arguments
         to_check = []
@@ -512,7 +513,7 @@ class Engine:
         if exit_failed:
             # first-failure: a broken exit invariant makes postcondition and
             # frame reports noise, so they are suppressed
-            return outcome(result, body_ran=True)
+            return CallOutcome(result, tuple(sink[start:]), False, True)
 
         # (8) postconditions
         ctx.exit_models = exit_models
@@ -524,12 +525,16 @@ class Engine:
             try:
                 ok = p.fn(ctx)
             except Exception as e:
-                violation(MODEL_EVAL_ERROR, p.name, CALLEE, co.token, repr(e))
+                sink.append(
+                    Violation(
+                        MODEL_EVAL_ERROR, cname, rname, p.name, CALLEE, ordinal, token, repr(e)
+                    )
+                )
                 ok = True
             finally:
                 self._suppress -= 1
             if not ok:
-                violation(POSTCONDITION, p.name, CALLEE, co.token)
+                sink.append(Violation(POSTCONDITION, cname, rname, p.name, CALLEE, ordinal, token))
 
         # (9) derived frame predicates
         for p in routine.frame_preds:
@@ -539,7 +544,11 @@ class Engine:
             try:
                 ok = p.fn(ctx)
             except Exception as e:
-                violation(MODEL_EVAL_ERROR, p.name, CALLEE, co.token, repr(e))
+                sink.append(
+                    Violation(
+                        MODEL_EVAL_ERROR, cname, rname, p.name, CALLEE, ordinal, token, repr(e)
+                    )
+                )
                 ok = True
             finally:
                 self._suppress -= 1
@@ -549,6 +558,6 @@ class Engine:
                     mv_repr(ctx.entry_models[idx][qname]),
                     mv_repr(ctx.exit_models[idx][qname]),
                 )
-                violation(FRAME, p.name, CALLEE, co.token, detail)
+                sink.append(Violation(FRAME, cname, rname, p.name, CALLEE, ordinal, token, detail))
 
-        return outcome(result, body_ran=True)
+        return CallOutcome(result, tuple(sink[start:]), False, True)

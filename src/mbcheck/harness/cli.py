@@ -122,7 +122,12 @@ def _cmd_compare(args):
         import os
 
         with open(args.pairs) as f:
-            manifest = json.load(f)
+            try:
+                manifest = json.load(f)
+            except ValueError as e:
+                raise ConfigError("%s is not valid JSON: %s" % (args.pairs, e))
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("reports"), list):
+            raise ConfigError('%s needs a "reports" list of report paths' % (args.pairs,))
         base = os.path.dirname(os.path.abspath(args.pairs))
         for rel in manifest["reports"]:
             paths.append(rel if os.path.isabs(rel) else os.path.join(base, rel))
@@ -147,13 +152,13 @@ def _fmt_roles(roles):
     return "; ".join(parts)
 
 
-def _fmt_args(args):
+def _fmt_args(routine, args):
     out = []
     for k, a in enumerate(args):
-        if a is None:
+        if routine.params[k].kind != "ref":
+            out.append(repr(a))
+        elif a is None:
             out.append("void")
-        elif V.is_model_value(a):
-            out.append(V.mv_repr(a))
         else:
             out.append("<ref arg%d>" % k)  # model lives in the role map
     return "(%s)" % ", ".join(out)
@@ -182,7 +187,10 @@ def _cmd_probe(args):
         % (args.class_name, args.routine, args.level, res.verdict, res.pre_states_checked)
     )
     if res.verdict == "incomplete":
-        pre = "%s args=%s" % (_fmt_roles(res.witness_pre["roles"]), _fmt_args(res.witness_pre["args"]))
+        pre = "%s args=%s" % (
+            _fmt_roles(res.witness_pre["roles"]),
+            _fmt_args(routine, res.witness_pre["args"]),
+        )
         if res.unsatisfiable:
             print("no admissible post-state for pre-state: %s" % pre)
         else:

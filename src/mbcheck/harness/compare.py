@@ -126,8 +126,9 @@ def compare_reports(paths):
 
 
 def throughput_ratios(paths):
-    """class -> median strong calls/s over median weak calls/s, from timing
-    sidecars; classes missing either side are skipped."""
+    """class -> median weak calls/s over median strong calls/s (how many times
+    faster weak checking runs), from timing sidecars; classes missing either
+    side are skipped."""
     speeds = {}
     for p in paths:
         rep = read_report(p)

@@ -110,11 +110,16 @@ def read_report(path):
     series = []
     summary = None
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, 1):
             raw = raw.strip()
             if not raw:
                 continue
-            row = json.loads(raw)
+            try:
+                row = json.loads(raw)
+            except ValueError as e:
+                raise ConfigError("%s line %d is not valid JSON: %s" % (path, lineno, e))
+            if not isinstance(row, dict):
+                raise ConfigError("%s line %d is not a JSON object" % (path, lineno))
             kind = row.get("kind")
             if kind == "header":
                 header = row

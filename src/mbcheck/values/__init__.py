@@ -6,6 +6,10 @@ Two interchangeable kernels provide the operations: a compiled extension
 (`_ops_pure`). Selection happens here at import time; set
 ``MBCHECK_VALUES_BACKEND=pure`` or ``=compiled`` to force one. ``BACKEND``
 names the kernel in use.
+
+``item`` and ``item_sequence`` give the model of stored container elements
+(integers stay integers, anything else hashable becomes an atom); they live
+here rather than in a kernel, so both kernels share them.
 """
 
 from __future__ import annotations
@@ -139,6 +143,25 @@ def is_model_value(v) -> bool:
             for p in payload
         ) and len(keys) == len(set(keys))
     return False
+
+
+def item(x):
+    """Model value for a stored element: ints keep integer arithmetic,
+    anything else hashable rides along as an opaque atom."""
+    return integer(x) if type(x) is int else atom(x)
+
+
+# the kernel's own small-int values, so cached items stay shared with it
+_ITEM_INTS = {i: integer(i) for i in range(-16, 65)}
+
+
+def item_sequence(xs):
+    """``sequence(item(x) for x in xs)``, built in one pass."""
+    get = _ITEM_INTS.get
+    return (
+        SEQ,
+        tuple([(get(x) or (INT, x)) if type(x) is int else atom(x) for x in xs]),
+    )
 
 
 def mv_repr(v) -> str:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import mbcheck.values as V
 from mbcheck.errors import ModelEvalError
 from mbcheck.values import _ops_pure
 
@@ -33,6 +34,8 @@ def test_random_op_stream_agrees():
         ys = [rng.randrange(0, 4) for _ in range(rng.randrange(0, 5))]
         i = rng.randrange(-2, n + 3)
         v = rng.randrange(0, 4)
+        # stored elements: ints on both sides of the small-int cache, and atoms
+        zs = [rng.choice((rng.randrange(-20, 70), "f", 2.5, True)) for _ in range(n)]
 
         per_backend = []
         for ops in (_ops_pure, _ops_cy):
@@ -54,9 +57,11 @@ def test_random_op_stream_agrees():
                 _result(ops, "set_extended", (ops.mset([ops.integer(x) for x in xs]), ops.integer(v))),
                 _result(ops, "bag_occurrences", (ops.bag_of([ops.integer(x) for x in xs]), ops.integer(v))),
                 _result(ops, "map_updated", (ops.mmap([(ops.integer(x), ops.integer(x + 1)) for x in xs]), ops.integer(v), ops.integer(0))),
+                _result(ops, "sequence", ([ops.integer(z) if type(z) is int else ops.atom(z) for z in zs],)),
             ]
             per_backend.append(snap)
         assert per_backend[0] == per_backend[1]
+        assert per_backend[0][-1] == ("ok", V.item_sequence(zs))
 
 
 @needs_compiled

@@ -317,6 +317,51 @@ def test_cli_compare_pairs_manifest(tmp_path, capsys):
     assert out["reports"] == 1
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda body: body[: len(body) - 20], "not valid JSON"),  # cut mid-line
+        (lambda body: body + "[1]\n", "not a JSON object"),
+    ],
+)
+def test_cli_compare_malformed_report_line_is_a_config_error(tmp_path, capsys, damage, message):
+    p = tmp_path / "r.jsonl"
+    main(
+        ["run", "--class", "cursor_set", "--spec", "strong", "--seed", "2",
+         "--max-calls", "200", "--report", str(p)]
+    )
+    p.write_text(damage(p.read_text()))
+    capsys.readouterr()
+    assert main(["compare", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_cli_compare_manifest_without_reports_is_a_config_error(tmp_path, capsys):
+    manifest = tmp_path / "pairs.json"
+    manifest.write_text(json.dumps({"report": ["r.jsonl"]}))
+    assert main(["compare", "--pairs", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and '"reports"' in err
+
+
+def test_cli_probe_witness_prints_plain_arguments(capsys):
+    # weak cursor_list.replace leaves the cursor free; its one argument is an
+    # item, printed as its value
+    assert main(
+        ["probe", "--class", "cursor_list", "--routine", "replace", "--spec", "weak"]
+    ) == 1
+    out = capsys.readouterr().out
+    assert "ambiguous pre-state:" in out
+    assert "args=(0)" in out and "<ref" not in out
+    # a reference argument still prints as a placeholder
+    assert main(
+        ["probe", "--class", "cursor_list", "--routine", "merge_right",
+         "--spec", "weak", "--max-len", "2"]
+    ) == 1
+    assert "args=(<ref arg0>)" in capsys.readouterr().out
+
+
 def test_cli_probe_verdict_exit_codes(capsys):
     assert main(
         ["probe", "--class", "cursor_list", "--routine", "merge_right", "--max-len", "2"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import mbcheck.values as V
@@ -88,3 +89,48 @@ def test_map_update_remove_laws(pairs, k, x):
     assert not V.map_has(V.map_removed(m2, k), k)
     assert V.map_count(m2) >= V.map_count(m)
     assert V.map_domain(m2) == V.set_extended(V.map_domain(m), k)
+
+
+def _item_rule(x):
+    # the element rule as it stood before ``item_sequence`` existed
+    return V.integer(x) if type(x) is int else V.atom(x)
+
+
+stored_items = st.lists(
+    st.integers(-100, 300) | st.booleans() | st.text(max_size=3) | st.floats(allow_nan=False),
+    max_size=12,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(stored_items)
+def test_item_sequence_matches_per_element_rule(xs):
+    expected = V.sequence(_item_rule(x) for x in xs)
+    got = V.item_sequence(xs)
+    assert got == expected
+    assert V.mv_repr(got) == V.mv_repr(expected)
+    assert V.is_model_value(got)
+    assert [V.item(x) for x in xs] == list(expected[1])
+
+
+def test_item_sequence_keeps_bools_and_floats_atoms():
+    got = V.item_sequence([True, 1.0, 1, False, 0])
+    assert got[1] == (
+        V.atom(True),
+        V.atom(1.0),
+        V.integer(1),
+        V.atom(False),
+        V.integer(0),
+    )
+    assert V.kind(got[1][0]) == V.ATOM and V.kind(got[1][1]) == V.ATOM
+    assert V.item(True) == V.atom(True) != V.integer(1)
+    # small ints are the kernel's own shared values
+    assert got[1][2] is V.integer(1)
+    assert V.item_sequence([]) == V.EMPTY_SEQ
+
+
+def test_item_sequence_rejects_unhashable_elements():
+    with pytest.raises(TypeError):
+        V.item_sequence([1, [2]])
+    with pytest.raises(TypeError):
+        V.item({})
