@@ -1,0 +1,141 @@
+"""Per-task cost of the completeness probe at the benchmark's probe bound.
+
+Runs every probe task of the benchmark's ``probe`` workload: each routine of
+each sequence-model class, strong and weak, probed over the strong model at
+max_len 3, alphabet 2, duplicate-free states for ``cursor_set``. Each task
+runs ``--repeats`` times; the median CPU time (``time.process_time``) is
+printed per task, largest first, with its share of the summed medians.
+
+A last, separate run wraps the clauses to count evaluations: model-kind
+invariants (the candidate filter), postconditions and derived frame
+predicates. These counts are deterministic, so they compare two versions of
+the probe exactly; the timings carry the machine's noise.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python benchmarks/bench_probe.py [--repeats N]
+
+The package is imported from ``PYTHONPATH``, so pointing it at another
+checkout's ``src`` measures that checkout. Every line before the last is
+human-readable; the last line is one JSON object with every figure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import sys
+import time
+from collections import Counter
+from statistics import median
+
+import mbcheck
+from mbcheck.containers import ALL_CLASSES, build_class
+from mbcheck.containers.domains import SequenceDomain
+from mbcheck.engine import completeness_probe
+from mbcheck.errors import ConfigError
+
+# the bound of the benchmark's probe workload (perfbench/workloads.py)
+MAX_LEN = 3
+ALPHABET = 2
+UNIQUE = frozenset(["cursor_set"])
+
+
+def tasks():
+    out = []
+    for c in ALL_CLASSES:
+        strong = build_class(c, "strong")
+        if "sequence" not in strong.model_names:
+            continue
+        weak = build_class(c, "weak")
+        for binding in (strong, weak):
+            for rname in sorted(binding.routines):
+                key = "%s.%s.%s" % (c, rname, binding.level)
+                out.append((key, c, strong, binding.routines[rname]))
+    return out
+
+
+def run_task(c, strong, routine):
+    dom = SequenceDomain({c: strong}, max_len=MAX_LEN, alphabet=ALPHABET, unique=c in UNIQUE)
+    try:
+        res = completeness_probe(strong, routine, dom)
+    except ConfigError as e:
+        return "refused" if "not abstractly evaluable" in str(e) else "error:ConfigError"
+    except Exception as e:  # a crash is an outcome to report, as the benchmark does
+        return "error:%s" % type(e).__name__
+    return "%s/%d" % (res.verdict, res.pre_states_checked)
+
+
+def count_evaluations(all_tasks):
+    """Evaluations per clause layer over one run of every task."""
+    counts = Counter()
+
+    def counted(fn, layer):
+        def wrapper(*a):
+            counts[layer] += 1
+            return fn(*a)
+
+        return wrapper
+
+    wrapped = set()
+    for _, _, strong, routine in all_tasks:
+        groups = (
+            ("invariant", [cl for cl in strong.invariants if cl.kind == "model"]),
+            ("post", routine.post),
+            ("frame", routine.frame_preds),
+        )
+        for layer, objs in groups:
+            for obj in objs:
+                if id(obj) not in wrapped:
+                    wrapped.add(id(obj))
+                    obj.fn = counted(obj.fn, layer)
+    for _, c, strong, routine in all_tasks:
+        run_task(c, strong, routine)
+    return dict(counts)
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--repeats", type=int, default=5)
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+
+    all_tasks = tasks()
+    samples = {key: [] for key, _, _, _ in all_tasks}
+    outcomes = {}
+    for _ in range(args.repeats):
+        for key, c, strong, routine in all_tasks:
+            t0 = time.process_time()
+            outcomes[key] = run_task(c, strong, routine)
+            samples[key].append(time.process_time() - t0)
+
+    medians = {key: median(v) for key, v in samples.items()}
+    total = sum(medians.values())
+    print("mbcheck from %s" % mbcheck.__file__)
+    print("%d tasks, %d repeats, summed median CPU %.3f s" % (len(all_tasks), args.repeats, total))
+    for key in sorted(medians, key=lambda k: (-medians[k], k)):
+        print("%-42s %8.4f s %5.1f%%  %s" % (key, medians[key], 100 * medians[key] / total, outcomes[key]))
+    counts = count_evaluations(all_tasks)
+    for layer in ("invariant", "post", "frame"):
+        print("%s evaluations per pass: %d" % (layer, counts.get(layer, 0)))
+    print(
+        json.dumps(
+            {
+                "python": sys.version.split()[0],
+                "machine": platform.machine(),
+                "bound": {"max_len": MAX_LEN, "alphabet": ALPHABET, "unique": sorted(UNIQUE)},
+                "repeats": args.repeats,
+                "summed_median_cpu_s": total,
+                "median_cpu_s": medians,
+                "outcomes": outcomes,
+                "evaluations_per_pass": counts,
+            },
+            sort_keys=True,
+        )
+    )
+
+
+if __name__ == "__main__":
+    main()

@@ -2,8 +2,11 @@
 
 A domain enumerates abstract pre-states and candidate post-values for the
 sequence-plus-index container models. Bounds are small on purpose: the probe
-is a desk check, not a verifier, and a routine judged incomplete here is
-incomplete, full stop; one judged complete is complete up to the bound.
+is a desk check, not a verifier. Two admitted post-states for one pre-state
+prove a contract incomplete. "No admissible post-state" holds only relative
+to the candidate domain: post-state sequences run up to ``value_len``
+elements, so a contract whose only admissible exit is longer reads as
+unsatisfiable here. A routine judged complete is complete up to the bound.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ class SequenceDomain:
     """
 
     def __init__(self, role_specs, max_len=3, alphabet=2, unique=False, value_len=None):
+        if max_len < 1 or alphabet < 1:
+            raise ConfigError(
+                "probe bounds must be at least 1, got max_len=%d alphabet=%d"
+                % (max_len, alphabet)
+            )
         self.role_specs_by_name = dict(role_specs)
         self.max_len = max_len
         self.alphabet = alphabet

@@ -116,6 +116,13 @@ def completeness_probe(class_spec, routine, domain):
     the target role); the routine may come from any binding of the same
     concrete class, so a weak routine spec can be probed over the richer
     model.
+
+    Candidate post-states are searched role by role: each role's free
+    queries get their candidate values from the domain, and the role's
+    model invariants filter those candidates once, not once per combination
+    with the other roles. Combinations are then taken in the order of the
+    flat product over (role, query) coordinates, target first, then
+    arguments in ascending order, queries in role-map order.
     """
     if not class_spec.bound:
         raise ConfigError("class spec %s has not been bound" % class_spec.name)
@@ -129,6 +136,9 @@ def completeness_probe(class_spec, routine, domain):
         idx: tuple(cl for cl in spec.invariants if cl.kind == "model")
         for idx, spec in role_specs.items()
     }
+    checks = routine.post + routine.frame_preds
+    layouts = {}  # role-map shape -> see _layout
+    admitted_by_role = {}  # see _role_candidates
 
     checked = 0
     for pre in domain.pre_states(class_spec, routine):
@@ -146,57 +156,90 @@ def completeness_probe(class_spec, routine, domain):
             )
         checked += 1
 
-        universe = []
-        for idx in sorted(entry, key=lambda i: (i != -1, i)):
-            role = TARGET if idx == -1 else arg_role(idx)
-            for qname in entry[idx]:
-                universe.append((role, idx, qname))
+        shape = tuple((idx, tuple(m)) for idx, m in entry.items())
+        layout = layouts.get(shape)
+        if layout is None:
+            layout = layouts[shape] = _layout(shape, routine.modify)
 
-        if routine.modify is None:
-            free = universe
-        else:
-            modified = set(routine.modify)
-            free = [u for u in universe if (u[0], u[2]) in modified]
-
-        choice_lists = [domain.value_choices(idx, qname, pre) for _, idx, qname in free]
+        exit_maps = {idx: dict(m) for idx, m in entry.items()}
+        role_maps = []
+        role_lists = []
+        for idx, free, fixed in layout:
+            m = exit_maps[idx]
+            lists = tuple(domain.value_choices(idx, qname, pre) for qname in free)
+            key = (idx, free, tuple(m[q] for q in fixed), tuple(map(id, lists)))
+            hit = admitted_by_role.get(key)
+            if hit is None:
+                hit = admitted_by_role[key] = (
+                    lists,
+                    _role_candidates(m, free, lists, model_invariants[idx]),
+                )
+            role_maps.append(m)
+            role_lists.append(hit[1])
         results = (
             domain.result_choices(routine, pre) if routine.returns_value else (None,)
         )
 
+        ctx.exit_models = exit_maps
         found = []
-        for combo in itertools.product(*choice_lists):
-            exit_maps = {idx: dict(m) for idx, m in entry.items()}
-            for (_, idx, qname), val in zip(free, combo):
-                exit_maps[idx][qname] = val
-            ok = True
-            for idx, clauses in model_invariants.items():
-                m = exit_maps.get(idx)
-                if m is None:
-                    continue
-                for cl in clauses:
-                    if not cl.fn(m, None):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            ctx.exit_models = exit_maps
-            for result in results:
-                ctx.result = result
-                try:
-                    admitted = all(p.fn(ctx) for p in routine.post) and all(
-                        p.fn(ctx) for p in routine.frame_preds
-                    )
-                except ModelEvalError as e:
-                    raise ConfigError(
-                        "%s.%s postcondition is not abstractly evaluable: %s"
-                        % (class_spec.name, routine.name, e)
-                    )
-                if admitted:
-                    found.append((exit_maps, result))
-                    if len(found) == 2:
-                        return ProbeResult("incomplete", pre, found, checked)
+        try:
+            for combo in itertools.product(*role_lists):
+                for m, assignment in zip(role_maps, combo):
+                    m.update(assignment)
+                for result in results:
+                    ctx.result = result
+                    admitted = True
+                    for p in checks:
+                        if not p.fn(ctx):
+                            admitted = False
+                            break
+                    if admitted:
+                        witness = {idx: dict(m) for idx, m in exit_maps.items()}
+                        found.append((witness, result))
+                        if len(found) == 2:
+                            return ProbeResult("incomplete", pre, found, checked)
+        except ModelEvalError as e:
+            raise ConfigError(
+                "%s.%s postcondition is not abstractly evaluable: %s"
+                % (class_spec.name, routine.name, e)
+            )
         if not found:
             return ProbeResult("incomplete", pre, [], checked)
     return ProbeResult("complete", None, [], checked)
+
+
+def _layout(shape, modify):
+    """Per role present, in search order: (role index, free query names,
+    fixed query names). ``modify is None`` frees every query."""
+    modified = None if modify is None else set(modify)
+    out = []
+    for idx, qnames in sorted(shape, key=lambda s: (s[0] != -1, s[0])):
+        role = TARGET if idx == -1 else arg_role(idx)
+        free = tuple(
+            q for q in qnames if modified is None or (role, q) in modified
+        )
+        fixed = tuple(q for q in qnames if q not in free)
+        out.append((idx, free, fixed))
+    return out
+
+
+def _role_candidates(m, free, lists, invariants):
+    """The assignments to ``free`` (one per element of the product of
+    ``lists``, as ``(query, value)`` pairs) under which role map ``m``
+    satisfies every clause in ``invariants``. Writes each candidate into
+    ``m``'s free slots; the other queries keep their values.
+
+    The answer depends only on those other values, the lists and the
+    clauses, which is what the caller keys its cache on. The cache entry
+    holds ``lists`` too, so no list ``id`` in a key is reused while the
+    probe runs."""
+    out = []
+    for values in itertools.product(*lists):
+        assignment = tuple(zip(free, values))
+        m.update(assignment)
+        for cl in invariants:
+            if not cl.fn(m, None):
+                break
+        else:
+            out.append(assignment)
+    return out

@@ -13,7 +13,7 @@ defaults to the target role.
 
 from __future__ import annotations
 
-from mbcheck.errors import SpecError
+from mbcheck.errors import ModelEvalError, SpecError
 
 TARGET = "target"
 ARG0 = "arg0"
@@ -268,7 +268,11 @@ def _unchanged_pred(role, idx, qname):
     def fn(ctx):
         if idx != -1 and ctx.arg_cos[idx] is None:
             return True
-        return ctx.exit_models[idx][qname] == ctx.entry_models[idx][qname]
+        try:
+            return ctx.exit_models[idx][qname] == ctx.entry_models[idx][qname]
+        except KeyError:
+            # an abstract state may leave out queries of the full model
+            raise ModelEvalError("%s.%s is not in the model map" % (role, qname)) from None
 
     p = NamedPred("unchanged:%s.%s" % (role, qname), fn)
     p.frame_info = (idx, qname)

@@ -14,6 +14,14 @@ from mbcheck.errors import ConfigError
 
 FORMAT = 1
 
+# the fields that comparing reports reads, with their JSON types
+_FIELDS = {
+    "header": {"class": str, "level": str, "seed": int, "budget": dict},
+    "series": {"points": list},
+    "summary": {"calls": int, "detected_bugs": list, "unique_real": int, "records": dict},
+}
+_JSON_TYPES = {str: "string", int: "integer", list: "array", dict: "object"}
+
 
 def _line(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -126,6 +134,7 @@ def read_report(path):
             elif kind == "fault":
                 faults.append(row)
             elif kind == "series":
+                _check_fields(path, kind, row)
                 series = row["points"]
             elif kind == "summary":
                 summary = row
@@ -133,7 +142,19 @@ def read_report(path):
                 raise ConfigError("unknown report row kind %r in %s" % (kind, path))
     if header is None or summary is None:
         raise ConfigError("%s is not a complete report" % (path,))
+    _check_fields(path, "header", header)
+    _check_fields(path, "summary", summary)
     return {"header": header, "faults": faults, "series": series, "summary": summary}
+
+
+def _check_fields(path, kind, row):
+    fields = _FIELDS[kind]
+    missing = [f for f in fields if f not in row]
+    if missing:
+        raise ConfigError("%s %s lacks %s" % (path, kind, ", ".join(missing)))
+    for f, t in fields.items():
+        if not isinstance(row[f], t):
+            raise ConfigError("%s %s %s must be a JSON %s" % (path, kind, f, _JSON_TYPES[t]))
 
 
 def read_timing(path):

@@ -1,10 +1,17 @@
-"""Bounded completeness probe over small synthetic bindings."""
+"""Bounded completeness probe over small synthetic bindings, and its
+role-by-role search checked against a flat per-combination search over the
+container bindings."""
 
 from __future__ import annotations
+
+import collections
+import itertools
 
 import pytest
 
 import mbcheck.values as V
+from mbcheck.containers import ALL_CLASSES, build_class
+from mbcheck.containers.domains import SequenceDomain
 from mbcheck.engine import (
     ARG0,
     ClassSpec,
@@ -18,7 +25,8 @@ from mbcheck.engine import (
     pred,
     ref_param,
 )
-from mbcheck.errors import ConfigError
+from mbcheck.engine.completeness import AbstractCtx, ProbeResult
+from mbcheck.errors import ConfigError, ModelEvalError
 
 
 class Box:
@@ -370,3 +378,171 @@ def test_count_only_post_is_incomplete_over_sequences():
     res = completeness_probe(spec, spec.routines["append_loose"], SeqDomain())
     assert res.verdict == "incomplete"
     assert len(res.witness_posts) == 2
+
+
+# --- the container bindings against the per-combination search ------------
+
+
+def reference_probe(class_spec, routine, domain):
+    """The probe as one flat search: every combination of candidate values
+    over all free (role, query) coordinates, with the role maps copied and
+    every role's model invariants checked again for each combination. The
+    role-by-role search in ``completeness_probe`` must agree with it on
+    verdict, pre-states checked and witnesses."""
+    role_specs = {-1: class_spec}
+    for k in routine.ref_params:
+        role_specs[k] = domain.role_spec(routine.params[k].ref_class)
+    model_invariants = {
+        idx: tuple(cl for cl in spec.invariants if cl.kind == "model")
+        for idx, spec in role_specs.items()
+    }
+    checked = 0
+    for pre in domain.pre_states(class_spec, routine):
+        entry = pre["roles"]
+        arg_cos = {k: (object() if k in entry else None) for k in routine.ref_params}
+        ctx = AbstractCtx(routine.role_index, role_specs, entry, arg_cos, pre["args"])
+        try:
+            if not all(p.fn(ctx) for p in routine.pre):
+                continue
+        except ModelEvalError as e:
+            raise ConfigError("precondition is not abstractly evaluable: %s" % e)
+        checked += 1
+        universe = []
+        for idx in sorted(entry, key=lambda i: (i != -1, i)):
+            role = "target" if idx == -1 else "arg%d" % idx
+            for qname in entry[idx]:
+                universe.append((role, idx, qname))
+        if routine.modify is None:
+            free = universe
+        else:
+            free = [u for u in universe if (u[0], u[2]) in set(routine.modify)]
+        choice_lists = [domain.value_choices(idx, qname, pre) for _, idx, qname in free]
+        results = domain.result_choices(routine, pre) if routine.returns_value else (None,)
+        found = []
+        for combo in itertools.product(*choice_lists):
+            exit_maps = {idx: dict(m) for idx, m in entry.items()}
+            for (_, idx, qname), val in zip(free, combo):
+                exit_maps[idx][qname] = val
+            if not all(
+                cl.fn(m, None)
+                for idx, m in exit_maps.items()
+                for cl in model_invariants[idx]
+            ):
+                continue
+            ctx.exit_models = exit_maps
+            for result in results:
+                ctx.result = result
+                try:
+                    admitted = all(p.fn(ctx) for p in routine.post) and all(
+                        p.fn(ctx) for p in routine.frame_preds
+                    )
+                except ModelEvalError as e:
+                    raise ConfigError("postcondition is not abstractly evaluable: %s" % e)
+                if admitted:
+                    found.append((exit_maps, result))
+                    if len(found) == 2:
+                        return ProbeResult("incomplete", pre, found, checked)
+        if not found:
+            return ProbeResult("incomplete", pre, [], checked)
+    return ProbeResult("complete", None, [], checked)
+
+
+SEQUENCE_CLASSES = [
+    c for c in ALL_CLASSES if "sequence" in build_class(c, "strong").model_names
+]
+
+# (max_len, alphabet, unique for cursor_set, value_len)
+BOUNDS = {
+    "len3-abc2": (3, 2, True, None),
+    "len2-abc3": (2, 3, False, None),
+    "len3-abc2-short-values": (3, 2, True, 3),
+}
+
+
+def sequence_tasks(class_name, bound):
+    max_len, alphabet, unique, value_len = BOUNDS[bound]
+    strong = build_class(class_name, "strong")
+    weak = build_class(class_name, "weak")
+    dom = SequenceDomain(
+        {class_name: strong},
+        max_len=max_len,
+        alphabet=alphabet,
+        unique=unique and class_name == "cursor_set",
+        value_len=value_len,
+    )
+    for binding in (strong, weak):
+        for rname in sorted(binding.routines):
+            yield "%s.%s.%s" % (class_name, rname, binding.level), strong, binding.routines[rname], dom
+
+
+def outcome(probe_fn, strong, routine, dom):
+    """What a probe run shows, with fresh argument tokens made comparable."""
+    try:
+        res = probe_fn(strong, routine, dom)
+    except ConfigError as e:
+        return ("refused", "not abstractly evaluable" in str(e))
+
+    def pre(p):
+        if p is None:
+            return None
+        args = tuple("<ref>" if type(a) is object else a for a in p["args"])
+        return p["roles"], args
+
+    return (res.verdict, res.pre_states_checked, pre(res.witness_pre), res.witness_posts)
+
+
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+@pytest.mark.parametrize("class_name", SEQUENCE_CLASSES)
+def test_role_by_role_search_matches_flat_search(class_name, bound):
+    for key, strong, routine, dom in sequence_tasks(class_name, bound):
+        want = outcome(reference_probe, strong, routine, dom)
+        got = outcome(completeness_probe, strong, routine, dom)
+        assert got == want, key
+
+
+def count_calls(monkeypatch, objs, counts, record=None):
+    """Wrap each ``obj.fn`` to count its calls under ``counts[obj.name]``."""
+    for obj in objs:
+        inner = obj.fn
+
+        def fn(*a, _inner=inner, _name=obj.name):
+            counts[_name] += 1
+            if record is not None:
+                record(_name, a)
+            return _inner(*a)
+
+        monkeypatch.setattr(obj, "fn", fn)
+
+
+@pytest.mark.parametrize("class_name", SEQUENCE_CLASSES)
+def test_invariants_run_once_per_role_candidate(class_name, monkeypatch):
+    for key, strong, routine, dom in sequence_tasks(class_name, "len3-abc2"):
+        roles = 1 + len(routine.ref_params)
+        runs = {}
+        for probe_fn in (reference_probe, completeness_probe):
+            clause_counts = collections.Counter()
+            seen = collections.Counter()
+
+            def record(name, a):
+                m = a[0]
+                seen[name, tuple(sorted(m.items()))] += 1
+
+            with monkeypatch.context() as mp:
+                count_calls(mp, routine.post + routine.frame_preds, clause_counts)
+                count_calls(mp, strong.invariants, collections.Counter(), record)
+                runs[probe_fn] = (outcome(probe_fn, strong, routine, dom), clause_counts)
+            if probe_fn is completeness_probe:
+                # one evaluation per distinct candidate of each role at most
+                assert max(seen.values(), default=0) <= roles, key
+        assert runs[completeness_probe] == runs[reference_probe], key
+
+
+def test_frame_over_a_query_the_domain_leaves_out_is_refused():
+    # the strong resizable_array frames "lower", which sequence states lack
+    strong = build_class("resizable_array", "strong")
+    weak = build_class("resizable_array", "weak")
+    dom = SequenceDomain({"resizable_array": strong})
+    with pytest.raises(ConfigError, match="postcondition is not abstractly evaluable"):
+        completeness_probe(strong, strong.routines["item_count"], dom)
+    # the unframed weak routine still probes
+    assert completeness_probe(strong, weak.routines["item_count"], dom).verdict == "incomplete"

@@ -337,6 +337,33 @@ def test_cli_compare_malformed_report_line_is_a_config_error(tmp_path, capsys, d
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([{"kind": "header"}, {"kind": "summary"}], "header lacks class, level, seed, budget"),
+        ([{"kind": "header", "class": "cursor_list", "level": "strong", "seed": 1,
+           "budget": {"max_calls": 10}}, {"kind": "summary", "calls": 10}],
+         "summary lacks detected_bugs, unique_real, records"),
+        ([{"kind": "header", "class": "cursor_list", "level": "strong", "seed": 1,
+           "budget": 10}, {"kind": "summary", "calls": 10, "detected_bugs": [],
+                           "unique_real": 0, "records": {}}],
+         "header budget must be a JSON object"),
+        ([{"kind": "header"}, {"kind": "series"}], "series lacks points"),
+        ([{"kind": "series", "points": 5}], "series points must be a JSON array"),
+        ([{"kind": "header", "class": "cursor_list", "level": "strong", "seed": 1,
+           "budget": {}}, {"kind": "summary", "calls": 10, "detected_bugs": 5,
+                           "unique_real": 0, "records": {}}],
+         "summary detected_bugs must be a JSON array"),
+    ],
+)
+def test_cli_compare_report_bad_fields_is_a_config_error(tmp_path, capsys, rows, message):
+    p = tmp_path / "r.jsonl"
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["compare", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_compare_manifest_without_reports_is_a_config_error(tmp_path, capsys):
     manifest = tmp_path / "pairs.json"
     manifest.write_text(json.dumps({"report": ["r.jsonl"]}))
@@ -374,6 +401,23 @@ def test_cli_probe_verdict_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "incomplete" in out and "admitted exit" in out
     assert main(["probe", "--class", "binary_node", "--routine", "set_left"]) == 2
+
+
+@pytest.mark.parametrize("bound", [["--max-len", "0"], ["--alphabet", "0"], ["--max-len", "-1"]])
+def test_cli_probe_rejects_empty_bounds(capsys, bound):
+    # an empty domain would otherwise report "no admissible post-state"
+    assert main(["probe", "--class", "cursor_list", "--routine", "extend"] + bound) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "at least 1" in captured.err
+    assert "admissible" not in captured.out
+
+
+def test_cli_probe_refuses_frame_over_missing_query(capsys):
+    # the strong resizable_array frames "lower", which the sequence domain
+    # does not model
+    assert main(["probe", "--class", "resizable_array", "--routine", "item_count"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not abstractly evaluable" in err
 
 
 def test_cli_bugs_dump(capsys):
