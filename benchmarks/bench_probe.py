@@ -8,8 +8,10 @@ printed per task, largest first, with its share of the summed medians.
 
 A last, separate run wraps the clauses to count evaluations: model-kind
 invariants (the candidate filter), postconditions and derived frame
-predicates. These counts are deterministic, so they compare two versions of
-the probe exactly; the timings carry the machine's noise.
+predicates. It also sums the pre-states that pass the precondition and those
+of them whose post-states were searched, not decided by an earlier search.
+These counts are deterministic, so they compare two versions of the probe
+exactly; the timings carry the machine's noise.
 
 Usage (from the repository root):
 
@@ -57,18 +59,20 @@ def tasks():
 
 
 def run_task(c, strong, routine):
+    """The outcome as a string, and the result (None unless the probe ran)."""
     dom = SequenceDomain({c: strong}, max_len=MAX_LEN, alphabet=ALPHABET, unique=c in UNIQUE)
     try:
         res = completeness_probe(strong, routine, dom)
     except ConfigError as e:
-        return "refused" if "not abstractly evaluable" in str(e) else "error:ConfigError"
+        return ("refused" if "not abstractly evaluable" in str(e) else "error:ConfigError"), None
     except Exception as e:  # a crash is an outcome to report, as the benchmark does
-        return "error:%s" % type(e).__name__
-    return "%s/%d" % (res.verdict, res.pre_states_checked)
+        return "error:%s" % type(e).__name__, None
+    return "%s/%d" % (res.verdict, res.pre_states_checked), res
 
 
 def count_evaluations(all_tasks):
-    """Evaluations per clause layer over one run of every task."""
+    """Evaluations per clause layer, and pre-states checked and searched,
+    over one run of every task."""
     counts = Counter()
 
     def counted(fn, layer):
@@ -91,7 +95,12 @@ def count_evaluations(all_tasks):
                     wrapped.add(id(obj))
                     obj.fn = counted(obj.fn, layer)
     for _, c, strong, routine in all_tasks:
-        run_task(c, strong, routine)
+        _, res = run_task(c, strong, routine)
+        if res is not None:
+            counts["pre_states_checked"] += res.pre_states_checked
+            # a probe without the memo searches every pre-state it checks
+            searched = getattr(res, "pre_states_searched", res.pre_states_checked)
+            counts["pre_states_searched"] += searched
     return dict(counts)
 
 
@@ -108,7 +117,7 @@ def main():
     for _ in range(args.repeats):
         for key, c, strong, routine in all_tasks:
             t0 = time.process_time()
-            outcomes[key] = run_task(c, strong, routine)
+            outcomes[key] = run_task(c, strong, routine)[0]
             samples[key].append(time.process_time() - t0)
 
     medians = {key: median(v) for key, v in samples.items()}
@@ -120,6 +129,10 @@ def main():
     counts = count_evaluations(all_tasks)
     for layer in ("invariant", "post", "frame"):
         print("%s evaluations per pass: %d" % (layer, counts.get(layer, 0)))
+    print(
+        "pre-states searched per pass: %d of %d checked"
+        % (counts.get("pre_states_searched", 0), counts.get("pre_states_checked", 0))
+    )
     print(
         json.dumps(
             {

@@ -155,6 +155,21 @@ def _check_fields(path, kind, row):
     for f, t in fields.items():
         if not isinstance(row[f], t):
             raise ConfigError("%s %s %s must be a JSON %s" % (path, kind, f, _JSON_TYPES[t]))
+    if kind == "header":
+        max_calls = row["budget"].get("max_calls")
+        if max_calls is not None and not isinstance(max_calls, int):
+            raise ConfigError(
+                "%s %s budget max_calls must be a JSON integer or null" % (path, kind)
+            )
+    elif kind == "series":
+        for p in row["points"]:
+            if not (isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)):
+                raise ConfigError("%s %s points must be [integer, integer] pairs" % (path, kind))
+    else:
+        if not all(isinstance(b, str) for b in row["detected_bugs"]):
+            raise ConfigError("%s %s detected_bugs must be strings" % (path, kind))
+        if not all(isinstance(n, int) for n in row["records"].values()):
+            raise ConfigError("%s %s records counts must be integers" % (path, kind))
 
 
 def read_timing(path):

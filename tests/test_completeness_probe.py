@@ -1,6 +1,7 @@
 """Bounded completeness probe over small synthetic bindings, and its
-role-by-role search checked against a flat per-combination search over the
-container bindings."""
+role-by-role search, which skips pre-states an earlier search decided,
+checked against a flat per-combination search of every pre-state over the
+container bindings and over contracts built to defeat the skipping."""
 
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ class Box:
         self.cap = 0
 
 
-def box_spec(routines):
+def box_spec(routines, attr_derivations=None):
     model = [
         ModelQuery("n", lambda o: V.integer(o.n)),
         ModelQuery("cap", lambda o: V.integer(o.cap)),
@@ -49,7 +50,9 @@ def box_spec(routines):
             kind="model",
         )
     ]
-    spec = ClassSpec("abox", "strong", model, invariants, routines, Box)
+    spec = ClassSpec(
+        "abox", "strong", model, invariants, routines, Box, attr_derivations=attr_derivations
+    )
     bind({"abox": spec})
     return spec
 
@@ -441,10 +444,10 @@ def reference_probe(class_spec, routine, domain):
                 if admitted:
                     found.append((exit_maps, result))
                     if len(found) == 2:
-                        return ProbeResult("incomplete", pre, found, checked)
+                        return ProbeResult("incomplete", pre, found, checked, checked)
         if not found:
-            return ProbeResult("incomplete", pre, [], checked)
-    return ProbeResult("complete", None, [], checked)
+            return ProbeResult("incomplete", pre, [], checked, checked)
+    return ProbeResult("complete", None, [], checked, checked)
 
 
 SEQUENCE_CLASSES = [
@@ -514,8 +517,20 @@ def count_calls(monkeypatch, objs, counts, record=None):
         monkeypatch.setattr(obj, "fn", fn)
 
 
+# pre-states searched / checked, derived by hand at the len3-abc2 bound: 64
+# target states (15 sequences, cursor 0..count+1), 49 of them with the cursor
+# not after the end. Strong merge_right reads the argument's sequence but not
+# its cursor, so one search decides every argument state with that sequence
+# (49 x 15 of 49 x 64); weak wipe_out reads nothing of the pre-state.
+SEARCHED = {
+    "cursor_list.merge_right.strong": (735, 3136),
+    "cursor_list.wipe_out.weak": (1, 64),
+}
+
+
 @pytest.mark.parametrize("class_name", SEQUENCE_CLASSES)
 def test_invariants_run_once_per_role_candidate(class_name, monkeypatch):
+    figures = set()
     for key, strong, routine, dom in sequence_tasks(class_name, "len3-abc2"):
         roles = 1 + len(routine.ref_params)
         runs = {}
@@ -527,14 +542,141 @@ def test_invariants_run_once_per_role_candidate(class_name, monkeypatch):
                 m = a[0]
                 seen[name, tuple(sorted(m.items()))] += 1
 
+            results = []
+
+            def run(*a, _probe=probe_fn):
+                results.append(_probe(*a))
+                return results[-1]
+
             with monkeypatch.context() as mp:
                 count_calls(mp, routine.post + routine.frame_preds, clause_counts)
                 count_calls(mp, strong.invariants, collections.Counter(), record)
-                runs[probe_fn] = (outcome(probe_fn, strong, routine, dom), clause_counts)
+                runs[probe_fn] = (outcome(run, strong, routine, dom), clause_counts)
             if probe_fn is completeness_probe:
                 # one evaluation per distinct candidate of each role at most
                 assert max(seen.values(), default=0) <= roles, key
-        assert runs[completeness_probe] == runs[reference_probe], key
+                if key in SEARCHED:
+                    res = results[0]
+                    assert (res.pre_states_searched, res.pre_states_checked) == SEARCHED[key]
+                    figures.add(key)
+        assert runs[completeness_probe][0] == runs[reference_probe][0], key
+        # decided pre-states are not searched again, so no clause runs more often
+        for name, n in runs[completeness_probe][1].items():
+            assert n <= runs[reference_probe][1][name], (key, name)
+    assert figures == {k for k in SEARCHED if k.startswith(class_name + ".")}
+
+
+# --- pre-states decided by an earlier search --------------------------------
+#
+# Each contract below is complete on the early pre-states and ambiguous on a
+# late one that agrees with an early one on something the search does not
+# read directly, so a memo that keys on too little would skip the late
+# pre-state and report "complete".
+
+
+class LateResultsDomain(BoxDomain):
+    """Two result choices for the full (2, 2) box, one for the others."""
+
+    def result_choices(self, routine, pre):
+        full = pre["roles"][-1] == {"n": V.integer(2), "cap": V.integer(2)}
+        return [V.integer(v) for v in ((0, 1) if full else (0,))]
+
+
+def _drain_into():
+    # reads the argument only when the target is non-empty; ambiguous only
+    # for the last argument state, (n, cap) = (2, 2)
+    def drained(ctx):
+        if ctx.old_int("n") == 0 or ctx.old_int("n", ARG0) != 2:
+            return ctx.now_int("n") == 0
+        return ctx.now_int("n") < 2
+
+    return RoutineSpec(
+        "drain_into",
+        [ref_param("abox")],
+        lambda o, p: None,
+        pre=[pred("other_given", lambda ctx: not ctx.arg_is_void(0))],
+        post=[pred("drained", drained)],
+        modify=("n",),
+    ), None, None
+
+
+def _fill_by_room():
+    # reads the entry only through the derived attribute "room"
+    return RoutineSpec(
+        "fill_by_room",
+        [],
+        lambda o: None,
+        post=[
+            pred(
+                "filled",
+                lambda ctx: ctx.now_int("n") == 0
+                if V.as_int(ctx.attr("room"))
+                else ctx.now_int("n") <= 1,
+            )
+        ],
+        modify=("n",),
+    ), None, {"room": lambda m: V.integer(V.as_int(m["cap"]) - V.as_int(m["n"]))}
+
+
+def _step_or_loosen():
+    # reads only the free coordinate n at entry
+    return RoutineSpec(
+        "step_or_loosen",
+        [],
+        lambda o: None,
+        pre=[
+            pred(
+                "room_or_full_two",
+                lambda ctx: ctx.old_int("n") < ctx.old_int("cap") or ctx.old_int("n") == 2,
+            )
+        ],
+        post=[
+            pred(
+                "stepped",
+                lambda ctx: ctx.now_int("n") == ctx.old_int("n") + 1
+                if ctx.old_int("n") < 2
+                else ctx.now_int("n") <= 1,
+            )
+        ],
+        modify=("n",),
+    ), None, None
+
+
+def _small_n():
+    # reads no pre-state value; the filtered candidates for n (0..cap) differ
+    return RoutineSpec(
+        "small_n",
+        [],
+        lambda o: None,
+        post=[pred("small", lambda ctx: ctx.now_int("n") <= 1)],
+        modify=("n",),
+    ), None, None
+
+
+def _any_result():
+    # reads nothing; only the result choices differ between pre-states
+    return RoutineSpec(
+        "any_result",
+        [],
+        lambda o: None,
+        post=[pred("anything", lambda ctx: True)],
+        modify=(),
+        returns_value=True,
+    ), LateResultsDomain(), None
+
+
+@pytest.mark.parametrize(
+    "contract", [_drain_into, _fill_by_room, _step_or_loosen, _small_n, _any_result]
+)
+def test_decided_pre_states_match_flat_search(contract):
+    r, domain, derivations = contract()
+    spec = box_spec({r.name: r}, derivations)
+    domain = domain or BoxDomain()
+    domain._spec = spec
+    routine = spec.routines[r.name]
+    want = outcome(reference_probe, spec, routine, domain)
+    assert want[0] == "incomplete"
+    assert outcome(completeness_probe, spec, routine, domain) == want
 
 
 def test_frame_over_a_query_the_domain_leaves_out_is_refused():
@@ -546,3 +688,32 @@ def test_frame_over_a_query_the_domain_leaves_out_is_refused():
         completeness_probe(strong, strong.routines["item_count"], dom)
     # the unframed weak routine still probes
     assert completeness_probe(strong, weak.routines["item_count"], dom).verdict == "incomplete"
+
+
+@pytest.mark.parametrize(
+    "clause, stage",
+    [
+        ("pre", "precondition"),
+        ("post", "postcondition"),
+    ],
+)
+def test_read_of_a_query_the_domain_leaves_out_is_refused(clause, stage):
+    # cursor_list states have no "lower"; the read must refuse, not crash
+    strong = build_class("cursor_list", "strong")
+    forth = strong.routines["forth"]
+    reads_lower = {
+        "pre": pred("lower_known", lambda ctx: ctx.old("lower") is not None),
+        "post": pred("lower_known", lambda ctx: ctx.now("lower") is not None),
+    }[clause]
+    strong.routines["forth"] = RoutineSpec(
+        "forth",
+        forth.params,
+        forth.body,
+        pre=forth.pre + ((reads_lower,) if clause == "pre" else ()),
+        post=forth.post + ((reads_lower,) if clause == "post" else ()),
+        modify=forth.modify,
+    )
+    bind({"cursor_list": strong})
+    dom = SequenceDomain({"cursor_list": strong})
+    with pytest.raises(ConfigError, match="%s is not abstractly evaluable" % stage):
+        completeness_probe(strong, strong.routines["forth"], dom)

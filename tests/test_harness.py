@@ -364,6 +364,33 @@ def test_cli_compare_report_bad_fields_is_a_config_error(tmp_path, capsys, rows,
     assert err.startswith("error: ") and message in err
 
 
+GOOD_HEADER = {"kind": "header", "class": "cursor_list", "level": "strong", "seed": 1,
+               "budget": {"max_calls": 10}}
+GOOD_SUMMARY = {"kind": "summary", "calls": 10, "detected_bugs": [], "unique_real": 0,
+                "records": {}}
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([GOOD_HEADER, {"kind": "series", "points": [5]}, GOOD_SUMMARY],
+         "series points must be [integer, integer] pairs"),
+        ([GOOD_HEADER, dict(GOOD_SUMMARY, records={"real": "x"})],
+         "summary records counts must be integers"),
+        ([GOOD_HEADER, dict(GOOD_SUMMARY, detected_bugs=[1, "a"])],
+         "summary detected_bugs must be strings"),
+        ([dict(GOOD_HEADER, budget={"max_calls": "10"}), GOOD_SUMMARY],
+         "header budget max_calls must be a JSON integer or null"),
+    ],
+)
+def test_cli_compare_report_bad_elements_is_a_config_error(tmp_path, capsys, rows, message):
+    p = tmp_path / "r.jsonl"
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["compare", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_compare_manifest_without_reports_is_a_config_error(tmp_path, capsys):
     manifest = tmp_path / "pairs.json"
     manifest.write_text(json.dumps({"report": ["r.jsonl"]}))
