@@ -1,8 +1,11 @@
 """Checkable container classes and their weak/strong bindings.
 
-Each module exposes ``build(level, bugs=..., **options)`` returning an
-unbound class spec; ``build_class`` here also binds it. All families are
-self-contained: reference parameters only name the family's own class.
+Each module declares its routines once (a ``ClassDecl`` from ``_shared``) and
+exposes ``build(level, bugs=..., **options)``, which lays the level's model,
+invariants, postconditions and, at the strong level, frames over that table
+and returns a new unbound class spec; ``build_class`` here also binds it. All
+families are self-contained: reference parameters only name the family's own
+class.
 """
 
 from __future__ import annotations

@@ -1,14 +1,54 @@
-"""Contract clauses common to the cursor containers.
+"""Model queries and contract clauses common to the cursor containers.
 
 Preconditions are written over derivable names (``old_int`` resolves either a
 model query or a derived attribute), so one predicate object serves the weak
 binding, the strong binding, and abstract probe states alike. The motion
 postconditions are pure index arithmetic and equally strong at either level.
+Model queries and invariants are made anew for each build, so no two bindings
+share one.
 """
 
 from __future__ import annotations
 
-from mbcheck.engine import pred
+import mbcheck.values as V
+from mbcheck.containers._shared import item_value, walk
+from mbcheck.engine import ARG0, InvariantClause, ModelQuery, pred
+
+
+def linked_model(level):
+    """Model queries of a linked cursor class (``first_cell``, ``count``,
+    ``index``)."""
+    index = ModelQuery("index", lambda o: V.integer(o.index))
+    if level == "strong":
+        sequence = ModelQuery("sequence", lambda o: V.item_sequence(walk(o.first_cell)))
+        return [sequence, index]
+    return [ModelQuery("count", lambda o: V.integer(o.count)), index]
+
+
+def linked_invariants(level):
+    """The cursor's range invariant and, at the strong level, the cached
+    count against the sequence."""
+    if level != "strong":
+        return [
+            InvariantClause(
+                "index_in_range",
+                lambda m, o: 0 <= V.as_int(m["index"]) <= V.as_int(m["count"]) + 1,
+                kind="model",
+            )
+        ]
+    return [
+        InvariantClause(
+            "index_in_range",
+            lambda m, o: 0 <= V.as_int(m["index"]) <= V.seq_count(m["sequence"]) + 1,
+            kind="model",
+        ),
+        InvariantClause(
+            "count_matches",
+            lambda m, o: o.count == V.seq_count(m["sequence"]),
+            kind="representation",
+        ),
+    ]
+
 
 PRE = {
     "cursor_on_item": pred(
@@ -45,15 +85,41 @@ MOTION_POST = {
     ),
 }
 
+# the motion routines' postconditions, for a class that has all of them
+MOTION = {
+    "start": [MOTION_POST["at_first"]],
+    "finish": [MOTION_POST["at_last"]],
+    "forth": [MOTION_POST["stepped"]],
+    "back": [MOTION_POST["stepped_back"]],
+    "go_i_th": [MOTION_POST["went"]],
+    "off": [MOTION_POST["reports_off"]],
+}
+
 INDEX_UNCHANGED = pred(
     "index_unchanged", lambda ctx: ctx.now_int("index") == ctx.old_int("index")
 )
 
-COUNT_UP = pred("count_up", lambda ctx: ctx.now_int("count") == ctx.old_int("count") + 1)
-COUNT_DOWN = pred(
-    "count_down", lambda ctx: ctx.now_int("count") == ctx.old_int("count") - 1
+# strong postconditions over a "sequence" model and an "index" cursor
+REMOVED = pred(
+    "removed",
+    lambda ctx: ctx.now("sequence")
+    == V.seq_removed_at(ctx.old("sequence"), ctx.old_int("index")),
 )
-COUNT_UNCHANGED = pred(
-    "count_unchanged", lambda ctx: ctx.now_int("count") == ctx.old_int("count")
+REPORTS_ITEM = pred(
+    "reports_item",
+    lambda ctx: ctx.result
+    == V.as_int(V.seq_item(ctx.now("sequence"), ctx.old_int("index"))),
 )
-COUNT_ZERO = pred("count_zero", lambda ctx: ctx.now_int("count") == 0)
+REPORTS_MEMBERSHIP = pred(
+    "reports_membership",
+    lambda ctx: ctx.result == V.seq_has(ctx.now("sequence"), item_value(ctx.arg(0))),
+)
+
+# weak postconditions over the count
+FOUND_IMPLIES_NONEMPTY = pred(
+    "found_implies_nonempty", lambda ctx: (not ctx.result) or ctx.old_int("count") > 0
+)
+EQUAL_IMPLIES_SAME_COUNT = pred(
+    "equal_implies_same_count",
+    lambda ctx: (not ctx.result) or ctx.old_int("count") == ctx.old_int("count", ARG0),
+)

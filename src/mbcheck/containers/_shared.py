@@ -4,14 +4,127 @@ Containers in this package follow one convention: qualified calls on other
 checked objects go through the owning engine (so they are themselves checked,
 and suppressed while a model query is being evaluated), while unqualified
 calls on self stay plain Python and are never re-instrumented.
+
+Each class declares its routines once, in a ``ClassDecl``: body, parameters,
+preconditions and whether the routine returns a value. A level (weak or
+strong) is an overlay on that table: it brings the model queries, invariants
+and attribute derivations, each routine's postconditions and, at the strong
+level only, each routine's frame (``modify``).
 """
 
 from __future__ import annotations
 
 import mbcheck.values as V
+from mbcheck.engine import ClassSpec, RoutineSpec, pred
+from mbcheck.errors import SpecError
 
 
 item_value = V.item
+
+# clauses over the size of a container, shared by several bindings
+NOT_EMPTY = pred("not_empty", lambda ctx: ctx.old_int("count") > 0)
+COUNT_UP = pred("count_up", lambda ctx: ctx.now_int("count") == ctx.old_int("count") + 1)
+COUNT_DOWN = pred(
+    "count_down", lambda ctx: ctx.now_int("count") == ctx.old_int("count") - 1
+)
+COUNT_UNCHANGED = pred(
+    "count_unchanged", lambda ctx: ctx.now_int("count") == ctx.old_int("count")
+)
+COUNT_ZERO = pred("count_zero", lambda ctx: ctx.now_int("count") == 0)
+
+# clauses of the strong bindings over a "sequence" model, which derive the
+# weak level's count from it
+SEQUENCE_COUNT = {"count": lambda m: V.integer(V.seq_count(m["sequence"]))}
+APPENDED = pred(
+    "appended",
+    lambda ctx: ctx.now("sequence")
+    == V.seq_extended(ctx.old("sequence"), item_value(ctx.arg(0))),
+)
+EMPTIED = pred("emptied", lambda ctx: V.seq_is_empty(ctx.now("sequence")))
+
+
+class RoutineDecl:
+    """One public routine as both levels share it; its name is the body's."""
+
+    __slots__ = ("name", "body", "params", "pre", "returns_value")
+
+    def __init__(self, body, params=(), pre=(), returns_value=False):
+        self.name = body.__name__
+        self.body = body
+        self.params = tuple(params)
+        self.pre = tuple(pre)
+        self.returns_value = returns_value
+
+
+class ClassDecl:
+    """A container class's routine table, declared once for both levels.
+
+    ``concrete`` is the class itself; ``concrete(bugs)`` makes an instance.
+    """
+
+    __slots__ = ("name", "concrete", "routines", "size_of", "consistency_probe")
+
+    def __init__(self, name, concrete, routines, size_of, consistency_probe=None):
+        self.name = name
+        self.concrete = concrete
+        self.routines = tuple(routines)
+        self.size_of = size_of
+        self.consistency_probe = consistency_probe
+
+    def spec(
+        self,
+        level,
+        bugs,
+        model,
+        post,
+        invariants=(),
+        attr_derivations=None,
+        modify=(),
+        pre=(),
+    ):
+        """A new, unbound ``ClassSpec`` for ``level``.
+
+        ``post`` maps routine names to their postconditions and ``pre`` to
+        preconditions appended at this level. The strong level maps every
+        routine to its ``modify`` frame; weak routines are unframed.
+        """
+        modify, pre = dict(modify), dict(pre)
+        declared = {r.name for r in self.routines}
+        for overlay in (post, modify, pre):
+            unknown = set(overlay) - declared
+            if unknown:
+                raise SpecError(
+                    "%s %s binding names undeclared routines %s"
+                    % (self.name, level, ", ".join(sorted(unknown)))
+                )
+        framed = level == "strong"
+        if framed and set(modify) != declared:
+            raise SpecError("%s strong binding must frame every routine" % self.name)
+        if not framed and modify:
+            raise SpecError("%s weak binding must be unframed" % self.name)
+        concrete = self.concrete
+        return ClassSpec(
+            self.name,
+            level,
+            model,
+            invariants,
+            {
+                r.name: RoutineSpec(
+                    r.name,
+                    r.params,
+                    r.body,
+                    pre=r.pre + tuple(pre.get(r.name, ())),
+                    post=post.get(r.name, ()),
+                    modify=modify[r.name] if framed else None,
+                    returns_value=r.returns_value,
+                )
+                for r in self.routines
+            },
+            lambda: concrete(bugs),
+            attr_derivations=attr_derivations,
+            consistency_probe=self.consistency_probe,
+            size_of=self.size_of,
+        )
 
 
 class Cell:

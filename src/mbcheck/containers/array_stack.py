@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.containers._shared import item_value
-from mbcheck.engine import ClassSpec, ModelQuery, RoutineSpec, item_param, pred
+from mbcheck.containers._shared import (
+    APPENDED,
+    EMPTIED,
+    COUNT_DOWN,
+    COUNT_UP,
+    COUNT_ZERO,
+    NOT_EMPTY,
+    SEQUENCE_COUNT,
+    ClassDecl,
+    RoutineDecl,
+    item_value,
+)
+from mbcheck.engine import ModelQuery, item_param, pred
 
 CLASS_NAME = "array_stack"
-
-_NOT_EMPTY = pred("not_empty", lambda ctx: ctx.old_int("count") > 0)
-
-_COUNT_UP = pred(
-    "count_up", lambda ctx: ctx.now_int("count") == ctx.old_int("count") + 1
-)
-_COUNT_DOWN = pred(
-    "count_down", lambda ctx: ctx.now_int("count") == ctx.old_int("count") - 1
-)
 
 
 class ArrayStack:
@@ -42,139 +44,74 @@ class ArrayStack:
         return not self.storage
 
 
-def _strong_spec(bugs):
-    model = [
-        ModelQuery("sequence", lambda o: V.item_sequence(o.storage)),
-    ]
-    routines = {
-        "push": RoutineSpec(
-            "push",
-            [item_param()],
-            ArrayStack.push,
-            post=[
-                pred(
-                    "appended",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_extended(ctx.old("sequence"), item_value(ctx.arg(0))),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "pop": RoutineSpec(
-            "pop",
-            [],
-            ArrayStack.pop,
-            pre=[_NOT_EMPTY],
-            post=[
-                pred(
-                    "shrunk",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_front(
-                        ctx.old("sequence"), V.seq_count(ctx.old("sequence")) - 1
-                    ),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "wipe_out": RoutineSpec(
-            "wipe_out",
-            [],
-            ArrayStack.wipe_out,
-            post=[pred("emptied", lambda ctx: V.seq_is_empty(ctx.now("sequence")))],
-            modify=("sequence",),
-        ),
-        "top": RoutineSpec(
-            "top",
-            [],
-            ArrayStack.top,
-            pre=[_NOT_EMPTY],
-            post=[
-                pred(
-                    "reports_top",
-                    lambda ctx: item_value(ctx.result) == V.seq_last(ctx.now("sequence")),
-                )
-            ],
-            modify=(),
-            returns_value=True,
-        ),
-        "is_empty": RoutineSpec(
-            "is_empty",
-            [],
-            ArrayStack.is_empty,
-            post=[
-                pred(
-                    "reports_emptiness",
-                    lambda ctx: ctx.result == V.seq_is_empty(ctx.now("sequence")),
-                )
-            ],
-            modify=(),
-            returns_value=True,
-        ),
-    }
-    return ClassSpec(
-        CLASS_NAME,
-        "strong",
-        model,
-        [],
-        routines,
-        lambda: ArrayStack(bugs),
-        attr_derivations={
-            "count": lambda m: V.integer(V.seq_count(m["sequence"])),
-        },
-        size_of=lambda o: len(o.storage),
-    )
+DECL = ClassDecl(
+    CLASS_NAME,
+    ArrayStack,
+    [
+        RoutineDecl(ArrayStack.push, [item_param()]),
+        RoutineDecl(ArrayStack.pop, pre=[NOT_EMPTY]),
+        RoutineDecl(ArrayStack.wipe_out),
+        RoutineDecl(ArrayStack.top, pre=[NOT_EMPTY], returns_value=True),
+        RoutineDecl(ArrayStack.is_empty, returns_value=True),
+    ],
+    size_of=lambda o: len(o.storage),
+)
 
 
-def _weak_spec(bugs):
-    model = [ModelQuery("count", lambda o: V.integer(len(o.storage)))]
-    routines = {
-        "push": RoutineSpec(
-            "push", [item_param()], ArrayStack.push, post=[_COUNT_UP], modify=None
-        ),
-        "pop": RoutineSpec(
-            "pop",
-            [],
-            ArrayStack.pop,
-            pre=[_NOT_EMPTY],
-            post=[_COUNT_DOWN],
-            modify=None,
-        ),
-        "wipe_out": RoutineSpec(
-            "wipe_out",
-            [],
-            ArrayStack.wipe_out,
-            post=[pred("count_zero", lambda ctx: ctx.now_int("count") == 0)],
-            modify=None,
-        ),
-        "top": RoutineSpec(
-            "top", [], ArrayStack.top, pre=[_NOT_EMPTY], modify=None, returns_value=True
-        ),
-        "is_empty": RoutineSpec(
-            "is_empty",
-            [],
-            ArrayStack.is_empty,
-            post=[
+def build(level, bugs=frozenset()):
+    if level == "strong":
+        return DECL.spec(
+            level,
+            bugs,
+            model=[ModelQuery("sequence", lambda o: V.item_sequence(o.storage))],
+            attr_derivations=SEQUENCE_COUNT,
+            post={
+                "push": [APPENDED],
+                "pop": [
+                    pred(
+                        "shrunk",
+                        lambda ctx: ctx.now("sequence")
+                        == V.seq_front(
+                            ctx.old("sequence"), V.seq_count(ctx.old("sequence")) - 1
+                        ),
+                    )
+                ],
+                "wipe_out": [EMPTIED],
+                "top": [
+                    pred(
+                        "reports_top",
+                        lambda ctx: item_value(ctx.result)
+                        == V.seq_last(ctx.now("sequence")),
+                    )
+                ],
+                "is_empty": [
+                    pred(
+                        "reports_emptiness",
+                        lambda ctx: ctx.result == V.seq_is_empty(ctx.now("sequence")),
+                    )
+                ],
+            },
+            modify={
+                "push": ("sequence",),
+                "pop": ("sequence",),
+                "wipe_out": ("sequence",),
+                "top": (),
+                "is_empty": (),
+            },
+        )
+    return DECL.spec(
+        level,
+        bugs,
+        model=[ModelQuery("count", lambda o: V.integer(len(o.storage)))],
+        post={
+            "push": [COUNT_UP],
+            "pop": [COUNT_DOWN],
+            "wipe_out": [COUNT_ZERO],
+            "is_empty": [
                 pred(
                     "reports_emptiness",
                     lambda ctx: ctx.result == (ctx.old_int("count") == 0),
                 )
             ],
-            modify=None,
-            returns_value=True,
-        ),
-    }
-    return ClassSpec(
-        CLASS_NAME,
-        "weak",
-        model,
-        [],
-        routines,
-        lambda: ArrayStack(bugs),
-        size_of=lambda o: len(o.storage),
+        },
     )
-
-
-def build(level, bugs=frozenset()):
-    if level == "strong":
-        return _strong_spec(bugs)
-    return _weak_spec(bugs)

@@ -14,18 +14,9 @@ unchecked while the object on its other end is mid-update.
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.engine import (
-    ARG0,
-    ClassSpec,
-    InvariantClause,
-    ModelQuery,
-    RoutineSpec,
-    item_param,
-    pred,
-    ref_param,
-)
+from mbcheck.engine import ARG0, InvariantClause, ModelQuery, item_param, pred, ref_param
 
-from mbcheck.containers._shared import item_value, qcall
+from mbcheck.containers._shared import ClassDecl, RoutineDecl, item_value, qcall
 
 CLASS_NAME = "binary_node"
 
@@ -140,43 +131,7 @@ def _no_cycle(ctx):
     return True
 
 
-_PRE_NO_CYCLE = pred("no_cycle", _no_cycle, experimental=True)
-
-
-def _posts():
-    return {
-        "item_set": pred(
-            "item_set", lambda ctx: ctx.now("item") == item_value(ctx.arg(0))
-        ),
-        "linked_left": pred(
-            "linked_left", lambda ctx: ctx.now("left") == ctx.arg_id(0)
-        ),
-        "linked_right": pred(
-            "linked_right", lambda ctx: ctx.now("right") == ctx.arg_id(0)
-        ),
-        "adopted": pred(
-            "adopted", lambda ctx: ctx.now("parent", ARG0) == ctx.self_id()
-        ),
-        "left_void": pred(
-            "left_void", lambda ctx: ctx.now("left") == V.VOID_ID
-        ),
-        "right_void": pred(
-            "right_void", lambda ctx: ctx.now("right") == V.VOID_ID
-        ),
-        "parent_set": pred(
-            "parent_set",
-            lambda ctx: ctx.now("parent")
-            == (V.VOID_ID if ctx.arg_is_void(0) else ctx.arg_id(0)),
-        ),
-        "reports_item": pred(
-            "reports_item", lambda ctx: item_value(ctx.result) == ctx.now("item")
-        ),
-        "reports_leaf": pred(
-            "reports_leaf",
-            lambda ctx: ctx.result
-            == (ctx.now("left") == V.VOID_ID and ctx.now("right") == V.VOID_ID),
-        ),
-    }
+_PRE_NO_CYCLE = pred("no_cycle", _no_cycle)
 
 
 def _detached(side):
@@ -190,110 +145,101 @@ def _detached(side):
     return pred("former_child_detached", fn)
 
 
-def _routines(level):
-    P = _posts()
-    strong = level == "strong"
-
-    def spec(name, params, body, pre=(), post=(), modify=None, returns_value=False):
-        return RoutineSpec(
-            name,
-            params,
-            body,
-            pre=pre,
-            post=post,
-            modify=modify if strong else None,
-            returns_value=returns_value,
-        )
-
-    set_left_pre = [
-        pred("no_left_yet", lambda ctx: ctx.old("left") == V.VOID_ID),
-        *_PRE_CHILD,
-    ]
-    set_right_pre = [
-        pred("no_right_yet", lambda ctx: ctx.old("right") == V.VOID_ID),
-        *_PRE_CHILD,
-    ]
-    if strong:
-        set_left_pre.append(_PRE_NO_CYCLE)
-        set_right_pre.append(_PRE_NO_CYCLE)
-
-    return {
-        "set_item": spec(
-            "set_item",
-            [item_param()],
-            BinaryNode.set_item,
-            post=[P["item_set"]],
-            modify=("item",),
-        ),
-        "set_left": spec(
-            "set_left",
-            [ref_param(CLASS_NAME)],
+DECL = ClassDecl(
+    CLASS_NAME,
+    BinaryNode,
+    [
+        RoutineDecl(BinaryNode.set_item, [item_param()]),
+        RoutineDecl(
             BinaryNode.set_left,
-            pre=set_left_pre,
-            post=[P["linked_left"], P["adopted"]],
-            modify=(("target", "left"), (ARG0, "parent")),
-        ),
-        "set_right": spec(
-            "set_right",
             [ref_param(CLASS_NAME)],
-            BinaryNode.set_right,
-            pre=set_right_pre,
-            post=[P["linked_right"], P["adopted"]],
-            modify=(("target", "right"), (ARG0, "parent")),
+            pre=[
+                pred("no_left_yet", lambda ctx: ctx.old("left") == V.VOID_ID),
+                *_PRE_CHILD,
+            ],
         ),
-        "prune_left": spec(
-            "prune_left",
-            [],
+        RoutineDecl(
+            BinaryNode.set_right,
+            [ref_param(CLASS_NAME)],
+            pre=[
+                pred("no_right_yet", lambda ctx: ctx.old("right") == V.VOID_ID),
+                *_PRE_CHILD,
+            ],
+        ),
+        RoutineDecl(
             BinaryNode.prune_left,
             pre=[pred("has_left", lambda ctx: ctx.old("left") != V.VOID_ID)],
-            post=[P["left_void"], _detached("left")],
-            modify=(("target", "left"),),
         ),
-        "prune_right": spec(
-            "prune_right",
-            [],
+        RoutineDecl(
             BinaryNode.prune_right,
             pre=[pred("has_right", lambda ctx: ctx.old("right") != V.VOID_ID)],
-            post=[P["right_void"], _detached("right")],
-            modify=(("target", "right"),),
         ),
-        "set_parent": spec(
-            "set_parent",
-            [ref_param(CLASS_NAME)],
-            BinaryNode.set_parent,
-            pre=[_PRE_ATTACHED],
-            post=[P["parent_set"]],
-            modify=(("target", "parent"),),
-        ),
-        "node_item": spec(
-            "node_item",
-            [],
-            BinaryNode.node_item,
-            post=[P["reports_item"]],
-            modify=(),
-            returns_value=True,
-        ),
-        "is_leaf": spec(
-            "is_leaf",
-            [],
-            BinaryNode.is_leaf,
-            post=[P["reports_leaf"]],
-            modify=(),
-            returns_value=True,
-        ),
-    }
+        RoutineDecl(BinaryNode.set_parent, [ref_param(CLASS_NAME)], pre=[_PRE_ATTACHED]),
+        RoutineDecl(BinaryNode.node_item, returns_value=True),
+        RoutineDecl(BinaryNode.is_leaf, returns_value=True),
+    ],
+    size_of=_subtree_size,
+    consistency_probe=_links_sound,
+)
 
 
 def build(level, bugs=frozenset(), depend_parent=True):
+    # both levels model the links and share the postconditions; the strong
+    # level adds the link invariants, the acyclicity guard and the frames
     model = [
         ModelQuery("item", lambda o: item_value(o.item)),
         ModelQuery("parent", lambda o: _oid(o.parent)),
         ModelQuery("left", lambda o: _oid(o.left)),
         ModelQuery("right", lambda o: _oid(o.right)),
     ]
-    if level == "strong":
-        dep = (lambda a: (a,)) if depend_parent else (lambda a: ())
-        invariants = [
+    adopted = pred("adopted", lambda ctx: ctx.now("parent", ARG0) == ctx.self_id())
+    post = {
+        "set_item": [
+            pred("item_set", lambda ctx: ctx.now("item") == item_value(ctx.arg(0)))
+        ],
+        "set_left": [
+            pred("linked_left", lambda ctx: ctx.now("left") == ctx.arg_id(0)),
+            adopted,
+        ],
+        "set_right": [
+            pred("linked_right", lambda ctx: ctx.now("right") == ctx.arg_id(0)),
+            adopted,
+        ],
+        "prune_left": [
+            pred("left_void", lambda ctx: ctx.now("left") == V.VOID_ID),
+            _detached("left"),
+        ],
+        "prune_right": [
+            pred("right_void", lambda ctx: ctx.now("right") == V.VOID_ID),
+            _detached("right"),
+        ],
+        "set_parent": [
+            pred(
+                "parent_set",
+                lambda ctx: ctx.now("parent")
+                == (V.VOID_ID if ctx.arg_is_void(0) else ctx.arg_id(0)),
+            )
+        ],
+        "node_item": [
+            pred("reports_item", lambda ctx: item_value(ctx.result) == ctx.now("item"))
+        ],
+        "is_leaf": [
+            pred(
+                "reports_leaf",
+                lambda ctx: ctx.result
+                == (ctx.now("left") == V.VOID_ID and ctx.now("right") == V.VOID_ID),
+            )
+        ],
+    }
+    if level != "strong":
+        return DECL.spec(level, bugs, model=model, post=post)
+    dep = (lambda a: (a,)) if depend_parent else (lambda a: ())
+    return DECL.spec(
+        level,
+        bugs,
+        model=model,
+        post=post,
+        invariants=[
             InvariantClause(
                 "child_side",
                 lambda m, o: o.parent is None
@@ -314,16 +260,16 @@ def build(level, bugs=frozenset(), depend_parent=True):
                 depend=dep("right"),
                 kind="representation",
             ),
-        ]
-    else:
-        invariants = []
-    return ClassSpec(
-        CLASS_NAME,
-        level,
-        model,
-        invariants,
-        _routines(level),
-        lambda: BinaryNode(bugs),
-        consistency_probe=_links_sound,
-        size_of=_subtree_size,
+        ],
+        pre={"set_left": [_PRE_NO_CYCLE], "set_right": [_PRE_NO_CYCLE]},
+        modify={
+            "set_item": ("item",),
+            "set_left": (("target", "left"), (ARG0, "parent")),
+            "set_right": (("target", "right"), (ARG0, "parent")),
+            "prune_left": (("target", "left"),),
+            "prune_right": (("target", "right"),),
+            "set_parent": (("target", "parent"),),
+            "node_item": (),
+            "is_leaf": (),
+        },
     )

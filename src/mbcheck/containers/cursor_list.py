@@ -9,27 +9,35 @@ only the representation invariant dereferences it.
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.engine import (
-    ARG0,
-    ClassSpec,
-    InvariantClause,
-    ModelQuery,
-    RoutineSpec,
-    index_param,
-    item_param,
-    pred,
-    ref_param,
-)
+from mbcheck.engine import ARG0, InvariantClause, index_param, item_param, pred, ref_param
 
-from mbcheck.containers._shared import Cell, cell_at, item_value, walk
-from mbcheck.containers._cursor_specs import (
+from mbcheck.containers._shared import (
+    APPENDED,
     COUNT_DOWN,
     COUNT_UNCHANGED,
     COUNT_UP,
     COUNT_ZERO,
+    EMPTIED,
+    SEQUENCE_COUNT,
+    Cell,
+    ClassDecl,
+    RoutineDecl,
+    cell_at,
+    item_value,
+    walk,
+)
+from mbcheck.containers._cursor_specs import (
+    linked_invariants,
+    linked_model,
+    EQUAL_IMPLIES_SAME_COUNT,
+    FOUND_IMPLIES_NONEMPTY,
     INDEX_UNCHANGED,
+    MOTION,
     MOTION_POST,
     PRE,
+    REMOVED,
+    REPORTS_ITEM,
+    REPORTS_MEMBERSHIP,
 )
 
 CLASS_NAME = "cursor_list"
@@ -144,338 +152,124 @@ def _true_tail(o):
     return cell
 
 
-def _strong_spec(bugs, redundant_index_clause=False):
-    model = [
-        ModelQuery("sequence", lambda o: V.item_sequence(walk(o.first_cell))),
-        ModelQuery("index", lambda o: V.integer(o.index)),
-    ]
-    invariants = [
-        InvariantClause(
-            "index_in_range",
-            lambda m, o: 0 <= V.as_int(m["index"]) <= V.seq_count(m["sequence"]) + 1,
-            kind="model",
-        ),
-        InvariantClause(
-            "count_matches",
-            lambda m, o: o.count == V.seq_count(m["sequence"]),
-            kind="representation",
-        ),
-        InvariantClause(
-            "tail_cached",
-            lambda m, o: o.last_cell is _true_tail(o),
-            kind="representation",
-        ),
-    ]
-
-    def spliced(ctx):
-        s = ctx.old("sequence")
-        i = ctx.old_int("index")
-        expected = V.seq_concat(
-            V.seq_concat(V.seq_front(s, i), ctx.old("sequence", ARG0)),
-            V.seq_tail(s, i + 1),
-        )
-        return ctx.now("sequence") == expected
-
-    merge_post = [pred("spliced", spliced)]
-    if redundant_index_clause:
-        merge_post.append(INDEX_UNCHANGED)
-
-    routines = {
-        "extend": RoutineSpec(
-            "extend",
-            [item_param()],
-            CursorList.extend,
-            post=[
-                pred(
-                    "appended",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_extended(ctx.old("sequence"), item_value(ctx.arg(0))),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "replace": RoutineSpec(
-            "replace",
-            [item_param()],
-            CursorList.replace,
-            pre=[PRE["cursor_on_item"]],
-            post=[
-                pred(
-                    "replaced",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_replaced_at(
-                        ctx.old("sequence"), ctx.old_int("index"), item_value(ctx.arg(0))
-                    ),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "remove": RoutineSpec(
-            "remove",
-            [],
-            CursorList.remove,
-            pre=[PRE["cursor_on_item"]],
-            post=[
-                pred(
-                    "removed",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_removed_at(ctx.old("sequence"), ctx.old_int("index")),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "start": RoutineSpec(
-            "start", [], CursorList.start, post=[MOTION_POST["at_first"]], modify=("index",)
-        ),
-        "finish": RoutineSpec(
-            "finish", [], CursorList.finish, post=[MOTION_POST["at_last"]], modify=("index",)
-        ),
-        "forth": RoutineSpec(
-            "forth",
-            [],
-            CursorList.forth,
-            pre=[PRE["not_after"]],
-            post=[MOTION_POST["stepped"]],
-            modify=("index",),
-        ),
-        "back": RoutineSpec(
-            "back",
-            [],
-            CursorList.back,
-            pre=[PRE["not_before"]],
-            post=[MOTION_POST["stepped_back"]],
-            modify=("index",),
-        ),
-        "go_i_th": RoutineSpec(
-            "go_i_th",
-            [index_param()],
-            CursorList.go_i_th,
-            pre=[
-                pred(
-                    "position_in_range",
-                    lambda ctx: 0 <= ctx.arg(0) <= ctx.old_int("count") + 1,
-                )
-            ],
-            post=[MOTION_POST["went"]],
-            modify=("index",),
-        ),
-        "wipe_out": RoutineSpec(
-            "wipe_out",
-            [],
-            CursorList.wipe_out,
-            post=[
-                pred("emptied", lambda ctx: V.seq_is_empty(ctx.now("sequence"))),
-                MOTION_POST["cursor_reset"],
-            ],
-            modify=("sequence", "index"),
-        ),
-        "has": RoutineSpec(
-            "has",
-            [item_param()],
-            CursorList.has,
-            post=[
-                pred(
-                    "reports_membership",
-                    lambda ctx: ctx.result
-                    == V.seq_has(ctx.now("sequence"), item_value(ctx.arg(0))),
-                )
-            ],
-            modify=(),
-            returns_value=True,
-        ),
-        "item": RoutineSpec(
-            "item",
-            [],
-            CursorList.item,
-            pre=[PRE["cursor_on_item"]],
-            post=[
-                pred(
-                    "reports_item",
-                    lambda ctx: ctx.result
-                    == V.as_int(V.seq_item(ctx.now("sequence"), ctx.old_int("index"))),
-                )
-            ],
-            modify=(),
-            returns_value=True,
-        ),
-        "off": RoutineSpec(
-            "off",
-            [],
-            CursorList.off,
-            post=[MOTION_POST["reports_off"]],
-            modify=(),
-            returns_value=True,
-        ),
-        "is_equal": RoutineSpec(
-            "is_equal",
-            [ref_param(CLASS_NAME)],
+DECL = ClassDecl(
+    CLASS_NAME,
+    CursorList,
+    [
+        RoutineDecl(CursorList.extend, [item_param()]),
+        RoutineDecl(CursorList.replace, [item_param()], pre=[PRE["cursor_on_item"]]),
+        RoutineDecl(CursorList.remove, pre=[PRE["cursor_on_item"]]),
+        RoutineDecl(CursorList.start),
+        RoutineDecl(CursorList.finish),
+        RoutineDecl(CursorList.forth, pre=[PRE["not_after"]]),
+        RoutineDecl(CursorList.back, pre=[PRE["not_before"]]),
+        RoutineDecl(CursorList.go_i_th, [index_param()], pre=[PRE["position_in_range"]]),
+        RoutineDecl(CursorList.wipe_out),
+        RoutineDecl(CursorList.has, [item_param()], returns_value=True),
+        RoutineDecl(CursorList.item, pre=[PRE["cursor_on_item"]], returns_value=True),
+        RoutineDecl(CursorList.off, returns_value=True),
+        RoutineDecl(
             CursorList.is_equal,
+            [ref_param(CLASS_NAME)],
             pre=[PRE["other_given"]],
-            post=[
-                pred(
-                    "reports_equality",
-                    lambda ctx: ctx.result
-                    == (ctx.now("sequence") == ctx.now("sequence", ARG0)),
-                )
-            ],
-            modify=(),
             returns_value=True,
         ),
-        "merge_right": RoutineSpec(
-            "merge_right",
-            [ref_param(CLASS_NAME)],
+        RoutineDecl(
             CursorList.merge_right,
-            pre=[
-                PRE["not_after"],
-                PRE["other_given"],
-                PRE["other_not_current"],
-            ],
-            post=merge_post,
-            modify=(("target", "sequence"),),
+            [ref_param(CLASS_NAME)],
+            pre=[PRE["not_after"], PRE["other_given"], PRE["other_not_current"]],
         ),
-    }
-    return ClassSpec(
-        CLASS_NAME,
-        "strong",
-        model,
-        invariants,
-        routines,
-        lambda: CursorList(bugs),
-        attr_derivations={
-            "count": lambda m: V.integer(V.seq_count(m["sequence"])),
-        },
-        size_of=lambda o: o.count,
+    ],
+    size_of=lambda o: o.count,
+)
+
+
+def _spliced(ctx):
+    s = ctx.old("sequence")
+    i = ctx.old_int("index")
+    expected = V.seq_concat(
+        V.seq_concat(V.seq_front(s, i), ctx.old("sequence", ARG0)),
+        V.seq_tail(s, i + 1),
     )
+    return ctx.now("sequence") == expected
 
 
-def _weak_spec(bugs):
-    model = [
-        ModelQuery("count", lambda o: V.integer(o.count)),
-        ModelQuery("index", lambda o: V.integer(o.index)),
-    ]
-    invariants = [
-        InvariantClause(
-            "index_in_range",
-            lambda m, o: 0 <= V.as_int(m["index"]) <= V.as_int(m["count"]) + 1,
-            kind="model",
-        ),
-    ]
-    routines = {
-        "extend": RoutineSpec(
-            "extend", [item_param()], CursorList.extend, post=[COUNT_UP], modify=None
-        ),
-        "replace": RoutineSpec(
-            "replace",
-            [item_param()],
-            CursorList.replace,
-            pre=[PRE["cursor_on_item"]],
-            post=[COUNT_UNCHANGED],
-            modify=None,
-        ),
-        "remove": RoutineSpec(
-            "remove",
-            [],
-            CursorList.remove,
-            pre=[PRE["cursor_on_item"]],
-            post=[COUNT_DOWN],
-            modify=None,
-        ),
-        "start": RoutineSpec(
-            "start", [], CursorList.start, post=[MOTION_POST["at_first"]], modify=None
-        ),
-        "finish": RoutineSpec(
-            "finish", [], CursorList.finish, post=[MOTION_POST["at_last"]], modify=None
-        ),
-        "forth": RoutineSpec(
-            "forth",
-            [],
-            CursorList.forth,
-            pre=[PRE["not_after"]],
-            post=[MOTION_POST["stepped"]],
-            modify=None,
-        ),
-        "back": RoutineSpec(
-            "back",
-            [],
-            CursorList.back,
-            pre=[PRE["not_before"]],
-            post=[MOTION_POST["stepped_back"]],
-            modify=None,
-        ),
-        "go_i_th": RoutineSpec(
-            "go_i_th",
-            [index_param()],
-            CursorList.go_i_th,
-            pre=[
-                pred(
-                    "position_in_range",
-                    lambda ctx: 0 <= ctx.arg(0) <= ctx.old_int("count") + 1,
-                )
+def build(level, bugs=frozenset(), redundant_index_clause=False):
+    if level == "strong":
+        merge_post = [pred("spliced", _spliced)]
+        if redundant_index_clause:
+            merge_post.append(INDEX_UNCHANGED)
+        return DECL.spec(
+            level,
+            bugs,
+            model=linked_model(level),
+            invariants=[
+                *linked_invariants(level),
+                InvariantClause(
+                    "tail_cached",
+                    lambda m, o: o.last_cell is _true_tail(o),
+                    kind="representation",
+                ),
             ],
-            post=[MOTION_POST["went"]],
-            modify=None,
-        ),
-        "wipe_out": RoutineSpec(
-            "wipe_out",
-            [],
-            CursorList.wipe_out,
-            post=[COUNT_ZERO, MOTION_POST["cursor_reset"]],
-            modify=None,
-        ),
-        "has": RoutineSpec(
-            "has",
-            [item_param()],
-            CursorList.has,
-            post=[
-                pred(
-                    "found_implies_nonempty",
-                    lambda ctx: (not ctx.result) or ctx.old_int("count") > 0,
-                )
-            ],
-            modify=None,
-            returns_value=True,
-        ),
-        "item": RoutineSpec(
-            "item",
-            [],
-            CursorList.item,
-            pre=[PRE["cursor_on_item"]],
-            modify=None,
-            returns_value=True,
-        ),
-        "off": RoutineSpec(
-            "off",
-            [],
-            CursorList.off,
-            post=[MOTION_POST["reports_off"]],
-            modify=None,
-            returns_value=True,
-        ),
-        "is_equal": RoutineSpec(
-            "is_equal",
-            [ref_param(CLASS_NAME)],
-            CursorList.is_equal,
-            pre=[PRE["other_given"]],
-            post=[
-                pred(
-                    "equal_implies_same_count",
-                    lambda ctx: (not ctx.result)
-                    or ctx.old_int("count") == ctx.old_int("count", ARG0),
-                )
-            ],
-            modify=None,
-            returns_value=True,
-        ),
-        "merge_right": RoutineSpec(
-            "merge_right",
-            [ref_param(CLASS_NAME)],
-            CursorList.merge_right,
-            pre=[
-                PRE["not_after"],
-                PRE["other_given"],
-                PRE["other_not_current"],
-            ],
-            post=[
+            attr_derivations=SEQUENCE_COUNT,
+            post={
+                **MOTION,
+                "extend": [APPENDED],
+                "replace": [
+                    pred(
+                        "replaced",
+                        lambda ctx: ctx.now("sequence")
+                        == V.seq_replaced_at(
+                            ctx.old("sequence"),
+                            ctx.old_int("index"),
+                            item_value(ctx.arg(0)),
+                        ),
+                    )
+                ],
+                "remove": [REMOVED],
+                "wipe_out": [EMPTIED, MOTION_POST["cursor_reset"]],
+                "has": [REPORTS_MEMBERSHIP],
+                "item": [REPORTS_ITEM],
+                "is_equal": [
+                    pred(
+                        "reports_equality",
+                        lambda ctx: ctx.result
+                        == (ctx.now("sequence") == ctx.now("sequence", ARG0)),
+                    )
+                ],
+                "merge_right": merge_post,
+            },
+            modify={
+                "extend": ("sequence",),
+                "replace": ("sequence",),
+                "remove": ("sequence",),
+                "start": ("index",),
+                "finish": ("index",),
+                "forth": ("index",),
+                "back": ("index",),
+                "go_i_th": ("index",),
+                "wipe_out": ("sequence", "index"),
+                "has": (),
+                "item": (),
+                "off": (),
+                "is_equal": (),
+                "merge_right": (("target", "sequence"),),
+            },
+        )
+    return DECL.spec(
+        level,
+        bugs,
+        model=linked_model(level),
+        invariants=linked_invariants(level),
+        post={
+            **MOTION,
+            "extend": [COUNT_UP],
+            "replace": [COUNT_UNCHANGED],
+            "remove": [COUNT_DOWN],
+            "wipe_out": [COUNT_ZERO, MOTION_POST["cursor_reset"]],
+            "has": [FOUND_IMPLIES_NONEMPTY],
+            "is_equal": [EQUAL_IMPLIES_SAME_COUNT],
+            "merge_right": [
                 pred(
                     "count_sum",
                     lambda ctx: ctx.now_int("count")
@@ -483,21 +277,5 @@ def _weak_spec(bugs):
                 ),
                 INDEX_UNCHANGED,
             ],
-            modify=None,
-        ),
-    }
-    return ClassSpec(
-        CLASS_NAME,
-        "weak",
-        model,
-        invariants,
-        routines,
-        lambda: CursorList(bugs),
-        size_of=lambda o: o.count,
+        },
     )
-
-
-def build(level, bugs=frozenset(), redundant_index_clause=False):
-    if level == "strong":
-        return _strong_spec(bugs, redundant_index_clause)
-    return _weak_spec(bugs)

@@ -8,33 +8,30 @@ default value 0.
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.containers._shared import item_value
-from mbcheck.engine import (
-    ClassSpec,
-    ModelQuery,
-    RoutineSpec,
-    index_param,
-    item_param,
-    pred,
+from mbcheck.containers._shared import (
+    COUNT_UNCHANGED,
+    COUNT_ZERO,
+    EMPTIED,
+    SEQUENCE_COUNT,
+    ClassDecl,
+    RoutineDecl,
+    item_value,
 )
+from mbcheck.engine import ModelQuery, index_param, item_param, pred
 
 CLASS_NAME = "resizable_array"
 
 _DEFAULT = 0
 
-_IN_BOUNDS = pred(
-    "index_in_bounds",
-    lambda ctx: ctx.old_int("lower")
-    <= ctx.arg(1)
-    <= ctx.old_int("lower") + ctx.old_int("count") - 1,
-)
 
-_QUERY_IN_BOUNDS = pred(
-    "index_in_bounds",
-    lambda ctx: ctx.old_int("lower")
-    <= ctx.arg(0)
-    <= ctx.old_int("lower") + ctx.old_int("count") - 1,
-)
+def _in_bounds(k):
+    """Argument ``k`` lies within the current bounds."""
+    return pred(
+        "index_in_bounds",
+        lambda ctx: ctx.old_int("lower")
+        <= ctx.arg(k)
+        <= ctx.old_int("lower") + ctx.old_int("count") - 1,
+    )
 
 
 class ResizableArray:
@@ -103,124 +100,86 @@ def _forced(ctx):
     return ctx.now("sequence") == expected and ctx.now_int("lower") == expected_lower
 
 
-def _strong_spec(bugs):
-    model = [
-        ModelQuery("sequence", lambda o: V.item_sequence(o.storage)),
-        ModelQuery("lower", lambda o: V.integer(o.lower)),
-    ]
-    routines = {
-        "put": RoutineSpec(
-            "put",
-            [item_param(), index_param()],
-            ResizableArray.put,
-            pre=[_IN_BOUNDS],
-            post=[
-                pred(
-                    "stored",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_replaced_at(
-                        ctx.old("sequence"),
-                        ctx.arg(1) - ctx.old_int("lower") + 1,
-                        item_value(ctx.arg(0)),
-                    ),
-                )
-            ],
-            modify=("sequence",),
+DECL = ClassDecl(
+    CLASS_NAME,
+    ResizableArray,
+    [
+        RoutineDecl(
+            ResizableArray.put, [item_param(), index_param()], pre=[_in_bounds(1)]
         ),
-        "force": RoutineSpec(
-            "force",
-            [item_param(), index_param()],
-            ResizableArray.force,
-            post=[pred("force_extends", _forced)],
-            modify=("sequence", "lower"),
+        RoutineDecl(ResizableArray.force, [item_param(), index_param()]),
+        RoutineDecl(ResizableArray.wipe_out),
+        RoutineDecl(
+            ResizableArray.item, [index_param()], pre=[_in_bounds(0)], returns_value=True
         ),
-        "wipe_out": RoutineSpec(
-            "wipe_out",
-            [],
-            ResizableArray.wipe_out,
-            post=[
-                pred("emptied", lambda ctx: V.seq_is_empty(ctx.now("sequence"))),
-                pred("lower_reset", lambda ctx: ctx.now_int("lower") == 1),
-            ],
-            modify=("sequence", "lower"),
-        ),
-        "item": RoutineSpec(
-            "item",
-            [index_param()],
-            ResizableArray.item,
-            pre=[_QUERY_IN_BOUNDS],
-            post=[
-                pred(
-                    "reports_item",
-                    lambda ctx: item_value(ctx.result)
-                    == V.seq_item(
-                        ctx.now("sequence"), ctx.arg(0) - ctx.old_int("lower") + 1
-                    ),
-                )
-            ],
-            modify=(),
-            returns_value=True,
-        ),
-        "item_count": RoutineSpec(
-            "item_count",
-            [],
-            ResizableArray.item_count,
-            post=[
-                pred(
-                    "reports_count",
-                    lambda ctx: ctx.result == V.seq_count(ctx.now("sequence")),
-                )
-            ],
-            modify=(),
-            returns_value=True,
-        ),
-    }
-    return ClassSpec(
-        CLASS_NAME,
-        "strong",
-        model,
-        [],
-        routines,
-        lambda: ResizableArray(bugs),
-        attr_derivations={
-            "count": lambda m: V.integer(V.seq_count(m["sequence"])),
-        },
-        size_of=lambda o: len(o.storage),
-    )
+        RoutineDecl(ResizableArray.item_count, returns_value=True),
+    ],
+    size_of=lambda o: len(o.storage),
+)
+
+_LOWER_RESET = pred("lower_reset", lambda ctx: ctx.now_int("lower") == 1)
+_HOLDS_VALUE = pred("holds_value", lambda ctx: ctx.obj.item(ctx.arg(1)) == ctx.arg(0))
 
 
-def _weak_spec(bugs):
-    model = [
-        ModelQuery("count", lambda o: V.integer(len(o.storage))),
-        ModelQuery("lower", lambda o: V.integer(o.lower)),
-    ]
-    routines = {
-        "put": RoutineSpec(
-            "put",
-            [item_param(), index_param()],
-            ResizableArray.put,
-            pre=[_IN_BOUNDS],
-            post=[
-                pred(
-                    "holds_value",
-                    lambda ctx: ctx.obj.item(ctx.arg(1)) == ctx.arg(0),
-                ),
-                pred(
-                    "count_unchanged",
-                    lambda ctx: ctx.now_int("count") == ctx.old_int("count"),
-                ),
+def build(level, bugs=frozenset()):
+    if level == "strong":
+        return DECL.spec(
+            level,
+            bugs,
+            model=[
+                ModelQuery("sequence", lambda o: V.item_sequence(o.storage)),
+                ModelQuery("lower", lambda o: V.integer(o.lower)),
             ],
-            modify=None,
-        ),
-        "force": RoutineSpec(
-            "force",
-            [item_param(), index_param()],
-            ResizableArray.force,
-            post=[
-                pred(
-                    "holds_value",
-                    lambda ctx: ctx.obj.item(ctx.arg(1)) == ctx.arg(0),
-                ),
+            attr_derivations=SEQUENCE_COUNT,
+            post={
+                "put": [
+                    pred(
+                        "stored",
+                        lambda ctx: ctx.now("sequence")
+                        == V.seq_replaced_at(
+                            ctx.old("sequence"),
+                            ctx.arg(1) - ctx.old_int("lower") + 1,
+                            item_value(ctx.arg(0)),
+                        ),
+                    )
+                ],
+                "force": [pred("force_extends", _forced)],
+                "wipe_out": [EMPTIED, _LOWER_RESET],
+                "item": [
+                    pred(
+                        "reports_item",
+                        lambda ctx: item_value(ctx.result)
+                        == V.seq_item(
+                            ctx.now("sequence"), ctx.arg(0) - ctx.old_int("lower") + 1
+                        ),
+                    )
+                ],
+                "item_count": [
+                    pred(
+                        "reports_count",
+                        lambda ctx: ctx.result == V.seq_count(ctx.now("sequence")),
+                    )
+                ],
+            },
+            modify={
+                "put": ("sequence",),
+                "force": ("sequence", "lower"),
+                "wipe_out": ("sequence", "lower"),
+                "item": (),
+                "item_count": (),
+            },
+        )
+    return DECL.spec(
+        level,
+        bugs,
+        model=[
+            ModelQuery("count", lambda o: V.integer(len(o.storage))),
+            ModelQuery("lower", lambda o: V.integer(o.lower)),
+        ],
+        post={
+            "put": [_HOLDS_VALUE, COUNT_UNCHANGED],
+            "force": [
+                _HOLDS_VALUE,
                 pred(
                     "bounds_cover_index",
                     lambda ctx: ctx.now_int("lower")
@@ -228,52 +187,9 @@ def _weak_spec(bugs):
                     <= ctx.now_int("lower") + ctx.now_int("count") - 1,
                 ),
             ],
-            modify=None,
-        ),
-        "wipe_out": RoutineSpec(
-            "wipe_out",
-            [],
-            ResizableArray.wipe_out,
-            post=[
-                pred("count_zero", lambda ctx: ctx.now_int("count") == 0),
-                pred("lower_reset", lambda ctx: ctx.now_int("lower") == 1),
+            "wipe_out": [COUNT_ZERO, _LOWER_RESET],
+            "item_count": [
+                pred("reports_count", lambda ctx: ctx.result == ctx.old_int("count"))
             ],
-            modify=None,
-        ),
-        "item": RoutineSpec(
-            "item",
-            [index_param()],
-            ResizableArray.item,
-            pre=[_QUERY_IN_BOUNDS],
-            modify=None,
-            returns_value=True,
-        ),
-        "item_count": RoutineSpec(
-            "item_count",
-            [],
-            ResizableArray.item_count,
-            post=[
-                pred(
-                    "reports_count",
-                    lambda ctx: ctx.result == ctx.old_int("count"),
-                )
-            ],
-            modify=None,
-            returns_value=True,
-        ),
-    }
-    return ClassSpec(
-        CLASS_NAME,
-        "weak",
-        model,
-        [],
-        routines,
-        lambda: ResizableArray(bugs),
-        size_of=lambda o: len(o.storage),
+        },
     )
-
-
-def build(level, bugs=frozenset()):
-    if level == "strong":
-        return _strong_spec(bugs)
-    return _weak_spec(bugs)

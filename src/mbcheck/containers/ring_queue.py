@@ -7,19 +7,21 @@ linearizes it to the front of a longer buffer.
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.containers._shared import item_value
-from mbcheck.engine import (
-    ClassSpec,
-    InvariantClause,
-    ModelQuery,
-    RoutineSpec,
-    item_param,
-    pred,
+from mbcheck.containers._shared import (
+    APPENDED,
+    EMPTIED,
+    COUNT_DOWN,
+    COUNT_UP,
+    COUNT_ZERO,
+    NOT_EMPTY,
+    SEQUENCE_COUNT,
+    ClassDecl,
+    RoutineDecl,
+    item_value,
 )
+from mbcheck.engine import InvariantClause, ModelQuery, item_param, pred
 
 CLASS_NAME = "ring_queue"
-
-_NOT_EMPTY = pred("not_empty", lambda ctx: ctx.old_int("count") > 0)
 
 
 class RingQueue:
@@ -61,158 +63,79 @@ class RingQueue:
         return self.count == 0
 
 
-def _strong_spec(bugs):
-    model = [
-        ModelQuery("sequence", lambda o: V.item_sequence(o._logical())),
-    ]
-    invariants = [
-        InvariantClause(
-            "count_within_capacity",
-            lambda m, o: 0 <= o.count <= len(o.storage),
-            kind="representation",
-        ),
-    ]
-    routines = {
-        "put": RoutineSpec(
-            "put",
-            [item_param()],
-            RingQueue.put,
-            post=[
-                pred(
-                    "appended",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_extended(ctx.old("sequence"), item_value(ctx.arg(0))),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "remove": RoutineSpec(
-            "remove",
-            [],
-            RingQueue.remove,
-            pre=[_NOT_EMPTY],
-            post=[
-                pred(
-                    "dropped_front",
-                    lambda ctx: ctx.now("sequence") == V.seq_tail(ctx.old("sequence"), 2),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "wipe_out": RoutineSpec(
-            "wipe_out",
-            [],
-            RingQueue.wipe_out,
-            post=[pred("emptied", lambda ctx: V.seq_is_empty(ctx.now("sequence")))],
-            modify=("sequence",),
-        ),
-        "item": RoutineSpec(
-            "item",
-            [],
-            RingQueue.item,
-            pre=[_NOT_EMPTY],
-            post=[
-                pred(
-                    "reports_front",
-                    lambda ctx: item_value(ctx.result)
-                    == V.seq_item(ctx.now("sequence"), 1),
-                )
-            ],
-            modify=(),
-            returns_value=True,
-        ),
-        "is_empty": RoutineSpec(
-            "is_empty",
-            [],
-            RingQueue.is_empty,
-            post=[
-                pred(
-                    "reports_emptiness",
-                    lambda ctx: ctx.result == V.seq_is_empty(ctx.now("sequence")),
-                )
-            ],
-            modify=(),
-            returns_value=True,
-        ),
-    }
-    return ClassSpec(
-        CLASS_NAME,
-        "strong",
-        model,
-        invariants,
-        routines,
-        lambda: RingQueue(bugs),
-        attr_derivations={
-            "count": lambda m: V.integer(V.seq_count(m["sequence"])),
-        },
-        size_of=lambda o: o.count,
-    )
+DECL = ClassDecl(
+    CLASS_NAME,
+    RingQueue,
+    [
+        RoutineDecl(RingQueue.put, [item_param()]),
+        RoutineDecl(RingQueue.remove, pre=[NOT_EMPTY]),
+        RoutineDecl(RingQueue.wipe_out),
+        RoutineDecl(RingQueue.item, pre=[NOT_EMPTY], returns_value=True),
+        RoutineDecl(RingQueue.is_empty, returns_value=True),
+    ],
+    size_of=lambda o: o.count,
+)
 
 
-def _weak_spec(bugs):
-    model = [ModelQuery("count", lambda o: V.integer(o.count))]
-    routines = {
-        "put": RoutineSpec(
-            "put",
-            [item_param()],
-            RingQueue.put,
-            post=[
-                pred(
-                    "count_up",
-                    lambda ctx: ctx.now_int("count") == ctx.old_int("count") + 1,
-                )
+def build(level, bugs=frozenset()):
+    if level == "strong":
+        return DECL.spec(
+            level,
+            bugs,
+            model=[ModelQuery("sequence", lambda o: V.item_sequence(o._logical()))],
+            invariants=[
+                InvariantClause(
+                    "count_within_capacity",
+                    lambda m, o: 0 <= o.count <= len(o.storage),
+                    kind="representation",
+                ),
             ],
-            modify=None,
-        ),
-        "remove": RoutineSpec(
-            "remove",
-            [],
-            RingQueue.remove,
-            pre=[_NOT_EMPTY],
-            post=[
-                pred(
-                    "count_down",
-                    lambda ctx: ctx.now_int("count") == ctx.old_int("count") - 1,
-                )
-            ],
-            modify=None,
-        ),
-        "wipe_out": RoutineSpec(
-            "wipe_out",
-            [],
-            RingQueue.wipe_out,
-            post=[pred("count_zero", lambda ctx: ctx.now_int("count") == 0)],
-            modify=None,
-        ),
-        "item": RoutineSpec(
-            "item", [], RingQueue.item, pre=[_NOT_EMPTY], modify=None, returns_value=True
-        ),
-        "is_empty": RoutineSpec(
-            "is_empty",
-            [],
-            RingQueue.is_empty,
-            post=[
+            attr_derivations=SEQUENCE_COUNT,
+            post={
+                "put": [APPENDED],
+                "remove": [
+                    pred(
+                        "dropped_front",
+                        lambda ctx: ctx.now("sequence")
+                        == V.seq_tail(ctx.old("sequence"), 2),
+                    )
+                ],
+                "wipe_out": [EMPTIED],
+                "item": [
+                    pred(
+                        "reports_front",
+                        lambda ctx: item_value(ctx.result)
+                        == V.seq_item(ctx.now("sequence"), 1),
+                    )
+                ],
+                "is_empty": [
+                    pred(
+                        "reports_emptiness",
+                        lambda ctx: ctx.result == V.seq_is_empty(ctx.now("sequence")),
+                    )
+                ],
+            },
+            modify={
+                "put": ("sequence",),
+                "remove": ("sequence",),
+                "wipe_out": ("sequence",),
+                "item": (),
+                "is_empty": (),
+            },
+        )
+    return DECL.spec(
+        level,
+        bugs,
+        model=[ModelQuery("count", lambda o: V.integer(o.count))],
+        post={
+            "put": [COUNT_UP],
+            "remove": [COUNT_DOWN],
+            "wipe_out": [COUNT_ZERO],
+            "is_empty": [
                 pred(
                     "reports_emptiness",
                     lambda ctx: ctx.result == (ctx.old_int("count") == 0),
                 )
             ],
-            modify=None,
-            returns_value=True,
-        ),
-    }
-    return ClassSpec(
-        CLASS_NAME,
-        "weak",
-        model,
-        [],
-        routines,
-        lambda: RingQueue(bugs),
-        size_of=lambda o: o.count,
+        },
     )
-
-
-def build(level, bugs=frozenset()):
-    if level == "strong":
-        return _strong_spec(bugs)
-    return _weak_spec(bugs)

@@ -9,24 +9,33 @@ buys.
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.engine import (
-    ClassSpec,
-    InvariantClause,
-    ModelQuery,
-    RoutineSpec,
-    index_param,
-    item_param,
-    pred,
-)
+from mbcheck.engine import InvariantClause, index_param, item_param, pred
 
-from mbcheck.containers._shared import DCell, cell_at, item_value, walk
-from mbcheck.containers._cursor_specs import (
+from mbcheck.containers._shared import (
+    APPENDED,
     COUNT_DOWN,
     COUNT_UNCHANGED,
     COUNT_UP,
     COUNT_ZERO,
+    EMPTIED,
+    SEQUENCE_COUNT,
+    ClassDecl,
+    DCell,
+    RoutineDecl,
+    cell_at,
+    item_value,
+    walk,
+)
+from mbcheck.containers._cursor_specs import (
+    linked_invariants,
+    linked_model,
+    FOUND_IMPLIES_NONEMPTY,
+    MOTION,
     MOTION_POST,
     PRE,
+    REMOVED,
+    REPORTS_ITEM,
+    REPORTS_MEMBERSHIP,
 )
 
 CLASS_NAME = "two_way_list"
@@ -136,291 +145,97 @@ def _back_links_sound(o):
     return all(f is b for f, b in zip(forward, backward))
 
 
-def _strong_spec(bugs):
-    model = [
-        ModelQuery("sequence", lambda o: V.item_sequence(walk(o.first_cell))),
-        ModelQuery("index", lambda o: V.integer(o.index)),
-    ]
-    invariants = [
-        InvariantClause(
-            "index_in_range",
-            lambda m, o: 0 <= V.as_int(m["index"]) <= V.seq_count(m["sequence"]) + 1,
-            kind="model",
-        ),
-        InvariantClause(
-            "count_matches",
-            lambda m, o: o.count == V.seq_count(m["sequence"]),
-            kind="representation",
-        ),
-        InvariantClause(
-            "back_links", lambda m, o: _back_links_sound(o), kind="representation"
-        ),
-    ]
-    routines = {
-        "extend": RoutineSpec(
-            "extend",
-            [item_param()],
-            TwoWayList.extend,
-            post=[
-                pred(
-                    "appended",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_extended(ctx.old("sequence"), item_value(ctx.arg(0))),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "put_front": RoutineSpec(
-            "put_front",
-            [item_param()],
-            TwoWayList.put_front,
-            post=[
-                pred(
-                    "prefixed",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_concat(
-                        V.sequence([item_value(ctx.arg(0))]), ctx.old("sequence")
-                    ),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "replace": RoutineSpec(
-            "replace",
-            [item_param()],
-            TwoWayList.replace,
-            pre=[PRE["cursor_on_item"]],
-            post=[
-                pred(
-                    "replaced",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_replaced_at(
-                        ctx.old("sequence"), ctx.old_int("index"), V.integer(ctx.arg(0))
-                    ),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "remove": RoutineSpec(
-            "remove",
-            [],
-            TwoWayList.remove,
-            pre=[PRE["cursor_on_item"]],
-            post=[
-                pred(
-                    "removed",
-                    lambda ctx: ctx.now("sequence")
-                    == V.seq_removed_at(ctx.old("sequence"), ctx.old_int("index")),
-                )
-            ],
-            modify=("sequence",),
-        ),
-        "start": RoutineSpec(
-            "start", [], TwoWayList.start, post=[MOTION_POST["at_first"]], modify=("index",)
-        ),
-        "finish": RoutineSpec(
-            "finish", [], TwoWayList.finish, post=[MOTION_POST["at_last"]], modify=("index",)
-        ),
-        "forth": RoutineSpec(
-            "forth",
-            [],
-            TwoWayList.forth,
-            pre=[PRE["not_after"]],
-            post=[MOTION_POST["stepped"]],
-            modify=("index",),
-        ),
-        "back": RoutineSpec(
-            "back",
-            [],
-            TwoWayList.back,
-            pre=[PRE["not_before"]],
-            post=[MOTION_POST["stepped_back"]],
-            modify=("index",),
-        ),
-        "go_i_th": RoutineSpec(
-            "go_i_th",
-            [index_param()],
-            TwoWayList.go_i_th,
-            pre=[PRE["position_in_range"]],
-            post=[MOTION_POST["went"]],
-            modify=("index",),
-        ),
-        "wipe_out": RoutineSpec(
-            "wipe_out",
-            [],
-            TwoWayList.wipe_out,
-            post=[
-                pred("emptied", lambda ctx: V.seq_is_empty(ctx.now("sequence"))),
-                MOTION_POST["cursor_reset"],
-            ],
-            modify=("sequence", "index"),
-        ),
-        "has": RoutineSpec(
-            "has",
-            [item_param()],
-            TwoWayList.has,
-            post=[
-                pred(
-                    "reports_membership",
-                    lambda ctx: ctx.result
-                    == V.seq_has(ctx.now("sequence"), item_value(ctx.arg(0))),
-                )
-            ],
-            modify=(),
-            returns_value=True,
-        ),
-        "item": RoutineSpec(
-            "item",
-            [],
-            TwoWayList.item,
-            pre=[PRE["cursor_on_item"]],
-            post=[
-                pred(
-                    "reports_item",
-                    lambda ctx: ctx.result
-                    == V.as_int(V.seq_item(ctx.now("sequence"), ctx.old_int("index"))),
-                )
-            ],
-            modify=(),
-            returns_value=True,
-        ),
-        "off": RoutineSpec(
-            "off",
-            [],
-            TwoWayList.off,
-            post=[MOTION_POST["reports_off"]],
-            modify=(),
-            returns_value=True,
-        ),
-    }
-    return ClassSpec(
-        CLASS_NAME,
-        "strong",
-        model,
-        invariants,
-        routines,
-        lambda: TwoWayList(bugs),
-        attr_derivations={
-            "count": lambda m: V.integer(V.seq_count(m["sequence"])),
-        },
-        size_of=lambda o: o.count,
-    )
-
-
-def _weak_spec(bugs):
-    model = [
-        ModelQuery("count", lambda o: V.integer(o.count)),
-        ModelQuery("index", lambda o: V.integer(o.index)),
-    ]
-    invariants = [
-        InvariantClause(
-            "index_in_range",
-            lambda m, o: 0 <= V.as_int(m["index"]) <= V.as_int(m["count"]) + 1,
-            kind="model",
-        ),
-    ]
-    routines = {
-        "extend": RoutineSpec(
-            "extend", [item_param()], TwoWayList.extend, post=[COUNT_UP], modify=None
-        ),
-        "put_front": RoutineSpec(
-            "put_front", [item_param()], TwoWayList.put_front, post=[COUNT_UP], modify=None
-        ),
-        "replace": RoutineSpec(
-            "replace",
-            [item_param()],
-            TwoWayList.replace,
-            pre=[PRE["cursor_on_item"]],
-            post=[COUNT_UNCHANGED],
-            modify=None,
-        ),
-        "remove": RoutineSpec(
-            "remove",
-            [],
-            TwoWayList.remove,
-            pre=[PRE["cursor_on_item"]],
-            post=[COUNT_DOWN],
-            modify=None,
-        ),
-        "start": RoutineSpec(
-            "start", [], TwoWayList.start, post=[MOTION_POST["at_first"]], modify=None
-        ),
-        "finish": RoutineSpec(
-            "finish", [], TwoWayList.finish, post=[MOTION_POST["at_last"]], modify=None
-        ),
-        "forth": RoutineSpec(
-            "forth",
-            [],
-            TwoWayList.forth,
-            pre=[PRE["not_after"]],
-            post=[MOTION_POST["stepped"]],
-            modify=None,
-        ),
-        "back": RoutineSpec(
-            "back",
-            [],
-            TwoWayList.back,
-            pre=[PRE["not_before"]],
-            post=[MOTION_POST["stepped_back"]],
-            modify=None,
-        ),
-        "go_i_th": RoutineSpec(
-            "go_i_th",
-            [index_param()],
-            TwoWayList.go_i_th,
-            pre=[PRE["position_in_range"]],
-            post=[MOTION_POST["went"]],
-            modify=None,
-        ),
-        "wipe_out": RoutineSpec(
-            "wipe_out",
-            [],
-            TwoWayList.wipe_out,
-            post=[COUNT_ZERO, MOTION_POST["cursor_reset"]],
-            modify=None,
-        ),
-        "has": RoutineSpec(
-            "has",
-            [item_param()],
-            TwoWayList.has,
-            post=[
-                pred(
-                    "found_implies_nonempty",
-                    lambda ctx: (not ctx.result) or ctx.old_int("count") > 0,
-                )
-            ],
-            modify=None,
-            returns_value=True,
-        ),
-        "item": RoutineSpec(
-            "item",
-            [],
-            TwoWayList.item,
-            pre=[PRE["cursor_on_item"]],
-            modify=None,
-            returns_value=True,
-        ),
-        "off": RoutineSpec(
-            "off",
-            [],
-            TwoWayList.off,
-            post=[MOTION_POST["reports_off"]],
-            modify=None,
-            returns_value=True,
-        ),
-    }
-    return ClassSpec(
-        CLASS_NAME,
-        "weak",
-        model,
-        invariants,
-        routines,
-        lambda: TwoWayList(bugs),
-        size_of=lambda o: o.count,
-    )
+DECL = ClassDecl(
+    CLASS_NAME,
+    TwoWayList,
+    [
+        RoutineDecl(TwoWayList.extend, [item_param()]),
+        RoutineDecl(TwoWayList.put_front, [item_param()]),
+        RoutineDecl(TwoWayList.replace, [item_param()], pre=[PRE["cursor_on_item"]]),
+        RoutineDecl(TwoWayList.remove, pre=[PRE["cursor_on_item"]]),
+        RoutineDecl(TwoWayList.start),
+        RoutineDecl(TwoWayList.finish),
+        RoutineDecl(TwoWayList.forth, pre=[PRE["not_after"]]),
+        RoutineDecl(TwoWayList.back, pre=[PRE["not_before"]]),
+        RoutineDecl(TwoWayList.go_i_th, [index_param()], pre=[PRE["position_in_range"]]),
+        RoutineDecl(TwoWayList.wipe_out),
+        RoutineDecl(TwoWayList.has, [item_param()], returns_value=True),
+        RoutineDecl(TwoWayList.item, pre=[PRE["cursor_on_item"]], returns_value=True),
+        RoutineDecl(TwoWayList.off, returns_value=True),
+    ],
+    size_of=lambda o: o.count,
+)
 
 
 def build(level, bugs=frozenset()):
     if level == "strong":
-        return _strong_spec(bugs)
-    return _weak_spec(bugs)
+        return DECL.spec(
+            level,
+            bugs,
+            model=linked_model(level),
+            invariants=[
+                *linked_invariants(level),
+                InvariantClause(
+                    "back_links", lambda m, o: _back_links_sound(o), kind="representation"
+                ),
+            ],
+            attr_derivations=SEQUENCE_COUNT,
+            post={
+                **MOTION,
+                "extend": [APPENDED],
+                "put_front": [
+                    pred(
+                        "prefixed",
+                        lambda ctx: ctx.now("sequence")
+                        == V.seq_concat(
+                            V.sequence([item_value(ctx.arg(0))]), ctx.old("sequence")
+                        ),
+                    )
+                ],
+                "replace": [
+                    pred(
+                        "replaced",
+                        lambda ctx: ctx.now("sequence")
+                        == V.seq_replaced_at(
+                            ctx.old("sequence"),
+                            ctx.old_int("index"),
+                            V.integer(ctx.arg(0)),
+                        ),
+                    )
+                ],
+                "remove": [REMOVED],
+                "wipe_out": [EMPTIED, MOTION_POST["cursor_reset"]],
+                "has": [REPORTS_MEMBERSHIP],
+                "item": [REPORTS_ITEM],
+            },
+            modify={
+                "extend": ("sequence",),
+                "put_front": ("sequence",),
+                "replace": ("sequence",),
+                "remove": ("sequence",),
+                "start": ("index",),
+                "finish": ("index",),
+                "forth": ("index",),
+                "back": ("index",),
+                "go_i_th": ("index",),
+                "wipe_out": ("sequence", "index"),
+                "has": (),
+                "item": (),
+                "off": (),
+            },
+        )
+    return DECL.spec(
+        level,
+        bugs,
+        model=linked_model(level),
+        invariants=linked_invariants(level),
+        post={
+            **MOTION,
+            "extend": [COUNT_UP],
+            "put_front": [COUNT_UP],
+            "replace": [COUNT_UNCHANGED],
+            "remove": [COUNT_DOWN],
+            "wipe_out": [COUNT_ZERO, MOTION_POST["cursor_reset"]],
+            "has": [FOUND_IMPLIES_NONEMPTY],
+        },
+    )

@@ -27,8 +27,6 @@ guard), so model queries may freely call public routines of their own object.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from mbcheck.errors import ModelEvalError
 from mbcheck.engine.specs import TARGET
 from mbcheck.values import as_int, mv_repr, object_id
@@ -277,24 +275,6 @@ class Engine:
 
     def object_by_token(self, token):
         return self._objects[token]
-
-    # --- re-entrancy guard ---
-
-    @contextmanager
-    def suppressed(self):
-        self._suppress += 1
-        try:
-            yield
-        finally:
-            self._suppress -= 1
-
-    def guard_model_evaluation(self, thunk):
-        """Evaluate ``thunk`` with contract checking suppressed; nests."""
-        self._suppress += 1
-        try:
-            return thunk()
-        finally:
-            self._suppress -= 1
 
     # --- the protocol ---
 

@@ -38,23 +38,21 @@ class ModelQuery:
 
 
 class NamedPred:
-    """A named predicate over a call context. ``experimental`` marks clauses
-    whose violations classify as specification-suspect rather than real."""
+    """A named predicate over a call context."""
 
-    __slots__ = ("name", "fn", "experimental", "frame_info")
+    __slots__ = ("name", "fn", "frame_info")
 
-    def __init__(self, name, fn, experimental=False):
+    def __init__(self, name, fn):
         self.name = name
         self.fn = fn
-        self.experimental = experimental
         self.frame_info = None  # (role index, query name) on derived frame preds
 
     def __repr__(self):
         return "NamedPred(%s)" % self.name
 
 
-def pred(name, fn, experimental=False):
-    return NamedPred(name, fn, experimental)
+def pred(name, fn):
+    return NamedPred(name, fn)
 
 
 class InvariantClause:
@@ -67,16 +65,15 @@ class InvariantClause:
     absent or closed.
     """
 
-    __slots__ = ("name", "fn", "depend", "kind", "experimental")
+    __slots__ = ("name", "fn", "depend", "kind")
 
-    def __init__(self, name, fn, depend=(), kind="model", experimental=False):
+    def __init__(self, name, fn, depend=(), kind="model"):
         if kind not in ("model", "representation"):
             raise SpecError("invariant kind must be model or representation")
         self.name = name
         self.fn = fn
         self.depend = tuple(depend)
         self.kind = kind
-        self.experimental = experimental
 
     def __repr__(self):
         return "InvariantClause(%s)" % self.name

@@ -9,7 +9,9 @@ import mbcheck.values as V
 from mbcheck.engine import Engine
 from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers import bugs as bug_catalog
-from mbcheck.containers._shared import walk
+from mbcheck.containers._shared import ClassDecl, RoutineDecl, walk
+from mbcheck.containers.array_stack import ArrayStack
+from mbcheck.errors import SpecError
 
 
 def mk(name, level, bugs=(), **options):
@@ -435,13 +437,44 @@ def test_no_cycle_clause_is_experimental_and_strong_only():
     out = eng.call(mid, "set_right", root.concrete)
     assert out.invalid
     assert [v.clause for v in out.violations] == ["no_cycle"]
-    clause = next(
-        p for p in spec.routines["set_right"].pre if p.name == "no_cycle"
-    )
-    assert clause.experimental is True
+    assert ("binary_node", "no_cycle") in bug_catalog.EXPERIMENTAL_CLAUSES
 
-    eng, spec = mk("binary_node", "weak")
-    assert all(p.name != "no_cycle" for p in spec.routines["set_right"].pre)
+    def pre_names(cls, level):
+        spec = build_class(cls, level)
+        return {p.name for r in spec.routines.values() for p in r.pre}
+
+    # every catalogued experimental clause is a strong-only precondition
+    for cls, clause in bug_catalog.EXPERIMENTAL_CLAUSES:
+        assert clause in pre_names(cls, "strong")
+        assert clause not in pre_names(cls, "weak")
+
+
+# --- routine tables and level overlays ------------------------------------
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+def test_every_build_makes_new_specs(cls):
+    for level in LEVELS:
+        a, b = build_class(cls, level), build_class(cls, level)
+        assert a is not b
+        assert list(a.routines) == list(b.routines)
+        for name, routine in a.routines.items():
+            assert routine is not b.routines[name]
+            assert (routine.modify is None) == (level == "weak")
+
+
+def test_overlay_must_name_declared_routines():
+    decl = ClassDecl("stack", ArrayStack, [RoutineDecl(ArrayStack.push)], size_of=len)
+    with pytest.raises(SpecError, match="undeclared routines pop"):
+        decl.spec("weak", frozenset(), model=[], post={"pop": []})
+    with pytest.raises(SpecError, match="undeclared routines pop"):
+        decl.spec("weak", frozenset(), model=[], post={}, pre={"pop": []})
+    with pytest.raises(SpecError, match="undeclared routines pop"):
+        decl.spec("strong", frozenset(), model=[], post={}, modify={"push": (), "pop": ()})
+    with pytest.raises(SpecError, match="frame every routine"):
+        decl.spec("strong", frozenset(), model=[], post={}, modify={})
+    with pytest.raises(SpecError, match="unframed"):
+        decl.spec("weak", frozenset(), model=[], post={}, modify={"push": ()})
 
 
 # --- catalog sanity -------------------------------------------------------
@@ -463,15 +496,23 @@ def test_catalog_covers_every_class_and_counts():
 
 def test_catalog_signatures_name_real_clauses():
     for entry in bug_catalog.CATALOG:
-        for level, sig in (("strong", entry.strong), ("weak", entry.weak)):
+        for level, sig in (
+            ("strong", entry.strong),
+            ("weak", entry.weak),
+            ("weak", entry.weak_analogue),
+        ):
             if sig is None:
                 continue
             spec = build_class(entry.class_name, level, frozenset([entry.bug_id]))
             routine = spec.routines[sig.routine]
-            names = {p.name for p in routine.post}
-            names.update(p.name for p in routine.frame_preds)
-            names.update(cl.name for cl in spec.invariants)
-            assert sig.clause in names, (entry.bug_id, level, sig)
+            clauses = {
+                "precondition": routine.pre,
+                "postcondition": routine.post,
+                "frame": routine.frame_preds,
+                "invariant_entry": spec.invariants,
+                "invariant_exit": spec.invariants,
+            }[sig.kind]
+            assert sig.clause in {c.name for c in clauses}, (entry.bug_id, level, sig)
 
 
 def test_manifest_round_trips():

@@ -487,26 +487,67 @@ def test_guard_suppresses_checking_within_model_evaluation():
     assert [v.kind for v in out.violations] == [FRAME]
 
 
+def qualified(o, name, *args):
+    """A qualified call on a registered object, as container bodies make."""
+    co = o._checked
+    return co.engine.checked_call(co, co.spec.routines[name], args)
+
+
 def test_guard_nests_and_unwinds():
-    eng, co, spec = fresh()
-    with eng.suppressed():
-        with eng.suppressed():
-            out = eng.checked_call(co, spec.routines["push"], (8,))
-            assert out.body_ran and not out.violations
-        assert eng._suppress == 1
+    # a model query makes a qualified call; the body runs a nested protocol
+    # on the peer; each model evaluation raises the guard to one, then zero
+    seen = []
+
+    def counting_eval(o):
+        out = qualified(o, "size")
+        seen.append((out.body_ran, out.violations, o._checked.engine._suppress))
+        return V.sequence(V.integer(x) for x in o.items)
+
+    eng, a, spec = fresh(toy_specs(seq_eval=counting_eval))
+    b = eng.register(Toy(), spec)
+    a.concrete.peer = b.concrete
+    out = eng.checked_call(a, spec.routines["poke_peer"], ())
+    assert not out.violations
+    assert b.concrete.items == [7]
+    # entry and exit models of the target, and of the peer inside the body
+    assert seen == [(True, (), 1)] * 4
     assert eng._suppress == 0
-    assert co.concrete.items == [8]
 
 
 def test_guard_model_evaluation_returns_value():
-    eng, co, spec = fresh()
-    assert eng.guard_model_evaluation(lambda: 42) == 42
+    # a qualified call made while checking is suppressed returns its result
+    agrees = InvariantClause(
+        "size_agrees",
+        lambda m, o: qualified(o, "size").result == V.seq_count(m["sequence"]),
+        kind="representation",
+    )
+    eng, co, spec = fresh(toy_specs(extra_invariants=[agrees]))
+    for name, args in (("push", (5,)), ("push", (6,)), ("noop", ())):
+        out = eng.checked_call(co, spec.routines[name], args)
+        assert out.body_ran and not out.violations, name
     assert eng._suppress == 0
 
 
 def test_suppressed_crash_propagates():
+    # a crash in a suppressed qualified call reaches the enclosing model
+    # query or predicate and is recorded there
+    def crashing_eval(o):
+        qualified(o, "crashy")
+
+    eng, co, spec = fresh(toy_specs(seq_eval=crashing_eval))
+    out = eng.checked_call(co, spec.routines["noop"], ())
+    assert [(v.kind, v.clause) for v in out.violations] == [(MODEL_EVAL_ERROR, "model")]
+    assert "kaboom" in out.violations[0].detail
+    assert not out.body_ran
+    assert eng._suppress == 0
+
     eng, co, spec = fresh()
-    with pytest.raises(RuntimeError):
-        with eng.suppressed():
-            eng.checked_call(co, spec.routines["crashy"], ())
+    spec.routines["noop"].pre = (
+        pred("calls_crashy", lambda ctx: qualified(ctx.obj, "crashy")),
+    )
+    out = eng.checked_call(co, spec.routines["noop"], ())
+    assert [(v.kind, v.clause) for v in out.violations] == [
+        (MODEL_EVAL_ERROR, "calls_crashy")
+    ]
+    assert not out.body_ran
     assert eng._suppress == 0
