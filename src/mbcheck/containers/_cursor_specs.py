@@ -105,6 +105,11 @@ REMOVED = pred(
     lambda ctx: ctx.now("sequence")
     == V.seq_removed_at(ctx.old("sequence"), ctx.old_int("index")),
 )
+REPLACED = pred(
+    "replaced",
+    lambda ctx: ctx.now("sequence")
+    == V.seq_replaced_at(ctx.old("sequence"), ctx.old_int("index"), item_value(ctx.arg(0))),
+)
 REPORTS_ITEM = pred(
     "reports_item",
     lambda ctx: ctx.result

@@ -23,7 +23,6 @@ from mbcheck.containers._shared import (
     ClassDecl,
     RoutineDecl,
     cell_at,
-    item_value,
     walk,
 )
 from mbcheck.containers._cursor_specs import (
@@ -36,6 +35,7 @@ from mbcheck.containers._cursor_specs import (
     MOTION_POST,
     PRE,
     REMOVED,
+    REPLACED,
     REPORTS_ITEM,
     REPORTS_MEMBERSHIP,
 )
@@ -215,17 +215,7 @@ def build(level, bugs=frozenset(), redundant_index_clause=False):
             post={
                 **MOTION,
                 "extend": [APPENDED],
-                "replace": [
-                    pred(
-                        "replaced",
-                        lambda ctx: ctx.now("sequence")
-                        == V.seq_replaced_at(
-                            ctx.old("sequence"),
-                            ctx.old_int("index"),
-                            item_value(ctx.arg(0)),
-                        ),
-                    )
-                ],
+                "replace": [REPLACED],
                 "remove": [REMOVED],
                 "wipe_out": [EMPTIED, MOTION_POST["cursor_reset"]],
                 "has": [REPORTS_MEMBERSHIP],

@@ -34,6 +34,7 @@ from mbcheck.containers._cursor_specs import (
     MOTION_POST,
     PRE,
     REMOVED,
+    REPLACED,
     REPORTS_ITEM,
     REPORTS_MEMBERSHIP,
 )
@@ -192,17 +193,7 @@ def build(level, bugs=frozenset()):
                         ),
                     )
                 ],
-                "replace": [
-                    pred(
-                        "replaced",
-                        lambda ctx: ctx.now("sequence")
-                        == V.seq_replaced_at(
-                            ctx.old("sequence"),
-                            ctx.old_int("index"),
-                            V.integer(ctx.arg(0)),
-                        ),
-                    )
-                ],
+                "replace": [REPLACED],
                 "remove": [REMOVED],
                 "wipe_out": [EMPTIED, MOTION_POST["cursor_reset"]],
                 "has": [REPORTS_MEMBERSHIP],

@@ -1,13 +1,15 @@
 """The checked-call runtime.
 
 `Engine.checked_call` wraps one routine invocation with the full checking
-protocol:
+protocol. It reads the routine's clause tuples and argument positions at call
+time, and runs what `engine.specs.bind` derived: the frame predicates and
+each class spec's ``depend_gated``:
 
-1. entry invariant check on the target (only if it is closed),
-2. precondition check (a violation aborts before the body; the harness treats
+1. pre-state models of the frame universe (every model query of the target
+   and of each reference argument), which double as the snapshot,
+2. entry invariant check on the target (only if it is closed),
+3. precondition check (a violation aborts before the body; the harness treats
    a top-level precondition violation as an invalid test case, not a fault),
-3. eager snapshot of the frame universe (every model query of the target and
-   of each reference argument),
 4. save + set the is_open flag on the target and open-listed arguments,
 5. body execution (internal unqualified calls are plain Python calls and are
    never re-instrumented; qualified calls on other checked objects re-enter
@@ -17,12 +19,19 @@ protocol:
 8. postconditions against the snapshot,
 9. derived frame predicates.
 
-First-failure rules: an entry-invariant violation aborts the call before the
-precondition check and body; an exit-invariant violation suppresses the
-postcondition and frame checks. A body exception is recorded as a violation of
-kind ``model_eval_error`` with clause ``crash``. Model evaluation and every
-predicate evaluation run with contract checking suppressed (re-entrancy
-guard), so model queries may freely call public routines of their own object.
+One loop, `Engine._check`, evaluates the clauses of every phase. It raises
+the re-entrancy guard ``_suppress`` once for the whole phase, so clauses and
+model queries may freely call public routines of their own object unchecked.
+A false clause is a violation of the phase's kind; a raising one is recorded
+as kind ``model_eval_error`` on that clause. Preconditions stop at the first
+violation; the other phases record every clause. An invariant that declares
+``depend`` is skipped while an attached object is open; only a class with
+such a clause (``ClassSpec.depend_gated``) pays for that test.
+
+First-failure rules: a model evaluation error or an entry-invariant violation
+aborts the call before the precondition check and body; an exit-invariant
+violation suppresses the postcondition and frame checks. A body exception is
+recorded as a violation of kind ``model_eval_error`` with clause ``crash``.
 """
 
 from __future__ import annotations
@@ -139,6 +148,7 @@ class CallCtx:
     variants also resolve derived attribute names through the binding's
     derivation map. ``attr`` reads a live concrete attribute of the target
     (pre-state when evaluated in preconditions, post-state afterwards).
+    Reads of the target role, the default, go straight to the target's map.
     """
 
     __slots__ = (
@@ -171,15 +181,7 @@ class CallCtx:
             raise ModelEvalError("no model state for role %s" % role)
         return m, idx
 
-    def _spec_for(self, idx):
-        return self.co.spec if idx == -1 else self.arg_cos[idx].spec
-
-    def _resolve(self, models, qname, role):
-        m, idx = self._models_for(models, role)
-        v = m.get(qname)
-        if v is not None:
-            return v
-        spec = self._spec_for(idx)
+    def _derive(self, m, qname, spec):
         deriv = spec.attr_derivations.get(qname)
         if deriv is None:
             raise ModelEvalError(
@@ -188,28 +190,51 @@ class CallCtx:
             )
         return deriv(m)
 
+    def _resolve(self, models, qname, role):
+        m, idx = self._models_for(models, role)
+        v = m.get(qname)
+        if v is not None:
+            return v
+        return self._derive(m, qname, self.co.spec if idx == -1 else self.arg_cos[idx].spec)
+
     # --- model access ---
 
     def old(self, qname, role=TARGET):
-        m, _ = self._models_for(self.entry_models, role)
-        v = m.get(qname)
+        if role == TARGET:
+            v = self.entry_models.get(-1).get(qname)
+        else:
+            v = self._models_for(self.entry_models, role)[0].get(qname)
         if v is None:
             raise ModelEvalError("%s is not a model query of role %s" % (qname, role))
         return v
 
     def now(self, qname, role=TARGET):
-        m, _ = self._models_for(self.exit_models, role)
-        v = m.get(qname)
+        if role == TARGET:
+            v = self.exit_models.get(-1).get(qname)
+        else:
+            v = self._models_for(self.exit_models, role)[0].get(qname)
         if v is None:
             raise ModelEvalError("%s is not a model query of role %s" % (qname, role))
         return v
 
     def old_int(self, qname, role=TARGET):
-        v = self._resolve(self.entry_models, qname, role)
+        if role == TARGET:
+            m = self.entry_models.get(-1)
+            v = m.get(qname)
+            if v is None:
+                v = self._derive(m, qname, self.co.spec)
+        else:
+            v = self._resolve(self.entry_models, qname, role)
         return as_int(v) if type(v) is tuple else v
 
     def now_int(self, qname, role=TARGET):
-        v = self._resolve(self.exit_models, qname, role)
+        if role == TARGET:
+            m = self.exit_models.get(-1)
+            v = m.get(qname)
+            if v is None:
+                v = self._derive(m, qname, self.co.spec)
+        else:
+            v = self._resolve(self.exit_models, qname, role)
         return as_int(v) if type(v) is tuple else v
 
     # --- concrete access (not available on abstract states) ---
@@ -298,112 +323,102 @@ class Engine:
             if is_top:
                 self._sink = None
 
-    def _frame_models(self, co, routine, arg_cos, sink, ordinal):
+    def _frame_models(self, co, rname, refs, arg_cos, sink, ordinal):
         """Model maps of the frame universe: the target's under key -1 and
         each present reference argument's under its position, evaluated with
         checking suppressed. On failure, records a ``model_eval_error`` on
         clause ``model`` and returns None."""
         self._suppress += 1
         try:
-            models = {-1: {q.name: q.evaluate(co.concrete) for q in co.spec.model}}
-            for k in routine.ref_params:
+            models = {-1: _model_map(co)}
+            for k in refs:
                 aco = arg_cos[k]
                 if aco is not None:
-                    models[k] = {q.name: q.evaluate(aco.concrete) for q in aco.spec.model}
+                    models[k] = _model_map(aco)
             return models
         except Exception as e:
-            sink.append(
-                Violation(
-                    MODEL_EVAL_ERROR,
-                    co.spec.name,
-                    routine.name,
-                    "model",
-                    CALLEE,
-                    ordinal,
-                    co.token,
-                    repr(e),
-                )
-            )
+            sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "model", ordinal, repr(e)))
             return None
         finally:
             self._suppress -= 1
 
+    def _check(self, clauses, fnargs, kind, co, rname, ordinal, sink, first=False):
+        """Evaluate one phase's clauses on ``co``, with checking suppressed
+        once for the whole phase.
+
+        ``fnargs`` is what each clause's ``fn`` takes: ``(model map, object)``
+        for an invariant, ``(ctx,)`` for a predicate. A false clause records a
+        violation of ``kind``; a raising one records a ``model_eval_error``.
+        The phase stops at its first violation when ``first`` is set and goes
+        on otherwise. Returns the kind of the last violation recorded, or
+        None when every clause held.
+        """
+        hook = self.hook
+        failed = None
+        self._suppress += 1
+        try:
+            for cl in clauses:
+                if hook is not None:
+                    hook(_event(kind, co, cl))
+                try:
+                    ok = cl.fn(*fnargs)
+                except Exception as e:
+                    failed = MODEL_EVAL_ERROR
+                    sink.append(_violation(failed, co, rname, cl.name, ordinal, repr(e)))
+                else:
+                    if ok:
+                        continue
+                    failed = kind
+                    detail = _frame_detail(cl, fnargs[0]) if kind == FRAME else ""
+                    sink.append(_violation(kind, co, rname, cl.name, ordinal, detail))
+                if first:
+                    break
+        finally:
+            self._suppress -= 1
+        return failed
+
     def _protocol(self, co, routine, args, ordinal, sink, start):
         hook = self.hook
-        spec = co.spec
-        cname = spec.name
         rname = routine.name
-        token = co.token
+        refs = routine.ref_params
 
         # reference-argument wrappers
         arg_cos = [None] * len(args)
-        for k in routine.ref_params:
+        for k in refs:
             a = args[k]
             if a is not None:
                 arg_cos[k] = a._checked
 
         # pre-state models for the whole frame universe (doubles as snapshot)
-        entry_models = self._frame_models(co, routine, arg_cos, sink, ordinal)
+        entry_models = self._frame_models(co, rname, refs, arg_cos, sink, ordinal)
         if entry_models is None:
             return CallOutcome(None, tuple(sink[start:]), False, False)
 
         # (1) entry invariants, target only, only when closed
-        if not co.is_open:
-            tmodel = entry_models[-1]
-            obj = co.concrete
-            failed = False
-            for cl in spec.invariants:
-                if not invariant_clause_eligible(cl, co):
-                    continue
-                if hook is not None:
-                    hook(("entry_clause", token, cl.name))
-                self._suppress += 1
-                try:
-                    ok = cl.fn(tmodel, obj)
-                except Exception as e:
-                    sink.append(
-                        Violation(
-                            MODEL_EVAL_ERROR, cname, rname, cl.name, CALLEE, ordinal, token, repr(e)
-                        )
-                    )
-                    ok, failed = True, True
-                finally:
-                    self._suppress -= 1
-                if not ok:
-                    sink.append(
-                        Violation(INVARIANT_ENTRY, cname, rname, cl.name, CALLEE, ordinal, token)
-                    )
-                    failed = True
-            if failed:
-                return CallOutcome(None, tuple(sink[start:]), False, False)
+        if not co.is_open and self._check(
+            _eligible_invariants(co),
+            (entry_models[-1], co.concrete),
+            INVARIANT_ENTRY,
+            co,
+            rname,
+            ordinal,
+            sink,
+        ):
+            return CallOutcome(None, tuple(sink[start:]), False, False)
 
         # (2) preconditions; first failing clause aborts
         ctx = CallCtx(self, co, routine, args, arg_cos, entry_models)
-        for p in routine.pre:
-            if hook is not None:
-                hook(("pre", p.name))
-            self._suppress += 1
-            try:
-                ok = p.fn(ctx)
-            except Exception as e:
-                sink.append(
-                    Violation(
-                        MODEL_EVAL_ERROR, cname, rname, p.name, CALLEE, ordinal, token, repr(e)
-                    )
-                )
-                return CallOutcome(None, tuple(sink[start:]), False, False)
-            finally:
-                self._suppress -= 1
-            if not ok:
-                sink.append(Violation(PRECONDITION, cname, rname, p.name, CALLER, ordinal, token))
-                return CallOutcome(None, tuple(sink[start:]), True, False)
+        if routine.pre:
+            failed = self._check(routine.pre, (ctx,), PRECONDITION, co, rname, ordinal, sink, True)
+            if failed:
+                return CallOutcome(None, tuple(sink[start:]), failed == PRECONDITION, False)
 
         # (3) snapshot: entry_models rekeyed by object identity; only the hook
         # reads it
         if hook is not None:
             snap_entries = {}
             for idx, m in entry_models.items():
-                t = token if idx == -1 else arg_cos[idx].token
+                t = co.token if idx == -1 else arg_cos[idx].token
                 for qn, val in m.items():
                     snap_entries[(t, qn)] = val
             hook(("snapshot", rname, ModelSnapshot(snap_entries, rname, ordinal)))
@@ -420,124 +435,116 @@ class Engine:
         # (5) body, (6) restore
         if hook is not None:
             hook(("body", rname))
-        crashed = False
-        result = None
         try:
             result = routine.body(co.concrete, *args)
         except Exception as e:
-            crashed = True
-            sink.append(
-                Violation(MODEL_EVAL_ERROR, cname, rname, "crash", CALLEE, ordinal, token, repr(e))
-            )
+            sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "crash", ordinal, repr(e)))
+            return CallOutcome(None, tuple(sink[start:]), False, True)
         finally:
             for o, flag in saved:
                 o.is_open = flag
             if hook is not None:
                 hook(("restore", rname))
-        if crashed:
-            return CallOutcome(None, tuple(sink[start:]), False, True)
 
         # post-state models
-        exit_models = self._frame_models(co, routine, arg_cos, sink, ordinal)
+        exit_models = self._frame_models(co, rname, refs, arg_cos, sink, ordinal)
         if exit_models is None:
             return CallOutcome(result, tuple(sink[start:]), False, True)
 
         # (7) exit invariants: target plus opened arguments
-        to_check = []
-        if not co.is_open:
-            to_check.append((co, exit_models[-1]))
+        exit_failed = not co.is_open and self._check(
+            _eligible_invariants(co),
+            (exit_models[-1], co.concrete),
+            INVARIANT_EXIT,
+            co,
+            rname,
+            ordinal,
+            sink,
+        )
         for k in routine.open_args:
             aco = arg_cos[k]
-            if aco is not None and not aco.is_open:
-                to_check.append((aco, exit_models[k]))
-        exit_failed = False
-        for c_co, m in to_check:
-            c_obj = c_co.concrete
-            for cl in c_co.spec.invariants:
-                if not invariant_clause_eligible(cl, c_co):
-                    continue
-                if hook is not None:
-                    hook(("exit_clause", c_co.token, cl.name))
-                self._suppress += 1
-                try:
-                    ok = cl.fn(m, c_obj)
-                except Exception as e:
-                    sink.append(
-                        Violation(
-                            MODEL_EVAL_ERROR,
-                            c_co.spec.name,
-                            rname,
-                            cl.name,
-                            CALLEE,
-                            ordinal,
-                            c_co.token,
-                            repr(e),
-                        )
-                    )
-                    ok, exit_failed = True, True
-                finally:
-                    self._suppress -= 1
-                if not ok:
-                    sink.append(
-                        Violation(
-                            INVARIANT_EXIT,
-                            c_co.spec.name,
-                            rname,
-                            cl.name,
-                            CALLEE,
-                            ordinal,
-                            c_co.token,
-                        )
-                    )
-                    exit_failed = True
+            if (
+                aco is not None
+                and not aco.is_open
+                and self._check(
+                    _eligible_invariants(aco),
+                    (exit_models[k], aco.concrete),
+                    INVARIANT_EXIT,
+                    aco,
+                    rname,
+                    ordinal,
+                    sink,
+                )
+            ):
+                exit_failed = True
         if exit_failed:
             # first-failure: a broken exit invariant makes postcondition and
             # frame reports noise, so they are suppressed
             return CallOutcome(result, tuple(sink[start:]), False, True)
 
-        # (8) postconditions
+        # (8) postconditions, (9) derived frame predicates
         ctx.exit_models = exit_models
         ctx.result = result
-        for p in routine.post:
-            if hook is not None:
-                hook(("post", p.name))
-            self._suppress += 1
-            try:
-                ok = p.fn(ctx)
-            except Exception as e:
-                sink.append(
-                    Violation(
-                        MODEL_EVAL_ERROR, cname, rname, p.name, CALLEE, ordinal, token, repr(e)
-                    )
-                )
-                ok = True
-            finally:
-                self._suppress -= 1
-            if not ok:
-                sink.append(Violation(POSTCONDITION, cname, rname, p.name, CALLEE, ordinal, token))
-
-        # (9) derived frame predicates
-        for p in routine.frame_preds:
-            if hook is not None:
-                hook(("frame", p.name))
-            self._suppress += 1
-            try:
-                ok = p.fn(ctx)
-            except Exception as e:
-                sink.append(
-                    Violation(
-                        MODEL_EVAL_ERROR, cname, rname, p.name, CALLEE, ordinal, token, repr(e)
-                    )
-                )
-                ok = True
-            finally:
-                self._suppress -= 1
-            if not ok:
-                idx, qname = p.frame_info
-                detail = "%s -> %s" % (
-                    mv_repr(ctx.entry_models[idx][qname]),
-                    mv_repr(ctx.exit_models[idx][qname]),
-                )
-                sink.append(Violation(FRAME, cname, rname, p.name, CALLEE, ordinal, token, detail))
+        fnargs = (ctx,)
+        if routine.post:
+            self._check(routine.post, fnargs, POSTCONDITION, co, rname, ordinal, sink)
+        if routine.frame_preds:
+            self._check(routine.frame_preds, fnargs, FRAME, co, rname, ordinal, sink)
 
         return CallOutcome(result, tuple(sink[start:]), False, True)
+
+
+# hook event of each clause phase; invariant events also carry the token of
+# the object checked
+_EVENTS = {
+    INVARIANT_ENTRY: "entry_clause",
+    INVARIANT_EXIT: "exit_clause",
+    PRECONDITION: "pre",
+    POSTCONDITION: "post",
+    FRAME: "frame",
+}
+
+
+def _event(kind, co, clause):
+    if kind == INVARIANT_ENTRY or kind == INVARIANT_EXIT:
+        return (_EVENTS[kind], co.token, clause.name)
+    return (_EVENTS[kind], clause.name)
+
+
+def _violation(kind, co, routine_name, clause_name, ordinal, detail=""):
+    """The protocol's one violation constructor: blame falls on the caller
+    for a precondition and on the callee for every other kind."""
+    blame = CALLER if kind == PRECONDITION else CALLEE
+    return Violation(
+        kind, co.spec.name, routine_name, clause_name, blame, ordinal, co.token, detail
+    )
+
+
+def _frame_detail(pred, ctx):
+    idx, qname = pred.frame_info
+    return "%s -> %s" % (
+        mv_repr(ctx.entry_models[idx][qname]),
+        mv_repr(ctx.exit_models[idx][qname]),
+    )
+
+
+def _model_map(co):
+    # a plain loop: on this path a dict comprehension's extra frame costs
+    # more than the loop itself
+    obj = co.concrete
+    m = {}
+    for q in co.spec.model:
+        m[q.name] = q.evaluate(obj)
+    return m
+
+
+def _eligible_invariants(co):
+    """The invariant clauses checkable on the closed object ``co`` now."""
+    spec = co.spec
+    if not spec.depend_gated:
+        return spec.invariants
+    eligible = []
+    for cl in spec.invariants:
+        if not cl.depend or invariant_clause_eligible(cl, co):
+            eligible.append(cl)
+    return eligible

@@ -177,7 +177,9 @@ class ClassSpec:
     letting shared (attribute-level) predicates evaluate on abstract states.
     ``consistency_probe`` is an optional concrete-state predicate used by the
     harness for fault classification bookkeeping only. ``size_of`` reports an
-    object's size for the pool's discard heuristic.
+    object's size for the pool's discard heuristic. ``bind`` sets
+    ``depend_gated`` when some invariant declares ``depend``; only then does
+    the runtime test invariant eligibility clause by clause.
     """
 
     __slots__ = (
@@ -192,6 +194,7 @@ class ClassSpec:
         "consistency_probe",
         "size_of",
         "bound",
+        "depend_gated",
     )
 
     def __init__(
@@ -221,6 +224,7 @@ class ClassSpec:
         self.consistency_probe = consistency_probe
         self.size_of = size_of
         self.bound = False
+        self.depend_gated = False
 
     def __repr__(self):
         return "ClassSpec(%s, %s)" % (self.name, self.level)
@@ -280,8 +284,9 @@ def bind(specs_by_name):
     """Validate a same-level family of class specs and derive their frames.
 
     Checks modify well-formedness, parameter references, and open_args, then
-    attaches frame predicates to each routine. Call once per binding family;
-    raises SpecError on ill-formed input.
+    attaches frame predicates to each routine and sets each class spec's
+    ``depend_gated``. Call once per binding family; raises SpecError on
+    ill-formed input.
     """
     for spec in specs_by_name.values():
         for routine in spec.routines.values():
@@ -301,5 +306,6 @@ def bind(specs_by_name):
             routine.frame_preds = derive_frame_postconditions(
                 routine, spec, specs_by_name
             )
+        spec.depend_gated = any(cl.depend for cl in spec.invariants)
         spec.bound = True
     return specs_by_name

@@ -278,9 +278,11 @@ def run_session(cfg):
 
         for co in tainted:
             gen.evict(co)
+        # ``in`` on the pool is identity membership: CheckedObject defines no
+        # __eq__
         if (
             spec.size_of is not None
-            and any(t is target for t in gen.pool)
+            and target in gen.pool
             and spec.size_of(target.concrete) > cfg.max_object_size
         ):
             gen.evict(target)

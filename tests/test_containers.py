@@ -62,6 +62,19 @@ def test_two_way_list_clean_trace(level):
         assert not out.violations, (op, signatures(out))
 
 
+@pytest.mark.parametrize("cls", ["cursor_list", "two_way_list"])
+def test_replace_checks_non_integer_items(cls):
+    # any binding accepts any item; strong two_way_list's replaced post once
+    # converted the item with V.integer and raised instead of checking
+    eng, spec = mk(cls, "strong")
+    a = eng.create(spec)
+    for op, *args in [("extend", "x"), ("start",), ("replace", "y")]:
+        out = eng.call(a, op, *args)
+        assert not out.violations, (op, signatures(out))
+    assert list(walk(a.concrete.first_cell)) == ["y"]
+    assert spec.routines["replace"].post == mk("cursor_list", "strong")[1].routines["replace"].post
+
+
 @pytest.mark.parametrize("level", LEVELS)
 def test_cursor_set_clean_trace(level):
     eng, spec = mk("cursor_set", level)

@@ -551,3 +551,158 @@ def test_suppressed_crash_propagates():
     ]
     assert not out.body_ran
     assert eng._suppress == 0
+
+
+def test_depend_invariant_gated_through_the_protocol():
+    # b's body calls a.push while b is open: on a, the depend clause
+    # peer_link is skipped and the plain clause index_bounds still runs, at
+    # entry and at exit
+    events = []
+    spec = toy_specs()
+    eng = Engine(hook=lambda e: events.append(e) if e[0].endswith("_clause") else None)
+    a = eng.register(Toy(), spec)
+    b = eng.register(Toy(), spec)
+    a.concrete.peer = b.concrete
+    b.concrete.peer = a.concrete
+    b.concrete.link_ok = False  # peer_link on a is false while it is checked
+    out = eng.checked_call(b, spec.routines["poke_peer"], ())
+    assert not out.violations
+    assert a.concrete.items == [7]
+    assert [(e[0], e[2]) for e in events if e[1] == a.token] == [
+        ("entry_clause", "index_bounds"),
+        ("exit_clause", "index_bounds"),
+    ]
+    assert [(e[0], e[2]) for e in events if e[1] == b.token] == [
+        ("entry_clause", "index_bounds"),
+        ("entry_clause", "peer_link"),
+        ("exit_clause", "index_bounds"),
+        ("exit_clause", "peer_link"),
+    ]
+    # with b closed, the clause runs on a again
+    out = eng.checked_call(a, spec.routines["noop"], ())
+    assert [(v.kind, v.clause) for v in out.violations] == [(INVARIANT_ENTRY, "peer_link")]
+
+
+# --- check plans and instrumentation --------------------------------------
+
+CLAUSE_LAYERS = ("model", "invariant", "pre", "post", "frame")
+
+
+def _instrument(spec, counts, wrapped):
+    """Wrap every model query's ``evaluate`` and every clause's ``fn`` of an
+    already bound spec with a counter, as the benchmark's tracer does; a
+    clause object shared between specs is wrapped once. Appends (object,
+    attribute, original) to ``wrapped`` for restoring."""
+
+    def wrap(obj, attr, layer):
+        if any(o is obj for o, _, _ in wrapped):
+            return
+        fn = getattr(obj, attr)
+
+        def counted(*args):
+            counts[layer] += 1
+            return fn(*args)
+
+        wrapped.append((obj, attr, fn))
+        setattr(obj, attr, counted)
+
+    for q in spec.model:
+        wrap(q, "evaluate", "model")
+    for cl in spec.invariants:
+        wrap(cl, "fn", "invariant")
+    for r in spec.routines.values():
+        for layer, preds in (("pre", r.pre), ("post", r.post), ("frame", r.frame_preds)):
+            for p in preds:
+                wrap(p, "fn", layer)
+
+
+def _cursor_list_calls(eng, spec):
+    a, b = eng.create(spec), eng.create(spec)
+    eng.call(b, "extend", 4)
+    for name, args in (
+        ("extend", (1,)),
+        ("extend", (2,)),
+        ("extend", (3,)),
+        ("start", ()),
+        ("forth", ()),
+        ("item", ()),
+        ("replace", (5,)),
+        ("remove", ()),
+        ("has", (2,)),
+        ("back", ()),
+        ("back", ()),
+        ("go_i_th", (9,)),
+        ("off", ()),
+        ("finish", ()),
+        ("is_equal", (None,)),
+        ("is_equal", (b.concrete,)),
+        ("merge_right", (b.concrete,)),
+        ("wipe_out", ()),
+    ):
+        eng.call(a, name, *args)
+
+
+def _binary_node_calls(eng, spec):
+    r, c1, c2 = eng.create(spec), eng.create(spec), eng.create(spec)
+    for co, name, args in (
+        (r, "set_item", (5,)),
+        (r, "set_left", (c1.concrete,)),
+        (r, "set_right", (c2.concrete,)),
+        (r, "set_left", (c2.concrete,)),
+        (c1, "node_item", ()),
+        (r, "is_leaf", ()),
+        (c1, "set_parent", (None,)),
+        (r, "prune_left", ()),
+        (c1, "is_leaf", ()),
+        (c2, "set_left", (r.concrete,)),
+    ):
+        eng.call(co, name, *args)
+
+
+@pytest.mark.parametrize(
+    "class_name, calls, expected, eligibility_tests",
+    [
+        (
+            "cursor_list",
+            _cursor_list_calls,
+            {"model": 80, "invariant": 108, "pre": 12, "post": 18, "frame": 24},
+            0,
+        ),
+        (
+            "binary_node",
+            _binary_node_calls,
+            {"model": 124, "invariant": 61, "pre": 19, "post": 11, "frame": 48},
+            63,
+        ),
+    ],
+)
+def test_plans_see_clauses_instrumented_after_build(
+    monkeypatch, class_name, calls, expected, eligibility_tests
+):
+    # the runtime must reach each clause's fn and each query's evaluate
+    # through the object at call time, never a function kept from bind():
+    # the tracer rewraps them after build_class returns and counts every
+    # call. The counts were measured on the protocol before this one.
+    from mbcheck.containers import build_class
+    from mbcheck.engine import runtime
+
+    spec = build_class(class_name, "strong")
+    counts = dict.fromkeys(CLAUSE_LAYERS, 0)
+    wrapped = []
+    _instrument(spec, counts, wrapped)
+    tested = []
+    eligible = runtime.invariant_clause_eligible
+    monkeypatch.setattr(
+        runtime,
+        "invariant_clause_eligible",
+        lambda cl, co: tested.append(cl.name) or eligible(cl, co),
+    )
+    try:
+        calls(Engine(), spec)
+    finally:
+        for obj, attr, fn in reversed(wrapped):
+            setattr(obj, attr, fn)
+    assert counts == expected
+    # only clauses that declare depend pay for the eligibility test; every
+    # binary_node invariant does, no cursor_list invariant does
+    assert len(tested) == eligibility_tests
