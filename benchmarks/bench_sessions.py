@@ -4,7 +4,7 @@ For each class, runs ``--seeds`` seeded sessions of ``--calls`` calls (default
 generator parameters, no seeded defects) at the strong level, at the weak
 level, and unchecked, and prints the median calls per CPU second
 (``time.process_time``) over the seeds, and the same rate in calls per
-reference second. This host's CPU speed drifts by tens of percent within
+reference second. A shared host's CPU speed can drift by tens of percent within
 minutes, so each session's CPU time is also divided by the CPU time of a fixed
 pure-Python kernel run just before and just after it (the benchmark's
 reference kernel, ``perfbench/workloads.py``), times 1 ms; compare two
@@ -30,7 +30,13 @@ import json
 import platform
 import sys
 import time
+from pathlib import Path
 from statistics import median
+
+# the benchmark's reference kernel, so reference seconds here and in
+# perfbench/run.py measure the same work
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import reference_kernel
 
 import mbcheck
 import mbcheck.harness.session as session
@@ -57,13 +63,9 @@ class UncheckedEngine(Engine):
 
 
 def reference_kernel_cpu_s():
-    """CPU seconds of a fixed pure-Python kernel (small tuples, dict
-    updates) that uses no mbcheck code; about a millisecond."""
+    """CPU seconds of one run of the benchmark's reference kernel."""
     c0 = time.process_time()
-    d = {}
-    for i in range(2000):
-        t = tuple(range(i % 7))
-        d[t] = d.get(t, 0) + 1
+    reference_kernel()
     return time.process_time() - c0
 
 

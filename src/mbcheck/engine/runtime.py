@@ -2,8 +2,7 @@
 
 `Engine.checked_call` wraps one routine invocation with the full checking
 protocol. It reads the routine's clause tuples and argument positions at call
-time, and runs what `engine.specs.bind` derived: the frame predicates and
-each class spec's ``depend_gated``:
+time, and the frame predicates that `engine.specs.bind` derived:
 
 1. pre-state models of the frame universe (every model query of the target
    and of each reference argument), which double as the snapshot,
@@ -148,7 +147,6 @@ class CallCtx:
     variants also resolve derived attribute names through the binding's
     derivation map. ``attr`` reads a live concrete attribute of the target
     (pre-state when evaluated in preconditions, post-state afterwards).
-    Reads of the target role, the default, go straight to the target's map.
     """
 
     __slots__ = (
@@ -181,7 +179,15 @@ class CallCtx:
             raise ModelEvalError("no model state for role %s" % role)
         return m, idx
 
-    def _derive(self, m, qname, spec):
+    def _spec_for(self, idx):
+        return self.co.spec if idx == -1 else self.arg_cos[idx].spec
+
+    def _resolve(self, models, qname, role):
+        m, idx = self._models_for(models, role)
+        v = m.get(qname)
+        if v is not None:
+            return v
+        spec = self._spec_for(idx)
         deriv = spec.attr_derivations.get(qname)
         if deriv is None:
             raise ModelEvalError(
@@ -190,51 +196,28 @@ class CallCtx:
             )
         return deriv(m)
 
-    def _resolve(self, models, qname, role):
-        m, idx = self._models_for(models, role)
-        v = m.get(qname)
-        if v is not None:
-            return v
-        return self._derive(m, qname, self.co.spec if idx == -1 else self.arg_cos[idx].spec)
-
     # --- model access ---
 
     def old(self, qname, role=TARGET):
-        if role == TARGET:
-            v = self.entry_models.get(-1).get(qname)
-        else:
-            v = self._models_for(self.entry_models, role)[0].get(qname)
+        m, _ = self._models_for(self.entry_models, role)
+        v = m.get(qname)
         if v is None:
             raise ModelEvalError("%s is not a model query of role %s" % (qname, role))
         return v
 
     def now(self, qname, role=TARGET):
-        if role == TARGET:
-            v = self.exit_models.get(-1).get(qname)
-        else:
-            v = self._models_for(self.exit_models, role)[0].get(qname)
+        m, _ = self._models_for(self.exit_models, role)
+        v = m.get(qname)
         if v is None:
             raise ModelEvalError("%s is not a model query of role %s" % (qname, role))
         return v
 
     def old_int(self, qname, role=TARGET):
-        if role == TARGET:
-            m = self.entry_models.get(-1)
-            v = m.get(qname)
-            if v is None:
-                v = self._derive(m, qname, self.co.spec)
-        else:
-            v = self._resolve(self.entry_models, qname, role)
+        v = self._resolve(self.entry_models, qname, role)
         return as_int(v) if type(v) is tuple else v
 
     def now_int(self, qname, role=TARGET):
-        if role == TARGET:
-            m = self.exit_models.get(-1)
-            v = m.get(qname)
-            if v is None:
-                v = self._derive(m, qname, self.co.spec)
-        else:
-            v = self._resolve(self.exit_models, qname, role)
+        v = self._resolve(self.exit_models, qname, role)
         return as_int(v) if type(v) is tuple else v
 
     # --- concrete access (not available on abstract states) ---

@@ -177,9 +177,9 @@ class ClassSpec:
     letting shared (attribute-level) predicates evaluate on abstract states.
     ``consistency_probe`` is an optional concrete-state predicate used by the
     harness for fault classification bookkeeping only. ``size_of`` reports an
-    object's size for the pool's discard heuristic. ``bind`` sets
-    ``depend_gated`` when some invariant declares ``depend``; only then does
-    the runtime test invariant eligibility clause by clause.
+    object's size for the pool's discard heuristic. ``depend_gated`` is true
+    when some invariant declares ``depend``; only then does the runtime test
+    invariant eligibility clause by clause.
     """
 
     __slots__ = (
@@ -218,13 +218,13 @@ class ClassSpec:
         if len(self.model_names) != len(self.model):
             raise SpecError("duplicate model query names in %s" % name)
         self.invariants = tuple(invariants)
+        self.depend_gated = any(cl.depend for cl in self.invariants)
         self.routines = dict(routines)
         self.make = make
         self.attr_derivations = dict(attr_derivations or {})
         self.consistency_probe = consistency_probe
         self.size_of = size_of
         self.bound = False
-        self.depend_gated = False
 
     def __repr__(self):
         return "ClassSpec(%s, %s)" % (self.name, self.level)
@@ -284,9 +284,8 @@ def bind(specs_by_name):
     """Validate a same-level family of class specs and derive their frames.
 
     Checks modify well-formedness, parameter references, and open_args, then
-    attaches frame predicates to each routine and sets each class spec's
-    ``depend_gated``. Call once per binding family; raises SpecError on
-    ill-formed input.
+    attaches frame predicates to each routine. Call once per binding family;
+    raises SpecError on ill-formed input.
     """
     for spec in specs_by_name.values():
         for routine in spec.routines.values():
@@ -306,6 +305,5 @@ def bind(specs_by_name):
             routine.frame_preds = derive_frame_postconditions(
                 routine, spec, specs_by_name
             )
-        spec.depend_gated = any(cl.depend for cl in spec.invariants)
         spec.bound = True
     return specs_by_name

@@ -81,7 +81,7 @@ class Toy:
         return len(self.items)
 
 
-def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=()):
+def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=(), bound=True):
     seq_eval = seq_eval or (lambda o: V.sequence(V.integer(x) for x in o.items))
     model = [
         ModelQuery("sequence", seq_eval),
@@ -152,7 +152,8 @@ def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=()):
         ),
     }
     spec = ClassSpec("toy", "strong", model, invariants, routines, Toy)
-    bind({"toy": spec})
+    if bound:
+        bind({"toy": spec})
     return spec
 
 
@@ -556,31 +557,32 @@ def test_suppressed_crash_propagates():
 def test_depend_invariant_gated_through_the_protocol():
     # b's body calls a.push while b is open: on a, the depend clause
     # peer_link is skipped and the plain clause index_bounds still runs, at
-    # entry and at exit
-    events = []
-    spec = toy_specs()
-    eng = Engine(hook=lambda e: events.append(e) if e[0].endswith("_clause") else None)
-    a = eng.register(Toy(), spec)
-    b = eng.register(Toy(), spec)
-    a.concrete.peer = b.concrete
-    b.concrete.peer = a.concrete
-    b.concrete.link_ok = False  # peer_link on a is false while it is checked
-    out = eng.checked_call(b, spec.routines["poke_peer"], ())
-    assert not out.violations
-    assert a.concrete.items == [7]
-    assert [(e[0], e[2]) for e in events if e[1] == a.token] == [
-        ("entry_clause", "index_bounds"),
-        ("exit_clause", "index_bounds"),
-    ]
-    assert [(e[0], e[2]) for e in events if e[1] == b.token] == [
-        ("entry_clause", "index_bounds"),
-        ("entry_clause", "peer_link"),
-        ("exit_clause", "index_bounds"),
-        ("exit_clause", "peer_link"),
-    ]
-    # with b closed, the clause runs on a again
-    out = eng.checked_call(a, spec.routines["noop"], ())
-    assert [(v.kind, v.clause) for v in out.violations] == [(INVARIANT_ENTRY, "peer_link")]
+    # entry and at exit; the gate holds on a spec that was never bound too
+    for bound in (True, False):
+        events = []
+        spec = toy_specs(bound=bound)
+        eng = Engine(hook=lambda e: events.append(e) if e[0].endswith("_clause") else None)
+        a = eng.register(Toy(), spec)
+        b = eng.register(Toy(), spec)
+        a.concrete.peer = b.concrete
+        b.concrete.peer = a.concrete
+        b.concrete.link_ok = False  # peer_link on a is false while it is checked
+        out = eng.checked_call(b, spec.routines["poke_peer"], ())
+        assert not out.violations
+        assert a.concrete.items == [7]
+        assert [(e[0], e[2]) for e in events if e[1] == a.token] == [
+            ("entry_clause", "index_bounds"),
+            ("exit_clause", "index_bounds"),
+        ]
+        assert [(e[0], e[2]) for e in events if e[1] == b.token] == [
+            ("entry_clause", "index_bounds"),
+            ("entry_clause", "peer_link"),
+            ("exit_clause", "index_bounds"),
+            ("exit_clause", "peer_link"),
+        ]
+        # with b closed, the clause runs on a again
+        out = eng.checked_call(a, spec.routines["noop"], ())
+        assert [(v.kind, v.clause) for v in out.violations] == [(INVARIANT_ENTRY, "peer_link")]
 
 
 # --- check plans and instrumentation --------------------------------------
