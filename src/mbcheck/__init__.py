@@ -2,8 +2,8 @@
 
 Subpackages:
 
-- ``values``: immutable model values (sequences, bags, sets, maps) with
-  structural equality; compiled kernel with pure-Python fallback.
+- ``values``: immutable model values (sequences, sets, bags) with
+  structural equality.
 - ``engine``: specification bindings and the checked-call protocol (invariants,
   preconditions, snapshots, postconditions, derived frame checks), plus a
   bounded completeness probe.

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from mbcheck.errors import ConfigError, ModelEvalError
-from mbcheck.engine.specs import TARGET, arg_role
+from mbcheck.engine.specs import NO_EXIT_STATE, TARGET, arg_role
 from mbcheck.values import as_int
 
 
@@ -73,6 +73,8 @@ class AbstractCtx:
         return v
 
     def now(self, qname, role=TARGET):
+        if self.exit_models is None:
+            raise ModelEvalError(NO_EXIT_STATE)
         try:
             idx = self.role_index[role]
             v = self.exit_models[idx][qname]
@@ -111,6 +113,8 @@ class AbstractCtx:
         return as_int(v) if type(v) is tuple else v
 
     def now_int(self, qname, role=TARGET):
+        if self.exit_models is None:
+            raise ModelEvalError(NO_EXIT_STATE)
         v = self._resolve(self.exit_models, qname, role, self.exit_reads)
         return as_int(v) if type(v) is tuple else v
 

@@ -13,7 +13,7 @@ time, and the frame predicates that `engine.specs.bind` derived:
 5. body execution (internal unqualified calls are plain Python calls and are
    never re-instrumented; qualified calls on other checked objects re-enter
    `checked_call`),
-6. restore the saved is_open flags,
+6. restore the saved is_open flags, last saved first,
 7. exit invariant check on the target and on opened arguments,
 8. postconditions against the snapshot,
 9. derived frame predicates.
@@ -36,7 +36,7 @@ recorded as a violation of kind ``model_eval_error`` with clause ``crash``.
 from __future__ import annotations
 
 from mbcheck.errors import ModelEvalError
-from mbcheck.engine.specs import TARGET
+from mbcheck.engine.specs import NO_EXIT_STATE, TARGET
 from mbcheck.values import as_int, mv_repr, object_id
 
 PRECONDITION = "precondition"
@@ -206,6 +206,8 @@ class CallCtx:
         return v
 
     def now(self, qname, role=TARGET):
+        if self.exit_models is None:
+            raise ModelEvalError(NO_EXIT_STATE)
         m, _ = self._models_for(self.exit_models, role)
         v = m.get(qname)
         if v is None:
@@ -217,6 +219,8 @@ class CallCtx:
         return as_int(v) if type(v) is tuple else v
 
     def now_int(self, qname, role=TARGET):
+        if self.exit_models is None:
+            raise ModelEvalError(NO_EXIT_STATE)
         v = self._resolve(self.exit_models, qname, role)
         return as_int(v) if type(v) is tuple else v
 
@@ -424,7 +428,9 @@ class Engine:
             sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "crash", ordinal, repr(e)))
             return CallOutcome(None, tuple(sink[start:]), False, True)
         finally:
-            for o, flag in saved:
+            # in reverse, so a target that is also an opened argument ends
+            # with its own saved flag
+            for o, flag in reversed(saved):
                 o.is_open = flag
             if hook is not None:
                 hook(("restore", rname))

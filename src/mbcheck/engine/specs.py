@@ -24,6 +24,11 @@ def arg_role(k: int) -> str:
     return "arg%d" % k
 
 
+# what ``now``/``now_int`` raise, in either predicate context, when a
+# precondition asks for the exit state
+NO_EXIT_STATE = "exit state is not available in a precondition"
+
+
 class ModelQuery:
     """A named abstraction function: concrete object -> model value."""
 

@@ -1,107 +1,273 @@
-"""Immutable model values: booleans, integers, object ids, sequences, sets,
-bags, and maps with structural equality.
+"""Immutable model values: booleans, integers, atoms, object ids, sequences,
+sets and bags with structural equality.
 
-Two interchangeable kernels provide the operations: a compiled extension
-(`_ops_cy`, built from Cython when available) and a pure-Python twin
-(`_ops_pure`). Selection happens here at import time; set
-``MBCHECK_VALUES_BACKEND=pure`` or ``=compiled`` to force one. ``BACKEND``
-names the kernel in use.
+A model value is a tagged pair ``(tag, payload)``:
 
-``item`` and ``item_sequence`` give the model of stored container elements
-(integers stay integers, anything else hashable becomes an atom); they live
-here rather than in a kernel, so both kernels share them.
+    ('b', bool)                       boolean
+    ('i', int)                        integer
+    ('a', hashable)                   opaque atom (item payloads beyond ints)
+    ('o', int)                        object identity token (0 = void)
+    ('q', tuple of values)            sequence, positions 1..len
+    ('s', frozenset of values)        set
+    ('g', frozenset of (value, n))    bag, n >= 1
+
+Payloads nest, so equality and hashing are the native tuple/frozenset ones:
+structural, and entirely in C. Tags keep variants distinct even where Python
+would conflate payloads (True == 1). All operations return fresh values and
+never mutate their inputs; out-of-domain accesses raise ModelEvalError.
+
+``item`` and ``item_sequence`` give the model of stored container elements:
+integers stay integers, anything else hashable becomes an atom.
 """
 
 from __future__ import annotations
 
-import os
-
 from mbcheck.errors import ModelEvalError
 
-_choice = os.environ.get("MBCHECK_VALUES_BACKEND", "")
-if _choice == "pure":
-    from mbcheck.values import _ops_pure as _ops
+# the kernel's name, recorded in the env line of perfbench/run.py; this
+# module is the only kernel
+BACKEND = "pure"
 
-    BACKEND = "pure"
-elif _choice == "compiled":
-    from mbcheck.values import _ops_cy as _ops  # type: ignore[no-redef]
+BOOL = "b"
+INT = "i"
+ATOM = "a"
+OID = "o"
+SEQ = "q"
+SET = "s"
+BAG = "g"
 
-    BACKEND = "compiled"
-elif _choice == "":
-    try:
-        from mbcheck.values import _ops_cy as _ops  # type: ignore[no-redef]
+TRUE = (BOOL, True)
+FALSE = (BOOL, False)
+EMPTY_SEQ = (SEQ, ())
 
-        BACKEND = "compiled"
-    except ImportError:
-        from mbcheck.values import _ops_pure as _ops  # type: ignore[no-redef]
+# merge_right/extend-heavy workloads wrap the same small ints millions of times
+_INT_CACHE = {i: (INT, i) for i in range(-16, 65)}
 
-        BACKEND = "pure"
-else:
-    raise ImportError(
-        "MBCHECK_VALUES_BACKEND must be 'pure' or 'compiled', got %r" % _choice
-    )
 
-BOOL = _ops.BOOL
-INT = _ops.INT
-ATOM = _ops.ATOM
-OID = _ops.OID
-SEQ = _ops.SEQ
-SET = _ops.SET
-BAG = _ops.BAG
-MAP = _ops.MAP
+# --- constructors ---------------------------------------------------------
 
-TRUE = _ops.TRUE
-FALSE = _ops.FALSE
-EMPTY_SEQ = _ops.EMPTY_SEQ
 
-boolean = _ops.boolean
-integer = _ops.integer
-atom = _ops.atom
-object_id = _ops.object_id
-sequence = _ops.sequence
-mset = _ops.mset
-bag_of = _ops.bag_of
-bag_from_counts = _ops.bag_from_counts
-mmap = _ops.mmap
+def boolean(x):
+    return TRUE if x else FALSE
 
-kind = _ops.kind
-as_bool = _ops.as_bool
-as_int = _ops.as_int
-oid_token = _ops.oid_token
 
-seq_count = _ops.seq_count
-seq_is_empty = _ops.seq_is_empty
-seq_item = _ops.seq_item
-seq_last = _ops.seq_last
-seq_has = _ops.seq_has
-seq_items = _ops.seq_items
-seq_front = _ops.seq_front
-seq_tail = _ops.seq_tail
-seq_concat = _ops.seq_concat
-seq_extended = _ops.seq_extended
-seq_replaced_at = _ops.seq_replaced_at
-seq_removed_at = _ops.seq_removed_at
-seq_domain = _ops.seq_domain
-seq_to_bag = _ops.seq_to_bag
-seq_to_set = _ops.seq_to_set
+def integer(x):
+    v = _INT_CACHE.get(x)
+    if v is not None:
+        return v
+    return (INT, int(x))
 
-set_count = _ops.set_count
-set_has = _ops.set_has
-set_extended = _ops.set_extended
-set_removed = _ops.set_removed
 
-bag_count = _ops.bag_count
-bag_occurrences = _ops.bag_occurrences
+def atom(x):
+    """Opaque element value; equality and hashing are the payload's own."""
+    hash(x)  # not storable otherwise
+    return (ATOM, x)
 
-map_count = _ops.map_count
-map_domain = _ops.map_domain
-map_has = _ops.map_has
-map_item = _ops.map_item
-map_updated = _ops.map_updated
-map_removed = _ops.map_removed
+
+def object_id(token):
+    if token < 0:
+        raise ModelEvalError("object token must be >= 0")
+    return (OID, token)
+
 
 # object token 0 is reserved for "no object"
 VOID_ID = object_id(0)
+
+
+def sequence(items):
+    return (SEQ, tuple(items))
+
+
+def mset(items):
+    return (SET, frozenset(items))
+
+
+def bag_of(items):
+    counts = {}
+    for v in items:
+        counts[v] = counts.get(v, 0) + 1
+    return (BAG, frozenset(counts.items()))
+
+
+def bag_from_counts(pairs):
+    counts = {}
+    for v, n in pairs:
+        if n <= 0:
+            raise ModelEvalError("bag multiplicity must be positive")
+        counts[v] = counts.get(v, 0) + n
+    return (BAG, frozenset(counts.items()))
+
+
+def item(x):
+    """Model value for a stored element: ints keep integer arithmetic,
+    anything else hashable rides along as an opaque atom."""
+    return integer(x) if type(x) is int else atom(x)
+
+
+def item_sequence(xs):
+    """``sequence(item(x) for x in xs)``, built in one pass."""
+    get = _INT_CACHE.get
+    return (
+        SEQ,
+        tuple([(get(x) or (INT, x)) if type(x) is int else atom(x) for x in xs]),
+    )
+
+
+# --- variant access -------------------------------------------------------
+
+
+def kind(v):
+    return v[0]
+
+
+def as_int(v):
+    if v[0] != INT:
+        raise ModelEvalError("not an integer value: %r" % (v,))
+    return v[1]
+
+
+def oid_token(v):
+    if v[0] != OID:
+        raise ModelEvalError("not an object id: %r" % (v,))
+    return v[1]
+
+
+# --- sequences ------------------------------------------------------------
+
+
+def seq_count(s):
+    return len(s[1])
+
+
+def seq_is_empty(s):
+    return not s[1]
+
+
+def seq_item(s, i):
+    items = s[1]
+    if i < 1 or i > len(items):
+        raise ModelEvalError("sequence position %d outside 1..%d" % (i, len(items)))
+    return items[i - 1]
+
+
+def seq_last(s):
+    items = s[1]
+    if not items:
+        raise ModelEvalError("last of empty sequence")
+    return items[-1]
+
+
+def seq_has(s, v):
+    return v in s[1]
+
+
+def seq_items(s):
+    return s[1]
+
+
+def seq_front(s, i):
+    # prefix of the first i positions; clamped, so front(s, 0) = [] and
+    # front(s, n) = s for n >= count
+    items = s[1]
+    if i <= 0:
+        return EMPTY_SEQ
+    if i >= len(items):
+        return s
+    return (SEQ, items[:i])
+
+
+def seq_tail(s, i):
+    # suffix starting at position i; tail(s, 1) = s, empty once i > count
+    items = s[1]
+    if i <= 1:
+        return s
+    if i > len(items):
+        return EMPTY_SEQ
+    return (SEQ, items[i - 1 :])
+
+
+def seq_concat(a, b):
+    if not a[1]:
+        return b
+    if not b[1]:
+        return a
+    return (SEQ, a[1] + b[1])
+
+
+def seq_extended(s, v):
+    return (SEQ, s[1] + (v,))
+
+
+def seq_replaced_at(s, i, v):
+    items = s[1]
+    if i < 1 or i > len(items):
+        raise ModelEvalError("sequence position %d outside 1..%d" % (i, len(items)))
+    return (SEQ, items[: i - 1] + (v,) + items[i:])
+
+
+def seq_removed_at(s, i):
+    items = s[1]
+    if i < 1 or i > len(items):
+        raise ModelEvalError("sequence position %d outside 1..%d" % (i, len(items)))
+    return (SEQ, items[: i - 1] + items[i:])
+
+
+def seq_domain(s):
+    return (SET, frozenset(_INT_CACHE.get(i) or (INT, i) for i in range(1, len(s[1]) + 1)))
+
+
+def seq_to_bag(s):
+    counts = {}
+    for v in s[1]:
+        counts[v] = counts.get(v, 0) + 1
+    return (BAG, frozenset(counts.items()))
+
+
+def seq_to_set(s):
+    return (SET, frozenset(s[1]))
+
+
+# --- sets -----------------------------------------------------------------
+
+
+def set_count(s):
+    return len(s[1])
+
+
+def set_has(s, v):
+    return v in s[1]
+
+
+def set_extended(s, v):
+    if v in s[1]:
+        return s
+    return (SET, s[1] | {v})
+
+
+def set_removed(s, v):
+    if v not in s[1]:
+        return s
+    return (SET, s[1] - {v})
+
+
+# --- bags -----------------------------------------------------------------
+
+
+def bag_count(b):
+    total = 0
+    for _, n in b[1]:
+        total += n
+    return total
+
+
+def bag_occurrences(b, v):
+    for x, n in b[1]:
+        if x == v:
+            return n
+    return 0
+
+
+# --- checking and printing ------------------------------------------------
 
 
 def is_model_value(v) -> bool:
@@ -134,34 +300,7 @@ def is_model_value(v) -> bool:
             and p[1] >= 1
             for p in payload
         )
-    if tag == MAP:
-        if type(payload) is not frozenset:
-            return False
-        keys = [p[0] for p in payload]
-        return all(
-            type(p) is tuple and len(p) == 2 and is_model_value(p[0]) and is_model_value(p[1])
-            for p in payload
-        ) and len(keys) == len(set(keys))
     return False
-
-
-def item(x):
-    """Model value for a stored element: ints keep integer arithmetic,
-    anything else hashable rides along as an opaque atom."""
-    return integer(x) if type(x) is int else atom(x)
-
-
-# the kernel's own small-int values, so cached items stay shared with it
-_ITEM_INTS = {i: integer(i) for i in range(-16, 65)}
-
-
-def item_sequence(xs):
-    """``sequence(item(x) for x in xs)``, built in one pass."""
-    get = _ITEM_INTS.get
-    return (
-        SEQ,
-        tuple([(get(x) or (INT, x)) if type(x) is int else atom(x) for x in xs]),
-    )
 
 
 def mv_repr(v) -> str:
@@ -181,8 +320,5 @@ def mv_repr(v) -> str:
         return "{%s}" % ", ".join(sorted(mv_repr(x) for x in payload))
     if tag == BAG:
         parts = sorted("%s x%d" % (mv_repr(x), n) for x, n in payload)
-        return "{%s}" % ", ".join(parts)
-    if tag == MAP:
-        parts = sorted("%s -> %s" % (mv_repr(k), mv_repr(x)) for k, x in payload)
         return "{%s}" % ", ".join(parts)
     raise ModelEvalError("unknown value tag %r" % (tag,))

@@ -274,6 +274,23 @@ def test_concrete_precondition_is_rejected_loudly():
         probe(r)
 
 
+@pytest.mark.parametrize("read", ["now", "now_int"])
+def test_exit_state_read_in_precondition_is_refused(read):
+    r = RoutineSpec(
+        "peek",
+        [],
+        lambda o: None,
+        pre=[pred("reads_exit", lambda ctx: getattr(ctx, read)("n") is not None)],
+        modify=(),
+    )
+    with pytest.raises(
+        ConfigError,
+        match="precondition is not abstractly evaluable: "
+        "exit state is not available in a precondition",
+    ):
+        probe(r)
+
+
 def test_unbound_spec_is_rejected():
     model = [ModelQuery("n", lambda o: V.integer(o.n))]
     spec = ClassSpec("loose", "strong", model, [], {"r": RoutineSpec("r", [], lambda o: None, modify=())}, Box)

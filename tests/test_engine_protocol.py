@@ -31,7 +31,7 @@ from mbcheck.engine.runtime import (
     POSTCONDITION,
     PRECONDITION,
 )
-from mbcheck.errors import SpecError
+from mbcheck.errors import ModelEvalError, SpecError
 
 
 class Toy:
@@ -229,6 +229,25 @@ def test_opened_argument_flag_saved_and_restored():
         spec.routines["swap_index_with"].open_args = ()
 
 
+def test_target_opened_as_its_own_argument_is_closed_after_the_call():
+    spec = toy_specs()
+    eng = Engine()
+    a = eng.register(Toy(), spec)
+    spec.routines["swap_index_with"].open_args = (0,)
+    try:
+        out = eng.checked_call(a, spec.routines["swap_index_with"], (a.concrete,))
+        assert not out.violations
+        assert a.is_open is False
+        # closed again, so the next call checks its entry invariants
+        a.concrete.index = -5
+        out = eng.checked_call(a, spec.routines["noop"], ())
+        assert [(v.kind, v.clause) for v in out.violations] == [
+            (INVARIANT_ENTRY, "index_bounds")
+        ]
+    finally:
+        spec.routines["swap_index_with"].open_args = ()
+
+
 # --- preconditions --------------------------------------------------------
 
 
@@ -253,6 +272,24 @@ def test_entry_invariant_checked_before_precondition():
     assert kinds == [INVARIANT_ENTRY]
     assert out.body_ran is False
     assert out.invalid is False
+
+
+@pytest.mark.parametrize("read", ["now", "now_int"])
+def test_exit_state_read_in_precondition_is_a_model_eval_error(read):
+    eng, co, spec = fresh()
+    peek = RoutineSpec(
+        "peek",
+        [],
+        Toy.noop,
+        pre=[pred("reads_exit", lambda ctx: getattr(ctx, read)("index") is not None)],
+        modify=(),
+    )
+    out = eng.checked_call(co, peek, ())
+    assert [(v.kind, v.clause) for v in out.violations] == [(MODEL_EVAL_ERROR, "reads_exit")]
+    assert out.violations[0].detail == repr(
+        ModelEvalError("exit state is not available in a precondition")
+    )
+    assert out.body_ran is False and out.invalid is False
 
 
 # --- snapshot -------------------------------------------------------------

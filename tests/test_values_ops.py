@@ -82,20 +82,7 @@ def test_positional_access_is_one_based_and_guarded():
         V.seq_last(V.EMPTY_SEQ)
 
 
-def test_map_and_bag_basics():
-    m = V.mmap([(iv(1), iv(10)), (iv(2), iv(20))])
-    assert V.map_item(m, iv(2)) == iv(20)
-    assert V.map_has(m, iv(1))
-    assert not V.map_has(m, iv(3))
-    with pytest.raises(ModelEvalError):
-        V.map_item(m, iv(3))
-    m2 = V.map_updated(m, iv(1), iv(11))
-    assert V.map_item(m2, iv(1)) == iv(11)
-    assert V.map_item(m, iv(1)) == iv(10)
-    assert V.map_removed(m, iv(9)) == m
-    assert V.map_count(V.map_removed(m, iv(1))) == 1
-    assert V.map_domain(m) == V.mset([iv(1), iv(2)])
-
+def test_bag_basics():
     b = V.bag_of([iv(1), iv(1), iv(2)])
     assert V.bag_occurrences(b, iv(1)) == 2
     assert V.bag_occurrences(b, iv(9)) == 0

@@ -20,7 +20,6 @@ def collections_from(inner):
         st.lists(inner, max_size=5).map(V.sequence)
         | st.lists(inner, max_size=5).map(V.mset)
         | st.lists(inner, max_size=5).map(V.bag_of)
-        | st.lists(st.tuples(inner, inner), max_size=4).map(V.mmap)
     )
 
 
@@ -78,17 +77,6 @@ def test_bag_total_count(items):
     b = V.bag_of(items)
     assert V.bag_count(b) == len(items)
     assert sum(V.bag_occurrences(b, x) for x in set(items)) == len(items)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(ints, ints), max_size=5), ints, ints)
-def test_map_update_remove_laws(pairs, k, x):
-    m = V.mmap(pairs)
-    m2 = V.map_updated(m, k, x)
-    assert V.map_item(m2, k) == x
-    assert not V.map_has(V.map_removed(m2, k), k)
-    assert V.map_count(m2) >= V.map_count(m)
-    assert V.map_domain(m2) == V.set_extended(V.map_domain(m), k)
 
 
 def _item_rule(x):
