@@ -7,9 +7,11 @@ runs ``--repeats`` times; the median CPU time (``time.process_time``) is
 printed per task, largest first, with its share of the summed medians.
 
 A last, separate run wraps the clauses to count evaluations: model-kind
-invariants (the candidate filter), postconditions and derived frame
-predicates. It also sums the pre-states that pass the precondition and those
-of them whose post-states were searched, not decided by an earlier search.
+invariants (the candidate filter) and postconditions. Derived frame
+predicates are decided once per pre-state shape, not run per candidate, so
+they have no layer here. It also sums the pre-states that pass the
+precondition and those of them whose post-states were searched, not decided
+by an earlier search.
 These counts are deterministic, so they compare two versions of the probe
 exactly; the timings carry the machine's noise.
 
@@ -87,7 +89,6 @@ def count_evaluations(all_tasks):
         groups = (
             ("invariant", [cl for cl in strong.invariants if cl.kind == "model"]),
             ("post", routine.post),
-            ("frame", routine.frame_preds),
         )
         for layer, objs in groups:
             for obj in objs:
@@ -127,7 +128,7 @@ def main():
     for key in sorted(medians, key=lambda k: (-medians[k], k)):
         print("%-42s %8.4f s %5.1f%%  %s" % (key, medians[key], 100 * medians[key] / total, outcomes[key]))
     counts = count_evaluations(all_tasks)
-    for layer in ("invariant", "post", "frame"):
+    for layer in ("invariant", "post"):
         print("%s evaluations per pass: %d" % (layer, counts.get(layer, 0)))
     print(
         "pre-states searched per pass: %d of %d checked"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import mbcheck.values as V
 from mbcheck.engine import ARG0, InvariantClause, ModelQuery, item_param, pred, ref_param
+from mbcheck.errors import ConfigError
 
 from mbcheck.containers._shared import ClassDecl, RoutineDecl, item_value, qcall
 
@@ -184,6 +185,10 @@ DECL = ClassDecl(
 
 
 def build(level, bugs=frozenset(), depend_parent=True):
+    if not depend_parent and level != "strong":
+        raise ConfigError(
+            "option depend_parent applies only at level strong, not %s" % level
+        )
     # both levels model the links and share the postconditions; the strong
     # level adds the link invariants, the acyclicity guard and the frames
     model = [

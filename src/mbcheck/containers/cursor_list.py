@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import mbcheck.values as V
 from mbcheck.engine import ARG0, InvariantClause, index_param, item_param, pred, ref_param
+from mbcheck.errors import ConfigError
 
 from mbcheck.containers._shared import (
     APPENDED,
@@ -195,6 +196,10 @@ def _spliced(ctx):
 
 
 def build(level, bugs=frozenset(), redundant_index_clause=False):
+    if redundant_index_clause and level != "strong":
+        raise ConfigError(
+            "option redundant_index_clause applies only at level strong, not %s" % level
+        )
     if level == "strong":
         merge_post = [pred("spliced", _spliced)]
         if redundant_index_clause:

@@ -6,7 +6,7 @@ is a desk check, not a verifier. Two admitted post-states for one pre-state
 prove a contract incomplete. "No admissible post-state" holds only relative
 to the candidate domain: post-state sequences run up to ``value_len``
 elements, so a contract whose only admissible exit is longer reads as
-unsatisfiable here. A routine judged complete is complete up to the bound.
+inconclusive here. A routine judged complete is complete up to the bound.
 """
 
 from __future__ import annotations

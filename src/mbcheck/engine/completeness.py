@@ -4,14 +4,17 @@ A routine spec is complete (relative to the model) when, for every abstract
 pre-state satisfying the precondition, exactly one post-state satisfies the
 postconditions plus derived frame predicates. The probe enumerates a finite
 abstract domain and counts admitted post-states, stopping at the first
-pre-state that admits two (ambiguous spec) or zero (unsatisfiable spec). A
-pre-state that agrees with an earlier, passing one on every value that
-search read is counted but not searched again (see ``completeness_probe``).
+pre-state that admits two (the spec is incomplete: a proof) or none (the
+verdict is inconclusive, since the admissible exit may lie outside the
+domain's candidates). A pre-state that agrees with an earlier, passing one
+on every value that search read is counted but not searched again (see
+``completeness_probe``).
 
 The caller supplies the domain: an object yielding abstract pre-states and
 candidate values per (role, query). Predicates are evaluated over an abstract
-context with the same surface as the runtime one; predicates that probe
-concrete state raise and are reported as not abstractly evaluable.
+context with the same model accessors as the runtime one (``ModelCtx``);
+predicates that probe concrete state raise and are reported as not abstractly
+evaluable.
 """
 
 from __future__ import annotations
@@ -19,35 +22,20 @@ from __future__ import annotations
 import itertools
 
 from mbcheck.errors import ConfigError, ModelEvalError
-from mbcheck.engine.specs import NO_EXIT_STATE, TARGET, arg_role
-from mbcheck.values import as_int
+from mbcheck.engine.specs import TARGET, ModelCtx, arg_role
 
 
-class AbstractCtx:
+class AbstractCtx(ModelCtx):
     """Predicate context over abstract model assignments.
 
-    Attribute names mirror the runtime context so the same predicate objects
-    (including derived frame predicates) evaluate on either.
-
-    While a search records, ``reads`` collects each entry coordinate
-    ``(role index, query)`` that a predicate reads and ``exit_reads`` each
-    exit coordinate; a read through a derived attribute collects every
-    coordinate of the role's map. ``arg_reads`` collects the positions of
-    plain arguments read. All three are ``None`` when nothing is recorded.
+    The model accessors come from ``ModelCtx``, so the same predicate
+    objects evaluate here and at run time; a role's spec comes from
+    ``role_specs``. An abstract state holds no concrete object and no
+    identity: ``obj``, ``self_id`` and ``arg_id`` raise ``ModelEvalError``,
+    and no argument is the target.
     """
 
-    __slots__ = (
-        "role_index",
-        "role_specs",
-        "entry_models",
-        "exit_models",
-        "arg_cos",
-        "args",
-        "result",
-        "reads",
-        "exit_reads",
-        "arg_reads",
-    )
+    __slots__ = ("role_specs",)
 
     def __init__(self, role_index, role_specs, entry_models, arg_cos, args):
         self.role_index = role_index
@@ -57,86 +45,13 @@ class AbstractCtx:
         self.arg_cos = arg_cos
         self.args = args
         self.result = None
-        self.reads = None
-        self.exit_reads = None
-        self.arg_reads = None
 
-    def old(self, qname, role=TARGET):
-        try:
-            idx = self.role_index[role]
-            v = self.entry_models[idx][qname]
-        except KeyError:
-            raise ModelEvalError("%s.%s is not in the abstract state" % (role, qname)) from None
-        reads = self.reads
-        if reads is not None:
-            reads.add((idx, qname))
-        return v
-
-    def now(self, qname, role=TARGET):
-        if self.exit_models is None:
-            raise ModelEvalError(NO_EXIT_STATE)
-        try:
-            idx = self.role_index[role]
-            v = self.exit_models[idx][qname]
-        except KeyError:
-            raise ModelEvalError("%s.%s is not in the abstract state" % (role, qname)) from None
-        reads = self.exit_reads
-        if reads is not None:
-            reads.add((idx, qname))
-        return v
-
-    def _resolve(self, models, qname, role, reads):
-        """A model value or derived attribute of ``role``, recording the
-        coordinates read in ``reads`` unless it is ``None``."""
-        try:
-            idx = self.role_index[role]
-            m = models[idx]
-        except KeyError:
-            raise ModelEvalError("no model state for role %s" % role) from None
-        v = m.get(qname)
-        if v is not None:
-            if reads is not None:
-                reads.add((idx, qname))
-            return v
-        deriv = self.role_specs[idx].attr_derivations.get(qname)
-        if deriv is None:
-            raise ModelEvalError(
-                "%s is neither a model query nor a derived attribute" % qname
-            )
-        if reads is not None:
-            # a derivation may read the whole map
-            reads.update((idx, q) for q in m)
-        return deriv(m)
-
-    def old_int(self, qname, role=TARGET):
-        v = self._resolve(self.entry_models, qname, role, self.reads)
-        return as_int(v) if type(v) is tuple else v
-
-    def now_int(self, qname, role=TARGET):
-        if self.exit_models is None:
-            raise ModelEvalError(NO_EXIT_STATE)
-        v = self._resolve(self.exit_models, qname, role, self.exit_reads)
-        return as_int(v) if type(v) is tuple else v
+    def _spec(self, idx):
+        return self.role_specs[idx]
 
     @property
     def obj(self):
         raise ModelEvalError("concrete state is not available on abstract states")
-
-    def attr(self, name):
-        return self._resolve(self.entry_models, name, TARGET, self.reads)
-
-    def arg_attr(self, k, name):
-        return self._resolve(self.entry_models, name, arg_role(k), self.reads)
-
-    def arg(self, k):
-        if self.arg_reads is not None:
-            self.arg_reads.add(k)
-        return self.args[k]
-
-    def arg_is_void(self, k):
-        if self.arg_reads is not None:
-            self.arg_reads.add(k)
-        return self.arg_cos.get(k) is None and self.args[k] is None
 
     def arg_is_target(self, k):
         return False
@@ -148,10 +63,57 @@ class AbstractCtx:
         raise ModelEvalError("object identity is not part of abstract states")
 
 
+class _ReadMap(dict):
+    """A role map that adds to ``names`` each query it holds that is looked
+    up in it, whether by an accessor or by a derivation."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, m):
+        dict.__init__(self, m)
+        self.names = set()
+
+    def __getitem__(self, q):
+        v = dict.__getitem__(self, q)
+        self.names.add(q)
+        return v
+
+    def get(self, q, default=None):
+        v = dict.get(self, q)
+        if v is None:
+            return default
+        self.names.add(q)
+        return v
+
+
+class _ReadArgs:
+    """An argument tuple that adds each position read to ``reads``."""
+
+    __slots__ = ("args", "reads")
+
+    def __init__(self, args):
+        self.args = args
+        self.reads = set()
+
+    def __getitem__(self, k):
+        v = self.args[k]
+        self.reads.add(k)
+        return v
+
+
+def _reads(maps):
+    """The ``(role index, query)`` coordinates read in ``_ReadMap`` role maps."""
+    return {(idx, q) for idx, m in maps.items() for q in m.names}
+
+
 class ProbeResult:
-    """``pre_states_checked`` counts the pre-states that passed the
-    precondition; ``pre_states_searched`` counts those of them whose
-    post-states were searched rather than decided by an earlier search."""
+    """``verdict`` is ``complete``, ``incomplete`` (``witness_pre`` admits
+    the two post-states in ``witness_posts``: a proof) or ``inconclusive``
+    (``witness_pre`` admits no candidate post-state, which holds only
+    relative to the domain's candidates). ``pre_states_checked`` counts the
+    pre-states that passed the precondition; ``pre_states_searched`` counts
+    those of them whose post-states were searched rather than decided by an
+    earlier search."""
 
     __slots__ = (
         "verdict",
@@ -169,10 +131,6 @@ class ProbeResult:
         self.witness_posts = witness_posts
         self.pre_states_checked = pre_states_checked
         self.pre_states_searched = pre_states_searched
-
-    @property
-    def unsatisfiable(self):
-        return self.verdict == "incomplete" and not self.witness_posts
 
     def __repr__(self):
         return "ProbeResult(%s, %d pre-states)" % (self.verdict, self.pre_states_checked)
@@ -193,35 +151,39 @@ def completeness_probe(class_spec, routine, domain):
     flat product over (role, query) coordinates, target first, then
     arguments in ascending order, queries in role-map order.
 
+    Derived frame predicates are not run per candidate: ``_layout`` decides
+    them once per role-map shape, and a shape where one would raise ends
+    the probe at the first candidate that passes the postconditions.
+
     A pre-state already decided is counted but not searched again. Each
     search that admits exactly one post-state is stored under its *base
     key* (the role-map shape, each role's filtered candidate list by
     content, and the result choices) together with what it read: the
-    pre-state coordinates and plain arguments the post and frame predicates
-    read through the context (see ``AbstractCtx``), and the pre-state's
-    values there (a reference argument by presence only). A later pre-state
-    with the same base key that agrees with a stored one on everything that
-    search read is not searched. This is sound because:
+    pre-state coordinates and plain arguments the postconditions read, and
+    the pre-state's values there (a reference argument by presence only).
+    The context records these reads in the data it is handed: role maps
+    that record each query looked up in them, by an accessor or by a
+    derivation, and arguments that record each position read. A later
+    pre-state with the same base key that agrees with a stored one on
+    everything that search read is not searched. This is sound because:
 
-    - the checks are deterministic and read a pre-state only through the
-      context's accessors, so two searches over the same candidates and
+    - the checks are deterministic and read a pre-state only through those
+      maps and arguments, so two searches over the same candidates and
       results read the same values in the same order up to the first read
       where the pre-states differ, and a pre-state that agrees with the
       stored one on everything it read has no such read: it takes the same
       path and admits exactly one post-state too;
-    - a derived frame predicate compares a fixed coordinate with itself
-      (a fixed exit value is its entry value), so its answer follows from
-      the role-map shape, which is in the base key;
-    - a free exit coordinate holds a candidate, which the base key fixes.
+    - the frame decision follows from the shape, which is in the base key;
+    - a fixed exit coordinate holds its entry value, and a free one holds a
+      candidate, which the base key fixes.
 
-    The assumption is that predicates touch the pre-state only through the
-    accessors (``old``, ``now``, their ``_int`` forms, ``attr``,
-    ``arg_attr``, ``arg``, ``arg_is_void``) and are pure functions of what
-    they read. A search that fails (no post-state, two, or a
-    ``ModelEvalError``) ends the probe at once and is never stored, so the
-    verdict, the witnesses and ``pre_states_checked`` are those of a search
-    of every pre-state. Pre-state, candidate and result values must be
-    hashable.
+    A search that read every coordinate and argument is not stored, since
+    only a repeat of its pre-state could match it, and later searches of
+    that shape record nothing. A search that fails (no post-state, two, or
+    a ``ModelEvalError``) ends the probe at once and is never stored, so
+    the verdict, the witnesses and ``pre_states_checked`` are those of a
+    search of every pre-state. Pre-state, candidate and result values must
+    be hashable.
     """
     if not class_spec.bound:
         raise ConfigError("class spec %s has not been bound" % class_spec.name)
@@ -235,12 +197,13 @@ def completeness_probe(class_spec, routine, domain):
         idx: tuple(cl for cl in spec.invariants if cl.kind == "model")
         for idx, spec in role_specs.items()
     }
-    checks = routine.post + routine.frame_preds
+    posts = routine.post
     ref_ks = frozenset(routine.ref_params)
     layouts = {}  # role-map shape -> see _layout
     admitted_by_role = {}  # see _role_candidates
     interned = {}  # filtered candidate list -> its number, so equal lists key alike
     decided = {}  # base key -> {read set: projections of pre-states decided}
+    unrecorded = set()  # shapes a search read whole
 
     checked = searched = 0
     for pre in domain.pre_states(class_spec, routine):
@@ -261,8 +224,8 @@ def completeness_probe(class_spec, routine, domain):
         shape = tuple((idx, tuple(m)) for idx, m in entry.items())
         layout = layouts.get(shape)
         if layout is None:
-            layout = layouts[shape] = _layout(shape, routine.modify)
-        order, free = layout
+            layout = layouts[shape] = _layout(shape, routine)
+        order, free, frame_error, size = layout
 
         role_lists = []
         list_numbers = []
@@ -291,12 +254,14 @@ def completeness_probe(class_spec, routine, domain):
             continue
         searched += 1
 
-        exit_maps = {idx: dict(m) for idx, m in entry.items()}
+        recording = shape not in unrecorded
+        if recording:
+            ctx.entry_models = {idx: _ReadMap(m) for idx, m in entry.items()}
+            ctx.args = _ReadArgs(args)
+        role_map = _ReadMap if recording else dict
+        exit_maps = {idx: role_map(m) for idx, m in entry.items()}
         role_maps = [exit_maps[idx] for idx, _, _ in order]
         ctx.exit_models = exit_maps
-        ctx.reads = set()
-        ctx.exit_reads = set()
-        ctx.arg_reads = set()
         found = []
         try:
             for combo in itertools.product(*role_lists):
@@ -304,12 +269,12 @@ def completeness_probe(class_spec, routine, domain):
                     m.update(assignment)
                 for result in results:
                     ctx.result = result
-                    admitted = True
-                    for p in checks:
+                    for p in posts:
                         if not p.fn(ctx):
-                            admitted = False
                             break
-                    if admitted:
+                    else:
+                        if frame_error is not None:
+                            raise ModelEvalError(frame_error)
                         witness = {idx: dict(m) for idx, m in exit_maps.items()}
                         found.append((witness, result))
                         if len(found) == 2:
@@ -320,10 +285,16 @@ def completeness_probe(class_spec, routine, domain):
                 % (class_spec.name, routine.name, e)
             )
         if not found:
-            return ProbeResult("incomplete", pre, [], checked, searched)
+            return ProbeResult("inconclusive", pre, [], checked, searched)
+        if not recording:
+            continue
         # a fixed exit value is its entry value; a free one is a candidate
-        coords = ctx.reads.union(ctx.exit_reads - free)
-        read = (tuple(sorted(coords)), tuple(sorted(ctx.arg_reads)))
+        coords = _reads(ctx.entry_models).union(_reads(exit_maps) - free)
+        arg_ks = ctx.args.reads
+        if len(coords) == size and len(arg_ks) == len(args):
+            unrecorded.add(shape)
+            continue
+        read = (tuple(sorted(coords)), tuple(sorted(arg_ks)))
         decided.setdefault(base, {}).setdefault(read, set()).add(
             _project(entry, args, ref_ks, read)
         )
@@ -340,12 +311,20 @@ def _project(entry, args, ref_ks, read):
     )
 
 
-def _layout(shape, modify):
-    """The search order, a list with one ``(role index, free query names,
-    fixed query names)`` per role present, target first; and the set of free
-    ``(role index, query)`` coordinates. ``modify is None`` frees every
-    query."""
-    modified = None if modify is None else set(modify)
+def _layout(shape, routine):
+    """How to search the pre-states of one role-map shape:
+
+    - the search order, a list with one ``(role index, free query names,
+      fixed query names)`` per role present, target first (``modify is
+      None`` frees every query);
+    - the set of free ``(role index, query)`` coordinates;
+    - the text of the error the first derived frame predicate to raise on
+      this shape raises, or None. On the probe's exit maps a frame
+      predicate compares a fixed coordinate with its own entry value, so it
+      holds when the coordinate is in the shape or its argument role is
+      absent, and raises otherwise;
+    - the number of coordinates."""
+    modified = None if routine.modify is None else set(routine.modify)
     out = []
     for idx, qnames in sorted(shape, key=lambda s: (s[0] != -1, s[0])):
         role = TARGET if idx == -1 else arg_role(idx)
@@ -354,7 +333,17 @@ def _layout(shape, modify):
         )
         fixed = tuple(q for q in qnames if q not in free)
         out.append((idx, free, fixed))
-    return out, frozenset((idx, q) for idx, free, _ in out for q in free)
+    roles = dict(shape)
+    frame_error = None
+    for p in routine.frame_preds:
+        idx, qname = p.frame_info
+        if (idx == -1 or idx in roles) and qname not in roles.get(idx, ()):
+            # the text _unchanged_pred raises
+            role = TARGET if idx == -1 else arg_role(idx)
+            frame_error = "%s.%s is not in the model map" % (role, qname)
+            break
+    free = frozenset((idx, q) for idx, role_free, _ in out for q in role_free)
+    return out, free, frame_error, sum(len(qnames) for _, qnames in shape)
 
 
 def _role_candidates(m, free, lists, invariants):

@@ -35,9 +35,8 @@ recorded as a violation of kind ``model_eval_error`` with clause ``crash``.
 
 from __future__ import annotations
 
-from mbcheck.errors import ModelEvalError
-from mbcheck.engine.specs import NO_EXIT_STATE, TARGET
-from mbcheck.values import as_int, mv_repr, object_id
+from mbcheck.engine.specs import ModelCtx
+from mbcheck.values import mv_repr, object_id
 
 PRECONDITION = "precondition"
 INVARIANT_ENTRY = "invariant_entry"
@@ -140,109 +139,33 @@ def invariant_clause_eligible(clause, co):
     return True
 
 
-class CallCtx:
-    """Evaluation context handed to pre/post/frame predicates.
+class CallCtx(ModelCtx):
+    """Evaluation context handed to pre/post/frame predicates at run time.
 
-    ``old``/``now`` read model values by query name and role; ``*_int``
-    variants also resolve derived attribute names through the binding's
-    derivation map. ``attr`` reads a live concrete attribute of the target
-    (pre-state when evaluated in preconditions, post-state afterwards).
+    The model accessors come from ``ModelCtx``; a role's spec is the spec of
+    the checked object in that role. ``obj`` is the live target (its
+    pre-state in a precondition, its post-state afterwards), and
+    ``self_id``/``arg_id`` give object identities as model values.
     """
 
-    __slots__ = (
-        "engine",
-        "co",
-        "routine",
-        "args",
-        "arg_cos",
-        "entry_models",
-        "exit_models",
-        "result",
-    )
+    __slots__ = ("engine", "co")
 
     def __init__(self, engine, co, routine, args, arg_cos, entry_models):
         self.engine = engine
         self.co = co
-        self.routine = routine
+        self.role_index = routine.role_index
         self.args = args
         self.arg_cos = arg_cos
         self.entry_models = entry_models
         self.exit_models = None
         self.result = None
 
-    # --- role plumbing ---
-
-    def _models_for(self, models, role):
-        idx = self.routine.role_index[role]
-        m = models.get(idx)
-        if m is None:
-            raise ModelEvalError("no model state for role %s" % role)
-        return m, idx
-
-    def _spec_for(self, idx):
+    def _spec(self, idx):
         return self.co.spec if idx == -1 else self.arg_cos[idx].spec
-
-    def _resolve(self, models, qname, role):
-        m, idx = self._models_for(models, role)
-        v = m.get(qname)
-        if v is not None:
-            return v
-        spec = self._spec_for(idx)
-        deriv = spec.attr_derivations.get(qname)
-        if deriv is None:
-            raise ModelEvalError(
-                "%s is neither a model query nor a derived attribute of %s"
-                % (qname, spec.name)
-            )
-        return deriv(m)
-
-    # --- model access ---
-
-    def old(self, qname, role=TARGET):
-        m, _ = self._models_for(self.entry_models, role)
-        v = m.get(qname)
-        if v is None:
-            raise ModelEvalError("%s is not a model query of role %s" % (qname, role))
-        return v
-
-    def now(self, qname, role=TARGET):
-        if self.exit_models is None:
-            raise ModelEvalError(NO_EXIT_STATE)
-        m, _ = self._models_for(self.exit_models, role)
-        v = m.get(qname)
-        if v is None:
-            raise ModelEvalError("%s is not a model query of role %s" % (qname, role))
-        return v
-
-    def old_int(self, qname, role=TARGET):
-        v = self._resolve(self.entry_models, qname, role)
-        return as_int(v) if type(v) is tuple else v
-
-    def now_int(self, qname, role=TARGET):
-        if self.exit_models is None:
-            raise ModelEvalError(NO_EXIT_STATE)
-        v = self._resolve(self.exit_models, qname, role)
-        return as_int(v) if type(v) is tuple else v
-
-    # --- concrete access (not available on abstract states) ---
 
     @property
     def obj(self):
         return self.co.concrete
-
-    def attr(self, name):
-        return getattr(self.co.concrete, name)
-
-    def arg_attr(self, k, name):
-        return getattr(self.args[k], name)
-
-    # --- arguments and identity ---
-
-    def arg(self, k):
-        return self.args[k]
-
-    def arg_is_void(self, k):
-        return self.args[k] is None
 
     def arg_is_target(self, k):
         return self.args[k] is self.co.concrete

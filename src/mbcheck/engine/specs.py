@@ -14,6 +14,7 @@ defaults to the target role.
 from __future__ import annotations
 
 from mbcheck.errors import ModelEvalError, SpecError
+from mbcheck.values import as_int
 
 TARGET = "target"
 ARG0 = "arg0"
@@ -27,6 +28,74 @@ def arg_role(k: int) -> str:
 # what ``now``/``now_int`` raise, in either predicate context, when a
 # precondition asks for the exit state
 NO_EXIT_STATE = "exit state is not available in a precondition"
+
+
+class ModelCtx:
+    """The model accessors of a predicate context, shared by the runtime's
+    ``CallCtx`` and the probe's ``AbstractCtx``.
+
+    ``entry_models`` and ``exit_models`` map a role index (-1 for the
+    target, k for reference argument k) to the role's model map;
+    ``exit_models`` is None until the exit state exists. The ``_int`` forms
+    also resolve a derived attribute over the role's map and convert a model
+    integer to an ``int``. The accessors read only those maps and ``args``,
+    so the probe can record reads in the data it hands over. A subclass
+    supplies ``_spec`` (the class spec of a role index), ``obj``,
+    ``arg_is_target``, ``self_id`` and ``arg_id``.
+    """
+
+    __slots__ = ("role_index", "entry_models", "exit_models", "args", "arg_cos", "result")
+
+    def _spec(self, idx):
+        raise NotImplementedError
+
+    def _map(self, models, role):
+        try:
+            return models[self.role_index[role]]
+        except KeyError:
+            raise ModelEvalError("no model state for role %s" % role) from None
+
+    def old(self, qname, role=TARGET):
+        v = self._map(self.entry_models, role).get(qname)
+        if v is None:
+            raise ModelEvalError("%s is not a model query of role %s" % (qname, role))
+        return v
+
+    def now(self, qname, role=TARGET):
+        if self.exit_models is None:
+            raise ModelEvalError(NO_EXIT_STATE)
+        v = self._map(self.exit_models, role).get(qname)
+        if v is None:
+            raise ModelEvalError("%s is not a model query of role %s" % (qname, role))
+        return v
+
+    def _resolve(self, models, qname, role):
+        m = self._map(models, role)
+        v = m.get(qname)
+        if v is None:
+            spec = self._spec(self.role_index[role])
+            deriv = spec.attr_derivations.get(qname)
+            if deriv is None:
+                raise ModelEvalError(
+                    "%s is neither a model query nor a derived attribute of %s"
+                    % (qname, spec.name)
+                )
+            v = deriv(m)
+        return as_int(v) if type(v) is tuple else v
+
+    def old_int(self, qname, role=TARGET):
+        return self._resolve(self.entry_models, qname, role)
+
+    def now_int(self, qname, role=TARGET):
+        if self.exit_models is None:
+            raise ModelEvalError(NO_EXIT_STATE)
+        return self._resolve(self.exit_models, qname, role)
+
+    def arg(self, k):
+        return self.args[k]
+
+    def arg_is_void(self, k):
+        return self.args[k] is None
 
 
 class ModelQuery:
@@ -178,8 +247,11 @@ class RoutineSpec:
 class ClassSpec:
     """A complete binding for one class at one specification level.
 
-    ``attr_derivations`` maps attribute names to functions over the model map,
-    letting shared (attribute-level) predicates evaluate on abstract states.
+    ``attr_derivations`` maps derived attribute names (such as ``count``) to
+    functions over a role's model map; ``ModelCtx.old_int``/``now_int`` run
+    one when a predicate names no model query, at run time and in the probe
+    alike. A derivation reads the map by subscript or ``get`` only, so the
+    probe records just the queries it reads.
     ``consistency_probe`` is an optional concrete-state predicate used by the
     harness for fault classification bookkeeping only. ``size_of`` reports an
     object's size for the pool's discard heuristic. ``depend_gated`` is true

@@ -7,8 +7,8 @@ Subcommands:
   probe    bounded completeness check of one routine spec
   bugs     dump the seeded-defect catalog
 
-Exit codes: 0 clean/complete, 1 real faults found or spec incomplete,
-2 bad configuration.
+Exit codes: 0 clean, complete or inconclusive, 1 real faults found or spec
+proved incomplete, 2 bad configuration.
 """
 
 from __future__ import annotations
@@ -186,20 +186,20 @@ def _cmd_probe(args):
         "%s.%s [%s]: %s (%d pre-states)"
         % (args.class_name, args.routine, args.level, res.verdict, res.pre_states_checked)
     )
-    if res.verdict == "incomplete":
-        pre = "%s args=%s" % (
-            _fmt_roles(res.witness_pre["roles"]),
-            _fmt_args(routine, res.witness_pre["args"]),
-        )
-        if res.unsatisfiable:
-            print("no admissible post-state for pre-state: %s" % pre)
-        else:
-            print("ambiguous pre-state: %s" % pre)
-            for maps, result in res.witness_posts:
-                shown = V.mv_repr(result) if V.is_model_value(result) else repr(result)
-                print("  admitted exit: %s result=%s" % (_fmt_roles(maps), shown))
-        return 1
-    return 0
+    if res.verdict == "complete":
+        return 0
+    pre = "%s args=%s" % (
+        _fmt_roles(res.witness_pre["roles"]),
+        _fmt_args(routine, res.witness_pre["args"]),
+    )
+    if res.verdict == "inconclusive":
+        print("no admissible post-state among the candidates for pre-state: %s" % pre)
+        return 0
+    print("ambiguous pre-state: %s" % pre)
+    for maps, result in res.witness_posts:
+        shown = V.mv_repr(result) if V.is_model_value(result) else repr(result)
+        print("  admitted exit: %s result=%s" % (_fmt_roles(maps), shown))
+    return 1
 
 
 def main(argv=None):

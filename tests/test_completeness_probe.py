@@ -15,7 +15,9 @@ from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers.domains import SequenceDomain
 from mbcheck.engine import (
     ARG0,
+    CallCtx,
     ClassSpec,
+    Engine,
     InvariantClause,
     ModelQuery,
     RoutineSpec,
@@ -27,6 +29,7 @@ from mbcheck.engine import (
     ref_param,
 )
 from mbcheck.engine.completeness import AbstractCtx, ProbeResult
+from mbcheck.engine.specs import NO_EXIT_STATE, ModelCtx
 from mbcheck.errors import ConfigError, ModelEvalError
 
 
@@ -138,7 +141,6 @@ def test_lower_bound_only_is_incomplete_with_two_witnesses():
     res = probe(r)
     assert res.verdict == "incomplete"
     assert len(res.witness_posts) == 2
-    assert not res.unsatisfiable
     a = V.as_int(res.witness_posts[0][0][-1]["n"])
     b = V.as_int(res.witness_posts[1][0][-1]["n"])
     assert a != b
@@ -153,9 +155,20 @@ def test_unreachable_post_is_unsatisfiable():
         modify=("n",),
     )
     res = probe(r)
-    assert res.verdict == "incomplete"
+    # no candidate fits, which proves nothing about the post-states beyond
+    # the domain's candidates
+    assert res.verdict == "inconclusive"
     assert res.witness_posts == []
-    assert res.unsatisfiable is True
+
+
+def test_post_beyond_the_candidates_is_inconclusive():
+    # strong merge_right splices the argument's sequence in, which runs past
+    # the candidates once they are no longer than the pre-state sequences
+    strong = build_class("cursor_list", "strong")
+    dom = SequenceDomain({"cursor_list": strong}, max_len=3, alphabet=2, value_len=3)
+    res = completeness_probe(strong, strong.routines["merge_right"], dom)
+    assert res.verdict == "inconclusive"
+    assert res.witness_posts == []
 
 
 def test_invariant_filter_can_make_a_weak_post_complete():
@@ -296,6 +309,70 @@ def test_unbound_spec_is_rejected():
     spec = ClassSpec("loose", "strong", model, [], {"r": RoutineSpec("r", [], lambda o: None, modify=())}, Box)
     with pytest.raises(ConfigError):
         completeness_probe(spec, spec.routines["r"], BoxDomain())
+
+
+# --- one predicate surface for the runtime and the probe -------------------
+
+PREDICATE_SURFACE = (
+    "old",
+    "now",
+    "old_int",
+    "now_int",
+    "arg",
+    "arg_is_void",
+    "arg_is_target",
+    "obj",
+    "self_id",
+    "arg_id",
+)
+MODEL_ACCESSORS = ("old", "now", "old_int", "now_int", "arg", "arg_is_void")
+
+
+@pytest.mark.parametrize("ctx_class", [CallCtx, AbstractCtx])
+def test_both_contexts_answer_one_predicate_surface(ctx_class):
+    assert issubclass(ctx_class, ModelCtx)
+    assert all(hasattr(ctx_class, name) for name in PREDICATE_SURFACE)
+    # the model accessors are ModelCtx's alone
+    assert not set(MODEL_ACCESSORS) & set(vars(ctx_class))
+    assert not hasattr(ctx_class, "attr") and not hasattr(ctx_class, "arg_attr")
+
+
+def test_both_contexts_read_and_refuse_alike():
+    spec = build_class("cursor_list", "strong")
+    engine = Engine()
+    co = engine.create(spec)
+    routine = spec.routines["finish"]
+    entry = {-1: {q.name: q.evaluate(co.concrete) for q in spec.model}}
+    contexts = (
+        CallCtx(engine, co, routine, (), [], entry),
+        AbstractCtx(routine.role_index, {-1: spec}, entry, {}, ()),
+    )
+
+    def answer(ctx, read):
+        try:
+            return read(ctx)
+        except ModelEvalError as e:
+            return "ModelEvalError: %s" % e
+
+    reads = [
+        lambda ctx: ctx.old("sequence"),
+        lambda ctx: ctx.old_int("count"),
+        lambda ctx: ctx.old("count"),
+        lambda ctx: ctx.old_int("lower"),
+        lambda ctx: ctx.old("index", ARG0),
+        lambda ctx: ctx.now("index"),
+        lambda ctx: ctx.now_int("index"),
+    ]
+    answers = [[answer(ctx, read) for read in reads] for ctx in contexts]
+    assert answers[0] == answers[1]
+    assert answers[0][1:] == [
+        0,
+        "ModelEvalError: count is not a model query of role target",
+        "ModelEvalError: lower is neither a model query nor a derived attribute of cursor_list",
+        "ModelEvalError: no model state for role arg0",
+        "ModelEvalError: " + NO_EXIT_STATE,
+        "ModelEvalError: " + NO_EXIT_STATE,
+    ]
 
 
 # --- sequence-valued coordinates over the toy binding ---------------------
@@ -463,7 +540,7 @@ def reference_probe(class_spec, routine, domain):
                     if len(found) == 2:
                         return ProbeResult("incomplete", pre, found, checked, checked)
         if not found:
-            return ProbeResult("incomplete", pre, [], checked, checked)
+            return ProbeResult("inconclusive", pre, [], checked, checked)
     return ProbeResult("complete", None, [], checked, checked)
 
 
@@ -538,10 +615,14 @@ def count_calls(monkeypatch, objs, counts, record=None):
 # target states (15 sequences, cursor 0..count+1), 49 of them with the cursor
 # not after the end. Strong merge_right reads the argument's sequence but not
 # its cursor, so one search decides every argument state with that sequence
-# (49 x 15 of 49 x 64); weak wipe_out reads nothing of the pre-state.
+# (49 x 15 of 49 x 64); weak wipe_out reads nothing of the pre-state. Strong
+# finish reads the derived count, which reads only the sequence, so one
+# search decides every cursor of a sequence (15 of 64).
 SEARCHED = {
+    "cursor_list.finish.strong": (15, 64),
     "cursor_list.merge_right.strong": (735, 3136),
     "cursor_list.wipe_out.weak": (1, 64),
+    "two_way_list.finish.strong": (15, 64),
 }
 
 
@@ -627,7 +708,7 @@ def _fill_by_room():
             pred(
                 "filled",
                 lambda ctx: ctx.now_int("n") == 0
-                if V.as_int(ctx.attr("room"))
+                if ctx.old_int("room")
                 else ctx.now_int("n") <= 1,
             )
         ],

@@ -15,6 +15,7 @@ import pytest
 
 from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers.bugs import bugs_for_class
+from mbcheck.errors import ConfigError
 from mbcheck.harness import SessionConfig, run_session, write_report
 
 GOLDEN_REPORTS_SHA256 = "f8a014a2c32f7b30c9edf779a5efc38484f644bd9fcadeb8d221ab1a21199f8e"
@@ -70,15 +71,11 @@ SPEC_FINGERPRINTS = {
         "cdafc8a937799ffe46c80b1e9d466e1f6f24666b4ab2811ab54a8a34943b761d",
     ("binary_node", "weak", ()):
         "c93702969575c683b4ebcdb594b426346a7f45b0fc3df5e11e99c44fc806caf0",
-    ("binary_node", "weak", (("depend_parent", False),)):
-        "c93702969575c683b4ebcdb594b426346a7f45b0fc3df5e11e99c44fc806caf0",
     ("cursor_list", "strong", ()):
         "90259b4f970594cc894bf28eb37e73dc13eb9a2c82ec37f761c9bd9916e8902e",
     ("cursor_list", "strong", (("redundant_index_clause", True),)):
         "34d375c40ccb1a668843cf574c1bc4d41ad667c77a4d7a52822be20a634cda0d",
     ("cursor_list", "weak", ()):
-        "c81395792cb7da45022ea4fbe2c2f0026bd29ed90b286c620e689c033ece339b",
-    ("cursor_list", "weak", (("redundant_index_clause", True),)):
         "c81395792cb7da45022ea4fbe2c2f0026bd29ed90b286c620e689c033ece339b",
     ("cursor_set", "strong", ()):
         "4cd1ef02a40d33bf4f2fc3119ac1c5fdbba4cec621ebd195648c2958f38698e5",
@@ -110,6 +107,17 @@ def test_spec_fingerprint(cls, level, options):
     assert hashlib.sha256(text.encode()).hexdigest() == SPEC_FINGERPRINTS[
         (cls, level, options)
     ], json.dumps(data, indent=1)
+
+
+@pytest.mark.parametrize(
+    "cls,option",
+    [("binary_node", ("depend_parent", False)), ("cursor_list", ("redundant_index_clause", True))],
+)
+def test_weak_level_rejects_strong_only_options(cls, option):
+    # the weak binding has nothing the option could change
+    message = "option %s applies only at level strong, not weak" % option[0]
+    with pytest.raises(ConfigError, match=message):
+        build_class(cls, "weak", **dict([option]))
 
 
 def test_spec_fingerprints_cover_every_binding():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from mbcheck.containers.domains import SequenceDomain
 from mbcheck.errors import ConfigError
 from mbcheck.harness import (
     SessionConfig,
@@ -15,6 +16,7 @@ from mbcheck.harness import (
     run_session,
     write_report,
 )
+from mbcheck.harness import cli
 from mbcheck.harness.compare import throughput_ratios
 from mbcheck.harness.cli import main
 
@@ -428,6 +430,19 @@ def test_cli_probe_verdict_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "incomplete" in out and "admitted exit" in out
     assert main(["probe", "--class", "binary_node", "--routine", "set_left"]) == 2
+
+
+def test_cli_probe_inconclusive_exits_0(capsys, monkeypatch):
+    # with candidates no longer than the pre-states, strong merge_right's
+    # spliced sequence has no candidate; that is no proof of incompleteness
+    def short_values(role_specs, **bounds):
+        return SequenceDomain(role_specs, value_len=bounds["max_len"], **bounds)
+
+    monkeypatch.setattr(cli, "SequenceDomain", short_values)
+    assert main(["probe", "--class", "cursor_list", "--routine", "merge_right"]) == 0
+    out = capsys.readouterr().out
+    assert "inconclusive" in out and "no admissible post-state" in out
+    assert "admitted exit" not in out
 
 
 @pytest.mark.parametrize("bound", [["--max-len", "0"], ["--alphabet", "0"], ["--max-len", "-1"]])
