@@ -57,9 +57,9 @@ class UncheckedEngine(Engine):
     def checked_call(self, co, routine, args=()):
         co.calls += 1
         try:
-            return CallOutcome(routine.body(co.concrete, *args), (), False, True)
+            return CallOutcome(routine.body(co.concrete, *args), (), False)
         except Exception:
-            return CallOutcome(None, (), True, False)
+            return CallOutcome(None, (), True)
 
 
 def reference_kernel_cpu_s():

@@ -5,7 +5,8 @@ protocol. It reads the routine's clause tuples and argument positions at call
 time, and the frame predicates that `engine.specs.bind` derived:
 
 1. pre-state models of the frame universe (every model query of the target
-   and of each reference argument), which double as the snapshot,
+   and of each reference argument), taken eagerly before the body; the
+   postconditions and frame predicates read them as the old state,
 2. entry invariant check on the target (only if it is closed),
 3. precondition check (a violation aborts before the body; the harness treats
    a top-level precondition violation as an invalid test case, not a fault),
@@ -15,7 +16,7 @@ time, and the frame predicates that `engine.specs.bind` derived:
    `checked_call`),
 6. restore the saved is_open flags, last saved first,
 7. exit invariant check on the target and on opened arguments,
-8. postconditions against the snapshot,
+8. postconditions against the pre-state models,
 9. derived frame predicates.
 
 One loop, `Engine._check`, evaluates the clauses of every phase. It raises
@@ -44,15 +45,6 @@ INVARIANT_EXIT = "invariant_exit"
 POSTCONDITION = "postcondition"
 FRAME = "frame"
 MODEL_EVAL_ERROR = "model_eval_error"
-
-KINDS = (
-    PRECONDITION,
-    INVARIANT_ENTRY,
-    INVARIANT_EXIT,
-    POSTCONDITION,
-    FRAME,
-    MODEL_EVAL_ERROR,
-)
 
 CALLER = "caller"
 CALLEE = "callee"
@@ -101,25 +93,13 @@ class CheckedObject:
         return "<%s #%d%s>" % (self.spec.name, self.token, " open" if self.is_open else "")
 
 
-class ModelSnapshot:
-    """Eagerly captured pre-state: (object token, query name) -> model value."""
-
-    __slots__ = ("entries", "routine", "ordinal")
-
-    def __init__(self, entries, routine, ordinal):
-        self.entries = entries
-        self.routine = routine
-        self.ordinal = ordinal
-
-
 class CallOutcome:
-    __slots__ = ("result", "violations", "invalid", "body_ran")
+    __slots__ = ("result", "violations", "invalid")
 
-    def __init__(self, result, violations, invalid, body_ran):
+    def __init__(self, result, violations, invalid):
         self.result = result
         self.violations = violations
         self.invalid = invalid
-        self.body_ran = body_ran
 
 
 def invariant_clause_eligible(clause, co):
@@ -181,19 +161,19 @@ class CallCtx(ModelCtx):
 class Engine:
     """Owns object identity, the re-entrancy guard, and the call protocol.
 
-    ``hook``, when set, receives one tuple per protocol event; used by tests
-    to observe ordering and per-clause evaluation counts.
+    The protocol reaches every query's ``evaluate``, every clause's ``fn``
+    and every routine's ``body`` through the spec at call time, so tests and
+    the benchmark tracer observe it by wrapping those callables.
     """
 
-    __slots__ = ("_next_token", "_objects", "_suppress", "_ordinal", "_sink", "hook")
+    __slots__ = ("_next_token", "_objects", "_suppress", "_ordinal", "_sink")
 
-    def __init__(self, hook=None):
+    def __init__(self):
         self._next_token = 1
         self._objects = {}
         self._suppress = 0
         self._ordinal = 0
         self._sink = None
-        self.hook = hook
 
     # --- object identity ---
 
@@ -218,7 +198,7 @@ class Engine:
 
     def checked_call(self, co, routine, args=()):
         if self._suppress:
-            return CallOutcome(routine.body(co.concrete, *args), (), False, True)
+            return CallOutcome(routine.body(co.concrete, *args), (), False)
 
         self._ordinal = ordinal = self._ordinal + 1
         co.calls += 1
@@ -228,10 +208,11 @@ class Engine:
             sink = self._sink = []
         start = len(sink)
         try:
-            return self._protocol(co, routine, args, ordinal, sink, start)
+            result, invalid = self._protocol(co, routine, args, ordinal, sink)
         finally:
             if is_top:
                 self._sink = None
+        return CallOutcome(result, tuple(sink[start:]), invalid)
 
     def _frame_models(self, co, rname, refs, arg_cos, sink, ordinal):
         """Model maps of the frame universe: the target's under key -1 and
@@ -263,13 +244,10 @@ class Engine:
         on otherwise. Returns the kind of the last violation recorded, or
         None when every clause held.
         """
-        hook = self.hook
         failed = None
         self._suppress += 1
         try:
             for cl in clauses:
-                if hook is not None:
-                    hook(_event(kind, co, cl))
                 try:
                     ok = cl.fn(*fnargs)
                 except Exception as e:
@@ -287,8 +265,10 @@ class Engine:
             self._suppress -= 1
         return failed
 
-    def _protocol(self, co, routine, args, ordinal, sink, start):
-        hook = self.hook
+    def _protocol(self, co, routine, args, ordinal, sink):
+        """Run the protocol's phases, appending violations to ``sink``.
+        Returns ``(result, invalid)``; ``invalid`` is true when a
+        precondition rejected the call."""
         rname = routine.name
         refs = routine.ref_params
 
@@ -299,12 +279,12 @@ class Engine:
             if a is not None:
                 arg_cos[k] = a._checked
 
-        # pre-state models for the whole frame universe (doubles as snapshot)
+        # (1) pre-state models for the whole frame universe
         entry_models = self._frame_models(co, rname, refs, arg_cos, sink, ordinal)
         if entry_models is None:
-            return CallOutcome(None, tuple(sink[start:]), False, False)
+            return None, False
 
-        # (1) entry invariants, target only, only when closed
+        # (2) entry invariants, target only, only when closed
         if not co.is_open and self._check(
             _eligible_invariants(co),
             (entry_models[-1], co.concrete),
@@ -314,85 +294,59 @@ class Engine:
             ordinal,
             sink,
         ):
-            return CallOutcome(None, tuple(sink[start:]), False, False)
+            return None, False
 
-        # (2) preconditions; first failing clause aborts
+        # (3) preconditions; first failing clause aborts
         ctx = CallCtx(self, co, routine, args, arg_cos, entry_models)
         if routine.pre:
             failed = self._check(routine.pre, (ctx,), PRECONDITION, co, rname, ordinal, sink, True)
             if failed:
-                return CallOutcome(None, tuple(sink[start:]), failed == PRECONDITION, False)
+                return None, failed == PRECONDITION
 
-        # (3) snapshot: entry_models rekeyed by object identity; only the hook
-        # reads it
-        if hook is not None:
-            snap_entries = {}
-            for idx, m in entry_models.items():
-                t = co.token if idx == -1 else arg_cos[idx].token
-                for qn, val in m.items():
-                    snap_entries[(t, qn)] = val
-            hook(("snapshot", rname, ModelSnapshot(snap_entries, rname, ordinal)))
-
-        # (4) open the target and open-listed arguments
-        saved = [(co, co.is_open)]
+        # (4) open the target and open-listed arguments, saving each flag
+        # with the object's key in the model maps
+        saved = [(co, co.is_open, -1)]
         co.is_open = True
         for k in routine.open_args:
             aco = arg_cos[k]
             if aco is not None:
-                saved.append((aco, aco.is_open))
+                saved.append((aco, aco.is_open, k))
                 aco.is_open = True
 
         # (5) body, (6) restore
-        if hook is not None:
-            hook(("body", rname))
         try:
             result = routine.body(co.concrete, *args)
         except Exception as e:
             sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "crash", ordinal, repr(e)))
-            return CallOutcome(None, tuple(sink[start:]), False, True)
+            return None, False
         finally:
             # in reverse, so a target that is also an opened argument ends
             # with its own saved flag
-            for o, flag in reversed(saved):
+            for o, flag, _ in reversed(saved):
                 o.is_open = flag
-            if hook is not None:
-                hook(("restore", rname))
 
         # post-state models
         exit_models = self._frame_models(co, rname, refs, arg_cos, sink, ordinal)
         if exit_models is None:
-            return CallOutcome(result, tuple(sink[start:]), False, True)
+            return result, False
 
-        # (7) exit invariants: target plus opened arguments
-        exit_failed = not co.is_open and self._check(
-            _eligible_invariants(co),
-            (exit_models[-1], co.concrete),
-            INVARIANT_EXIT,
-            co,
-            rname,
-            ordinal,
-            sink,
-        )
-        for k in routine.open_args:
-            aco = arg_cos[k]
-            if (
-                aco is not None
-                and not aco.is_open
-                and self._check(
-                    _eligible_invariants(aco),
-                    (exit_models[k], aco.concrete),
-                    INVARIANT_EXIT,
-                    aco,
-                    rname,
-                    ordinal,
-                    sink,
-                )
+        # (7) exit invariants: target plus opened arguments, each if closed
+        exit_failed = False
+        for o, _, k in saved:
+            if not o.is_open and self._check(
+                _eligible_invariants(o),
+                (exit_models[k], o.concrete),
+                INVARIANT_EXIT,
+                o,
+                rname,
+                ordinal,
+                sink,
             ):
                 exit_failed = True
         if exit_failed:
             # first-failure: a broken exit invariant makes postcondition and
             # frame reports noise, so they are suppressed
-            return CallOutcome(result, tuple(sink[start:]), False, True)
+            return result, False
 
         # (8) postconditions, (9) derived frame predicates
         ctx.exit_models = exit_models
@@ -403,24 +357,7 @@ class Engine:
         if routine.frame_preds:
             self._check(routine.frame_preds, fnargs, FRAME, co, rname, ordinal, sink)
 
-        return CallOutcome(result, tuple(sink[start:]), False, True)
-
-
-# hook event of each clause phase; invariant events also carry the token of
-# the object checked
-_EVENTS = {
-    INVARIANT_ENTRY: "entry_clause",
-    INVARIANT_EXIT: "exit_clause",
-    PRECONDITION: "pre",
-    POSTCONDITION: "post",
-    FRAME: "frame",
-}
-
-
-def _event(kind, co, clause):
-    if kind == INVARIANT_ENTRY or kind == INVARIANT_EXIT:
-        return (_EVENTS[kind], co.token, clause.name)
-    return (_EVENTS[kind], clause.name)
+        return result, False
 
 
 def _violation(kind, co, routine_name, clause_name, ordinal, detail=""):

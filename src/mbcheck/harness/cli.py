@@ -74,6 +74,8 @@ def _parser():
 def _parse_bugs(raw, class_name):
     ids = tuple(x for x in (s.strip() for s in raw.split(",")) if x)
     for bug_id in ids:
+        if ids.count(bug_id) > 1:
+            raise ConfigError("bug id %s given more than once" % (bug_id,))
         entry = _bugs.BY_ID.get(bug_id)
         if entry is None:
             raise ConfigError("unknown bug id %r" % (bug_id,))
@@ -126,10 +128,11 @@ def _cmd_compare(args):
                 manifest = json.load(f)
             except ValueError as e:
                 raise ConfigError("%s is not valid JSON: %s" % (args.pairs, e))
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("reports"), list):
+        reports = manifest.get("reports") if isinstance(manifest, dict) else None
+        if not isinstance(reports, list) or not all(isinstance(r, str) for r in reports):
             raise ConfigError('%s needs a "reports" list of report paths' % (args.pairs,))
         base = os.path.dirname(os.path.abspath(args.pairs))
-        for rel in manifest["reports"]:
+        for rel in reports:
             paths.append(rel if os.path.isabs(rel) else os.path.join(base, rel))
     if not paths:
         raise ConfigError("no reports given; pass paths or --pairs")

@@ -173,5 +173,17 @@ def _check_fields(path, kind, row):
 
 
 def read_timing(path):
-    with open(str(path) + ".timing") as f:
-        return json.load(f)
+    """The ``.timing`` sidecar of the report at ``path``. A missing sidecar
+    raises OSError; a malformed one raises ConfigError naming the file."""
+    tpath = str(path) + ".timing"
+    with open(tpath) as f:
+        try:
+            timing = json.load(f)
+        except ValueError as e:
+            raise ConfigError("%s is not valid JSON: %s" % (tpath, e))
+    if not isinstance(timing, dict):
+        raise ConfigError("%s is not a JSON object" % (tpath,))
+    cps = timing.get("calls_per_s")
+    if isinstance(cps, bool) or not isinstance(cps, (int, float)):
+        raise ConfigError("%s calls_per_s must be a JSON number" % (tpath,))
+    return timing

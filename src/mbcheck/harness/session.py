@@ -171,12 +171,6 @@ class _Generator:
                 self.pool.pop(i)
                 return
 
-    def evict_token(self, token):
-        for i, other in enumerate(self.pool):
-            if other.token == token:
-                self.pool.pop(i)
-                return
-
 
 def _tainted_participants(spec, target, refs):
     """Participants whose consistency probe already fails before the call.
@@ -274,7 +268,7 @@ def run_session(cfg):
                     res.series.append((ordinal, unique_real))
 
             if v.blame == "callee":
-                gen.evict_token(v.token)
+                gen.evict(engine.object_by_token(v.token))
 
         for co in tainted:
             gen.evict(co)

@@ -157,40 +157,87 @@ def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=(), bou
     return spec
 
 
-def fresh(spec=None, hook=None):
+def fresh(spec=None):
     spec = spec or toy_specs()
-    eng = Engine(hook=hook)
+    eng = Engine()
     return eng, eng.register(Toy(), spec), spec
+
+
+def logged(spec):
+    """Wrap every invariant, pre, post and frame ``fn`` and every routine
+    ``body`` of a bound spec to log each call, as the benchmark's tracer
+    wraps them; returns the event list, in call order. An invariant logs
+    ("invariant", clause name, concrete object, its is_open flag), a
+    predicate (phase, clause name, ctx) and a body ("body", routine name)."""
+    events = []
+
+    def log_invariant(cl):
+        fn = cl.fn
+
+        def logged_fn(m, o):
+            events.append(("invariant", cl.name, o, o._checked.is_open))
+            return fn(m, o)
+
+        cl.fn = logged_fn
+
+    def log_pred(p, phase):
+        fn = p.fn
+
+        def logged_fn(ctx):
+            events.append((phase, p.name, ctx))
+            return fn(ctx)
+
+        p.fn = logged_fn
+
+    def log_body(r):
+        body = r.body
+
+        def logged_body(o, *args):
+            events.append(("body", r.name))
+            return body(o, *args)
+
+        r.body = logged_body
+
+    for cl in spec.invariants:
+        log_invariant(cl)
+    for r in spec.routines.values():
+        log_body(r)
+        for phase, preds in (("pre", r.pre), ("post", r.post), ("frame", r.frame_preds)):
+            for p in preds:
+                log_pred(p, phase)
+    return events
 
 
 # --- protocol ordering and flags -----------------------------------------
 
 
 def test_event_order_covers_all_phases():
-    events = []
-    spec = toy_specs()
-    eng = Engine(hook=lambda e: events.append(e[0]))
-    co = eng.register(Toy(), spec)
+    # entry invariants, body, exit invariants, postconditions, frames; every
+    # invariant sees the target closed, so its flag is restored before the
+    # exit invariants run
+    eng, co, spec = fresh()
+    events = logged(spec)
     out = eng.checked_call(co, spec.routines["push"], (3,))
     assert not out.violations
-    phases = [e for e in events]
-    order = ["entry_clause", "snapshot", "body", "restore", "exit_clause", "post", "frame"]
-    positions = [max(i for i, p in enumerate(phases) if p == name) if name in phases else None for name in order]
-    firsts = [min(i for i, p in enumerate(phases) if p == name) for name in order]
-    assert firsts == sorted(firsts)
-    # every phase fired at least once for this routine
-    assert set(order) <= set(phases)
+    assert [e[:2] for e in events] == [
+        ("invariant", "index_bounds"),
+        ("invariant", "peer_link"),
+        ("body", "push"),
+        ("invariant", "index_bounds"),
+        ("invariant", "peer_link"),
+        ("post", "appended"),
+        ("frame", "unchanged:target.index"),
+    ]
+    assert {e[2:] for e in events if e[0] == "invariant"} == {(co.concrete, False)}
 
 
-def test_pre_events_sit_between_entry_and_snapshot():
-    events = []
-    spec = toy_specs()
-    eng = Engine(hook=lambda e: events.append(e[0]))
-    co = eng.register(Toy(), spec)
+def test_pre_events_sit_between_entry_and_body():
+    eng, co, spec = fresh()
+    events = logged(spec)
     eng.checked_call(co, spec.routines["set_index"], (0,))
-    names = [e for e in events]
-    assert names.index("pre") > names.index("entry_clause")
-    assert names.index("pre") < names.index("snapshot")
+    phases = [e[0] for e in events]
+    assert phases[:4] == ["invariant", "invariant", "pre", "body"]
+    assert phases.count("pre") == 1
 
 
 def test_is_open_restored_after_normal_and_failing_calls():
@@ -216,15 +263,20 @@ def test_opened_argument_flag_saved_and_restored():
         def body(o, p):
             seen["target_open"] = o._checked.is_open
             seen["arg_open"] = p._checked.is_open
+            p.index = -5
 
         orig = spec.routines["swap_index_with"].body
         spec.routines["swap_index_with"].body = body
         try:
-            eng.checked_call(a, spec.routines["swap_index_with"], (b.concrete,))
+            out = eng.checked_call(a, spec.routines["swap_index_with"], (b.concrete,))
         finally:
             spec.routines["swap_index_with"].body = orig
         assert seen == {"target_open": True, "arg_open": True}
         assert a.is_open is False and b.is_open is False
+        # the opened argument's exit invariants run too
+        assert [(v.kind, v.clause, v.token) for v in out.violations] == [
+            (INVARIANT_EXIT, "index_bounds", b.token)
+        ]
     finally:
         spec.routines["swap_index_with"].open_args = ()
 
@@ -255,12 +307,11 @@ def test_precondition_violation_blames_caller_and_skips_body():
     eng, co, spec = fresh()
     out = eng.checked_call(co, spec.routines["set_index"], (5,))
     assert out.invalid is True
-    assert out.body_ran is False
     assert [v.kind for v in out.violations] == [PRECONDITION]
     v = out.violations[0]
     assert v.blame == CALLER
     assert v.clause == "in_range"
-    assert co.concrete.index == 0
+    assert co.concrete.index == 0  # the body would have set it to 5
 
 
 def test_entry_invariant_checked_before_precondition():
@@ -270,7 +321,7 @@ def test_entry_invariant_checked_before_precondition():
     out = eng.checked_call(co, spec.routines["set_index"], (99,))
     kinds = [v.kind for v in out.violations]
     assert kinds == [INVARIANT_ENTRY]
-    assert out.body_ran is False
+    assert co.concrete.index == -5  # the body would have set it to 99
     assert out.invalid is False
 
 
@@ -280,7 +331,7 @@ def test_exit_state_read_in_precondition_is_a_model_eval_error(read):
     peek = RoutineSpec(
         "peek",
         [],
-        Toy.noop,
+        lambda o: o.items.append(0),
         pre=[pred("reads_exit", lambda ctx: getattr(ctx, read)("index") is not None)],
         modify=(),
     )
@@ -289,48 +340,44 @@ def test_exit_state_read_in_precondition_is_a_model_eval_error(read):
     assert out.violations[0].detail == repr(
         ModelEvalError("exit state is not available in a precondition")
     )
-    assert out.body_ran is False and out.invalid is False
+    assert co.concrete.items == [] and out.invalid is False
 
 
 # --- snapshot -------------------------------------------------------------
 
 
-def test_snapshot_is_eager_and_keyed_by_token():
-    captured = {}
-
-    def hook(e):
-        if e[0] == "snapshot":
-            captured["snap"] = e[2]
-
-    spec = toy_specs()
-    eng = Engine(hook=hook)
-    co = eng.register(Toy(), spec)
+def test_snapshot_is_eager():
+    # the postcondition reads the pre-state models after the body ran
+    eng, co, spec = fresh()
+    events = logged(spec)
     co.concrete.items.extend([4, 5])
     out = eng.checked_call(co, spec.routines["push"], (6,))
     assert not out.violations
-    snap = captured["snap"]
-    assert snap.entries[(co.token, "sequence")] == V.sequence(map(V.integer, [4, 5]))
-    assert snap.entries[(co.token, "index")] == V.integer(0)
+    (ctx,) = [e[2] for e in events if e[0] == "post"]
+    assert ctx.old("sequence") == V.sequence(map(V.integer, [4, 5]))
+    assert ctx.old("index") == V.integer(0)
     # body mutation did not bleed into the snapshot
+    assert ctx.now("sequence") == V.sequence(map(V.integer, [4, 5, 6]))
     assert co.concrete.items == [4, 5, 6]
 
 
 def test_snapshot_covers_reference_arguments():
-    captured = {}
-
-    def hook(e):
-        if e[0] == "snapshot":
-            captured["snap"] = e[2]
-
+    # the body appends to the argument; the frame predicate on the
+    # argument's sequence compares against the value from before the body
     spec = toy_specs()
-    eng = Engine(hook=hook)
+    spec.routines["swap_index_with"].body = lambda o, p: p.items.append(1)
+    events = logged(spec)
+    eng = Engine()
     a = eng.register(Toy(), spec)
     b = eng.register(Toy(), spec)
     b.concrete.items.append(9)
-    eng.checked_call(a, spec.routines["swap_index_with"], (b.concrete,))
-    snap = captured["snap"]
-    assert (b.token, "sequence") in snap.entries
-    assert snap.entries[(b.token, "sequence")] == V.sequence([V.integer(9)])
+    out = eng.checked_call(a, spec.routines["swap_index_with"], (b.concrete,))
+    assert [(v.kind, v.clause) for v in out.violations] == [
+        (FRAME, "unchanged:arg0.sequence")
+    ]
+    ctx = next(e[2] for e in events if e[0] == "frame")
+    assert ctx.old("sequence", ARG0) == V.sequence([V.integer(9)])
+    assert ctx.now("sequence", ARG0) == V.sequence([V.integer(9), V.integer(1)])
 
 
 # --- postconditions, frames, result --------------------------------------
@@ -506,21 +553,29 @@ def test_nested_precondition_violation_is_not_invalid_at_top():
 
 
 def test_guard_suppresses_checking_within_model_evaluation():
-    protocol_entries = []
-
     def tricky_eval(o):
         # a model query that itself calls a public routine of its object
         co = o._checked
         co.engine.checked_call(co, co.spec.routines["push"], (1,))
         return V.sequence(V.integer(x) for x in o.items)
 
-    spec = toy_specs(seq_eval=tricky_eval)
-    eng = Engine(hook=lambda e: protocol_entries.append(e[0]))
-    co = eng.register(Toy(), spec)
+    eng, co, spec = fresh(toy_specs(seq_eval=tricky_eval))
+    events = logged(spec)
     out = eng.checked_call(co, spec.routines["noop"], ())
-    # the inner push ran (twice: entry eval + exit eval) without protocol events
+    # the inner push body ran twice (entry eval + exit eval); none of its
+    # clauses did
     assert co.concrete.items == [1, 1]
-    assert protocol_entries.count("body") == 1
+    assert [e[:2] for e in events] == [
+        ("body", "push"),
+        ("invariant", "index_bounds"),
+        ("invariant", "peer_link"),
+        ("body", "noop"),
+        ("body", "push"),
+        ("invariant", "index_bounds"),
+        ("invariant", "peer_link"),
+        ("frame", "unchanged:target.sequence"),
+        ("frame", "unchanged:target.index"),
+    ]
     # frame preds compare entry eval vs exit eval: one extra 1 appended between
     assert [v.kind for v in out.violations] == [FRAME]
 
@@ -538,7 +593,7 @@ def test_guard_nests_and_unwinds():
 
     def counting_eval(o):
         out = qualified(o, "size")
-        seen.append((out.body_ran, out.violations, o._checked.engine._suppress))
+        seen.append((out.result, out.violations, o._checked.engine._suppress))
         return V.sequence(V.integer(x) for x in o.items)
 
     eng, a, spec = fresh(toy_specs(seq_eval=counting_eval))
@@ -547,8 +602,9 @@ def test_guard_nests_and_unwinds():
     out = eng.checked_call(a, spec.routines["poke_peer"], ())
     assert not out.violations
     assert b.concrete.items == [7]
-    # entry and exit models of the target, and of the peer inside the body
-    assert seen == [(True, (), 1)] * 4
+    # entry and exit models of the target, and of the peer inside the body;
+    # each suppressed size call ran its body and returned its result
+    assert seen == [(0, (), 1), (0, (), 1), (1, (), 1), (0, (), 1)]
     assert eng._suppress == 0
 
 
@@ -562,7 +618,8 @@ def test_guard_model_evaluation_returns_value():
     eng, co, spec = fresh(toy_specs(extra_invariants=[agrees]))
     for name, args in (("push", (5,)), ("push", (6,)), ("noop", ())):
         out = eng.checked_call(co, spec.routines[name], args)
-        assert out.body_ran and not out.violations, name
+        assert not out.violations, name
+    assert co.concrete.items == [5, 6]
     assert eng._suppress == 0
 
 
@@ -573,21 +630,23 @@ def test_suppressed_crash_propagates():
         qualified(o, "crashy")
 
     eng, co, spec = fresh(toy_specs(seq_eval=crashing_eval))
+    events = logged(spec)
     out = eng.checked_call(co, spec.routines["noop"], ())
     assert [(v.kind, v.clause) for v in out.violations] == [(MODEL_EVAL_ERROR, "model")]
     assert "kaboom" in out.violations[0].detail
-    assert not out.body_ran
+    assert events == [("body", "crashy")]
     assert eng._suppress == 0
 
     eng, co, spec = fresh()
     spec.routines["noop"].pre = (
         pred("calls_crashy", lambda ctx: qualified(ctx.obj, "crashy")),
     )
+    events = logged(spec)
     out = eng.checked_call(co, spec.routines["noop"], ())
     assert [(v.kind, v.clause) for v in out.violations] == [
         (MODEL_EVAL_ERROR, "calls_crashy")
     ]
-    assert not out.body_ran
+    assert [e[1] for e in events if e[0] == "body"] == ["crashy"]
     assert eng._suppress == 0
 
 
@@ -596,9 +655,9 @@ def test_depend_invariant_gated_through_the_protocol():
     # peer_link is skipped and the plain clause index_bounds still runs, at
     # entry and at exit; the gate holds on a spec that was never bound too
     for bound in (True, False):
-        events = []
         spec = toy_specs(bound=bound)
-        eng = Engine(hook=lambda e: events.append(e) if e[0].endswith("_clause") else None)
+        events = logged(spec)
+        eng = Engine()
         a = eng.register(Toy(), spec)
         b = eng.register(Toy(), spec)
         a.concrete.peer = b.concrete
@@ -607,15 +666,16 @@ def test_depend_invariant_gated_through_the_protocol():
         out = eng.checked_call(b, spec.routines["poke_peer"], ())
         assert not out.violations
         assert a.concrete.items == [7]
-        assert [(e[0], e[2]) for e in events if e[1] == a.token] == [
-            ("entry_clause", "index_bounds"),
-            ("exit_clause", "index_bounds"),
-        ]
-        assert [(e[0], e[2]) for e in events if e[1] == b.token] == [
-            ("entry_clause", "index_bounds"),
-            ("entry_clause", "peer_link"),
-            ("exit_clause", "index_bounds"),
-            ("exit_clause", "peer_link"),
+        A, B = a.concrete, b.concrete
+        assert [e[:3] for e in events if e[0] in ("invariant", "body")] == [
+            ("invariant", "index_bounds", B),
+            ("invariant", "peer_link", B),
+            ("body", "poke_peer"),
+            ("invariant", "index_bounds", A),
+            ("body", "push"),
+            ("invariant", "index_bounds", A),
+            ("invariant", "index_bounds", B),
+            ("invariant", "peer_link", B),
         ]
         # with b closed, the clause runs on a again
         out = eng.checked_call(a, spec.routines["noop"], ())

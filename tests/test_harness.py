@@ -284,6 +284,16 @@ def test_cli_rejects_bad_config(capsys):
         )
         == 2
     )
+    # a repeated id would make the report header differ from the same session
+    # seeded once
+    assert (
+        main(
+            ["run", "--class", "cursor_list", "--spec", "strong", "--seed", "1",
+             "--max-calls", "10", "--bugs", "MB-1,MB-1"]
+        )
+        == 2
+    )
+    assert "MB-1 given more than once" in capsys.readouterr().err
 
 
 def test_cli_compare_end_to_end(tmp_path, capsys):
@@ -393,9 +403,43 @@ def test_cli_compare_report_bad_elements_is_a_config_error(tmp_path, capsys, row
     assert err.startswith("error: ") and message in err
 
 
-def test_cli_compare_manifest_without_reports_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "sidecar, code, message",
+    [
+        (None, 0, ""),  # a missing sidecar is skipped
+        ("{not json", 2, "not valid JSON"),
+        ("[1]", 2, "not a JSON object"),
+        ('{"wall_s": 1.0}', 2, "calls_per_s must be a JSON number"),
+        ('{"calls_per_s": "fast"}', 2, "calls_per_s must be a JSON number"),
+    ],
+    ids=["missing", "not_json", "list", "no_calls_per_s", "text_calls_per_s"],
+)
+def test_cli_compare_timing_sidecar_missing_or_malformed(tmp_path, capsys, sidecar, code, message):
+    p = tmp_path / "r.jsonl"
+    main(
+        ["run", "--class", "cursor_set", "--spec", "strong", "--seed", "2",
+         "--max-calls", "200", "--report", str(p)]
+    )
+    timing = tmp_path / "r.jsonl.timing"
+    if sidecar is None:
+        timing.unlink()
+    else:
+        timing.write_text(sidecar)
+    capsys.readouterr()
+    assert main(["compare", str(p)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s" % timing) and message in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [{"report": ["r.jsonl"]}, {"reports": [1]}],
+    ids=["no_reports_list", "non_string_entry"],
+)
+def test_cli_compare_manifest_without_reports_is_a_config_error(tmp_path, capsys, content):
     manifest = tmp_path / "pairs.json"
-    manifest.write_text(json.dumps({"report": ["r.jsonl"]}))
+    manifest.write_text(json.dumps(content))
     assert main(["compare", "--pairs", str(manifest)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and '"reports"' in err
