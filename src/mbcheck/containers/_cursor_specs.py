@@ -11,7 +11,7 @@ share one.
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.containers._shared import item_value, walk
+from mbcheck.containers._shared import chain_items, item_value
 from mbcheck.engine import ARG0, InvariantClause, ModelQuery, pred
 
 
@@ -20,7 +20,7 @@ def linked_model(level):
     ``index``)."""
     index = ModelQuery("index", lambda o: V.integer(o.index))
     if level == "strong":
-        sequence = ModelQuery("sequence", lambda o: V.item_sequence(walk(o.first_cell)))
+        sequence = ModelQuery("sequence", lambda o: V.item_sequence(chain_items(o.first_cell)))
         return [sequence, index]
     return [ModelQuery("count", lambda o: V.integer(o.count)), index]
 

@@ -168,6 +168,18 @@ def walk(first_cell):
         cell = cell.next
 
 
+def chain_items(first_cell):
+    """The items of a linked chain in order, as a list. A plain loop costs
+    about half of ``list(walk(first_cell))``, which resumes a generator per
+    item."""
+    items = []
+    cell = first_cell
+    while cell is not None:
+        items.append(cell.item)
+        cell = cell.next
+    return items
+
+
 def cell_at(first_cell, position):
     """Cell holding the item at 1-based ``position``, or None."""
     cell = first_cell

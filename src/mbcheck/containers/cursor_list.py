@@ -24,6 +24,7 @@ from mbcheck.containers._shared import (
     ClassDecl,
     RoutineDecl,
     cell_at,
+    chain_items,
     walk,
 )
 from mbcheck.containers._cursor_specs import (
@@ -105,7 +106,7 @@ class CursorList:
         self.index = 0
 
     def merge_right(self, other):
-        items = list(walk(other.first_cell))
+        items = chain_items(other.first_cell)
         if items:
             head = Cell(items[0])
             tail = head
@@ -143,7 +144,7 @@ class CursorList:
         return self.index < 1 or self.index > self.count
 
     def is_equal(self, other):
-        return list(walk(self.first_cell)) == list(walk(other.first_cell))
+        return chain_items(self.first_cell) == chain_items(other.first_cell)
 
 
 def _true_tail(o):

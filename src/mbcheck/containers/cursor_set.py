@@ -19,6 +19,7 @@ from mbcheck.containers._shared import (
     ClassDecl,
     RoutineDecl,
     cell_at,
+    chain_items,
     item_value,
     walk,
 )
@@ -132,8 +133,8 @@ class CursorSet:
     def is_equal(self, other):
         if "EQ-1" in self._bugs:
             return self.count == other.count
-        mine = list(walk(self.first_cell))
-        theirs = list(walk(other.first_cell))
+        mine = chain_items(self.first_cell)
+        theirs = chain_items(other.first_cell)
         return set(mine) == set(theirs)
 
 
@@ -145,7 +146,7 @@ def _first_position(s, v):
 
 
 def _no_duplicates(o):
-    items = list(walk(o.first_cell))
+    items = chain_items(o.first_cell)
     return len(items) == len(set(items))
 
 

@@ -141,9 +141,8 @@ def _back_links_sound(o):
         backward.append(cell)
         cell = cell.prev
     backward.reverse()
-    if len(forward) != len(backward):
-        return False
-    return all(f is b for f, b in zip(forward, backward))
+    # DCell has no __eq__, so list equality compares the cells by identity
+    return forward == backward
 
 
 DECL = ClassDecl(

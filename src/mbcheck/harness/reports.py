@@ -117,29 +117,33 @@ def read_report(path):
     faults = []
     series = []
     summary = None
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                row = json.loads(raw)
-            except ValueError as e:
-                raise ConfigError("%s line %d is not valid JSON: %s" % (path, lineno, e))
-            if not isinstance(row, dict):
-                raise ConfigError("%s line %d is not a JSON object" % (path, lineno))
-            kind = row.get("kind")
-            if kind == "header":
-                header = row
-            elif kind == "fault":
-                faults.append(row)
-            elif kind == "series":
-                _check_fields(path, kind, row)
-                series = row["points"]
-            elif kind == "summary":
-                summary = row
-            else:
-                raise ConfigError("unknown report row kind %r in %s" % (kind, path))
+    with open(path, encoding="utf-8") as f:
+        try:
+            for lineno, raw in enumerate(f, 1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    row = json.loads(raw)
+                except ValueError as e:
+                    raise ConfigError("%s line %d is not valid JSON: %s" % (path, lineno, e))
+                if not isinstance(row, dict):
+                    raise ConfigError("%s line %d is not a JSON object" % (path, lineno))
+                kind = row.get("kind")
+                if kind == "header":
+                    header = row
+                elif kind == "fault":
+                    faults.append(row)
+                elif kind == "series":
+                    _check_fields(path, kind, row)
+                    series = row["points"]
+                elif kind == "summary":
+                    summary = row
+                else:
+                    raise ConfigError("unknown report row kind %r in %s" % (kind, path))
+        except UnicodeDecodeError as e:
+            # decoding happens as the loop reads the file
+            raise ConfigError("%s is not UTF-8 text: %s" % (path, e))
     if header is None or summary is None:
         raise ConfigError("%s is not a complete report" % (path,))
     _check_fields(path, "header", header)

@@ -15,6 +15,7 @@ session transcript stays honest about what checking alone can see.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -53,14 +54,19 @@ class SessionConfig:
             raise ConfigError("give exactly one of max_calls and wall_secs")
         if self.max_calls is not None and self.max_calls < 1:
             raise ConfigError("max_calls must be positive")
-        if self.wall_secs is not None and self.wall_secs <= 0:
-            raise ConfigError("wall_secs must be positive")
+        # nan <= 0 is false, and a nan or infinite budget never runs out
+        if self.wall_secs is not None and not (
+            math.isfinite(self.wall_secs) and self.wall_secs > 0
+        ):
+            raise ConfigError("wall_secs must be positive and finite")
         if not 0.0 < self.p_new <= 1.0:
             raise ConfigError("p_new must be in (0, 1]")
         if self.pool_max < 1:
             raise ConfigError("pool_max must be positive")
         if self.alphabet < 1:
             raise ConfigError("alphabet must be positive")
+        if self.max_object_size < 0:
+            raise ConfigError("max_object_size must be >= 0")
 
 
 @dataclass

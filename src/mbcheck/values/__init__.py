@@ -18,6 +18,22 @@ never mutate their inputs; out-of-domain accesses raise ModelEvalError.
 
 ``item`` and ``item_sequence`` give the model of stored container elements:
 integers stay integers, anything else hashable becomes an atom.
+
+Tagged ints come from one table, shared by ``integer``, ``seq_domain`` and
+``item_sequence``. It starts with the ints -16..64; ``integer`` adds each
+other int in ``[INT_TAGS_LO, INT_TAGS_HI)`` the first time it tags it, so the
+table never holds more than 2048 entries (about 0.2 MB). Filling on first use
+keeps the table to the ints a process uses and costs little at import. An int
+the table does not hold gets a fresh ``('i', x)``. Stored items reach the table
+when a contract first tags them, for instance as an argument through ``item``.
+
+``item_sequence`` has a fast path for a sequence of at least ``FAST_MIN_LEN``
+elements: ``tuple(map(table.__getitem__, xs))``, with no Python-level loop,
+kept when every element's type is exactly ``int`` (tested in C with
+``set(map(type, xs))``). The lookup stops at the first element the table does
+not hold. Any other sequence (an int the table does not hold, a ``bool``, a
+float equal to an int, a string, an unhashable value, or fewer elements)
+takes the per-element rule. Both paths give equal values.
 """
 
 from __future__ import annotations
@@ -40,8 +56,19 @@ TRUE = (BOOL, True)
 FALSE = (BOOL, False)
 EMPTY_SEQ = (SEQ, ())
 
-# merge_right/extend-heavy workloads wrap the same small ints millions of times
-_INT_CACHE = {i: (INT, i) for i in range(-16, 65)}
+# strong models wrap the same stored ints millions of times
+INT_TAGS_LO = -1024
+INT_TAGS_HI = 1024
+_INT_TAGS = {i: (INT, i) for i in range(-16, 65)}  # ``integer`` adds the rest
+
+# shortest sequence for which the all-int fast path of ``item_sequence`` is
+# no costlier than the per-element rule. In five runs of
+# benchmarks/bench_values.py (2-core VM, Python 3.11) the two paths' fitted
+# costs met at a median of 15.2 elements (11.7 to 20.8) for ints the table
+# holds; for ints outside its range, trying the fast path adds about 820
+# reference ns to a call of any length.
+FAST_MIN_LEN = 16
+_INT_ONLY = {int}
 
 
 # --- constructors ---------------------------------------------------------
@@ -52,10 +79,14 @@ def boolean(x):
 
 
 def integer(x):
-    v = _INT_CACHE.get(x)
+    v = _INT_TAGS.get(x)
     if v is not None:
         return v
-    return (INT, int(x))
+    x = int(x)
+    v = (INT, x)
+    if INT_TAGS_LO <= x < INT_TAGS_HI:
+        _INT_TAGS[x] = v
+    return v
 
 
 def atom(x):
@@ -105,12 +136,19 @@ def item(x):
 
 
 def item_sequence(xs):
-    """``sequence(item(x) for x in xs)``, built in one pass."""
-    get = _INT_CACHE.get
-    return (
-        SEQ,
-        tuple([(get(x) or (INT, x)) if type(x) is int else atom(x) for x in xs]),
-    )
+    """``sequence(item(x) for x in xs)`` for a list or tuple ``xs``."""
+    tags = _INT_TAGS
+    if len(xs) >= FAST_MIN_LEN:
+        try:
+            payload = tuple(map(tags.__getitem__, xs))
+        except (KeyError, TypeError):
+            pass  # an element the table does not hold, or an unhashable one
+        else:
+            # True and 2.0 find the entries of 1 and 2, but are atoms
+            if set(map(type, xs)) == _INT_ONLY:
+                return (SEQ, payload)
+    get = tags.get
+    return (SEQ, tuple([(get(x) or (INT, x)) if type(x) is int else atom(x) for x in xs]))
 
 
 # --- variant access -------------------------------------------------------
@@ -213,7 +251,7 @@ def seq_removed_at(s, i):
 
 
 def seq_domain(s):
-    return (SET, frozenset(_INT_CACHE.get(i) or (INT, i) for i in range(1, len(s[1]) + 1)))
+    return (SET, frozenset(_INT_TAGS.get(i) or (INT, i) for i in range(1, len(s[1]) + 1)))
 
 
 def seq_to_bag(s):

@@ -40,6 +40,22 @@ def test_config_requires_exactly_one_budget():
         SessionConfig("cursor_list", "strong", seed=1, max_calls=10, wall_secs=1.0)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"wall_secs": float("nan")}, "wall_secs must be positive and finite"),
+        ({"wall_secs": float("inf")}, "wall_secs must be positive and finite"),
+        ({"max_object_size": -3}, "max_object_size must be >= 0"),
+    ],
+    ids=["nan_wall_secs", "inf_wall_secs", "negative_max_object_size"],
+)
+def test_config_rejects_unbounded_budget_and_negative_size(kw, message):
+    # a nan budget never ends a session; a negative size evicts every object
+    # after every call
+    with pytest.raises(ConfigError, match=message):
+        cfg(**kw)
+
+
 def test_config_rejects_unknown_class_and_level():
     with pytest.raises(ConfigError):
         run_session(cfg(class_name="no_such_class"))
@@ -172,6 +188,14 @@ def test_read_report_rejects_garbage(tmp_path):
     p.write_text("")
     with pytest.raises(ConfigError):
         read_report(p)
+
+
+def test_cli_compare_non_utf8_report_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "r.jsonl"
+    p.write_bytes(b"\xff\xfe" + json.dumps(GOOD_HEADER).encode())
+    assert main(["compare", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s is not UTF-8 text" % p)
 
 
 # --- comparison -----------------------------------------------------------

@@ -101,6 +101,72 @@ def test_item_sequence_matches_per_element_rule(xs):
     assert [V.item(x) for x in xs] == list(expected[1])
 
 
+def _with_gate(gate, xs):
+    """``item_sequence(xs)`` with the fast path's length gate at ``gate``."""
+    saved = V.FAST_MIN_LEN
+    V.FAST_MIN_LEN = gate
+    try:
+        return V.item_sequence(xs)
+    finally:
+        V.FAST_MIN_LEN = saved
+
+
+FAST = 0  # every sequence tries the fast path first
+PER_ELEMENT = 1 << 62  # no sequence does
+
+table_ints = st.integers(V.INT_TAGS_LO, V.INT_TAGS_HI - 1)
+outside_ints = st.integers(max_value=V.INT_TAGS_LO - 1) | st.integers(2**64, 2**70)
+odd_items = (
+    st.booleans()
+    | st.integers(-5, 300).map(float)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
+)
+
+
+@st.composite
+def gated_items(draw):
+    """Ints on both sides of the length gate, all in the tag table's range or
+    some beyond it, with at most one non-int at any position."""
+    n = draw(st.integers(0, 3 * V.FAST_MIN_LEN))
+    ints = table_ints | outside_ints if draw(st.booleans()) else table_ints
+    xs = draw(st.lists(ints, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        xs.insert(draw(st.integers(0, n)), draw(odd_items))
+    return xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(gated_items())
+def test_item_sequence_paths_match_per_element_rule(xs):
+    # the rule spelled out with no tag table
+    expected = (V.SEQ, tuple((V.INT, x) if type(x) is int else (V.ATOM, x) for x in xs))
+    for tagged in (False, True):
+        if tagged:  # now the table holds every int of xs inside its range
+            for x in xs:
+                if type(x) is int:
+                    V.integer(x)
+        for gate in (FAST, PER_ELEMENT, V.FAST_MIN_LEN):
+            got = _with_gate(gate, xs)
+            assert got == expected
+            assert V.mv_repr(got) == V.mv_repr(expected)
+            assert V.is_model_value(got)
+            for x, v in zip(xs, got[1]):
+                if type(x) is int and V._INT_TAGS.get(x) is not None:
+                    assert v is V._INT_TAGS[x]  # the table's shared value
+
+
+def test_int_tag_table_stays_within_its_bound():
+    bound = V.INT_TAGS_HI - V.INT_TAGS_LO
+    for x in range(-5 * bound, 5 * bound):
+        V.integer(x)
+    V.item_sequence(list(range(-7 * bound, 7 * bound)))
+    V.seq_domain(V.sequence([V.TRUE] * 9 * bound))
+    V.item_sequence([2**64 + i for i in range(bound)])
+    assert len(V._INT_TAGS) == bound
+    assert all(V.INT_TAGS_LO <= x < V.INT_TAGS_HI for x in V._INT_TAGS)
+
+
 def test_item_sequence_keeps_bools_and_floats_atoms():
     got = V.item_sequence([True, 1.0, 1, False, 0])
     assert got[1] == (
@@ -120,5 +186,7 @@ def test_item_sequence_keeps_bools_and_floats_atoms():
 def test_item_sequence_rejects_unhashable_elements():
     with pytest.raises(TypeError):
         V.item_sequence([1, [2]])
+    with pytest.raises(TypeError):
+        V.item_sequence([1] * V.FAST_MIN_LEN + [[2]])
     with pytest.raises(TypeError):
         V.item({})
