@@ -9,7 +9,8 @@ tagged once before timing, so the table holds them; *uncached* ints lie beyond
 fails at the first element and the call falls back to the per-element rule:
 that column is the cost of trying. A path is chosen by setting
 ``values.FAST_MIN_LEN`` to 0 or beyond every length, so both runs go through
-the one ``item_sequence``.
+the one ``item_sequence``. Lengths 0 and 1 never take the fast path, whatever
+the gate, so their two columns time the same code.
 
 Each timing is CPU seconds (``time.process_time``) divided by the mean CPU time
 of the benchmark's reference kernel (``perfbench/workloads.py``) run just
@@ -20,11 +21,13 @@ reaches both alike.
 
 The last lines give, for each range, the least-squares lines
 ``cost = fixed + per_element * length`` of the two paths, each fitted to the
-lengths up to 64, and the length where they meet (none when the fast path's
-line is not the flatter one). A single timing spreads by several percent, which
-at 256 elements is more than the two paths' whole difference at small lengths,
-so the lines give a steadier crossover than any one length. ``FAST_MIN_LEN``
-cites the cached range's crossover.
+lengths from 2 to 64, and the length where they meet (none when the fast
+path's line is not the flatter one). A meeting point below 2 means the fast
+path's line is the lower one at every length that can take it. A single timing
+spreads by several percent, which at 256 elements is more than the two paths'
+whole difference at small lengths, so the lines give a steadier crossover than
+any one length. ``FAST_MIN_LEN`` cites the cached range's crossover, and is
+never below 2.
 
 Usage (from the repository root):
 
@@ -55,6 +58,7 @@ RANGES = {"cached": 0, "uncached": 2**64}
 PATHS = {"fast": 0, "per_element": 1 << 62}
 REF_NOMINAL_S = 0.001
 ELEMENTS_PER_TIMING = 100_000
+FIT_MIN_LEN = 2  # shorter sequences always take the per-element rule
 FIT_MAX_LEN = 64
 
 
@@ -84,8 +88,8 @@ def per_call_ref_ns(xs, gate):
 
 def fit(costs, path):
     """Least-squares ``(fixed, per_element)`` cost of ``path`` over lengths
-    up to ``FIT_MAX_LEN``."""
-    pts = [(n, costs[n][path]) for n in LENGTHS if n <= FIT_MAX_LEN]
+    from ``FIT_MIN_LEN`` to ``FIT_MAX_LEN``."""
+    pts = [(n, costs[n][path]) for n in LENGTHS if FIT_MIN_LEN <= n <= FIT_MAX_LEN]
     mx = sum(n for n, _ in pts) / len(pts)
     my = sum(c for _, c in pts) / len(pts)
     slope = sum((n - mx) * (c - my) for n, c in pts) / sum((n - mx) ** 2 for n, _ in pts)

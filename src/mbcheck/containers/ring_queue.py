@@ -63,6 +63,21 @@ class RingQueue:
         return self.count == 0
 
 
+def _ring_items(o):
+    """The queue's content, oldest first: ``count`` slots of ``storage`` from
+    ``head`` on, wrapping modulo the capacity. A head and count within the
+    capacity take at most two slices; any other state spells the rule out, so
+    it fails as the rule does (``ZeroDivisionError`` on empty storage)."""
+    s, h, n = o.storage, o.head, o.count
+    cap = len(s)
+    if 0 <= h < cap and 0 <= n <= cap:
+        end = h + n
+        if end <= cap:
+            return s[h:end]
+        return s[h:] + s[: end - cap]
+    return [s[(h + j) % cap] for j in range(n)]
+
+
 DECL = ClassDecl(
     CLASS_NAME,
     RingQueue,
@@ -82,7 +97,7 @@ def build(level, bugs=frozenset()):
         return DECL.spec(
             level,
             bugs,
-            model=[ModelQuery("sequence", lambda o: V.item_sequence(o._logical()))],
+            model=[ModelQuery("sequence", lambda o: V.item_sequence(_ring_items(o)))],
             invariants=[
                 InvariantClause(
                     "count_within_capacity",

@@ -130,19 +130,17 @@ class TwoWayList:
 
 
 def _back_links_sound(o):
-    forward = []
+    """Walking ``prev`` from ``last_cell`` retraces the forward chain: one
+    forward walk checks that each cell's ``prev`` is the cell before it and
+    that ``last_cell`` is the final cell."""
+    before = None
     cell = o.first_cell
     while cell is not None:
-        forward.append(cell)
+        if cell.prev is not before:
+            return False
+        before = cell
         cell = cell.next
-    backward = []
-    cell = o.last_cell
-    while cell is not None:
-        backward.append(cell)
-        cell = cell.prev
-    backward.reverse()
-    # DCell has no __eq__, so list equality compares the cells by identity
-    return forward == backward
+    return o.last_cell is before
 
 
 DECL = ClassDecl(

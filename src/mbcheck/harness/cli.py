@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import mbcheck.values as V
@@ -100,6 +101,11 @@ def _cmd_run(args):
         alphabet=args.alphabet,
         max_object_size=args.max_object_size,
     )
+    # fail before the session, not after it
+    if args.report:
+        where = os.path.dirname(os.path.abspath(args.report))
+        if not os.path.isdir(where):
+            raise ConfigError("report directory %s does not exist" % (where,))
     res = run_session(cfg)
     if args.report:
         write_report(args.report, res)
@@ -121,8 +127,6 @@ def _cmd_run(args):
 def _cmd_compare(args):
     paths = list(args.reports)
     if args.pairs:
-        import os
-
         with open(args.pairs) as f:
             try:
                 manifest = json.load(f)

@@ -28,15 +28,18 @@ the table does not hold gets a fresh ``('i', x)``. Stored items reach the table
 when a contract first tags them, for instance as an argument through ``item``.
 
 ``item_sequence`` has a fast path for a sequence of at least ``FAST_MIN_LEN``
-elements: ``tuple(map(table.__getitem__, xs))``, with no Python-level loop,
-kept when every element's type is exactly ``int`` (tested in C with
-``set(map(type, xs))``). The lookup stops at the first element the table does
-not hold. Any other sequence (an int the table does not hold, a ``bool``, a
-float equal to an int, a string, an unhashable value, or fewer elements)
-takes the per-element rule. Both paths give equal values.
+elements, and never for fewer than two: one C call,
+``operator.itemgetter(*xs)(table)``, looks every element up, and the payload
+is kept when every element's type is exactly ``int`` (counted in C with
+``operator.countOf(map(type, xs), int)``). The lookup stops at the first
+element the table does not hold. Any other sequence (an int the table does not
+hold, a ``bool``, a float equal to an int, a string, an unhashable value, or
+fewer elements) takes the per-element rule. Both paths give equal values.
 """
 
 from __future__ import annotations
+
+from operator import countOf, itemgetter
 
 from mbcheck.errors import ModelEvalError
 
@@ -61,14 +64,15 @@ INT_TAGS_LO = -1024
 INT_TAGS_HI = 1024
 _INT_TAGS = {i: (INT, i) for i in range(-16, 65)}  # ``integer`` adds the rest
 
-# shortest sequence for which the all-int fast path of ``item_sequence`` is
-# no costlier than the per-element rule. In five runs of
-# benchmarks/bench_values.py (2-core VM, Python 3.11) the two paths' fitted
-# costs met at a median of 15.2 elements (11.7 to 20.8) for ints the table
-# holds; for ints outside its range, trying the fast path adds about 820
-# reference ns to a call of any length.
-FAST_MIN_LEN = 16
-_INT_ONLY = {int}
+# shortest sequence that tries the all-int fast path of ``item_sequence``.
+# In five runs of benchmarks/bench_values.py (2-core VM, Python 3.11) the
+# fast path's fitted cost lay below the per-element rule's at every length
+# from 2 for ints the table holds (the lines met at a median of -2.5 elements,
+# -4.3 to -0.8; about 46 against 82 reference ns per element), so the gate is
+# the floor, 2. For ints outside the table's range, trying the fast path adds
+# about 780 reference ns to a call of 2 elements and 1.1 to 1.9 us to one of
+# 64 to 256.
+FAST_MIN_LEN = 2
 
 
 # --- constructors ---------------------------------------------------------
@@ -137,17 +141,18 @@ def item(x):
 
 def item_sequence(xs):
     """``sequence(item(x) for x in xs)`` for a list or tuple ``xs``."""
-    tags = _INT_TAGS
-    if len(xs) >= FAST_MIN_LEN:
+    n = len(xs)
+    # itemgetter with one key returns the bare value, not a 1-tuple
+    if n >= FAST_MIN_LEN and n > 1:
         try:
-            payload = tuple(map(tags.__getitem__, xs))
+            payload = itemgetter(*xs)(_INT_TAGS)
         except (KeyError, TypeError):
             pass  # an element the table does not hold, or an unhashable one
         else:
             # True and 2.0 find the entries of 1 and 2, but are atoms
-            if set(map(type, xs)) == _INT_ONLY:
+            if countOf(map(type, xs), int) == n:
                 return (SEQ, payload)
-    get = tags.get
+    get = _INT_TAGS.get
     return (SEQ, tuple([(get(x) or (INT, x)) if type(x) is int else atom(x) for x in xs]))
 
 

@@ -36,6 +36,28 @@ def test_golden_reports(tmp_path):
     assert digest == GOLDEN_REPORTS_SHA256
 
 
+LARGE_OBJECT_REPORTS_SHA256 = "d13604a41d50a6f58ae0f077b4b4ef16d51b2a6a7ba86d3c6a649d808d27a5ba"
+
+
+def test_golden_large_object_reports(tmp_path):
+    # every class x (strong, weak), seed 0, full and empty bug sets, 4,000
+    # calls. With p_new at 0.02 objects live long: resizable_array grows to
+    # 54 elements, well past the item_sequence gate, and ring_queue's content
+    # wraps around its storage
+    bodies = []
+    for cls in ALL_CLASSES:
+        full = tuple(e.bug_id for e in bugs_for_class(cls))
+        for level in ("strong", "weak"):
+            for bugs in (full, ()):
+                cfg = SessionConfig(
+                    cls, level, 0, max_calls=4000, bugs=bugs,
+                    max_object_size=160, p_new=0.02,
+                )
+                bodies.append(write_report(tmp_path / "r.jsonl", run_session(cfg), timing=False))
+    digest = hashlib.sha256("".join(bodies).encode()).hexdigest()
+    assert digest == LARGE_OBJECT_REPORTS_SHA256
+
+
 def spec_fingerprint(spec):
     """The declared shape of one bound class spec, as plain JSON data."""
     return {

@@ -320,6 +320,23 @@ def test_cli_rejects_bad_config(capsys):
     assert "MB-1 given more than once" in capsys.readouterr().err
 
 
+def test_cli_run_missing_report_directory_fails_before_the_session(
+    tmp_path, capsys, monkeypatch
+):
+    def no_session(cfg):
+        raise AssertionError("the session ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_session", no_session)
+    missing = tmp_path / "missing"
+    code = main(
+        ["run", "--class", "cursor_list", "--spec", "strong", "--seed", "1",
+         "--max-calls", "200000", "--report", str(missing / "r.jsonl")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: report directory %s does not exist\n" % missing
+    assert not missing.exists()
+
+
 def test_cli_compare_end_to_end(tmp_path, capsys):
     paths = []
     for level in ("weak", "strong"):

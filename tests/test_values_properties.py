@@ -111,6 +111,11 @@ def _with_gate(gate, xs):
         V.FAST_MIN_LEN = saved
 
 
+def _by_rule(xs):
+    """The per-element rule spelled out with no tag table."""
+    return (V.SEQ, tuple((V.INT, x) if type(x) is int else (V.ATOM, x) for x in xs))
+
+
 FAST = 0  # every sequence tries the fast path first
 PER_ELEMENT = 1 << 62  # no sequence does
 
@@ -128,7 +133,7 @@ odd_items = (
 def gated_items(draw):
     """Ints on both sides of the length gate, all in the tag table's range or
     some beyond it, with at most one non-int at any position."""
-    n = draw(st.integers(0, 3 * V.FAST_MIN_LEN))
+    n = draw(st.integers(0, max(3 * V.FAST_MIN_LEN, 48)))
     ints = table_ints | outside_ints if draw(st.booleans()) else table_ints
     xs = draw(st.lists(ints, min_size=n, max_size=n))
     if draw(st.booleans()):
@@ -139,8 +144,7 @@ def gated_items(draw):
 @settings(max_examples=200, deadline=None)
 @given(gated_items())
 def test_item_sequence_paths_match_per_element_rule(xs):
-    # the rule spelled out with no tag table
-    expected = (V.SEQ, tuple((V.INT, x) if type(x) is int else (V.ATOM, x) for x in xs))
+    expected = _by_rule(xs)
     for tagged in (False, True):
         if tagged:  # now the table holds every int of xs inside its range
             for x in xs:
@@ -154,6 +158,34 @@ def test_item_sequence_paths_match_per_element_rule(xs):
             for x, v in zip(xs, got[1]):
                 if type(x) is int and V._INT_TAGS.get(x) is not None:
                     assert v is V._INT_TAGS[x]  # the table's shared value
+
+
+SHORT_LISTS = {
+    "empty": [],
+    "one_int": [5],
+    "one_bool": [True],
+    "one_float": [2.0],
+    "one_str": ["a"],
+    "one_outside_int": [2**70],
+    "two_ints": [5, 7],
+    "bool_and_int": [True, 1],
+    "int_and_bool": [0, False],
+    "int_and_float": [1, 2.0],
+    "int_and_str": [1, "a"],
+    "int_and_outside_int": [1, 2**70],
+}
+
+
+@pytest.mark.parametrize("xs", list(SHORT_LISTS.values()), ids=list(SHORT_LISTS))
+def test_item_sequence_short_lists_at_gate_zero(xs):
+    # one element is a bare value to itemgetter, and a bool or a float finds
+    # an int's entry; both must still come out by the per-element rule
+    for x in xs:
+        if type(x) is int:
+            V.integer(x)
+    got = _with_gate(FAST, xs)
+    assert got == _by_rule(xs)
+    assert V.is_model_value(got)
 
 
 def test_int_tag_table_stays_within_its_bound():
