@@ -20,14 +20,35 @@ from mbcheck.errors import ConfigError
 _BOOL_ROUTINES = frozenset(["off", "is_equal", "has", "is_empty"])
 
 
+# most candidate sequences a domain may build, pre-state and value ones
+# together; larger bounds are refused before anything is enumerated
+MAX_SEQUENCES = 1_000_000
+
+
 def _all_seqs(max_len, alphabet, unique=False):
-    out = [()]
+    """Every sequence over ``range(alphabet)`` of at most ``max_len``
+    elements (no repeated element when ``unique``), shortest first, each
+    length in lexicographic order."""
+    items = [V.integer(x) for x in range(alphabet)]
+    out = [V.EMPTY_SEQ]
     for n in range(1, max_len + 1):
-        for combo in itertools.product(range(alphabet), repeat=n):
+        for combo in itertools.product(items, repeat=n):
             if unique and len(set(combo)) != n:
                 continue
-            out.append(combo)
-    return [V.sequence(V.integer(x) for x in s) for s in out]
+            out.append(V.sequence(combo))
+    return out
+
+
+def _sequence_count(max_len, alphabet):
+    """``sum(alphabet ** n for n in range(max_len + 1))``, or
+    ``MAX_SEQUENCES + 1`` once the sum passes ``MAX_SEQUENCES``."""
+    total = term = 1
+    for _ in range(max_len):
+        term *= alphabet
+        total += term
+        if total > MAX_SEQUENCES:
+            return MAX_SEQUENCES + 1
+    return total
 
 
 class SequenceDomain:
@@ -44,11 +65,17 @@ class SequenceDomain:
                 "probe bounds must be at least 1, got max_len=%d alphabet=%d"
                 % (max_len, alphabet)
             )
+        value_len = 2 * max_len if value_len is None else value_len
+        # the duplicate-free sequences are a subset, so this bounds them too
+        if _sequence_count(max(max_len, value_len), alphabet) > MAX_SEQUENCES:
+            raise ConfigError(
+                "probe bounds max_len=%d alphabet=%d value_len=%d ask for more than "
+                "%d candidate sequences" % (max_len, alphabet, value_len, MAX_SEQUENCES)
+            )
         self.role_specs_by_name = dict(role_specs)
         self.max_len = max_len
         self.alphabet = alphabet
         self.unique = unique
-        value_len = 2 * max_len if value_len is None else value_len
         self.pre_seqs = _all_seqs(max_len, alphabet, unique)
         self.value_seqs = _all_seqs(value_len, alphabet, unique)
         self.index_values = [V.integer(i) for i in range(0, value_len + 2)]

@@ -64,46 +64,52 @@ class AbstractCtx(ModelCtx):
 
 
 class _ReadMap(dict):
-    """A role map that adds to ``names`` each query it holds that is looked
-    up in it, whether by an accessor or by a derivation."""
+    """A role map that starts empty and copies each query of ``src`` in on
+    its first lookup, so its keys are the queries read. Subscript, ``get``
+    and ``in`` answer for the whole of ``src``; a key set in the map itself
+    shadows ``src``."""
 
-    __slots__ = ("names",)
+    __slots__ = ("src",)
 
-    def __init__(self, m):
-        dict.__init__(self, m)
-        self.names = set()
+    def __init__(self, src):
+        self.src = src
 
-    def __getitem__(self, q):
-        v = dict.__getitem__(self, q)
-        self.names.add(q)
+    def __missing__(self, q):
+        v = self[q] = self.src[q]
         return v
 
     def get(self, q, default=None):
-        v = dict.get(self, q)
-        if v is None:
+        try:
+            return self[q]
+        except KeyError:
             return default
-        self.names.add(q)
-        return v
+
+    def __contains__(self, q):
+        try:
+            self[q]
+        except KeyError:
+            return False
+        return True
 
 
-class _ReadArgs:
-    """An argument tuple that adds each position read to ``reads``."""
+class _ReadArgs(dict):
+    """An argument tuple as a map from position to value that starts empty
+    and copies each position in on its first read, so its keys are the
+    positions read."""
 
-    __slots__ = ("args", "reads")
+    __slots__ = ("args",)
 
     def __init__(self, args):
         self.args = args
-        self.reads = set()
 
-    def __getitem__(self, k):
-        v = self.args[k]
-        self.reads.add(k)
+    def __missing__(self, k):
+        v = self[k] = self.args[k]
         return v
 
 
 def _reads(maps):
-    """The ``(role index, query)`` coordinates read in ``_ReadMap`` role maps."""
-    return {(idx, q) for idx, m in maps.items() for q in m.names}
+    """The ``(role index, query)`` coordinates held in role maps."""
+    return {(idx, q) for idx, m in maps.items() for q in m}
 
 
 class ProbeResult:
@@ -161,9 +167,14 @@ def completeness_probe(class_spec, routine, domain):
     content, and the result choices) together with what it read: the
     pre-state coordinates and plain arguments the postconditions read, and
     the pre-state's values there (a reference argument by presence only).
-    The context records these reads in the data it is handed: role maps
-    that record each query looked up in them, by an accessor or by a
-    derivation, and arguments that record each position read. A later
+    The context records these reads in the data it is handed, once per
+    coordinate rather than once per lookup: each role map starts empty and
+    copies a query in from the pre-state on its first lookup (by subscript,
+    ``get`` or ``in``, from an accessor or a derivation), so its keys are
+    the queries read, and the arguments work the same way by position. An
+    exit map starts with the free coordinates, which each candidate
+    assigns, and its fixed ones fill from the entry maps; the reads are its
+    keys less the free coordinates. A later
     pre-state with the same base key that agrees with a stored one on
     everything that search read is not searched. This is sound because:
 
@@ -256,10 +267,13 @@ def completeness_probe(class_spec, routine, domain):
 
         recording = shape not in unrecorded
         if recording:
+            # the exit maps hold the free coordinates, which each candidate
+            # assigns; fixed ones fill from the entry maps when first read
             ctx.entry_models = {idx: _ReadMap(m) for idx, m in entry.items()}
             ctx.args = _ReadArgs(args)
-        role_map = _ReadMap if recording else dict
-        exit_maps = {idx: role_map(m) for idx, m in entry.items()}
+            exit_maps = {idx: _ReadMap(m) for idx, m in entry.items()}
+        else:
+            exit_maps = {idx: dict(m) for idx, m in entry.items()}
         role_maps = [exit_maps[idx] for idx, _, _ in order]
         ctx.exit_models = exit_maps
         found = []
@@ -275,7 +289,7 @@ def completeness_probe(class_spec, routine, domain):
                     else:
                         if frame_error is not None:
                             raise ModelEvalError(frame_error)
-                        witness = {idx: dict(m) for idx, m in exit_maps.items()}
+                        witness = {idx: {**entry[idx], **m} for idx, m in exit_maps.items()}
                         found.append((witness, result))
                         if len(found) == 2:
                             return ProbeResult("incomplete", pre, found, checked, searched)
@@ -290,7 +304,7 @@ def completeness_probe(class_spec, routine, domain):
             continue
         # a fixed exit value is its entry value; a free one is a candidate
         coords = _reads(ctx.entry_models).union(_reads(exit_maps) - free)
-        arg_ks = ctx.args.reads
+        arg_ks = ctx.args.keys()
         if len(coords) == size and len(arg_ks) == len(args):
             unrecorded.add(shape)
             continue

@@ -14,7 +14,7 @@ defaults to the target role.
 from __future__ import annotations
 
 from mbcheck.errors import ModelEvalError, SpecError
-from mbcheck.values import as_int
+from mbcheck.values import INT, as_int
 
 TARGET = "target"
 ARG0 = "arg0"
@@ -38,10 +38,13 @@ class ModelCtx:
     target, k for reference argument k) to the role's model map;
     ``exit_models`` is None until the exit state exists. The ``_int`` forms
     also resolve a derived attribute over the role's map and convert a model
-    integer to an ``int``. The accessors read only those maps and ``args``,
-    so the probe can record reads in the data it hands over. A subclass
-    supplies ``_spec`` (the class spec of a role index), ``obj``,
-    ``arg_is_target``, ``self_id`` and ``arg_id``.
+    integer to an ``int``. Each accessor reads a query with one subscript,
+    ``models[role_index[role]][qname]``; only when that raises ``KeyError``
+    does it work out whether the role or the query is missing, and only then
+    do the ``_int`` forms look for a derivation. The accessors read only those
+    maps and ``args``, by subscript, so the probe can record reads in the data
+    it hands over. A subclass supplies ``_spec`` (the class spec of a role
+    index), ``obj``, ``arg_is_target``, ``self_id`` and ``arg_id``.
     """
 
     __slots__ = ("role_index", "entry_models", "exit_models", "args", "arg_cos", "result")
@@ -55,33 +58,47 @@ class ModelCtx:
         except KeyError:
             raise ModelEvalError("no model state for role %s" % role) from None
 
+    def _not_found(self, models, qname, role):
+        """The error for a failed lookup of ``qname`` in ``role``'s map."""
+        self._map(models, role)
+        return ModelEvalError("%s is not a model query of role %s" % (qname, role))
+
     def old(self, qname, role=TARGET):
-        v = self._map(self.entry_models, role).get(qname)
-        if v is None:
-            raise ModelEvalError("%s is not a model query of role %s" % (qname, role))
-        return v
+        try:
+            return self.entry_models[self.role_index[role]][qname]
+        except KeyError:
+            raise self._not_found(self.entry_models, qname, role) from None
 
     def now(self, qname, role=TARGET):
-        if self.exit_models is None:
+        models = self.exit_models
+        if models is None:
             raise ModelEvalError(NO_EXIT_STATE)
-        v = self._map(self.exit_models, role).get(qname)
-        if v is None:
-            raise ModelEvalError("%s is not a model query of role %s" % (qname, role))
-        return v
+        try:
+            return models[self.role_index[role]][qname]
+        except KeyError:
+            raise self._not_found(models, qname, role) from None
 
     def _resolve(self, models, qname, role):
+        try:
+            v = models[self.role_index[role]][qname]
+        except KeyError:
+            v = self._derive(models, qname, role)
+        if type(v) is tuple:
+            return v[1] if v[0] == INT else as_int(v)
+        return v
+
+    def _derive(self, models, qname, role):
+        """``qname`` as a derived attribute over ``role``'s map, which holds
+        no query of that name."""
         m = self._map(models, role)
-        v = m.get(qname)
-        if v is None:
-            spec = self._spec(self.role_index[role])
-            deriv = spec.attr_derivations.get(qname)
-            if deriv is None:
-                raise ModelEvalError(
-                    "%s is neither a model query nor a derived attribute of %s"
-                    % (qname, spec.name)
-                )
-            v = deriv(m)
-        return as_int(v) if type(v) is tuple else v
+        spec = self._spec(self.role_index[role])
+        deriv = spec.attr_derivations.get(qname)
+        if deriv is None:
+            raise ModelEvalError(
+                "%s is neither a model query nor a derived attribute of %s"
+                % (qname, spec.name)
+            ) from None
+        return deriv(m)
 
     def old_int(self, qname, role=TARGET):
         return self._resolve(self.entry_models, qname, role)
@@ -250,8 +267,10 @@ class ClassSpec:
     ``attr_derivations`` maps derived attribute names (such as ``count``) to
     functions over a role's model map; ``ModelCtx.old_int``/``now_int`` run
     one when a predicate names no model query, at run time and in the probe
-    alike. A derivation reads the map by subscript or ``get`` only, so the
-    probe records just the queries it reads.
+    alike. A derivation reads the map by subscript, ``get`` or ``in`` only,
+    never by iterating it or taking its length: the probe hands it a map
+    that holds just the queries read so far and copies each other one in on
+    its first lookup, which is how it records the queries read.
     ``consistency_probe`` is an optional concrete-state predicate used by the
     harness for fault classification bookkeeping only. ``size_of`` reports an
     object's size for the pool's discard heuristic. ``depend_gated`` is true

@@ -6,7 +6,9 @@ container bindings and over contracts built to defeat the skipping."""
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -28,7 +30,7 @@ from mbcheck.engine import (
     pred,
     ref_param,
 )
-from mbcheck.engine.completeness import AbstractCtx, ProbeResult
+from mbcheck.engine.completeness import AbstractCtx, ProbeResult, _ReadArgs, _ReadMap
 from mbcheck.engine.specs import NO_EXIT_STATE, ModelCtx
 from mbcheck.errors import ConfigError, ModelEvalError
 
@@ -343,10 +345,30 @@ def test_both_contexts_read_and_refuse_alike():
     co = engine.create(spec)
     routine = spec.routines["finish"]
     entry = {-1: {q.name: q.evaluate(co.concrete) for q in spec.model}}
+    # finish moves the cursor; the exit state differs from the entry there
+    moved = {"index": V.integer(1)}
+    exit_ = {-1: {**entry[-1], **moved}}
+
+    def recording_exit():
+        # as a recording search holds it: only the free coordinate assigned
+        m = _ReadMap(entry[-1])
+        m.update(moved)
+        return {-1: m}
+
+    # each read gets a fresh context, so a get or an in is the recording
+    # maps' first lookup of its query
     contexts = (
-        CallCtx(engine, co, routine, (), [], entry),
-        AbstractCtx(routine.role_index, {-1: spec}, entry, {}, ()),
+        lambda: CallCtx(engine, co, routine, (), [], entry),
+        lambda: AbstractCtx(routine.role_index, {-1: spec}, entry, {}, ()),
+        lambda: AbstractCtx(
+            routine.role_index,
+            {-1: spec},
+            {-1: _ReadMap(entry[-1])},
+            {},
+            _ReadArgs(()),
+        ),
     )
+    exits = (lambda: exit_, lambda: exit_, recording_exit)
 
     def answer(ctx, read):
         try:
@@ -354,7 +376,7 @@ def test_both_contexts_read_and_refuse_alike():
         except ModelEvalError as e:
             return "ModelEvalError: %s" % e
 
-    reads = [
+    entry_reads = [
         lambda ctx: ctx.old("sequence"),
         lambda ctx: ctx.old_int("count"),
         lambda ctx: ctx.old("count"),
@@ -362,17 +384,72 @@ def test_both_contexts_read_and_refuse_alike():
         lambda ctx: ctx.old("index", ARG0),
         lambda ctx: ctx.now("index"),
         lambda ctx: ctx.now_int("index"),
+        lambda ctx: ctx.entry_models[-1].get("index"),
+        lambda ctx: ctx.entry_models[-1].get("lower", "absent"),
+        lambda ctx: "sequence" in ctx.entry_models[-1],
+        lambda ctx: "lower" in ctx.entry_models[-1],
     ]
-    answers = [[answer(ctx, read) for read in reads] for ctx in contexts]
-    assert answers[0] == answers[1]
-    assert answers[0][1:] == [
+    exit_reads = [
+        lambda ctx: ctx.now("index"),
+        lambda ctx: ctx.now("sequence"),
+        lambda ctx: ctx.now_int("index"),
+        lambda ctx: ctx.now_int("count"),
+        lambda ctx: ctx.now("count"),
+        lambda ctx: ctx.now_int("lower"),
+        lambda ctx: ctx.now("index", ARG0),
+        lambda ctx: ctx.exit_models[-1].get("sequence"),
+        lambda ctx: ctx.exit_models[-1].get("lower", "absent"),
+        lambda ctx: "sequence" in ctx.exit_models[-1],
+        lambda ctx: "lower" in ctx.exit_models[-1],
+    ]
+
+    def answers(make, make_exit):
+        out = [answer(make(), read) for read in entry_reads]
+        for read in exit_reads:
+            ctx = make()
+            ctx.exit_models = make_exit()
+            out.append(answer(ctx, read))
+        return out
+
+    got = [answers(make, make_exit) for make, make_exit in zip(contexts, exits)]
+    assert got[0] == got[1] == got[2]
+    empty = V.EMPTY_SEQ
+    assert got[0][1:] == [
         0,
         "ModelEvalError: count is not a model query of role target",
         "ModelEvalError: lower is neither a model query nor a derived attribute of cursor_list",
         "ModelEvalError: no model state for role arg0",
         "ModelEvalError: " + NO_EXIT_STATE,
         "ModelEvalError: " + NO_EXIT_STATE,
+        V.integer(0),
+        "absent",
+        True,
+        False,
+        V.integer(1),
+        empty,
+        1,
+        0,
+        "ModelEvalError: count is not a model query of role target",
+        "ModelEvalError: lower is neither a model query nor a derived attribute of cursor_list",
+        "ModelEvalError: no model state for role arg0",
+        empty,
+        "absent",
+        True,
+        False,
     ]
+
+
+def test_recording_map_keeps_what_was_read():
+    src = {"n": V.integer(1), "cap": V.integer(2)}
+    m = _ReadMap(src)
+    assert m.get("lower") is None and "lower" not in m and m.get("lower", 7) == 7
+    assert not m  # a miss records nothing
+    assert "cap" in m and set(m) == {"cap"}
+    assert m.get("n") == V.integer(1) and set(m) == {"cap", "n"}
+    m["n"] = V.integer(0)  # a free coordinate, assigned, shadows the source
+    assert m["n"] == m.get("n") == V.integer(0) and src["n"] == V.integer(1)
+    args = _ReadArgs((5, None, 7))
+    assert args[2] == 7 and args[1] is None and sorted(args) == [1, 2]
 
 
 # --- sequence-valued coordinates over the toy binding ---------------------
@@ -597,6 +674,20 @@ def test_role_by_role_search_matches_flat_search(class_name, bound):
         assert got == want, key
 
 
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+@pytest.mark.parametrize("unique", [False, True])
+def test_domain_sequences_match_one_element_at_a_time(bound, unique):
+    max_len, alphabet, _, value_len = BOUNDS[bound]
+    dom = SequenceDomain({}, max_len=max_len, alphabet=alphabet, unique=unique, value_len=value_len)
+    for n, got in ((max_len, dom.pre_seqs), (value_len or 2 * max_len, dom.value_seqs)):
+        want = [
+            s
+            for s in all_seqs(n, alphabet)
+            if not unique or len(set(V.seq_items(s))) == V.seq_count(s)
+        ]
+        assert got == want
+
+
 def count_calls(monkeypatch, objs, counts, record=None):
     """Wrap each ``obj.fn`` to count its calls under ``counts[obj.name]``."""
     for obj in objs:
@@ -664,6 +755,170 @@ def test_invariants_run_once_per_role_candidate(class_name, monkeypatch):
     assert figures == {k for k in SEARCHED if k.startswith(class_name + ".")}
 
 
+def search_figures(bound):
+    """``(pre_states_searched, pre_states_checked)`` of every probe task at
+    ``bound``, or the text of the probe's refusal."""
+    out = {}
+    for class_name in SEQUENCE_CLASSES:
+        for key, strong, routine, dom in sequence_tasks(class_name, bound):
+            try:
+                res = completeness_probe(strong, routine, dom)
+            except ConfigError as e:
+                out[key] = str(e)
+            else:
+                out[key] = (res.pre_states_searched, res.pre_states_checked)
+    return out
+
+
+# what every search reads decides which later pre-states it settles, so
+# these figures change whenever a recording change alters any search's read
+# set. Measured before the recording maps filled on demand; the sha256 covers
+# all three BOUNDS, as json.dumps({bound: figures}, sort_keys=True).
+SEARCH_FIGURES_SHA256 = "d6eb2a9c0e577c98059613731a5509300261490a9540d8bebb2112b74e7d5d27"
+SEARCH_FIGURES_LEN3_ABC2 = {
+    "array_stack.is_empty.strong": (15, 15),
+    "array_stack.is_empty.weak": (1, 1),
+    "array_stack.pop.strong": (14, 14),
+    "array_stack.pop.weak": (3, 3),
+    "array_stack.push.strong": (30, 30),
+    "array_stack.push.weak": (1, 1),
+    "array_stack.top.strong": (14, 14),
+    "array_stack.top.weak": (1, 1),
+    "array_stack.wipe_out.strong": (1, 15),
+    "array_stack.wipe_out.weak": (1, 15),
+    "cursor_list.back.strong": (10, 49),
+    "cursor_list.back.weak": (1, 1),
+    "cursor_list.extend.strong": (98, 128),
+    "cursor_list.extend.weak": (1, 1),
+    "cursor_list.finish.strong": (15, 64),
+    "cursor_list.finish.weak": (1, 1),
+    "cursor_list.forth.strong": (10, 49),
+    "cursor_list.forth.weak": (1, 1),
+    "cursor_list.go_i_th.strong": (14, 286),
+    "cursor_list.go_i_th.weak": (1, 1),
+    "cursor_list.has.strong": (30, 128),
+    "cursor_list.has.weak": (1, 1),
+    "cursor_list.is_equal.strong": (225, 4096),
+    "cursor_list.is_equal.weak": (1, 1),
+    "cursor_list.item.strong": (34, 34),
+    "cursor_list.item.weak": (1, 1),
+    "cursor_list.merge_right.strong": (735, 3136),
+    "cursor_list.merge_right.weak": (1, 1),
+    "cursor_list.off.strong": (50, 64),
+    "cursor_list.off.weak": (1, 1),
+    "cursor_list.remove.strong": (34, 34),
+    "cursor_list.remove.weak": (1, 1),
+    "cursor_list.replace.strong": (68, 68),
+    "cursor_list.replace.weak": (1, 1),
+    "cursor_list.start.strong": (4, 64),
+    "cursor_list.start.weak": (1, 1),
+    "cursor_list.wipe_out.strong": (1, 64),
+    "cursor_list.wipe_out.weak": (1, 64),
+    "cursor_set.extend.strong": (22, 32),
+    "cursor_set.extend.weak":
+        "cursor_set.extend postcondition is not abstractly evaluable: concrete "
+        "state is not available on abstract states",
+    "cursor_set.forth.strong": (6, 11),
+    "cursor_set.forth.weak": (1, 1),
+    "cursor_set.has.strong": (10, 32),
+    "cursor_set.has.weak": (1, 1),
+    "cursor_set.is_equal.strong": (25, 256),
+    "cursor_set.is_equal.weak": (1, 1),
+    "cursor_set.item.strong": (6, 6),
+    "cursor_set.item.weak": (1, 1),
+    "cursor_set.off.strong": (12, 16),
+    "cursor_set.off.weak": (1, 1),
+    "cursor_set.remove.strong": (1, 1),
+    "cursor_set.remove.weak":
+        "cursor_set.remove postcondition is not abstractly evaluable: concrete "
+        "state is not available on abstract states",
+    "cursor_set.replace.strong":
+        "cursor_set.replace postcondition is not abstractly evaluable: sequence"
+        " position 0 outside 1..1",
+    "cursor_set.replace.weak":
+        "cursor_set.replace postcondition is not abstractly evaluable: concrete"
+        " state is not available on abstract states",
+    "cursor_set.start.strong": (3, 16),
+    "cursor_set.start.weak": (1, 1),
+    "cursor_set.wipe_out.strong": (1, 16),
+    "cursor_set.wipe_out.weak": (1, 16),
+    "resizable_array.force.strong":
+        "resizable_array.force postcondition is not abstractly evaluable: lower"
+        " is neither a model query nor a derived attribute of resizable_array",
+    "resizable_array.force.weak":
+        "resizable_array.force postcondition is not abstractly evaluable: "
+        "concrete state is not available on abstract states",
+    "resizable_array.item.strong":
+        "resizable_array.item precondition is not abstractly evaluable: lower "
+        "is neither a model query nor a derived attribute of resizable_array",
+    "resizable_array.item.weak":
+        "resizable_array.item precondition is not abstractly evaluable: lower "
+        "is neither a model query nor a derived attribute of resizable_array",
+    "resizable_array.item_count.strong":
+        "resizable_array.item_count postcondition is not abstractly evaluable: "
+        "target.lower is not in the model map",
+    "resizable_array.item_count.weak": (1, 1),
+    "resizable_array.put.strong":
+        "resizable_array.put precondition is not abstractly evaluable: lower is"
+        " neither a model query nor a derived attribute of resizable_array",
+    "resizable_array.put.weak":
+        "resizable_array.put precondition is not abstractly evaluable: lower is"
+        " neither a model query nor a derived attribute of resizable_array",
+    "resizable_array.wipe_out.strong":
+        "resizable_array.wipe_out postcondition is not abstractly evaluable: "
+        "lower is neither a model query nor a derived attribute of "
+        "resizable_array",
+    "resizable_array.wipe_out.weak":
+        "resizable_array.wipe_out postcondition is not abstractly evaluable: "
+        "lower is neither a model query nor a derived attribute of "
+        "resizable_array",
+    "ring_queue.is_empty.strong": (15, 15),
+    "ring_queue.is_empty.weak": (1, 1),
+    "ring_queue.item.strong": (14, 14),
+    "ring_queue.item.weak": (1, 1),
+    "ring_queue.put.strong": (30, 30),
+    "ring_queue.put.weak": (1, 1),
+    "ring_queue.remove.strong": (14, 14),
+    "ring_queue.remove.weak": (3, 3),
+    "ring_queue.wipe_out.strong": (1, 15),
+    "ring_queue.wipe_out.weak": (1, 15),
+    "two_way_list.back.strong": (10, 49),
+    "two_way_list.back.weak": (1, 1),
+    "two_way_list.extend.strong": (98, 128),
+    "two_way_list.extend.weak": (1, 1),
+    "two_way_list.finish.strong": (15, 64),
+    "two_way_list.finish.weak": (1, 1),
+    "two_way_list.forth.strong": (10, 49),
+    "two_way_list.forth.weak": (1, 1),
+    "two_way_list.go_i_th.strong": (14, 286),
+    "two_way_list.go_i_th.weak": (1, 1),
+    "two_way_list.has.strong": (30, 128),
+    "two_way_list.has.weak": (1, 1),
+    "two_way_list.item.strong": (34, 34),
+    "two_way_list.item.weak": (1, 1),
+    "two_way_list.off.strong": (50, 64),
+    "two_way_list.off.weak": (1, 1),
+    "two_way_list.put_front.strong": (98, 128),
+    "two_way_list.put_front.weak": (1, 1),
+    "two_way_list.remove.strong": (34, 34),
+    "two_way_list.remove.weak": (1, 1),
+    "two_way_list.replace.strong": (68, 68),
+    "two_way_list.replace.weak": (1, 1),
+    "two_way_list.start.strong": (4, 64),
+    "two_way_list.start.weak": (1, 1),
+    "two_way_list.wipe_out.strong": (1, 64),
+    "two_way_list.wipe_out.weak": (1, 64),
+}
+
+
+def test_every_search_reads_as_pinned():
+    figures = {bound: search_figures(bound) for bound in sorted(BOUNDS)}
+    assert figures["len3-abc2"] == SEARCH_FIGURES_LEN3_ABC2
+    assert SEARCHED == {k: SEARCH_FIGURES_LEN3_ABC2[k] for k in SEARCHED}
+    blob = json.dumps(figures, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SEARCH_FIGURES_SHA256
+
+
 # --- pre-states decided by an earlier search --------------------------------
 #
 # Each contract below is complete on the early pre-states and ambiguous on a
@@ -716,6 +971,26 @@ def _fill_by_room():
     ), None, {"room": lambda m: V.integer(V.as_int(m["cap"]) - V.as_int(m["n"]))}
 
 
+def _fill_by_room_through_get():
+    # as _fill_by_room, with the derived attribute reading by ``get`` and the
+    # clause testing ``in`` on the exit map, where "cap" is fixed and so not
+    # yet copied in: a map answering for its own keys alone admits nothing
+    def filled(ctx):
+        if "cap" not in ctx.exit_models[-1]:
+            return False
+        if ctx.old_int("room"):
+            return ctx.now_int("n") == 0
+        return ctx.now_int("n") <= 1
+
+    return RoutineSpec(
+        "fill_by_room_through_get",
+        [],
+        lambda o: None,
+        post=[pred("filled", filled)],
+        modify=("n",),
+    ), None, {"room": lambda m: V.integer(V.as_int(m.get("cap")) - V.as_int(m.get("n")))}
+
+
 def _step_or_loosen():
     # reads only the free coordinate n at entry
     return RoutineSpec(
@@ -764,7 +1039,15 @@ def _any_result():
 
 
 @pytest.mark.parametrize(
-    "contract", [_drain_into, _fill_by_room, _step_or_loosen, _small_n, _any_result]
+    "contract",
+    [
+        _drain_into,
+        _fill_by_room,
+        _fill_by_room_through_get,
+        _step_or_loosen,
+        _small_n,
+        _any_result,
+    ],
 )
 def test_decided_pre_states_match_flat_search(contract):
     r, domain, derivations = contract()

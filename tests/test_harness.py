@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from mbcheck.containers import domains
 from mbcheck.containers.domains import SequenceDomain
 from mbcheck.errors import ConfigError
 from mbcheck.harness import (
@@ -537,6 +538,21 @@ def test_cli_probe_rejects_empty_bounds(capsys, bound):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "at least 1" in captured.err
     assert "admissible" not in captured.out
+
+
+def test_cli_probe_rejects_bounds_too_large_to_enumerate(capsys, monkeypatch):
+    # --max-len 8 --alphabet 4 asks for value sequences up to 16 elements,
+    # about 5.7e9 of them; the domain must refuse before building any
+    def no_enumeration(*a, **kw):
+        raise AssertionError("sequences enumerated")
+
+    monkeypatch.setattr(domains, "_all_seqs", no_enumeration)
+    argv = ["probe", "--class", "cursor_list", "--routine", "merge_right",
+            "--max-len", "8", "--alphabet", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "candidate sequences" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_probe_refuses_frame_over_missing_query(capsys):
