@@ -7,7 +7,9 @@ runs ``--repeats`` times; the median CPU time (``time.process_time``) is
 printed per task, largest first, with its share of the summed medians.
 
 A last, separate run wraps the clauses to count evaluations: model-kind
-invariants (the candidate filter) and postconditions. Derived frame
+invariants (the candidate filter), postconditions tested on a candidate,
+and the ``expected`` side of defining clauses, which the probe evaluates
+once per search to solve the clause (layer ``solved``). Derived frame
 predicates are decided once per pre-state shape, not run per candidate, so
 they have no layer here. It also sums the pre-states that pass the
 precondition and those of them whose post-states were searched, not decided
@@ -95,6 +97,10 @@ def count_evaluations(all_tasks):
                 if id(obj) not in wrapped:
                     wrapped.add(id(obj))
                     obj.fn = counted(obj.fn, layer)
+                    definition = getattr(obj, "definition", None)
+                    if definition is not None:
+                        role, query, expected = definition
+                        obj.definition = (role, query, counted(expected, "solved"))
     for _, c, strong, routine in all_tasks:
         _, res = run_task(c, strong, routine)
         if res is not None:
@@ -128,7 +134,7 @@ def main():
     for key in sorted(medians, key=lambda k: (-medians[k], k)):
         print("%-42s %8.4f s %5.1f%%  %s" % (key, medians[key], 100 * medians[key] / total, outcomes[key]))
     counts = count_evaluations(all_tasks)
-    for layer in ("invariant", "post"):
+    for layer in ("invariant", "post", "solved"):
         print("%s evaluations per pass: %d" % (layer, counts.get(layer, 0)))
     print(
         "pre-states searched per pass: %d of %d checked"

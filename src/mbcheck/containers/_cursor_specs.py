@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import mbcheck.values as V
 from mbcheck.containers._shared import chain_items, item_value
-from mbcheck.engine import ARG0, InvariantClause, ModelQuery, pred
+from mbcheck.engine import ARG0, InvariantClause, ModelQuery, defines, pred
 
 
 def linked_model(level):
@@ -100,15 +100,17 @@ INDEX_UNCHANGED = pred(
 )
 
 # strong postconditions over a "sequence" model and an "index" cursor
-REMOVED = pred(
+REMOVED = defines(
     "removed",
-    lambda ctx: ctx.now("sequence")
-    == V.seq_removed_at(ctx.old("sequence"), ctx.old_int("index")),
+    "sequence",
+    lambda ctx: V.seq_removed_at(ctx.old("sequence"), ctx.old_int("index")),
 )
-REPLACED = pred(
+REPLACED = defines(
     "replaced",
-    lambda ctx: ctx.now("sequence")
-    == V.seq_replaced_at(ctx.old("sequence"), ctx.old_int("index"), item_value(ctx.arg(0))),
+    "sequence",
+    lambda ctx: V.seq_replaced_at(
+        ctx.old("sequence"), ctx.old_int("index"), item_value(ctx.arg(0))
+    ),
 )
 REPORTS_ITEM = pred(
     "reports_item",

@@ -15,7 +15,7 @@ level only, each routine's frame (``modify``).
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.engine import ClassSpec, RoutineSpec, pred
+from mbcheck.engine import ClassSpec, RoutineSpec, defines, pred
 from mbcheck.errors import SpecError
 
 
@@ -35,10 +35,10 @@ COUNT_ZERO = pred("count_zero", lambda ctx: ctx.now_int("count") == 0)
 # clauses of the strong bindings over a "sequence" model, which derive the
 # weak level's count from it
 SEQUENCE_COUNT = {"count": lambda m: V.integer(V.seq_count(m["sequence"]))}
-APPENDED = pred(
+APPENDED = defines(
     "appended",
-    lambda ctx: ctx.now("sequence")
-    == V.seq_extended(ctx.old("sequence"), item_value(ctx.arg(0))),
+    "sequence",
+    lambda ctx: V.seq_extended(ctx.old("sequence"), item_value(ctx.arg(0))),
 )
 EMPTIED = pred("emptied", lambda ctx: V.seq_is_empty(ctx.now("sequence")))
 

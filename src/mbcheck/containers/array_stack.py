@@ -15,7 +15,7 @@ from mbcheck.containers._shared import (
     RoutineDecl,
     item_value,
 )
-from mbcheck.engine import ModelQuery, item_param, pred
+from mbcheck.engine import ModelQuery, defines, item_param, pred
 
 CLASS_NAME = "array_stack"
 
@@ -68,10 +68,10 @@ def build(level, bugs=frozenset()):
             post={
                 "push": [APPENDED],
                 "pop": [
-                    pred(
+                    defines(
                         "shrunk",
-                        lambda ctx: ctx.now("sequence")
-                        == V.seq_front(
+                        "sequence",
+                        lambda ctx: V.seq_front(
                             ctx.old("sequence"), V.seq_count(ctx.old("sequence")) - 1
                         ),
                     )

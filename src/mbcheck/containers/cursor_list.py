@@ -9,7 +9,15 @@ only the representation invariant dereferences it.
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.engine import ARG0, InvariantClause, index_param, item_param, pred, ref_param
+from mbcheck.engine import (
+    ARG0,
+    InvariantClause,
+    defines,
+    index_param,
+    item_param,
+    pred,
+    ref_param,
+)
 from mbcheck.errors import ConfigError
 
 from mbcheck.containers._shared import (
@@ -189,11 +197,10 @@ DECL = ClassDecl(
 def _spliced(ctx):
     s = ctx.old("sequence")
     i = ctx.old_int("index")
-    expected = V.seq_concat(
+    return V.seq_concat(
         V.seq_concat(V.seq_front(s, i), ctx.old("sequence", ARG0)),
         V.seq_tail(s, i + 1),
     )
-    return ctx.now("sequence") == expected
 
 
 def build(level, bugs=frozenset(), redundant_index_clause=False):
@@ -202,7 +209,7 @@ def build(level, bugs=frozenset(), redundant_index_clause=False):
             "option redundant_index_clause applies only at level strong, not %s" % level
         )
     if level == "strong":
-        merge_post = [pred("spliced", _spliced)]
+        merge_post = [defines("spliced", "sequence", _spliced)]
         if redundant_index_clause:
             merge_post.append(INDEX_UNCHANGED)
         return DECL.spec(

@@ -9,7 +9,7 @@ the same element (or its successor).
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.engine import ARG0, InvariantClause, item_param, pred, ref_param
+from mbcheck.engine import ARG0, InvariantClause, defines, item_param, pred, ref_param
 
 from mbcheck.containers._shared import (
     COUNT_ZERO,
@@ -153,8 +153,7 @@ def _no_duplicates(o):
 def _extended(ctx):
     s = ctx.old("sequence")
     v = item_value(ctx.arg(0))
-    expected = s if V.seq_has(s, v) else V.seq_extended(s, v)
-    return ctx.now("sequence") == expected
+    return s if V.seq_has(s, v) else V.seq_extended(s, v)
 
 
 def _replaced_element(ctx):
@@ -169,8 +168,7 @@ def _value_removed(ctx):
     s = ctx.old("sequence")
     v = item_value(ctx.arg(0))
     pos = _first_position(s, v)
-    expected = V.seq_removed_at(s, pos) if pos else s
-    return ctx.now("sequence") == expected
+    return V.seq_removed_at(s, pos) if pos else s
 
 
 DECL = ClassDecl(
@@ -222,7 +220,7 @@ def build(level, bugs=frozenset()):
             attr_derivations=SEQUENCE_COUNT,
             post={
                 **motion,
-                "extend": [pred("extended", _extended)],
+                "extend": [defines("extended", "sequence", _extended)],
                 "replace": [
                     pred("replaced_element", _replaced_element),
                     pred(
@@ -231,7 +229,7 @@ def build(level, bugs=frozenset()):
                         == item_value(ctx.arg(0)),
                     ),
                 ],
-                "remove": [pred("value_removed", _value_removed)],
+                "remove": [defines("value_removed", "sequence", _value_removed)],
                 "wipe_out": [EMPTIED, MOTION_POST["cursor_reset"]],
                 "has": [
                     pred(

@@ -17,7 +17,7 @@ from mbcheck.containers._shared import (
     RoutineDecl,
     item_value,
 )
-from mbcheck.engine import ModelQuery, index_param, item_param, pred
+from mbcheck.engine import ModelQuery, defines, index_param, item_param, pred
 
 CLASS_NAME = "resizable_array"
 
@@ -133,10 +133,10 @@ def build(level, bugs=frozenset()):
             attr_derivations=SEQUENCE_COUNT,
             post={
                 "put": [
-                    pred(
+                    defines(
                         "stored",
-                        lambda ctx: ctx.now("sequence")
-                        == V.seq_replaced_at(
+                        "sequence",
+                        lambda ctx: V.seq_replaced_at(
                             ctx.old("sequence"),
                             ctx.arg(1) - ctx.old_int("lower") + 1,
                             item_value(ctx.arg(0)),

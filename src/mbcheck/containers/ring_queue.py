@@ -19,7 +19,7 @@ from mbcheck.containers._shared import (
     RoutineDecl,
     item_value,
 )
-from mbcheck.engine import InvariantClause, ModelQuery, item_param, pred
+from mbcheck.engine import InvariantClause, ModelQuery, defines, item_param, pred
 
 CLASS_NAME = "ring_queue"
 
@@ -109,10 +109,10 @@ def build(level, bugs=frozenset()):
             post={
                 "put": [APPENDED],
                 "remove": [
-                    pred(
+                    defines(
                         "dropped_front",
-                        lambda ctx: ctx.now("sequence")
-                        == V.seq_tail(ctx.old("sequence"), 2),
+                        "sequence",
+                        lambda ctx: V.seq_tail(ctx.old("sequence"), 2),
                     )
                 ],
                 "wipe_out": [EMPTIED],

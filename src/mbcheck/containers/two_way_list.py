@@ -9,7 +9,7 @@ buys.
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.engine import InvariantClause, index_param, item_param, pred
+from mbcheck.engine import InvariantClause, defines, index_param, item_param, pred
 
 from mbcheck.containers._shared import (
     APPENDED,
@@ -182,10 +182,10 @@ def build(level, bugs=frozenset()):
                 **MOTION,
                 "extend": [APPENDED],
                 "put_front": [
-                    pred(
+                    defines(
                         "prefixed",
-                        lambda ctx: ctx.now("sequence")
-                        == V.seq_concat(
+                        "sequence",
+                        lambda ctx: V.seq_concat(
                             V.sequence([item_value(ctx.arg(0))]), ctx.old("sequence")
                         ),
                     )

@@ -79,17 +79,15 @@ class _ReadMap(dict):
         return v
 
     def get(self, q, default=None):
-        try:
+        if q in self.src:
             return self[q]
-        except KeyError:
-            return default
+        return dict.get(self, q, default)
 
     def __contains__(self, q):
-        try:
-            self[q]
-        except KeyError:
-            return False
-        return True
+        if q in self.src:
+            self[q]  # a test for presence reads the query too
+            return True
+        return dict.__contains__(self, q)
 
 
 class _ReadArgs(dict):
@@ -156,6 +154,27 @@ def completeness_probe(class_spec, routine, domain):
     with the other roles. Combinations are then taken in the order of the
     flat product over (role, query) coordinates, target first, then
     arguments in ascending order, queries in role-map order.
+
+    Defining clauses (``defines``) are solved, not tested per candidate.
+    A search takes the leading run of the routine's postconditions that are
+    defining clauses over free coordinates (no run when the routine returns
+    a value, which ``expected`` could read), evaluates each ``expected``
+    once over the entry state, and keeps, in order, the candidates of that
+    coordinate's role whose value there equals it. The search then gives
+    what testing every candidate gives, because:
+
+    - a dropped candidate would have failed the first clause of the run it
+      does not match, before any later clause ran, so it admits nothing and
+      raises nothing; the kept ones are tested in their original order;
+    - ``expected`` reads only the entry state and the arguments, through the
+      same recording maps, so solving reads what testing it read; a clause
+      of the run reads no exit coordinate but its own, which is free;
+    - if ``expected`` raises, solving stops and leaves the lists as the
+      clauses before it left them, so the search raises where testing every
+      candidate raises (or, had ``expected`` read the exit state, runs as
+      that does); an empty list admits nothing either way;
+    - a stored search is keyed by the lists before solving, which with what
+      ``expected`` read decide the lists after it.
 
     Derived frame predicates are not run per candidate: ``_layout`` decides
     them once per role-map shape, and a shape where one would raise ends
@@ -236,7 +255,7 @@ def completeness_probe(class_spec, routine, domain):
         layout = layouts.get(shape)
         if layout is None:
             layout = layouts[shape] = _layout(shape, routine)
-        order, free, frame_error, size = layout
+        order, free, frame_error, size, solved = layout
 
         role_lists = []
         list_numbers = []
@@ -274,6 +293,8 @@ def completeness_probe(class_spec, routine, domain):
             exit_maps = {idx: _ReadMap(m) for idx, m in entry.items()}
         else:
             exit_maps = {idx: dict(m) for idx, m in entry.items()}
+        if solved:
+            _solve(ctx, solved, role_lists)
         role_maps = [exit_maps[idx] for idx, _, _ in order]
         ctx.exit_models = exit_maps
         found = []
@@ -337,7 +358,11 @@ def _layout(shape, routine):
       predicate compares a fixed coordinate with its own entry value, so it
       holds when the coordinate is in the shape or its argument role is
       absent, and raises otherwise;
-    - the number of coordinates."""
+    - the number of coordinates;
+    - the leading run of the routine's postconditions that are defining
+      clauses over free coordinates, as ``(search slot, position in the
+      slot's free queries, expected)``; none for a routine that returns a
+      value."""
     modified = None if routine.modify is None else set(routine.modify)
     out = []
     for idx, qnames in sorted(shape, key=lambda s: (s[0] != -1, s[0])):
@@ -357,7 +382,34 @@ def _layout(shape, routine):
             frame_error = "%s.%s is not in the model map" % (role, qname)
             break
     free = frozenset((idx, q) for idx, role_free, _ in out for q in role_free)
-    return out, free, frame_error, sum(len(qnames) for _, qnames in shape)
+    slots = {idx: (slot, role_free) for slot, (idx, role_free, _) in enumerate(out)}
+    solved = []
+    if not routine.returns_value:  # expected could read a result
+        for p in routine.post:
+            if p.definition is None:
+                break
+            role, qname, expected = p.definition
+            slot = slots.get(routine.role_index.get(role))
+            if slot is None or qname not in slot[1]:
+                break
+            solved.append((slot[0], slot[1].index(qname), expected))
+    size = sum(len(qnames) for _, qnames in shape)
+    return out, free, frame_error, size, tuple(solved)
+
+
+def _solve(ctx, solved, role_lists):
+    """Narrow ``role_lists`` by the defining clauses in ``solved``: each
+    keeps, in order, the candidates of its search slot whose value at its
+    query equals ``expected`` over the entry state (``ctx`` has no exit
+    state yet). Stops at the first ``expected`` that raises."""
+    for slot, pos, expected in solved:
+        try:
+            want = expected(ctx)
+        except Exception:
+            # the search raises it where the flat search does, or, if
+            # expected read the exit state, runs as the flat search does
+            return
+        role_lists[slot] = [a for a in role_lists[slot] if a[pos][1] == want]
 
 
 def _role_candidates(m, free, lists, invariants):

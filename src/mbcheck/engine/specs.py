@@ -29,6 +29,12 @@ def arg_role(k: int) -> str:
 # precondition asks for the exit state
 NO_EXIT_STATE = "exit state is not available in a precondition"
 
+_ABSENT = object()  # what a role map's ``get`` returns for a query it lacks
+
+
+def _no_model_state(role):
+    return ModelEvalError("no model state for role %s" % role)
+
 
 class ModelCtx:
     """The model accessors of a predicate context, shared by the runtime's
@@ -38,13 +44,15 @@ class ModelCtx:
     target, k for reference argument k) to the role's model map;
     ``exit_models`` is None until the exit state exists. The ``_int`` forms
     also resolve a derived attribute over the role's map and convert a model
-    integer to an ``int``. Each accessor reads a query with one subscript,
-    ``models[role_index[role]][qname]``; only when that raises ``KeyError``
-    does it work out whether the role or the query is missing, and only then
-    do the ``_int`` forms look for a derivation. The accessors read only those
-    maps and ``args``, by subscript, so the probe can record reads in the data
-    it hands over. A subclass supplies ``_spec`` (the class spec of a role
-    index), ``obj``, ``arg_is_target``, ``self_id`` and ``arg_id``.
+    integer to an ``int``. ``old`` and ``now`` read a query with one
+    subscript, ``models[role_index[role]][qname]``, and work out whether the
+    role or the query is missing only when that raises ``KeyError``. The
+    ``_int`` forms read it with the role map's ``get``, so a derived
+    attribute, which no map holds, is reached without raising. The accessors
+    read only those maps (by subscript and ``get``) and ``args`` (by
+    subscript), so the probe can record reads in the data it hands over. A
+    subclass supplies ``_spec`` (the class spec of a role index), ``obj``,
+    ``arg_is_target``, ``self_id`` and ``arg_id``.
     """
 
     __slots__ = ("role_index", "entry_models", "exit_models", "args", "arg_cos", "result")
@@ -56,7 +64,7 @@ class ModelCtx:
         try:
             return models[self.role_index[role]]
         except KeyError:
-            raise ModelEvalError("no model state for role %s" % role) from None
+            raise _no_model_state(role) from None
 
     def _not_found(self, models, qname, role):
         """The error for a failed lookup of ``qname`` in ``role``'s map."""
@@ -80,25 +88,22 @@ class ModelCtx:
 
     def _resolve(self, models, qname, role):
         try:
-            v = models[self.role_index[role]][qname]
+            m = models[self.role_index[role]]
         except KeyError:
-            v = self._derive(models, qname, role)
+            raise _no_model_state(role) from None
+        v = m.get(qname, _ABSENT)
+        if v is _ABSENT:
+            spec = self._spec(self.role_index[role])
+            deriv = spec.attr_derivations.get(qname)
+            if deriv is None:
+                raise ModelEvalError(
+                    "%s is neither a model query nor a derived attribute of %s"
+                    % (qname, spec.name)
+                )
+            v = deriv(m)
         if type(v) is tuple:
             return v[1] if v[0] == INT else as_int(v)
         return v
-
-    def _derive(self, models, qname, role):
-        """``qname`` as a derived attribute over ``role``'s map, which holds
-        no query of that name."""
-        m = self._map(models, role)
-        spec = self._spec(self.role_index[role])
-        deriv = spec.attr_derivations.get(qname)
-        if deriv is None:
-            raise ModelEvalError(
-                "%s is neither a model query nor a derived attribute of %s"
-                % (qname, spec.name)
-            ) from None
-        return deriv(m)
 
     def old_int(self, qname, role=TARGET):
         return self._resolve(self.entry_models, qname, role)
@@ -131,12 +136,13 @@ class ModelQuery:
 class NamedPred:
     """A named predicate over a call context."""
 
-    __slots__ = ("name", "fn", "frame_info")
+    __slots__ = ("name", "fn", "frame_info", "definition")
 
     def __init__(self, name, fn):
         self.name = name
         self.fn = fn
         self.frame_info = None  # (role index, query name) on derived frame preds
+        self.definition = None  # (role, query, expected) on defining clauses
 
     def __repr__(self):
         return "NamedPred(%s)" % self.name
@@ -144,6 +150,26 @@ class NamedPred:
 
 def pred(name, fn):
     return NamedPred(name, fn)
+
+
+def defines(name, query, expected, role=TARGET):
+    """A postcondition that fixes the exit value of one model query:
+    ``ctx.now(query, role) == expected(ctx)``.
+
+    ``expected`` computes that value from the entry state and the arguments
+    (``old``, ``old_int``, ``arg`` ...), never from the exit state or the
+    result. The runtime evaluates the clause as it does any predicate; the
+    completeness probe also solves it, keeping only the candidate exit values
+    equal to ``expected`` instead of testing every one (see
+    ``completeness_probe``).
+    """
+
+    def fn(ctx):
+        return ctx.now(query, role) == expected(ctx)
+
+    p = NamedPred(name, fn)
+    p.definition = (role, query, expected)
+    return p
 
 
 class InvariantClause:

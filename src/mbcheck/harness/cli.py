@@ -190,8 +190,15 @@ def _cmd_probe(args):
     )
     res = completeness_probe(strong, routine, dom)
     print(
-        "%s.%s [%s]: %s (%d pre-states)"
-        % (args.class_name, args.routine, args.level, res.verdict, res.pre_states_checked)
+        "%s.%s [%s]: %s (%d pre-states, %d searched)"
+        % (
+            args.class_name,
+            args.routine,
+            args.level,
+            res.verdict,
+            res.pre_states_checked,
+            res.pre_states_searched,
+        )
     )
     if res.verdict == "complete":
         return 0

@@ -25,6 +25,7 @@ from mbcheck.engine import (
     RoutineSpec,
     bind,
     completeness_probe,
+    defines,
     index_param,
     item_param,
     pred,
@@ -755,6 +756,29 @@ def test_invariants_run_once_per_role_candidate(class_name, monkeypatch):
     assert figures == {k for k in SEARCHED if k.startswith(class_name + ".")}
 
 
+def test_merge_right_postcondition_evaluations_as_pinned(monkeypatch):
+    # strong merge_right at the benchmark's probe bound (max_len 3, alphabet
+    # 2) makes 735 searches over 127 candidate sequences. Its defining clause
+    # is solved once per search and then tested on the one candidate left:
+    # 735 evaluations, where testing every candidate made 92,805
+    strong = build_class("cursor_list", "strong")
+    routine = strong.routines["merge_right"]
+    dom = SequenceDomain({"cursor_list": strong}, max_len=3, alphabet=2)
+    counts = collections.Counter()
+    count_calls(monkeypatch, routine.post, counts)
+    (spliced,) = routine.post
+    role, query, expected = spliced.definition
+
+    def counted(ctx):
+        counts["solved"] += 1
+        return expected(ctx)
+
+    monkeypatch.setattr(spliced, "definition", (role, query, counted))
+    res = completeness_probe(strong, routine, dom)
+    assert (res.verdict, res.pre_states_searched) == ("complete", 735)
+    assert counts == {"spliced": 735, "solved": 735}
+
+
 def search_figures(bound):
     """``(pre_states_searched, pre_states_checked)`` of every probe task at
     ``bound``, or the text of the probe's refusal."""
@@ -1058,6 +1082,212 @@ def test_decided_pre_states_match_flat_search(contract):
     want = outcome(reference_probe, spec, routine, domain)
     assert want[0] == "incomplete"
     assert outcome(completeness_probe, spec, routine, domain) == want
+
+
+# --- defining clauses, solved rather than tested per candidate -------------
+#
+# The probe solves the leading run of defining clauses over free coordinates
+# and tests only the candidates they admit. Each contract below puts a run
+# where solving it wrongly would show: a clause the run must not reach, an
+# ``expected`` that raises or reads the exit state, a value no candidate has.
+
+
+def _defined_after_a_raising_clause():
+    # the ordinary clause raises on candidate n == 2, which the defining
+    # clause would rule out were it solved first
+    return RoutineSpec(
+        "settle",
+        [],
+        lambda o: None,
+        post=[
+            pred("not_two", lambda ctx: ctx.now_int("n") != 2 or ctx.obj is None),
+            defines("emptied", "n", lambda ctx: V.integer(0)),
+        ],
+        modify=("n",),
+    ), "refused"
+
+
+def _expected_raises_on_a_late_pre_state():
+    # complete up to cap 2, where expected reads a query the model lacks
+    def expected(ctx):
+        if V.as_int(ctx.old("cap")) < 2:
+            return V.integer(0)
+        return ctx.old("lower")
+
+    return RoutineSpec(
+        "reset", [], lambda o: None, post=[defines("reset", "n", expected)], modify=("n",)
+    ), "refused"
+
+
+def _expected_reads_the_exit_state():
+    # expected cannot run before the exit state exists, so nothing is solved
+    return RoutineSpec(
+        "fill",
+        [],
+        lambda o: None,
+        post=[defines("filled", "n", lambda ctx: ctx.now("cap"))],
+        modify=("n",),
+    ), "complete"
+
+
+def _expected_outside_the_candidates():
+    # cap + 3 passes the candidates 0..4 first at (n, cap) = (0, 2)
+    return RoutineSpec(
+        "widen",
+        [],
+        lambda o: None,
+        post=[
+            defines(
+                "widened", "cap", lambda ctx: V.integer(V.as_int(ctx.old("cap")) + 3)
+            )
+        ],
+        modify=("cap",),
+    ), "inconclusive"
+
+
+def _defined_on_a_fixed_coordinate():
+    # cap is framed, so the run stops at its clause, which raises from cap 2
+    # on; solving the clause on n there would leave no candidate
+    def cap_kept(ctx):
+        return ctx.old("cap") if V.as_int(ctx.old("cap")) < 2 else ctx.old("lower")
+
+    def halved(ctx):
+        if V.as_int(ctx.old("cap")) < 2:
+            return V.integer(V.as_int(ctx.old("n")) // 2)
+        return V.integer(9)
+
+    return RoutineSpec(
+        "halve",
+        [],
+        lambda o: None,
+        post=[defines("cap_kept", "cap", cap_kept), defines("halved", "n", halved)],
+        modify=("n",),
+    ), "refused"
+
+
+def _defined_on_an_argument_role():
+    return RoutineSpec(
+        "pour_into",
+        [ref_param("abox")],
+        lambda o, p: None,
+        pre=[
+            pred("other_given", lambda ctx: not ctx.arg_is_void(0)),
+            pred("fits", lambda ctx: ctx.old_int("n") <= ctx.old_int("cap", ARG0)),
+        ],
+        post=[
+            defines("received", "n", lambda ctx: ctx.old("n"), role=ARG0),
+            defines("poured", "n", lambda ctx: V.integer(0)),
+        ],
+        modify=(("target", "n"), (ARG0, "n")),
+    ), "complete"
+
+
+def _defined_on_an_absent_argument_role():
+    # a void argument has no model state, which the flat search reads
+    return RoutineSpec(
+        "pour_maybe",
+        [ref_param("abox")],
+        lambda o, p: None,
+        post=[
+            defines("poured", "n", lambda ctx: V.integer(0)),
+            defines("received", "n", lambda ctx: ctx.old("n"), role=ARG0),
+        ],
+        modify=(("target", "n"), (ARG0, "n")),
+    ), "refused"
+
+
+def _two_definitions_in_a_row():
+    # unframed, so n and cap are free together in one role's candidates
+    return RoutineSpec(
+        "double_cap",
+        [],
+        lambda o: None,
+        post=[
+            defines("n_kept", "n", lambda ctx: ctx.old("n")),
+            defines("cap_doubled", "cap", lambda ctx: V.integer(2 * V.as_int(ctx.old("cap")))),
+        ],
+        modify=None,
+    ), "complete"
+
+
+def _definition_after_one_no_candidate_meets():
+    # the flat search never reaches the second clause, so it never raises
+    return RoutineSpec(
+        "overflow",
+        [],
+        lambda o: None,
+        post=[
+            defines("n_nine", "n", lambda ctx: V.integer(9)),
+            defines("cap_broken", "cap", lambda ctx: V.integer(1 // 0)),
+        ],
+        modify=None,
+    ), "inconclusive"
+
+
+def _definition_after_one_that_raises():
+    # solving stops at the first clause, which raises on every pre-state;
+    # solving the second would leave no candidate
+    return RoutineSpec(
+        "from_concrete",
+        [],
+        lambda o: None,
+        post=[
+            defines("n_copied", "n", lambda ctx: V.integer(ctx.obj.n)),
+            defines("cap_nine", "cap", lambda ctx: V.integer(9)),
+        ],
+        modify=None,
+    ), "refused"
+
+
+def _defined_by_the_result():
+    # a routine's result is not known before its exit, so nothing is solved:
+    # each n pairs with the one result equal to it
+    return RoutineSpec(
+        "report_n",
+        [],
+        lambda o: None,
+        post=[defines("n_is_result", "n", lambda ctx: ctx.result)],
+        modify=("n",),
+        returns_value=True,
+    ), "incomplete"
+
+
+@pytest.mark.parametrize(
+    "contract",
+    [
+        _defined_after_a_raising_clause,
+        _expected_raises_on_a_late_pre_state,
+        _expected_reads_the_exit_state,
+        _expected_outside_the_candidates,
+        _defined_on_a_fixed_coordinate,
+        _defined_on_an_argument_role,
+        _defined_on_an_absent_argument_role,
+        _two_definitions_in_a_row,
+        _definition_after_one_no_candidate_meets,
+        _definition_after_one_that_raises,
+        _defined_by_the_result,
+    ],
+)
+def test_defining_clauses_match_flat_search(contract):
+    r, verdict = contract()
+    spec = box_spec({r.name: r})
+    domain = BoxDomain()
+    domain._spec = spec
+    routine = spec.routines[r.name]
+    want = outcome(reference_probe, spec, routine, domain)
+    assert want[0] == verdict
+    assert outcome(completeness_probe, spec, routine, domain) == want
+
+
+def test_defining_clause_compares_the_exit_value():
+    p = defines("appended", "sequence", lambda ctx: V.seq_extended(ctx.old("sequence"), 1))
+    assert p.definition[:2] == ("target", "sequence")
+    spec = build_class("array_stack", "strong")
+    ctx = AbstractCtx({"target": -1}, {-1: spec}, {-1: {"sequence": V.EMPTY_SEQ}}, {}, ())
+    ctx.exit_models = {-1: {"sequence": V.seq_extended(V.EMPTY_SEQ, 1)}}
+    assert p.fn(ctx) is True
+    ctx.exit_models = {-1: {"sequence": V.EMPTY_SEQ}}
+    assert p.fn(ctx) is False
 
 
 def test_frame_over_a_query_the_domain_leaves_out_is_refused():

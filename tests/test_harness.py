@@ -508,7 +508,10 @@ def test_cli_probe_verdict_exit_codes(capsys):
     assert main(
         ["probe", "--class", "cursor_list", "--routine", "merge_right", "--max-len", "2"]
     ) == 0
-    assert "complete" in capsys.readouterr().out
+    # pre-states passing the precondition, and those of them searched
+    assert capsys.readouterr().out == (
+        "cursor_list.merge_right [strong]: complete (408 pre-states, 119 searched)\n"
+    )
     assert main(
         ["probe", "--class", "cursor_list", "--routine", "merge_right",
          "--spec", "weak", "--max-len", "2"]
