@@ -7,13 +7,15 @@ runs ``--repeats`` times; the median CPU time (``time.process_time``) is
 printed per task, largest first, with its share of the summed medians.
 
 A last, separate run wraps the clauses to count evaluations: model-kind
-invariants (the candidate filter), postconditions tested on a candidate,
-and the ``expected`` side of defining clauses, which the probe evaluates
-once per search to solve the clause (layer ``solved``). Derived frame
-predicates are decided once per pre-state shape, not run per candidate, so
-they have no layer here. It also sums the pre-states that pass the
-precondition and those of them whose post-states were searched, not decided
-by an earlier search.
+invariants (the candidate filter; layer ``domain_invariant`` holds those the
+domain runs to keep only the role states they allow), postconditions tested
+on a candidate, and the ``expected`` side of defining clauses, which the
+probe evaluates once per search to solve the clause (layer ``solved``).
+Derived frame predicates are decided once per pre-state shape, not run per
+candidate, so they have no layer here. It also counts the probe's calls to
+the domain's ``value_choices`` and ``result_choices``, and sums the
+pre-states that pass the precondition and those of them whose post-states
+were searched, not decided by an earlier search.
 These counts are deterministic, so they compare two versions of the probe
 exactly; the timings carry the machine's noise.
 
@@ -75,16 +77,33 @@ def run_task(c, strong, routine):
 
 
 def count_evaluations(all_tasks):
-    """Evaluations per clause layer, and pre-states checked and searched,
-    over one run of every task."""
+    """Evaluations per clause layer, calls to the domain's candidate
+    methods, and pre-states checked and searched, over one run of every
+    task."""
     counts = Counter()
+    filtering = []  # non-empty while the domain filters its role states
 
     def counted(fn, layer):
         def wrapper(*a):
-            counts[layer] += 1
+            counts["domain_" + layer if filtering else layer] += 1
             return fn(*a)
 
         return wrapper
+
+    def role_states(*a):
+        filtering.append(True)
+        try:
+            return saved["_role_states"](*a)
+        finally:
+            filtering.pop()
+
+    saved = {
+        name: vars(SequenceDomain)[name]
+        for name in ("_role_states", "value_choices", "result_choices")
+    }
+    SequenceDomain._role_states = role_states
+    for name in ("value_choices", "result_choices"):
+        setattr(SequenceDomain, name, counted(saved[name], name))
 
     wrapped = set()
     for _, _, strong, routine in all_tasks:
@@ -101,13 +120,17 @@ def count_evaluations(all_tasks):
                     if definition is not None:
                         role, query, expected = definition
                         obj.definition = (role, query, counted(expected, "solved"))
-    for _, c, strong, routine in all_tasks:
-        _, res = run_task(c, strong, routine)
-        if res is not None:
-            counts["pre_states_checked"] += res.pre_states_checked
-            # a probe without the memo searches every pre-state it checks
-            searched = getattr(res, "pre_states_searched", res.pre_states_checked)
-            counts["pre_states_searched"] += searched
+    try:
+        for _, c, strong, routine in all_tasks:
+            _, res = run_task(c, strong, routine)
+            if res is not None:
+                counts["pre_states_checked"] += res.pre_states_checked
+                # a probe without the memo searches every pre-state it checks
+                searched = getattr(res, "pre_states_searched", res.pre_states_checked)
+                counts["pre_states_searched"] += searched
+    finally:
+        for name, fn in saved.items():
+            setattr(SequenceDomain, name, fn)
     return dict(counts)
 
 
@@ -134,8 +157,10 @@ def main():
     for key in sorted(medians, key=lambda k: (-medians[k], k)):
         print("%-42s %8.4f s %5.1f%%  %s" % (key, medians[key], 100 * medians[key] / total, outcomes[key]))
     counts = count_evaluations(all_tasks)
-    for layer in ("invariant", "post", "solved"):
+    for layer in ("invariant", "domain_invariant", "post", "solved"):
         print("%s evaluations per pass: %d" % (layer, counts.get(layer, 0)))
+    for name in ("value_choices", "result_choices"):
+        print("%s calls per pass: %d" % (name, counts.get(name, 0)))
     print(
         "pre-states searched per pass: %d of %d checked"
         % (counts.get("pre_states_searched", 0), counts.get("pre_states_checked", 0))

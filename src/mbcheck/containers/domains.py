@@ -56,7 +56,11 @@ class SequenceDomain:
 
     ``role_specs`` maps class name -> bound strong spec, used to resolve
     reference-argument roles. Objects whose model lacks an index query (the
-    stack and the queue) get sequence-only states.
+    stack and the queue) get sequence-only states. A role's states are those
+    on which its spec's model invariants (``kind="model"``) hold, so
+    ``unique`` only narrows the enumeration: it drops repeated elements from
+    the pre-state and candidate sequences before any invariant runs.
+    Candidate values and results depend on the query and the routine alone.
     """
 
     def __init__(self, role_specs, max_len=3, alphabet=2, unique=False, value_len=None):
@@ -79,6 +83,7 @@ class SequenceDomain:
         self.pre_seqs = _all_seqs(max_len, alphabet, unique)
         self.value_seqs = _all_seqs(value_len, alphabet, unique)
         self.index_values = [V.integer(i) for i in range(0, value_len + 2)]
+        self._states = {}  # spec -> _role_states
 
     def role_spec(self, ref_class):
         spec = self.role_specs_by_name.get(ref_class)
@@ -87,16 +92,26 @@ class SequenceDomain:
         return spec
 
     def _role_states(self, spec):
-        has_index = "index" in spec.model_names
-        for s in self.pre_seqs:
-            if has_index:
-                for i in range(V.seq_count(s) + 2):
-                    yield {"sequence": s, "index": V.integer(i)}
+        """The role states of ``spec`` that satisfy its model invariants,
+        built once per spec."""
+        states = self._states.get(spec)
+        if states is None:
+            invariants = [cl for cl in spec.invariants if cl.kind == "model"]
+            if "index" in spec.model_names:
+                every = (
+                    {"sequence": s, "index": V.integer(i)}
+                    for s in self.pre_seqs
+                    for i in range(V.seq_count(s) + 2)
+                )
             else:
-                yield {"sequence": s}
+                every = ({"sequence": s} for s in self.pre_seqs)
+            states = self._states[spec] = [
+                m for m in every if all(cl.fn(m, None) for cl in invariants)
+            ]
+        return states
 
     def pre_states(self, class_spec, routine):
-        target_states = list(self._role_states(class_spec))
+        target_states = self._role_states(class_spec)
         plain = [p.kind for p in routine.params if p.kind != "ref"]
         if plain:
             arg_pools = []
@@ -128,14 +143,14 @@ class SequenceDomain:
                 full.insert(k, None)
                 yield {"roles": {-1: tm}, "args": tuple(full)}
 
-    def value_choices(self, idx, qname, pre):
+    def value_choices(self, qname):
         if qname == "sequence":
             return self.value_seqs
         if qname == "index":
             return self.index_values
         raise ConfigError("no candidate values for query %r" % (qname,))
 
-    def result_choices(self, routine, pre):
+    def result_choices(self, routine):
         if routine.name in _BOOL_ROUTINES:
             return (False, True)
         return tuple(range(self.alphabet))

@@ -10,11 +10,15 @@ domain's candidates). A pre-state that agrees with an earlier, passing one
 on every value that search read is counted but not searched again (see
 ``completeness_probe``).
 
-The caller supplies the domain: an object yielding abstract pre-states and
-candidate values per (role, query). Predicates are evaluated over an abstract
-context with the same model accessors as the runtime one (``ModelCtx``);
-predicates that probe concrete state raise and are reported as not abstractly
-evaluable.
+The caller supplies the domain, an object with four methods:
+``pre_states(class_spec, routine)`` yields abstract pre-states (``{"roles":
+{role index: model map}, "args": tuple}``), ``role_spec(ref_class)`` resolves
+a reference argument's spec, ``value_choices(query)`` gives the candidate
+exit values of a model query and ``result_choices(routine)`` the candidate
+results; candidates depend on no pre-state. Predicates are evaluated over an
+abstract context with the same model accessors as the runtime one
+(``ModelCtx``); predicates that probe concrete state raise and are reported
+as not abstractly evaluable.
 """
 
 from __future__ import annotations
@@ -148,12 +152,15 @@ def completeness_probe(class_spec, routine, domain):
     concrete class, so a weak routine spec can be probed over the richer
     model.
 
-    Candidate post-states are searched role by role: each role's free
-    queries get their candidate values from the domain, and the role's
-    model invariants filter those candidates once, not once per combination
-    with the other roles. Combinations are then taken in the order of the
-    flat product over (role, query) coordinates, target first, then
-    arguments in ascending order, queries in role-map order.
+    The domain answers ``value_choices(query)`` and
+    ``result_choices(routine)`` with nothing of the pre-state, so the probe
+    asks for the results once and for each free query's values once per
+    role-map shape. Candidate post-states are searched role by role: the
+    role's model invariants filter its candidates once per role, free and
+    fixed query names and fixed values, not once per pre-state or per
+    combination with the other roles. Combinations are then taken in the
+    order of the flat product over (role, query) coordinates, target first,
+    then arguments in ascending order, queries in role-map order.
 
     Defining clauses (``defines``) are solved, not tested per candidate.
     A search takes the leading run of the routine's postconditions that are
@@ -182,20 +189,19 @@ def completeness_probe(class_spec, routine, domain):
 
     A pre-state already decided is counted but not searched again. Each
     search that admits exactly one post-state is stored under its *base
-    key* (the role-map shape, each role's filtered candidate list by
-    content, and the result choices) together with what it read: the
-    pre-state coordinates and plain arguments the postconditions read, and
-    the pre-state's values there (a reference argument by presence only).
-    The context records these reads in the data it is handed, once per
-    coordinate rather than once per lookup: each role map starts empty and
-    copies a query in from the pre-state on its first lookup (by subscript,
-    ``get`` or ``in``, from an accessor or a derivation), so its keys are
-    the queries read, and the arguments work the same way by position. An
-    exit map starts with the free coordinates, which each candidate
-    assigns, and its fixed ones fill from the entry maps; the reads are its
-    keys less the free coordinates. A later
-    pre-state with the same base key that agrees with a stored one on
-    everything that search read is not searched. This is sound because:
+    key* (the role-map shape and each role's filtered candidate list by
+    content) together with what it read: the pre-state coordinates and
+    plain arguments the postconditions read, and the pre-state's values
+    there (a reference argument by presence only). The context records
+    these reads in the data it is handed, once per coordinate rather than
+    once per lookup: each role map starts empty and copies a query in from
+    the pre-state on its first lookup (by subscript, ``get`` or ``in``, from
+    an accessor or a derivation), so its keys are the queries read, and the
+    arguments work the same way by position. An exit map starts with the
+    free coordinates, which each candidate assigns, and its fixed ones fill
+    from the entry maps; the reads are its keys less the free coordinates.
+    A later pre-state with the same base key that agrees with a stored one
+    on everything that search read is not searched. This is sound because:
 
     - the checks are deterministic and read a pre-state only through those
       maps and arguments, so two searches over the same candidates and
@@ -205,15 +211,13 @@ def completeness_probe(class_spec, routine, domain):
       path and admits exactly one post-state too;
     - the frame decision follows from the shape, which is in the base key;
     - a fixed exit coordinate holds its entry value, and a free one holds a
-      candidate, which the base key fixes.
+      candidate, which the base key fixes; the results are the same for
+      every search.
 
-    A search that read every coordinate and argument is not stored, since
-    only a repeat of its pre-state could match it, and later searches of
-    that shape record nothing. A search that fails (no post-state, two, or
-    a ``ModelEvalError``) ends the probe at once and is never stored, so
-    the verdict, the witnesses and ``pre_states_checked`` are those of a
-    search of every pre-state. Pre-state, candidate and result values must
-    be hashable.
+    A search that fails (no post-state, two, or a ``ModelEvalError``) ends
+    the probe at once and is never stored, so the verdict, the witnesses
+    and ``pre_states_checked`` are those of a search of every pre-state.
+    Pre-state and candidate values must be hashable.
     """
     if not class_spec.bound:
         raise ConfigError("class spec %s has not been bound" % class_spec.name)
@@ -228,12 +232,12 @@ def completeness_probe(class_spec, routine, domain):
         for idx, spec in role_specs.items()
     }
     posts = routine.post
+    results = tuple(domain.result_choices(routine)) if routine.returns_value else (None,)
     ref_ks = frozenset(routine.ref_params)
     layouts = {}  # role-map shape -> see _layout
     admitted_by_role = {}  # see _role_candidates
     interned = {}  # filtered candidate list -> its number, so equal lists key alike
     decided = {}  # base key -> {read set: projections of pre-states decided}
-    unrecorded = set()  # shapes a search read whole
 
     checked = searched = 0
     for pre in domain.pre_states(class_spec, routine):
@@ -254,29 +258,25 @@ def completeness_probe(class_spec, routine, domain):
         shape = tuple((idx, tuple(m)) for idx, m in entry.items())
         layout = layouts.get(shape)
         if layout is None:
-            layout = layouts[shape] = _layout(shape, routine)
-        order, free, frame_error, size, solved = layout
+            layout = layouts[shape] = _layout(shape, routine, domain)
+        order, free, frame_error, solved = layout
 
         role_lists = []
         list_numbers = []
-        for idx, role_free, fixed in order:
+        for idx, role_free, fixed, lists in order:
             m = entry[idx]
-            lists = tuple(domain.value_choices(idx, qname, pre) for qname in role_free)
-            key = (idx, role_free, tuple(m[q] for q in fixed), tuple(map(id, lists)))
+            key = (idx, role_free, fixed, tuple(m[q] for q in fixed))
             hit = admitted_by_role.get(key)
             if hit is None:
                 candidates = _role_candidates(
                     dict(m), role_free, lists, model_invariants[idx]
                 )
                 number = interned.setdefault(tuple(candidates), len(interned))
-                hit = admitted_by_role[key] = (lists, candidates, number)
-            role_lists.append(hit[1])
-            list_numbers.append(hit[2])
-        results = (
-            tuple(domain.result_choices(routine, pre)) if routine.returns_value else (None,)
-        )
+                hit = admitted_by_role[key] = (candidates, number)
+            role_lists.append(hit[0])
+            list_numbers.append(hit[1])
 
-        base = (shape, tuple(list_numbers), results)
+        base = (shape, tuple(list_numbers))
         stored = decided.get(base)
         if stored is not None and any(
             _project(entry, args, ref_ks, read) in seen for read, seen in stored.items()
@@ -284,18 +284,14 @@ def completeness_probe(class_spec, routine, domain):
             continue
         searched += 1
 
-        recording = shape not in unrecorded
-        if recording:
-            # the exit maps hold the free coordinates, which each candidate
-            # assigns; fixed ones fill from the entry maps when first read
-            ctx.entry_models = {idx: _ReadMap(m) for idx, m in entry.items()}
-            ctx.args = _ReadArgs(args)
-            exit_maps = {idx: _ReadMap(m) for idx, m in entry.items()}
-        else:
-            exit_maps = {idx: dict(m) for idx, m in entry.items()}
+        # the exit maps hold the free coordinates, which each candidate
+        # assigns; fixed ones fill from the entry maps when first read
+        ctx.entry_models = {idx: _ReadMap(m) for idx, m in entry.items()}
+        ctx.args = _ReadArgs(args)
+        exit_maps = {idx: _ReadMap(m) for idx, m in entry.items()}
         if solved:
             _solve(ctx, solved, role_lists)
-        role_maps = [exit_maps[idx] for idx, _, _ in order]
+        role_maps = [exit_maps[idx] for idx, _, _, _ in order]
         ctx.exit_models = exit_maps
         found = []
         try:
@@ -321,15 +317,9 @@ def completeness_probe(class_spec, routine, domain):
             )
         if not found:
             return ProbeResult("inconclusive", pre, [], checked, searched)
-        if not recording:
-            continue
         # a fixed exit value is its entry value; a free one is a candidate
         coords = _reads(ctx.entry_models).union(_reads(exit_maps) - free)
-        arg_ks = ctx.args.keys()
-        if len(coords) == size and len(arg_ks) == len(args):
-            unrecorded.add(shape)
-            continue
-        read = (tuple(sorted(coords)), tuple(sorted(arg_ks)))
+        read = (tuple(sorted(coords)), tuple(sorted(ctx.args)))
         decided.setdefault(base, {}).setdefault(read, set()).add(
             _project(entry, args, ref_ks, read)
         )
@@ -346,19 +336,18 @@ def _project(entry, args, ref_ks, read):
     )
 
 
-def _layout(shape, routine):
+def _layout(shape, routine, domain):
     """How to search the pre-states of one role-map shape:
 
     - the search order, a list with one ``(role index, free query names,
-      fixed query names)`` per role present, target first (``modify is
-      None`` frees every query);
+      fixed query names, candidate value list per free query)`` per role
+      present, target first (``modify is None`` frees every query);
     - the set of free ``(role index, query)`` coordinates;
     - the text of the error the first derived frame predicate to raise on
       this shape raises, or None. On the probe's exit maps a frame
       predicate compares a fixed coordinate with its own entry value, so it
       holds when the coordinate is in the shape or its argument role is
       absent, and raises otherwise;
-    - the number of coordinates;
     - the leading run of the routine's postconditions that are defining
       clauses over free coordinates, as ``(search slot, position in the
       slot's free queries, expected)``; none for a routine that returns a
@@ -371,7 +360,7 @@ def _layout(shape, routine):
             q for q in qnames if modified is None or (role, q) in modified
         )
         fixed = tuple(q for q in qnames if q not in free)
-        out.append((idx, free, fixed))
+        out.append((idx, free, fixed, tuple(domain.value_choices(q) for q in free)))
     roles = dict(shape)
     frame_error = None
     for p in routine.frame_preds:
@@ -381,8 +370,8 @@ def _layout(shape, routine):
             role = TARGET if idx == -1 else arg_role(idx)
             frame_error = "%s.%s is not in the model map" % (role, qname)
             break
-    free = frozenset((idx, q) for idx, role_free, _ in out for q in role_free)
-    slots = {idx: (slot, role_free) for slot, (idx, role_free, _) in enumerate(out)}
+    free = frozenset((idx, q) for idx, role_free, _, _ in out for q in role_free)
+    slots = {idx: (slot, role_free) for slot, (idx, role_free, _, _) in enumerate(out)}
     solved = []
     if not routine.returns_value:  # expected could read a result
         for p in routine.post:
@@ -393,8 +382,7 @@ def _layout(shape, routine):
             if slot is None or qname not in slot[1]:
                 break
             solved.append((slot[0], slot[1].index(qname), expected))
-    size = sum(len(qnames) for _, qnames in shape)
-    return out, free, frame_error, size, tuple(solved)
+    return out, free, frame_error, tuple(solved)
 
 
 def _solve(ctx, solved, role_lists):
@@ -418,10 +406,9 @@ def _role_candidates(m, free, lists, invariants):
     satisfies every clause in ``invariants``. Writes each candidate into
     ``m``'s free slots; the other queries keep their values.
 
-    The answer depends only on those other values, the lists and the
-    clauses, which is what the caller keys its cache on. The cache entry
-    holds ``lists`` too, so no list ``id`` in a key is reused while the
-    probe runs."""
+    The lists are fixed per free query for the whole probe, so the answer
+    depends only on the role, its free and fixed query names, the fixed
+    values and the clauses, which is what the caller keys its cache on."""
     out = []
     for values in itertools.product(*lists):
         assignment = tuple(zip(free, values))

@@ -66,7 +66,13 @@ def _parser():
     probe.add_argument("--spec", dest="level", default="strong", choices=("weak", "strong"))
     probe.add_argument("--max-len", type=int, default=3)
     probe.add_argument("--alphabet", type=int, default=2)
-    probe.add_argument("--unique", action="store_true", help="restrict to duplicate-free states")
+    probe.add_argument(
+        "--unique",
+        action="store_true",
+        help="enumerate duplicate-free sequences only; states the model "
+        "invariants forbid are skipped either way, so this only narrows the "
+        "enumeration",
+    )
 
     sub.add_parser("bugs", help="print the seeded-defect catalog")
     return p

@@ -100,10 +100,10 @@ class BoxDomain:
             else:
                 yield {"roles": roles, "args": ()}
 
-    def value_choices(self, idx, qname, pre):
+    def value_choices(self, qname):
         return [V.integer(v) for v in self.vals]
 
-    def result_choices(self, routine, pre):
+    def result_choices(self, routine):
         return [V.integer(v) for v in self.vals]
 
 
@@ -486,12 +486,12 @@ class SeqDomain:
                 else:
                     yield {"roles": roles, "args": ()}
 
-    def value_choices(self, idx, qname, pre):
+    def value_choices(self, qname):
         if qname == "sequence":
             return self.choices
         return [V.integer(v) for v in range(-1, 5)]
 
-    def result_choices(self, routine, pre):
+    def result_choices(self, routine):
         return [V.integer(v) for v in range(self.alphabet)]
 
 
@@ -591,8 +591,8 @@ def reference_probe(class_spec, routine, domain):
             free = universe
         else:
             free = [u for u in universe if (u[0], u[2]) in set(routine.modify)]
-        choice_lists = [domain.value_choices(idx, qname, pre) for _, idx, qname in free]
-        results = domain.result_choices(routine, pre) if routine.returns_value else (None,)
+        choice_lists = [domain.value_choices(qname) for _, _, qname in free]
+        results = domain.result_choices(routine) if routine.returns_value else (None,)
         found = []
         for combo in itertools.product(*choice_lists):
             exit_maps = {idx: dict(m) for idx, m in entry.items()}
@@ -703,6 +703,18 @@ def count_calls(monkeypatch, objs, counts, record=None):
         monkeypatch.setattr(obj, "fn", fn)
 
 
+def count_invariant_runs(monkeypatch, spec):
+    """A Counter of the runs of ``spec``'s invariants from here on, by clause
+    name and role map."""
+    seen = collections.Counter()
+
+    def record(name, a):
+        seen[name, tuple(sorted(a[0].items()))] += 1
+
+    count_calls(monkeypatch, spec.invariants, collections.Counter(), record)
+    return seen
+
+
 # pre-states searched / checked, derived by hand at the len3-abc2 bound: 64
 # target states (15 sequences, cursor 0..count+1), 49 of them with the cursor
 # not after the end. Strong merge_right reads the argument's sequence but not
@@ -726,12 +738,6 @@ def test_invariants_run_once_per_role_candidate(class_name, monkeypatch):
         runs = {}
         for probe_fn in (reference_probe, completeness_probe):
             clause_counts = collections.Counter()
-            seen = collections.Counter()
-
-            def record(name, a):
-                m = a[0]
-                seen[name, tuple(sorted(m.items()))] += 1
-
             results = []
 
             def run(*a, _probe=probe_fn):
@@ -740,7 +746,7 @@ def test_invariants_run_once_per_role_candidate(class_name, monkeypatch):
 
             with monkeypatch.context() as mp:
                 count_calls(mp, routine.post + routine.frame_preds, clause_counts)
-                count_calls(mp, strong.invariants, collections.Counter(), record)
+                seen = count_invariant_runs(mp, strong)
                 runs[probe_fn] = (outcome(run, strong, routine, dom), clause_counts)
             if probe_fn is completeness_probe:
                 # one evaluation per distinct candidate of each role at most
@@ -797,8 +803,10 @@ def search_figures(bound):
 # what every search reads decides which later pre-states it settles, so
 # these figures change whenever a recording change alters any search's read
 # set. Measured before the recording maps filled on demand; the sha256 covers
-# all three BOUNDS, as json.dumps({bound: figures}, sort_keys=True).
-SEARCH_FIGURES_SHA256 = "d6eb2a9c0e577c98059613731a5509300261490a9540d8bebb2112b74e7d5d27"
+# all three BOUNDS, as json.dumps({bound: figures}, sort_keys=True), and moved
+# for cursor_set at len2-abc3 alone once the domain left out the pre-states
+# with repeated elements that cursor_set's model invariant forbids.
+SEARCH_FIGURES_SHA256 = "7baa700817b9108a4bd059f4ae7a583f5f483b812260451d6685c5da54c688a5"
 SEARCH_FIGURES_LEN3_ABC2 = {
     "array_stack.is_empty.strong": (15, 15),
     "array_stack.is_empty.weak": (1, 1),
@@ -943,20 +951,34 @@ def test_every_search_reads_as_pinned():
     assert hashlib.sha256(blob).hexdigest() == SEARCH_FIGURES_SHA256
 
 
+def test_unique_only_narrows_the_enumeration():
+    # cursor_set's model invariant forbids repeated elements in the pre-states
+    # and in the candidates alike, so leaving them out of the enumeration
+    # changes no figure of any cursor_set task
+    strong = build_class("cursor_set", "strong")
+    weak = build_class("cursor_set", "weak")
+    routines = [b.routines[r] for b in (strong, weak) for r in sorted(b.routines)]
+    runs = []
+    for unique in (False, True):
+        dom = SequenceDomain({"cursor_set": strong}, max_len=3, alphabet=2, unique=unique)
+        results = []
+
+        def run(*a):
+            results.append(completeness_probe(*a))
+            return results[-1]
+
+        outcomes = [outcome(run, strong, routine, dom) for routine in routines]
+        runs.append((outcomes, [res.pre_states_searched for res in results]))
+    assert len(routines) == 20
+    assert runs[0] == runs[1]
+
+
 # --- pre-states decided by an earlier search --------------------------------
 #
 # Each contract below is complete on the early pre-states and ambiguous on a
 # late one that agrees with an early one on something the search does not
 # read directly, so a memo that keys on too little would skip the late
 # pre-state and report "complete".
-
-
-class LateResultsDomain(BoxDomain):
-    """Two result choices for the full (2, 2) box, one for the others."""
-
-    def result_choices(self, routine, pre):
-        full = pre["roles"][-1] == {"n": V.integer(2), "cap": V.integer(2)}
-        return [V.integer(v) for v in ((0, 1) if full else (0,))]
 
 
 def _drain_into():
@@ -974,7 +996,7 @@ def _drain_into():
         pre=[pred("other_given", lambda ctx: not ctx.arg_is_void(0))],
         post=[pred("drained", drained)],
         modify=("n",),
-    ), None, None
+    ), None
 
 
 def _fill_by_room():
@@ -992,7 +1014,7 @@ def _fill_by_room():
             )
         ],
         modify=("n",),
-    ), None, {"room": lambda m: V.integer(V.as_int(m["cap"]) - V.as_int(m["n"]))}
+    ), {"room": lambda m: V.integer(V.as_int(m["cap"]) - V.as_int(m["n"]))}
 
 
 def _fill_by_room_through_get():
@@ -1012,7 +1034,7 @@ def _fill_by_room_through_get():
         lambda o: None,
         post=[pred("filled", filled)],
         modify=("n",),
-    ), None, {"room": lambda m: V.integer(V.as_int(m.get("cap")) - V.as_int(m.get("n")))}
+    ), {"room": lambda m: V.integer(V.as_int(m.get("cap")) - V.as_int(m.get("n")))}
 
 
 def _step_or_loosen():
@@ -1036,7 +1058,7 @@ def _step_or_loosen():
             )
         ],
         modify=("n",),
-    ), None, None
+    ), None
 
 
 def _small_n():
@@ -1047,19 +1069,7 @@ def _small_n():
         lambda o: None,
         post=[pred("small", lambda ctx: ctx.now_int("n") <= 1)],
         modify=("n",),
-    ), None, None
-
-
-def _any_result():
-    # reads nothing; only the result choices differ between pre-states
-    return RoutineSpec(
-        "any_result",
-        [],
-        lambda o: None,
-        post=[pred("anything", lambda ctx: True)],
-        modify=(),
-        returns_value=True,
-    ), LateResultsDomain(), None
+    ), None
 
 
 @pytest.mark.parametrize(
@@ -1070,13 +1080,12 @@ def _any_result():
         _fill_by_room_through_get,
         _step_or_loosen,
         _small_n,
-        _any_result,
     ],
 )
 def test_decided_pre_states_match_flat_search(contract):
-    r, domain, derivations = contract()
+    r, derivations = contract()
     spec = box_spec({r.name: r}, derivations)
-    domain = domain or BoxDomain()
+    domain = BoxDomain()
     domain._spec = spec
     routine = spec.routines[r.name]
     want = outcome(reference_probe, spec, routine, domain)
@@ -1277,6 +1286,23 @@ def test_defining_clauses_match_flat_search(contract):
     want = outcome(reference_probe, spec, routine, domain)
     assert want[0] == verdict
     assert outcome(completeness_probe, spec, routine, domain) == want
+
+
+@pytest.mark.parametrize(
+    "contract",
+    [_defined_on_an_argument_role, _two_definitions_in_a_row, _expected_reads_the_exit_state],
+)
+def test_invariants_run_once_per_role_candidate_over_fresh_lists(contract, monkeypatch):
+    # BoxDomain builds a new candidate list on every value_choices call, so
+    # the role filter must not key on the lists it is handed
+    r = contract()[0]
+    spec = box_spec({r.name: r})
+    domain = BoxDomain()
+    domain._spec = spec
+    routine = spec.routines[r.name]
+    seen = count_invariant_runs(monkeypatch, spec)
+    assert completeness_probe(spec, routine, domain).verdict == "complete"
+    assert 0 < max(seen.values()) <= 1 + len(routine.ref_params)
 
 
 def test_defining_clause_compares_the_exit_value():

@@ -534,6 +534,16 @@ def test_cli_probe_inconclusive_exits_0(capsys, monkeypatch):
     assert "admitted exit" not in out
 
 
+def test_cli_probe_skips_states_the_model_invariants_forbid(capsys):
+    # cursor_set's model invariant rules out repeated elements, so a state
+    # such as sequence=[0, 0] is no pre-state, with or without --unique
+    outs = []
+    for extra in ([], ["--unique"]):
+        assert main(["probe", "--class", "cursor_set", "--routine", "extend"] + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == ["cursor_set.extend [strong]: complete (32 pre-states, 22 searched)\n"] * 2
+
+
 @pytest.mark.parametrize("bound", [["--max-len", "0"], ["--alphabet", "0"], ["--max-len", "-1"]])
 def test_cli_probe_rejects_empty_bounds(capsys, bound):
     # an empty domain would otherwise report "no admissible post-state"
