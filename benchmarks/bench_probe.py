@@ -4,12 +4,14 @@ Runs every probe task of the benchmark's ``probe`` workload: each routine of
 each sequence-model class, strong and weak, probed over the strong model at
 max_len 3, alphabet 2, duplicate-free states for ``cursor_set``. Each task
 runs ``--repeats`` times; the median CPU time (``time.process_time``) is
-printed per task, largest first, with its share of the summed medians.
+printed per task, largest first, with its share of the summed medians, and
+the summed medians per level (strong, weak).
 
 A last, separate run wraps the clauses to count evaluations: model-kind
-invariants (the candidate filter; layer ``domain_invariant`` holds those the
-domain runs to keep only the role states they allow), postconditions tested
-on a candidate, and the ``expected`` side of defining clauses, which the
+invariants (the probe runs them on each role candidate once, in a probe's
+first search only if the search reaches it; layer ``domain_invariant``
+holds those the domain runs to keep only the role states they allow),
+postconditions tested on a candidate, and the ``expected`` side of defining clauses, which the
 probe evaluates once per search to solve the clause (layer ``solved``).
 Derived frame predicates are decided once per pre-state shape, not run per
 candidate, so they have no layer here. It also counts the probe's calls to
@@ -152,8 +154,14 @@ def main():
 
     medians = {key: median(v) for key, v in samples.items()}
     total = sum(medians.values())
+    by_level = {
+        level: sum(v for key, v in medians.items() if key.endswith("." + level))
+        for level in ("strong", "weak")
+    }
     print("mbcheck from %s" % mbcheck.__file__)
     print("%d tasks, %d repeats, summed median CPU %.3f s" % (len(all_tasks), args.repeats, total))
+    for level, cpu in by_level.items():
+        print("summed median CPU, %s tasks: %.3f s" % (level, cpu))
     for key in sorted(medians, key=lambda k: (-medians[k], k)):
         print("%-42s %8.4f s %5.1f%%  %s" % (key, medians[key], 100 * medians[key] / total, outcomes[key]))
     counts = count_evaluations(all_tasks)
@@ -173,6 +181,7 @@ def main():
                 "bound": {"max_len": MAX_LEN, "alphabet": ALPHABET, "unique": sorted(UNIQUE)},
                 "repeats": args.repeats,
                 "summed_median_cpu_s": total,
+                "summed_median_cpu_s_by_level": by_level,
                 "median_cpu_s": medians,
                 "outcomes": outcomes,
                 "evaluations_per_pass": counts,

@@ -6,9 +6,10 @@ postconditions plus derived frame predicates. The probe enumerates a finite
 abstract domain and counts admitted post-states, stopping at the first
 pre-state that admits two (the spec is incomplete: a proof) or none (the
 verdict is inconclusive, since the admissible exit may lie outside the
-domain's candidates). A pre-state that agrees with an earlier, passing one
-on every value that search read is counted but not searched again (see
-``completeness_probe``).
+domain's candidates). A proof at the first pre-state runs the model
+invariants only on the candidates it visits, and a pre-state that agrees
+with an earlier, passing one on every value that search read is counted but
+not searched again (see ``completeness_probe``).
 
 The caller supplies the domain, an object with four methods:
 ``pre_states(class_spec, routine)`` yields abstract pre-states (``{"roles":
@@ -158,8 +159,9 @@ def completeness_probe(class_spec, routine, domain):
     role-map shape. Candidate post-states are searched role by role: the
     role's model invariants filter its candidates once per role, free and
     fixed query names and fixed values, not once per pre-state or per
-    combination with the other roles. Combinations are then taken in the
-    order of the flat product over (role, query) coordinates, target first,
+    combination with the other roles; in a probe's first search, only when
+    the search reaches a candidate. Combinations are taken in the order of
+    the flat product over (role, query) coordinates, target first,
     then arguments in ascending order, queries in role-map order.
 
     Defining clauses (``defines``) are solved, not tested per candidate.
@@ -212,12 +214,19 @@ def completeness_probe(class_spec, routine, domain):
     - the frame decision follows from the shape, which is in the base key;
     - a fixed exit coordinate holds its entry value, and a free one holds a
       candidate, which the base key fixes; the results are the same for
-      every search.
+      every search;
+    - a base key holds whole lists: the first search to succeed drew every
+      candidate of its lists, and a list first needed after it is filled
+      before its search; the filter is deterministic, so drawing on demand
+      gives the lists that filtering them whole gives.
 
     A search that fails (no post-state, two, or a ``ModelEvalError``) ends
     the probe at once and is never stored, so the verdict, the witnesses
-    and ``pre_states_checked`` are those of a search of every pre-state.
-    Pre-state and candidate values must be hashable.
+    and ``pre_states_checked`` are those of a search of every pre-state. A
+    model invariant ends the probe with its own exception if it raises on a
+    candidate the first search reaches, or on any candidate of a list filled
+    after it, which a search of every pre-state may never reach. Pre-state
+    and candidate values must be hashable.
     """
     if not class_spec.bound:
         raise ConfigError("class spec %s has not been bound" % class_spec.name)
@@ -235,7 +244,7 @@ def completeness_probe(class_spec, routine, domain):
     results = tuple(domain.result_choices(routine)) if routine.returns_value else (None,)
     ref_ks = frozenset(routine.ref_params)
     layouts = {}  # role-map shape -> see _layout
-    admitted_by_role = {}  # see _role_candidates
+    admitted_by_role = {}  # role key -> _Admitted; see _role_candidates
     interned = {}  # filtered candidate list -> its number, so equal lists key alike
     decided = {}  # base key -> {read set: projections of pre-states decided}
 
@@ -266,15 +275,16 @@ def completeness_probe(class_spec, routine, domain):
         for idx, role_free, fixed, lists in order:
             m = entry[idx]
             key = (idx, role_free, fixed, tuple(m[q] for q in fixed))
-            hit = admitted_by_role.get(key)
-            if hit is None:
-                candidates = _role_candidates(
+            admitted = admitted_by_role.get(key)
+            if admitted is None:
+                admitted = admitted_by_role[key] = _Admitted()
+                admitted.pending = _role_candidates(
                     dict(m), role_free, lists, model_invariants[idx]
                 )
-                number = interned.setdefault(tuple(candidates), len(interned))
-                hit = admitted_by_role[key] = (candidates, number)
-            role_lists.append(hit[0])
-            list_numbers.append(hit[1])
+                if decided:  # the base key needs the list whole
+                    admitted.fill(interned)
+            role_lists.append(admitted)
+            list_numbers.append(admitted.number)
 
         base = (shape, tuple(list_numbers))
         stored = decided.get(base)
@@ -289,17 +299,21 @@ def completeness_probe(class_spec, routine, domain):
         ctx.entry_models = {idx: _ReadMap(m) for idx, m in entry.items()}
         ctx.args = _ReadArgs(args)
         exit_maps = {idx: _ReadMap(m) for idx, m in entry.items()}
-        if solved:
-            _solve(ctx, solved, role_lists)
+        search_lists = _solve(ctx, solved, role_lists) if solved else role_lists
         role_maps = [exit_maps[idx] for idx, _, _, _ in order]
         ctx.exit_models = exit_maps
         found = []
-        try:
-            for combo in itertools.product(*role_lists):
-                for m, assignment in zip(role_maps, combo):
-                    m.update(assignment)
-                for result in results:
-                    ctx.result = result
+        # once a search has succeeded every list is whole, so the later
+        # searches take itertools.product: through _product's generators
+        # they read strong probe throughput 3-5% lower. Only a
+        # postcondition's ModelEvalError is converted; a model invariant
+        # raising as a candidate is drawn keeps its own exception
+        for combo in (itertools.product if decided else _product)(*search_lists):
+            for m, assignment in zip(role_maps, combo):
+                m.update(assignment)
+            for result in results:
+                ctx.result = result
+                try:
                     for p in posts:
                         if not p.fn(ctx):
                             break
@@ -310,13 +324,15 @@ def completeness_probe(class_spec, routine, domain):
                         found.append((witness, result))
                         if len(found) == 2:
                             return ProbeResult("incomplete", pre, found, checked, searched)
-        except ModelEvalError as e:
-            raise ConfigError(
-                "%s.%s postcondition is not abstractly evaluable: %s"
-                % (class_spec.name, routine.name, e)
-            )
+                except ModelEvalError as e:
+                    raise ConfigError(
+                        "%s.%s postcondition is not abstractly evaluable: %s"
+                        % (class_spec.name, routine.name, e)
+                    )
         if not found:
             return ProbeResult("inconclusive", pre, [], checked, searched)
+        if not decided:  # the first search drew every candidate of its lists
+            base = (shape, tuple([a.fill(interned) for a in role_lists]))
         # a fixed exit value is its entry value; a free one is a candidate
         coords = _reads(ctx.entry_models).union(_reads(exit_maps) - free)
         read = (tuple(sorted(coords)), tuple(sorted(ctx.args)))
@@ -386,30 +402,72 @@ def _layout(shape, routine, domain):
 
 
 def _solve(ctx, solved, role_lists):
-    """Narrow ``role_lists`` by the defining clauses in ``solved``: each
+    """``role_lists`` narrowed by the defining clauses in ``solved``: each
     keeps, in order, the candidates of its search slot whose value at its
     query equals ``expected`` over the entry state (``ctx`` has no exit
-    state yet). Stops at the first ``expected`` that raises."""
+    state yet). Stops at the first ``expected`` that raises. A narrowed
+    list draws its candidates on demand too."""
+    role_lists = list(role_lists)
     for slot, pos, expected in solved:
         try:
             want = expected(ctx)
         except Exception:
             # the search raises it where the flat search does, or, if
             # expected read the exit state, runs as the flat search does
-            return
-        role_lists[slot] = [a for a in role_lists[slot] if a[pos][1] == want]
+            break
+        role_lists[slot] = role_lists[slot].where(pos, want)
+    return role_lists
+
+
+class _Admitted(list):
+    """The candidates of one role that its model invariants admit so far,
+    in product order; ``pending`` yields the rest, and is None once the list
+    is complete. ``number`` interns a complete list by content."""
+
+    pending = None
+    number = None
+
+    def draw(self):
+        """Append and yield the pending candidates, one at a time."""
+        for a in self.pending or ():
+            self.append(a)
+            yield a
+        self.pending = None
+
+    def where(self, pos, want):
+        """The candidates whose value at ``pos`` is ``want``: of those
+        admitted so far at once, of the pending ones on demand."""
+        kept = _Admitted([a for a in self if a[pos][1] == want])
+        if self.pending is not None:
+            kept.pending = (a for a in self.draw() if a[pos][1] == want)
+        return kept
+
+    def fill(self, interned):
+        """Draw every pending candidate; give the list's number."""
+        self.extend(self.pending or ())
+        self.pending = None
+        self.number = interned.setdefault(tuple(self), len(interned))
+        return self.number
+
+
+def _product(head, *rest):
+    """``itertools.product`` over ``_Admitted`` lists, drawing each pending
+    candidate only when a combination reaches it."""
+    drawn = itertools.chain(head, head.draw())
+    if not rest:
+        return zip(drawn)
+    return ((a, *tail) for a in drawn for tail in _product(*rest))
 
 
 def _role_candidates(m, free, lists, invariants):
-    """The assignments to ``free`` (one per element of the product of
-    ``lists``, as ``(query, value)`` pairs) under which role map ``m``
-    satisfies every clause in ``invariants``. Writes each candidate into
-    ``m``'s free slots; the other queries keep their values.
+    """Yield, in product order, the assignments to ``free`` (one per element
+    of the product of ``lists``, as ``(query, value)`` pairs) under which
+    role map ``m`` satisfies every clause in ``invariants``. Writes each
+    candidate into ``m``'s free slots; the other queries keep their values.
 
     The lists are fixed per free query for the whole probe, so the answer
     depends only on the role, its free and fixed query names, the fixed
     values and the clauses, which is what the caller keys its cache on."""
-    out = []
     for values in itertools.product(*lists):
         assignment = tuple(zip(free, values))
         m.update(assignment)
@@ -417,5 +475,4 @@ def _role_candidates(m, free, lists, invariants):
             if not cl.fn(m, None):
                 break
         else:
-            out.append(assignment)
-    return out
+            yield assignment

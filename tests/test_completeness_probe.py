@@ -762,6 +762,134 @@ def test_invariants_run_once_per_role_candidate(class_name, monkeypatch):
     assert figures == {k for k in SEARCHED if k.startswith(class_name + ".")}
 
 
+# model-invariant runs of each weak task at len3-abc2 that ends at its first
+# pre-state, over a fresh domain: the runs with which the domain keeps the
+# target states the invariants allow (64 for cursor_list and two_way_list, 16
+# for cursor_set) and those of the candidates the search reaches. Filtering
+# every candidate first made 1,080 runs for an unframed cursor_list or
+# two_way_list routine, 2,096 for one with a list argument, 112 for cursor_set
+# and 192 for cursor_set.is_equal.
+FIRST_PRE_STATE_INVARIANT_RUNS = {
+    "cursor_list.back.weak": 73,
+    "cursor_list.extend.weak": 74,
+    "cursor_list.finish.weak": 73,
+    "cursor_list.forth.weak": 74,
+    "cursor_list.go_i_th.weak": 73,
+    "cursor_list.has.weak": 66,
+    "cursor_list.is_equal.weak": 66,
+    "cursor_list.item.weak": 65,
+    "cursor_list.merge_right.weak": 67,
+    "cursor_list.off.weak": 66,
+    "cursor_list.remove.weak": 66,
+    "cursor_list.replace.weak": 74,
+    "cursor_list.start.weak": 74,
+    "cursor_set.forth.weak": 52,
+    "cursor_set.has.weak": 36,
+    "cursor_set.is_equal.weak": 36,
+    "cursor_set.item.weak": 34,
+    "cursor_set.off.weak": 36,
+    "cursor_set.start.weak": 52,
+    "two_way_list.back.weak": 73,
+    "two_way_list.extend.weak": 74,
+    "two_way_list.finish.weak": 73,
+    "two_way_list.forth.weak": 74,
+    "two_way_list.go_i_th.weak": 73,
+    "two_way_list.has.weak": 66,
+    "two_way_list.item.weak": 65,
+    "two_way_list.off.weak": 66,
+    "two_way_list.put_front.weak": 74,
+    "two_way_list.remove.weak": 66,
+    "two_way_list.replace.weak": 74,
+    "two_way_list.start.weak": 74,
+}
+
+
+def test_search_filters_only_the_candidates_it_reaches(monkeypatch):
+    max_len, alphabet, unique, _ = BOUNDS["len3-abc2"]
+    runs = {}
+    # the sequence classes whose strong model has invariants of kind model
+    for class_name in ("cursor_list", "cursor_set", "two_way_list"):
+        for key, strong, routine, _ in sequence_tasks(class_name, "len3-abc2"):
+            if not key.endswith(".weak"):
+                continue
+            dom = SequenceDomain(
+                {class_name: strong},
+                max_len=max_len,
+                alphabet=alphabet,
+                unique=unique and class_name == "cursor_set",
+            )
+            with monkeypatch.context() as mp:
+                seen = count_invariant_runs(mp, strong)
+                try:
+                    res = completeness_probe(strong, routine, dom)
+                except ConfigError:
+                    continue
+            if res.verdict != "complete" and res.pre_states_checked == 1:
+                runs[key] = sum(seen.values())
+    assert runs == FIRST_PRE_STATE_INVARIANT_RUNS
+
+
+def _box_with_invariant(fn):
+    # the lower bound leaves n open, so with n_in_cap replaced by fn the
+    # search admits every n >= old n that fn allows, in ascending order
+    r = RoutineSpec(
+        "grow",
+        [],
+        lambda o: None,
+        post=[pred("not_less", lambda ctx: ctx.now_int("n") >= ctx.old_int("n"))],
+        modify=("n",),
+    )
+    spec = box_spec({r.name: r})
+    (invariant,) = spec.invariants
+    invariant.fn = fn
+    domain = BoxDomain()
+    domain._spec = spec
+    return spec, spec.routines[r.name], domain
+
+
+def _raising_from(limit):
+    def below_limit(m, o):
+        if V.as_int(m["n"]) >= limit:
+            raise ModelEvalError("n = %d is beyond the invariant's reach" % limit)
+        return True
+
+    return below_limit
+
+
+def test_invariant_raising_beyond_the_second_admitted_exit_is_not_reached():
+    # the first pre-state, (n, cap) = (0, 0), admits n = 0 and n = 1 before
+    # the search reaches n = 4
+    spec, routine, domain = _box_with_invariant(_raising_from(4))
+    want = outcome(reference_probe, spec, routine, domain)
+    assert want[:2] == ("incomplete", 1)
+    assert outcome(completeness_probe, spec, routine, domain) == want
+
+
+def test_invariant_raising_on_the_first_candidate_is_not_converted():
+    spec, routine, domain = _box_with_invariant(_raising_from(0))
+    for probe_fn in (reference_probe, completeness_probe):
+        with pytest.raises(ModelEvalError, match="beyond the invariant's reach"):
+            probe_fn(spec, routine, domain)
+
+
+def test_invariant_raising_at_a_later_pre_state_is_reached_by_the_fill():
+    # Only a probe's first search filters on demand. (0, 0) admits n = 0
+    # alone, so its search succeeds and the memo needs whole lists from then
+    # on: the cap = 1 list of (0, 1) is filled before its search, and the
+    # filter reaches n = 3, where the invariant raises, although a search of
+    # every pre-state stops at (0, 1) with n = 0 and n = 1 admitted.
+    def capped(m, o):
+        n, cap = V.as_int(m["n"]), V.as_int(m["cap"])
+        if cap >= 1 and n >= 3:
+            raise ModelEvalError("n = %d is beyond cap %d" % (n, cap))
+        return 0 <= n <= cap
+
+    spec, routine, domain = _box_with_invariant(capped)
+    assert outcome(reference_probe, spec, routine, domain)[:2] == ("incomplete", 2)
+    with pytest.raises(ModelEvalError, match="n = 3 is beyond cap 1"):
+        completeness_probe(spec, routine, domain)
+
+
 def test_merge_right_postcondition_evaluations_as_pinned(monkeypatch):
     # strong merge_right at the benchmark's probe bound (max_len 3, alphabet
     # 2) makes 735 searches over 127 candidate sequences. Its defining clause

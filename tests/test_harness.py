@@ -521,6 +521,20 @@ def test_cli_probe_verdict_exit_codes(capsys):
     assert main(["probe", "--class", "binary_node", "--routine", "set_left"]) == 2
 
 
+def test_cli_probe_weak_forth_at_a_larger_bound(capsys):
+    # 88,573 candidate sequences x 12 cursors; the search stops at its
+    # second admitted exit, having filtered only the candidates it reached
+    argv = ["probe", "--class", "two_way_list", "--routine", "forth", "--spec", "weak",
+            "--max-len", "5", "--alphabet", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "two_way_list.forth [weak]: incomplete (1 pre-states, 1 searched)\n"
+        "ambiguous pre-state: target{index=0, sequence=[]} args=()\n"
+        "  admitted exit: target{index=1, sequence=[]} result=None\n"
+        "  admitted exit: target{index=1, sequence=[0]} result=None\n"
+    )
+
+
 def test_cli_probe_inconclusive_exits_0(capsys, monkeypatch):
     # with candidates no longer than the pre-states, strong merge_right's
     # spliced sequence has no candidate; that is no proof of incompleteness
