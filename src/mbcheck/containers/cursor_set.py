@@ -138,13 +138,6 @@ class CursorSet:
         return set(mine) == set(theirs)
 
 
-def _first_position(s, v):
-    for pos, it in enumerate(V.seq_items(s), 1):
-        if it == v:
-            return pos
-    return 0
-
-
 def _no_duplicates(o):
     items = chain_items(o.first_cell)
     return len(items) == len(set(items))
@@ -167,7 +160,7 @@ def _replaced_element(ctx):
 def _value_removed(ctx):
     s = ctx.old("sequence")
     v = item_value(ctx.arg(0))
-    pos = _first_position(s, v)
+    pos = V.seq_index_of(s, v)
     return V.seq_removed_at(s, pos) if pos else s
 
 

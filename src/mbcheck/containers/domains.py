@@ -29,13 +29,12 @@ def _all_seqs(max_len, alphabet, unique=False):
     """Every sequence over ``range(alphabet)`` of at most ``max_len``
     elements (no repeated element when ``unique``), shortest first, each
     length in lexicographic order."""
-    items = [V.integer(x) for x in range(alphabet)]
     out = [V.EMPTY_SEQ]
     for n in range(1, max_len + 1):
-        for combo in itertools.product(items, repeat=n):
+        for combo in itertools.product(range(alphabet), repeat=n):
             if unique and len(set(combo)) != n:
                 continue
-            out.append(V.sequence(combo))
+            out.append((V.SEQ, combo))  # a tuple of exact ints is a sequence payload
     return out
 
 

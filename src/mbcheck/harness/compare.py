@@ -4,8 +4,8 @@ Takes the reports from matched weak/strong runs (same classes, same seeds,
 same budgets), partitions the detected catalog bugs by which binding caught
 them, and builds median detection curves. Everything here derives from the
 stable report bodies, so comparing the same reports twice gives identical
-output; throughput ratios live in a sidecar because they come from wall-clock
-sidecars.
+output; throughput ratios live in a sidecar because they come from the
+reports' timing sidecars.
 """
 
 from __future__ import annotations
@@ -128,8 +128,10 @@ def compare_reports(paths):
 def throughput_ratios(paths):
     """class -> median weak calls/s over median strong calls/s (how many times
     faster weak checking runs), from timing sidecars; classes missing either
-    side are skipped."""
-    speeds = {}
+    side are skipped. A class's rates are calls per CPU second when every
+    sidecar of the class carries ``cpu_s``, and calls per wall-clock second
+    otherwise."""
+    runs = {}
     for p in paths:
         rep = read_report(p)
         h = rep["header"]
@@ -137,11 +139,17 @@ def throughput_ratios(paths):
             t = read_timing(p)
         except OSError:
             continue
-        speeds.setdefault(h["class"], {}).setdefault(h["level"], []).append(
-            t["calls_per_s"]
-        )
+        cpu_s = t.get("cpu_s")
+        cpu_rate = None
+        if cpu_s is not None:
+            cpu_rate = rep["summary"]["calls"] / cpu_s if cpu_s > 0 else 0.0
+        runs.setdefault(h["class"], []).append((h["level"], t["calls_per_s"], cpu_rate))
     out = {}
-    for cls, by_level in sorted(speeds.items()):
+    for cls, rows in sorted(runs.items()):
+        cpu = all(r[2] is not None for r in rows)
+        by_level = {}
+        for level, wall_rate, cpu_rate in rows:
+            by_level.setdefault(level, []).append(cpu_rate if cpu else wall_rate)
         if "weak" in by_level and "strong" in by_level:
             w = median(by_level["weak"])
             s = median(by_level["strong"])

@@ -2,8 +2,8 @@
 
 A report is a function of the session config alone: ordinals stand in for
 time, keys are sorted, separators are fixed. Running the same config twice
-must produce byte-identical files. Wall-clock figures go to a sidecar file
-(``<report>.timing``) so they cannot leak into the stable part.
+must produce byte-identical files. Wall-clock and CPU-time figures go to a
+sidecar file (``<report>.timing``) so they cannot leak into the stable part.
 """
 
 from __future__ import annotations
@@ -101,6 +101,7 @@ def write_report(path, result, timing=True):
                 json.dumps(
                     {
                         "wall_s": result.wall_s,
+                        "cpu_s": result.cpu_s,
                         "calls_per_s": result.calls_per_s,
                     },
                     sort_keys=True,
@@ -178,7 +179,8 @@ def _check_fields(path, kind, row):
 
 def read_timing(path):
     """The ``.timing`` sidecar of the report at ``path``. A missing sidecar
-    raises OSError; a malformed one raises ConfigError naming the file."""
+    raises OSError; a malformed one raises ConfigError naming the file.
+    ``cpu_s`` is optional, since older sidecars lack it."""
     tpath = str(path) + ".timing"
     with open(tpath) as f:
         try:
@@ -190,4 +192,7 @@ def read_timing(path):
     cps = timing.get("calls_per_s")
     if isinstance(cps, bool) or not isinstance(cps, (int, float)):
         raise ConfigError("%s calls_per_s must be a JSON number" % (tpath,))
+    cpu_s = timing.get("cpu_s", 0.0)
+    if isinstance(cpu_s, bool) or not isinstance(cpu_s, (int, float)):
+        raise ConfigError("%s cpu_s must be a JSON number" % (tpath,))
     return timing

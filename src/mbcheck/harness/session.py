@@ -101,6 +101,7 @@ class SessionResult:
     invalid_calls: int = 0
     objects_created: int = 0
     wall_s: float = 0.0
+    cpu_s: float = 0.0  # process CPU time of the session loop
 
     @property
     def calls_per_s(self):
@@ -205,6 +206,7 @@ def run_session(cfg):
 
     deadline = None if cfg.wall_secs is None else time.monotonic() + cfg.wall_secs
     started = time.monotonic()
+    cpu_started = time.process_time()
     unique_real = 0
 
     while True:
@@ -288,5 +290,6 @@ def run_session(cfg):
             gen.evict(target)
 
     res.wall_s = time.monotonic() - started
+    res.cpu_s = time.process_time() - cpu_started
     res.objects_created = gen.created
     return res

@@ -3,43 +3,35 @@ sets and bags with structural equality.
 
 A model value is a tagged pair ``(tag, payload)``:
 
-    ('b', bool)                       boolean
-    ('i', int)                        integer
-    ('a', hashable)                   opaque atom (item payloads beyond ints)
-    ('o', int)                        object identity token (0 = void)
-    ('q', tuple of values)            sequence, positions 1..len
-    ('s', frozenset of values)        set
-    ('g', frozenset of (value, n))    bag, n >= 1
+    ('b', bool)                         boolean
+    ('i', int)                          integer
+    ('a', hashable)                     opaque atom (item payloads beyond ints)
+    ('o', int)                          object identity token (0 = void)
+    ('q', tuple of elements)            sequence, positions 1..len
+    ('s', frozenset of elements)        set
+    ('g', frozenset of (element, n))    bag, n >= 1
 
-Payloads nest, so equality and hashing are the native tuple/frozenset ones:
-structural, and entirely in C. Tags keep variants distinct even where Python
-would conflate payloads (True == 1). All operations return fresh values and
-never mutate their inputs; out-of-domain accesses raise ModelEvalError.
+An element is an integer stored as its exact ``int``, or any other model
+value in its tagged form. A raw int is never a tuple, so the element ``1``
+and the atom ``('a', True)`` stay distinct although ``True == 1``; top-level
+values are always tagged. Payloads nest, so equality and hashing are the
+native tuple/frozenset ones: structural, and entirely in C. All operations
+return fresh values and never mutate their inputs; out-of-domain accesses
+raise ModelEvalError.
+
+Tags change only at the kernel's boundary: operations that return an element
+(``seq_item``, ``seq_last``, ``seq_items``) tag an int on the way out, and
+operations that take one (``sequence``, ``seq_has``, ``seq_extended``,
+``set_has``, ``bag_of`` and the like) untag a tagged int on the way in.
 
 ``item`` and ``item_sequence`` give the model of stored container elements:
-integers stay integers, anything else hashable becomes an atom.
-
-Tagged ints come from one table, shared by ``integer``, ``seq_domain`` and
-``item_sequence``. It starts with the ints -16..64; ``integer`` adds each
-other int in ``[INT_TAGS_LO, INT_TAGS_HI)`` the first time it tags it, so the
-table never holds more than 2048 entries (about 0.2 MB). Filling on first use
-keeps the table to the ints a process uses and costs little at import. An int
-the table does not hold gets a fresh ``('i', x)``. Stored items reach the table
-when a contract first tags them, for instance as an argument through ``item``.
-
-``item_sequence`` has a fast path for a sequence of at least ``FAST_MIN_LEN``
-elements, and never for fewer than two: one C call,
-``operator.itemgetter(*xs)(table)``, looks every element up, and the payload
-is kept when every element's type is exactly ``int`` (counted in C with
-``operator.countOf(map(type, xs), int)``). The lookup stops at the first
-element the table does not hold. Any other sequence (an int the table does not
-hold, a ``bool``, a float equal to an int, a string, an unhashable value, or
-fewer elements) takes the per-element rule. Both paths give equal values.
+integers stay integers, anything else hashable becomes an atom. A sequence of
+exact ints is its own payload, so ``item_sequence`` copies it in one C call.
 """
 
 from __future__ import annotations
 
-from operator import countOf, itemgetter
+from operator import countOf
 
 from mbcheck.errors import ModelEvalError
 
@@ -59,20 +51,15 @@ TRUE = (BOOL, True)
 FALSE = (BOOL, False)
 EMPTY_SEQ = (SEQ, ())
 
-# strong models wrap the same stored ints millions of times
-INT_TAGS_LO = -1024
-INT_TAGS_HI = 1024
-_INT_TAGS = {i: (INT, i) for i in range(-16, 65)}  # ``integer`` adds the rest
 
-# shortest sequence that tries the all-int fast path of ``item_sequence``.
-# In five runs of benchmarks/bench_values.py (2-core VM, Python 3.11) the
-# fast path's fitted cost lay below the per-element rule's at every length
-# from 2 for ints the table holds (the lines met at a median of -2.5 elements,
-# -4.3 to -0.8; about 46 against 82 reference ns per element), so the gate is
-# the floor, 2. For ints outside the table's range, trying the fast path adds
-# about 780 reference ns to a call of 2 elements and 1.1 to 1.9 us to one of
-# 64 to 256.
-FAST_MIN_LEN = 2
+def _raw(v):
+    """The payload element for the model value ``v``."""
+    return v[1] if v[0] == INT else v
+
+
+def _tagged(x):
+    """The model value for the payload element ``x``."""
+    return (INT, x) if type(x) is int else x
 
 
 # --- constructors ---------------------------------------------------------
@@ -83,14 +70,7 @@ def boolean(x):
 
 
 def integer(x):
-    v = _INT_TAGS.get(x)
-    if v is not None:
-        return v
-    x = int(x)
-    v = (INT, x)
-    if INT_TAGS_LO <= x < INT_TAGS_HI:
-        _INT_TAGS[x] = v
-    return v
+    return (INT, x if type(x) is int else int(x))
 
 
 def atom(x):
@@ -110,16 +90,17 @@ VOID_ID = object_id(0)
 
 
 def sequence(items):
-    return (SEQ, tuple(items))
+    return (SEQ, tuple([_raw(v) for v in items]))
 
 
 def mset(items):
-    return (SET, frozenset(items))
+    return (SET, frozenset([_raw(v) for v in items]))
 
 
 def bag_of(items):
     counts = {}
     for v in items:
+        v = _raw(v)
         counts[v] = counts.get(v, 0) + 1
     return (BAG, frozenset(counts.items()))
 
@@ -129,6 +110,7 @@ def bag_from_counts(pairs):
     for v, n in pairs:
         if n <= 0:
             raise ModelEvalError("bag multiplicity must be positive")
+        v = _raw(v)
         counts[v] = counts.get(v, 0) + n
     return (BAG, frozenset(counts.items()))
 
@@ -136,24 +118,15 @@ def bag_from_counts(pairs):
 def item(x):
     """Model value for a stored element: ints keep integer arithmetic,
     anything else hashable rides along as an opaque atom."""
-    return integer(x) if type(x) is int else atom(x)
+    return (INT, x) if type(x) is int else atom(x)
 
 
 def item_sequence(xs):
     """``sequence(item(x) for x in xs)`` for a list or tuple ``xs``."""
-    n = len(xs)
-    # itemgetter with one key returns the bare value, not a 1-tuple
-    if n >= FAST_MIN_LEN and n > 1:
-        try:
-            payload = itemgetter(*xs)(_INT_TAGS)
-        except (KeyError, TypeError):
-            pass  # an element the table does not hold, or an unhashable one
-        else:
-            # True and 2.0 find the entries of 1 and 2, but are atoms
-            if countOf(map(type, xs), int) == n:
-                return (SEQ, payload)
-    get = _INT_TAGS.get
-    return (SEQ, tuple([(get(x) or (INT, x)) if type(x) is int else atom(x) for x in xs]))
+    # True and 2.0 equal ints, but are atoms
+    if countOf(map(type, xs), int) == len(xs):
+        return (SEQ, tuple(xs))
+    return (SEQ, tuple([x if type(x) is int else atom(x) for x in xs]))
 
 
 # --- variant access -------------------------------------------------------
@@ -190,22 +163,30 @@ def seq_item(s, i):
     items = s[1]
     if i < 1 or i > len(items):
         raise ModelEvalError("sequence position %d outside 1..%d" % (i, len(items)))
-    return items[i - 1]
+    return _tagged(items[i - 1])
 
 
 def seq_last(s):
     items = s[1]
     if not items:
         raise ModelEvalError("last of empty sequence")
-    return items[-1]
+    return _tagged(items[-1])
 
 
 def seq_has(s, v):
-    return v in s[1]
+    return _raw(v) in s[1]
+
+
+def seq_index_of(s, v):
+    """The first position of ``v`` in ``s``, or 0 when ``s`` lacks it."""
+    try:
+        return s[1].index(_raw(v)) + 1
+    except ValueError:
+        return 0
 
 
 def seq_items(s):
-    return s[1]
+    return tuple([_tagged(x) for x in s[1]])
 
 
 def seq_front(s, i):
@@ -238,14 +219,14 @@ def seq_concat(a, b):
 
 
 def seq_extended(s, v):
-    return (SEQ, s[1] + (v,))
+    return (SEQ, s[1] + (_raw(v),))
 
 
 def seq_replaced_at(s, i, v):
     items = s[1]
     if i < 1 or i > len(items):
         raise ModelEvalError("sequence position %d outside 1..%d" % (i, len(items)))
-    return (SEQ, items[: i - 1] + (v,) + items[i:])
+    return (SEQ, items[: i - 1] + (_raw(v),) + items[i:])
 
 
 def seq_removed_at(s, i):
@@ -256,7 +237,7 @@ def seq_removed_at(s, i):
 
 
 def seq_domain(s):
-    return (SET, frozenset(_INT_TAGS.get(i) or (INT, i) for i in range(1, len(s[1]) + 1)))
+    return (SET, frozenset(range(1, len(s[1]) + 1)))
 
 
 def seq_to_bag(s):
@@ -278,16 +259,18 @@ def set_count(s):
 
 
 def set_has(s, v):
-    return v in s[1]
+    return _raw(v) in s[1]
 
 
 def set_extended(s, v):
+    v = _raw(v)
     if v in s[1]:
         return s
     return (SET, s[1] | {v})
 
 
 def set_removed(s, v):
+    v = _raw(v)
     if v not in s[1]:
         return s
     return (SET, s[1] - {v})
@@ -304,6 +287,7 @@ def bag_count(b):
 
 
 def bag_occurrences(b, v):
+    v = _raw(v)
     for x, n in b[1]:
         if x == v:
             return n
@@ -331,14 +315,14 @@ def is_model_value(v) -> bool:
     if tag == OID:
         return type(payload) is int and payload >= 0
     if tag == SEQ:
-        return type(payload) is tuple and all(is_model_value(x) for x in payload)
+        return type(payload) is tuple and all(_is_element(x) for x in payload)
     if tag == SET:
-        return type(payload) is frozenset and all(is_model_value(x) for x in payload)
+        return type(payload) is frozenset and all(_is_element(x) for x in payload)
     if tag == BAG:
         return type(payload) is frozenset and all(
             type(p) is tuple
             and len(p) == 2
-            and is_model_value(p[0])
+            and _is_element(p[0])
             and type(p[1]) is int
             and p[1] >= 1
             for p in payload
@@ -346,8 +330,16 @@ def is_model_value(v) -> bool:
     return False
 
 
+def _is_element(x) -> bool:
+    # a raw bool or float would equal an int, so only an exact int is raw
+    return type(x) is int or is_model_value(x)
+
+
 def mv_repr(v) -> str:
-    """Deterministic printable form, used in violation details and witnesses."""
+    """Deterministic printable form, used in violation details and witnesses;
+    ``v`` may also be a payload element."""
+    if type(v) is int:
+        return str(v)
     tag, payload = v
     if tag == BOOL:
         return "true" if payload else "false"

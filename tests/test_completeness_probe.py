@@ -1434,11 +1434,12 @@ def test_invariants_run_once_per_role_candidate_over_fresh_lists(contract, monke
 
 
 def test_defining_clause_compares_the_exit_value():
-    p = defines("appended", "sequence", lambda ctx: V.seq_extended(ctx.old("sequence"), 1))
+    one = V.integer(1)
+    p = defines("appended", "sequence", lambda ctx: V.seq_extended(ctx.old("sequence"), one))
     assert p.definition[:2] == ("target", "sequence")
     spec = build_class("array_stack", "strong")
     ctx = AbstractCtx({"target": -1}, {-1: spec}, {-1: {"sequence": V.EMPTY_SEQ}}, {}, ())
-    ctx.exit_models = {-1: {"sequence": V.seq_extended(V.EMPTY_SEQ, 1)}}
+    ctx.exit_models = {-1: {"sequence": V.seq_extended(V.EMPTY_SEQ, one)}}
     assert p.fn(ctx) is True
     ctx.exit_models = {-1: {"sequence": V.EMPTY_SEQ}}
     assert p.fn(ctx) is False

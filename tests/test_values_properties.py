@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,85 +80,136 @@ def test_bag_total_count(items):
     assert sum(V.bag_occurrences(b, x) for x in set(items)) == len(items)
 
 
-def _item_rule(x):
-    # the element rule as it stood before ``item_sequence`` existed
-    return V.integer(x) if type(x) is int else V.atom(x)
+# --- stored elements: the kernel against the tagged reference -----------
+#
+# The reference is the representation the kernel once had: every element of
+# a payload in its tagged form, ``('i', x)`` for an exact int and an atom for
+# anything else. The kernel stores exact ints raw inside payloads; every
+# figure read through its boundary must agree with the reference.
 
 
-stored_items = st.lists(
-    st.integers(-100, 300) | st.booleans() | st.text(max_size=3) | st.floats(allow_nan=False),
-    max_size=12,
+def _ref_item(x):
+    """The tagged element of the reference for the stored item ``x``."""
+    return (V.INT, x) if type(x) is int else (V.ATOM, x)
+
+
+def _by_rule(xs):
+    """The reference sequence of the stored items ``xs``."""
+    return (V.SEQ, tuple(_ref_item(x) for x in xs))
+
+
+def _ref_repr(v):
+    """The reference's printed form of a tagged element or collection."""
+    tag, payload = v
+    if tag == V.INT:
+        return str(payload)
+    if tag == V.ATOM:
+        return repr(payload)
+    if tag == V.SEQ:
+        return "[%s]" % ", ".join(_ref_repr(x) for x in payload)
+    if tag == V.SET:
+        return "{%s}" % ", ".join(sorted(_ref_repr(x) for x in payload))
+    assert tag == V.BAG
+    return "{%s}" % ", ".join(sorted("%s x%d" % (_ref_repr(x), n) for x, n in payload))
+
+
+# ints on both sides of small-int caches and past 64 bits, and the values a
+# raw int would be confused with: bools and floats equal to ints
+stored_item = (
+    st.integers(-2000, 2000)
+    | st.sampled_from([-0, 2**64, -(2**64), 2**70])
+    | st.booleans()
+    | st.integers(-5, 300).map(float)
+    | st.sampled_from([-0.0, float(2**64)])
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
 )
+stored_items = st.lists(stored_item, max_size=12)
+
+
+def _look_alike(x):
+    """A stored item that ``==`` calls equal to ``x`` but of another type,
+    or ``x`` itself when there is none."""
+    if type(x) is int:
+        return bool(x) if x in (0, 1) else float(x)
+    if type(x) is bool or (type(x) is float and x.is_integer()):
+        return int(x)
+    return x
+
+
+@st.composite
+def item_pairs(draw):
+    """Two item lists that are often equal, or equal but for one element
+    swapped for its look-alike."""
+    xs = draw(stored_items)
+    how = draw(st.sampled_from(["same", "look_alike", "other"]))
+    if how == "other" or not xs:
+        return xs, draw(stored_items)
+    ys = list(xs)
+    if how == "look_alike":
+        i = draw(st.integers(0, len(xs) - 1))
+        ys[i] = _look_alike(xs[i])
+    return xs, ys
 
 
 @settings(max_examples=120, deadline=None)
 @given(stored_items)
 def test_item_sequence_matches_per_element_rule(xs):
-    expected = V.sequence(_item_rule(x) for x in xs)
-    got = V.item_sequence(xs)
-    assert got == expected
-    assert V.mv_repr(got) == V.mv_repr(expected)
-    assert V.is_model_value(got)
-    assert [V.item(x) for x in xs] == list(expected[1])
-
-
-def _with_gate(gate, xs):
-    """``item_sequence(xs)`` with the fast path's length gate at ``gate``."""
-    saved = V.FAST_MIN_LEN
-    V.FAST_MIN_LEN = gate
-    try:
-        return V.item_sequence(xs)
-    finally:
-        V.FAST_MIN_LEN = saved
-
-
-def _by_rule(xs):
-    """The per-element rule spelled out with no tag table."""
-    return (V.SEQ, tuple((V.INT, x) if type(x) is int else (V.ATOM, x) for x in xs))
-
-
-FAST = 0  # every sequence tries the fast path first
-PER_ELEMENT = 1 << 62  # no sequence does
-
-table_ints = st.integers(V.INT_TAGS_LO, V.INT_TAGS_HI - 1)
-outside_ints = st.integers(max_value=V.INT_TAGS_LO - 1) | st.integers(2**64, 2**70)
-odd_items = (
-    st.booleans()
-    | st.integers(-5, 300).map(float)
-    | st.floats(allow_nan=False)
-    | st.text(max_size=3)
-)
-
-
-@st.composite
-def gated_items(draw):
-    """Ints on both sides of the length gate, all in the tag table's range or
-    some beyond it, with at most one non-int at any position."""
-    n = draw(st.integers(0, max(3 * V.FAST_MIN_LEN, 48)))
-    ints = table_ints | outside_ints if draw(st.booleans()) else table_ints
-    xs = draw(st.lists(ints, min_size=n, max_size=n))
-    if draw(st.booleans()):
-        xs.insert(draw(st.integers(0, n)), draw(odd_items))
-    return xs
-
-
-@settings(max_examples=200, deadline=None)
-@given(gated_items())
-def test_item_sequence_paths_match_per_element_rule(xs):
     expected = _by_rule(xs)
-    for tagged in (False, True):
-        if tagged:  # now the table holds every int of xs inside its range
-            for x in xs:
-                if type(x) is int:
-                    V.integer(x)
-        for gate in (FAST, PER_ELEMENT, V.FAST_MIN_LEN):
-            got = _with_gate(gate, xs)
-            assert got == expected
-            assert V.mv_repr(got) == V.mv_repr(expected)
-            assert V.is_model_value(got)
-            for x, v in zip(xs, got[1]):
-                if type(x) is int and V._INT_TAGS.get(x) is not None:
-                    assert v is V._INT_TAGS[x]  # the table's shared value
+    got = V.item_sequence(xs)
+    assert got == V.sequence(expected[1]) == V.sequence(V.item(x) for x in xs)
+    assert V.seq_items(got) == expected[1]
+    assert [V.seq_item(got, i) for i in range(1, len(xs) + 1)] == list(expected[1])
+    assert [V.item(x) for x in xs] == list(expected[1])
+    assert V.mv_repr(got) == _ref_repr(expected)
+    assert V.is_model_value(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(item_pairs(), stored_item, stored_item)
+def test_item_sequence_paths_match_per_element_rule(pair, y, z):
+    # item_sequence copies an all-int list and applies the per-element rule
+    # to any other; both must agree with the reference through every kernel
+    # operation that reads or writes an element
+    xs, ys = pair
+    a, b = V.item_sequence(xs), V.item_sequence(ys)
+    ra, rb = _by_rule(xs), _by_rule(ys)
+    assert (a == b) == (ra == rb)
+    if ra == rb:
+        assert hash(a) == hash(b)
+    assert V.mv_repr(a) == _ref_repr(ra)
+    if xs:
+        assert V.seq_last(a) == ra[1][-1]
+    vy, ry = V.item(y), _ref_item(y)
+    assert vy == ry
+    assert V.seq_has(a, vy) == (ry in ra[1])
+    assert V.seq_index_of(a, vy) == (ra[1].index(ry) + 1 if ry in ra[1] else 0)
+    assert V.seq_extended(a, vy) == V.sequence(ra[1] + (ry,))
+
+    cat = V.seq_concat(a, b)
+    assert cat == V.sequence(ra[1] + rb[1])
+    assert V.seq_items(cat) == ra[1] + rb[1]
+    assert V.mv_repr(cat) == _ref_repr((V.SEQ, ra[1] + rb[1]))
+
+    st_a, rs_a = V.seq_to_set(a), frozenset(ra[1])
+    assert V.set_count(st_a) == len(rs_a)
+    assert V.set_has(st_a, vy) == (ry in rs_a)
+    assert V.mv_repr(st_a) == _ref_repr((V.SET, rs_a))
+    assert st_a == V.mset(rs_a)
+    vz, rz = V.item(z), _ref_item(z)
+    ext, rext = V.set_extended(st_a, vy), rs_a | {ry}
+    assert ext == V.mset(rext) and V.set_has(ext, vz) == (rz in rext)
+    rem, rrem = V.set_removed(st_a, vy), rs_a - {ry}
+    assert rem == V.mset(rrem) and V.set_has(rem, vz) == (rz in rrem)
+    assert (V.seq_to_set(a) == V.seq_to_set(b)) == (rs_a == frozenset(rb[1]))
+
+    bag, counts = V.seq_to_bag(a), Counter(ra[1])
+    assert V.bag_count(bag) == len(xs)
+    assert V.bag_occurrences(bag, vy) == counts[ry]
+    assert bag == V.bag_of(ra[1]) == V.bag_from_counts(counts.items())
+    assert V.mv_repr(bag) == _ref_repr((V.BAG, frozenset(counts.items())))
+    for v in (cat, st_a, ext, rem, bag):
+        assert V.is_model_value(v)
 
 
 SHORT_LISTS = {
@@ -178,40 +230,27 @@ SHORT_LISTS = {
 
 @pytest.mark.parametrize("xs", list(SHORT_LISTS.values()), ids=list(SHORT_LISTS))
 def test_item_sequence_short_lists_at_gate_zero(xs):
-    # one element is a bare value to itemgetter, and a bool or a float finds
-    # an int's entry; both must still come out by the per-element rule
-    for x in xs:
-        if type(x) is int:
-            V.integer(x)
-    got = _with_gate(FAST, xs)
-    assert got == _by_rule(xs)
+    # item_sequence tries its all-int copy first at every length, 0 and 1
+    # included; a bool or a float among the ints must still make atoms
+    got = V.item_sequence(xs)
+    assert V.seq_items(got) == _by_rule(xs)[1]
+    assert got == V.sequence(_by_rule(xs)[1])
     assert V.is_model_value(got)
-
-
-def test_int_tag_table_stays_within_its_bound():
-    bound = V.INT_TAGS_HI - V.INT_TAGS_LO
-    for x in range(-5 * bound, 5 * bound):
-        V.integer(x)
-    V.item_sequence(list(range(-7 * bound, 7 * bound)))
-    V.seq_domain(V.sequence([V.TRUE] * 9 * bound))
-    V.item_sequence([2**64 + i for i in range(bound)])
-    assert len(V._INT_TAGS) == bound
-    assert all(V.INT_TAGS_LO <= x < V.INT_TAGS_HI for x in V._INT_TAGS)
 
 
 def test_item_sequence_keeps_bools_and_floats_atoms():
     got = V.item_sequence([True, 1.0, 1, False, 0])
-    assert got[1] == (
+    assert V.seq_items(got) == (
         V.atom(True),
         V.atom(1.0),
         V.integer(1),
         V.atom(False),
         V.integer(0),
     )
-    assert V.kind(got[1][0]) == V.ATOM and V.kind(got[1][1]) == V.ATOM
+    assert V.kind(V.seq_item(got, 1)) == V.ATOM and V.kind(V.seq_item(got, 2)) == V.ATOM
     assert V.item(True) == V.atom(True) != V.integer(1)
-    # small ints are the kernel's own shared values
-    assert got[1][2] is V.integer(1)
+    assert V.seq_has(got, V.integer(1)) and V.seq_index_of(got, V.integer(1)) == 3
+    assert V.item_sequence([True]) != V.item_sequence([1]) != V.item_sequence([1.0])
     assert V.item_sequence([]) == V.EMPTY_SEQ
 
 
@@ -219,6 +258,25 @@ def test_item_sequence_rejects_unhashable_elements():
     with pytest.raises(TypeError):
         V.item_sequence([1, [2]])
     with pytest.raises(TypeError):
-        V.item_sequence([1] * V.FAST_MIN_LEN + [[2]])
+        V.item_sequence([1] * 20 + [[2]])
     with pytest.raises(TypeError):
         V.item({})
+
+
+@pytest.mark.parametrize("tag", [V.SEQ, V.SET, V.BAG])
+def test_is_model_value_accepts_raw_ints_in_collections(tag):
+    for x in (0, -1, 7, 2**70):
+        payload = ((x, 1),) if tag == V.BAG else (x, V.atom("a"))
+        kind = tuple if tag == V.SEQ else frozenset
+        assert V.is_model_value((tag, kind(payload)))
+
+
+@pytest.mark.parametrize("tag", [V.SEQ, V.SET, V.BAG])
+@pytest.mark.parametrize("x", [True, False, 1.0, 0.0], ids=["true", "false", "float1", "float0"])
+def test_is_model_value_rejects_raw_bools_and_floats_in_collections(tag, x):
+    payload = ((x, 1),) if tag == V.BAG else (x,)
+    kind = tuple if tag == V.SEQ else frozenset
+    assert not V.is_model_value((tag, kind(payload)))
+    # the same element tagged is well formed
+    tagged = ((V.item(x), 1),) if tag == V.BAG else (V.item(x),)
+    assert V.is_model_value((tag, kind(tagged)))
