@@ -42,12 +42,11 @@ class AbstractCtx(ModelCtx):
 
     __slots__ = ("role_specs",)
 
-    def __init__(self, role_index, role_specs, entry_models, arg_cos, args):
+    def __init__(self, role_index, role_specs, entry_models, args):
         self.role_index = role_index
         self.role_specs = role_specs
         self.entry_models = entry_models
         self.exit_models = None
-        self.arg_cos = arg_cos
         self.args = args
         self.result = None
 
@@ -252,8 +251,7 @@ def completeness_probe(class_spec, routine, domain):
     for pre in domain.pre_states(class_spec, routine):
         entry = pre["roles"]
         args = pre["args"]
-        arg_cos = {k: (object() if k in entry else None) for k in routine.ref_params}
-        ctx = AbstractCtx(routine.role_index, role_specs, entry, arg_cos, args)
+        ctx = AbstractCtx(routine.role_index, role_specs, entry, args)
         try:
             if not all(p.fn(ctx) for p in routine.pre):
                 continue

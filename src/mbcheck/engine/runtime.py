@@ -10,12 +10,14 @@ time, and the frame predicates that `engine.specs.bind` derived:
 2. entry invariant check on the target (only if it is closed),
 3. precondition check (a violation aborts before the body; the harness treats
    a top-level precondition violation as an invalid test case, not a fault),
-4. save + set the is_open flag on the target and open-listed arguments,
+4. save the target's is_open flag and set it,
 5. body execution (internal unqualified calls are plain Python calls and are
    never re-instrumented; qualified calls on other checked objects re-enter
    `checked_call`),
-6. restore the saved is_open flags, last saved first,
-7. exit invariant check on the target and on opened arguments,
+6. restore the target's saved flag,
+7. exit invariant check on the target, only if it was closed before the call
+   (a call made back on an open target, from inside its own body, checks no
+   invariant at either end),
 8. postconditions against the pre-state models,
 9. derived frame predicates.
 
@@ -51,29 +53,25 @@ CALLEE = "callee"
 
 
 class Violation:
-    __slots__ = ("kind", "class_name", "routine", "clause", "blame", "ordinal", "token", "detail")
+    """One failed clause. ``obj`` is the ``CheckedObject`` it was checked
+    on: the target of the call whose clause failed."""
 
-    def __init__(self, kind, class_name, routine, clause, blame, ordinal, token, detail=""):
+    __slots__ = ("kind", "class_name", "routine", "clause", "blame", "obj", "detail")
+
+    def __init__(self, kind, class_name, routine, clause, blame, obj, detail=""):
         self.kind = kind
         self.class_name = class_name
         self.routine = routine
         self.clause = clause
         self.blame = blame
-        self.ordinal = ordinal
-        self.token = token
+        self.obj = obj
         self.detail = detail
 
     def key(self):
         return (self.class_name, self.routine, self.clause, self.kind)
 
     def __repr__(self):
-        return "Violation(%s %s.%s:%s @%d)" % (
-            self.kind,
-            self.class_name,
-            self.routine,
-            self.clause,
-            self.ordinal,
-        )
+        return "Violation(%s %s.%s:%s)" % (self.kind, self.class_name, self.routine, self.clause)
 
 
 class CheckedObject:
@@ -128,7 +126,7 @@ class CallCtx(ModelCtx):
     ``self_id``/``arg_id`` give object identities as model values.
     """
 
-    __slots__ = ("engine", "co")
+    __slots__ = ("engine", "co", "arg_cos")
 
     def __init__(self, engine, co, routine, args, arg_cos, entry_models):
         self.engine = engine
@@ -166,13 +164,12 @@ class Engine:
     the benchmark tracer observe it by wrapping those callables.
     """
 
-    __slots__ = ("_next_token", "_objects", "_suppress", "_ordinal", "_sink")
+    __slots__ = ("_next_token", "_objects", "_suppress", "_sink")
 
     def __init__(self):
         self._next_token = 1
         self._objects = {}
         self._suppress = 0
-        self._ordinal = 0
         self._sink = None
 
     # --- object identity ---
@@ -200,7 +197,6 @@ class Engine:
         if self._suppress:
             return CallOutcome(routine.body(co.concrete, *args), (), False)
 
-        self._ordinal = ordinal = self._ordinal + 1
         co.calls += 1
         sink = self._sink
         is_top = sink is None
@@ -208,13 +204,13 @@ class Engine:
             sink = self._sink = []
         start = len(sink)
         try:
-            result, invalid = self._protocol(co, routine, args, ordinal, sink)
+            result, invalid = self._protocol(co, routine, args, sink)
         finally:
             if is_top:
                 self._sink = None
         return CallOutcome(result, tuple(sink[start:]), invalid)
 
-    def _frame_models(self, co, rname, refs, arg_cos, sink, ordinal):
+    def _frame_models(self, co, rname, refs, arg_cos, sink):
         """Model maps of the frame universe: the target's under key -1 and
         each present reference argument's under its position, evaluated with
         checking suppressed. On failure, records a ``model_eval_error`` on
@@ -228,12 +224,12 @@ class Engine:
                     models[k] = _model_map(aco)
             return models
         except Exception as e:
-            sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "model", ordinal, repr(e)))
+            sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "model", repr(e)))
             return None
         finally:
             self._suppress -= 1
 
-    def _check(self, clauses, fnargs, kind, co, rname, ordinal, sink, first=False):
+    def _check(self, clauses, fnargs, kind, co, rname, sink, first=False):
         """Evaluate one phase's clauses on ``co``, with checking suppressed
         once for the whole phase.
 
@@ -252,20 +248,20 @@ class Engine:
                     ok = cl.fn(*fnargs)
                 except Exception as e:
                     failed = MODEL_EVAL_ERROR
-                    sink.append(_violation(failed, co, rname, cl.name, ordinal, repr(e)))
+                    sink.append(_violation(failed, co, rname, cl.name, repr(e)))
                 else:
                     if ok:
                         continue
                     failed = kind
                     detail = _frame_detail(cl, fnargs[0]) if kind == FRAME else ""
-                    sink.append(_violation(kind, co, rname, cl.name, ordinal, detail))
+                    sink.append(_violation(kind, co, rname, cl.name, detail))
                 if first:
                     break
         finally:
             self._suppress -= 1
         return failed
 
-    def _protocol(self, co, routine, args, ordinal, sink):
+    def _protocol(self, co, routine, args, sink):
         """Run the protocol's phases, appending violations to ``sink``.
         Returns ``(result, invalid)``; ``invalid`` is true when a
         precondition rejected the call."""
@@ -280,70 +276,46 @@ class Engine:
                 arg_cos[k] = a._checked
 
         # (1) pre-state models for the whole frame universe
-        entry_models = self._frame_models(co, rname, refs, arg_cos, sink, ordinal)
+        entry_models = self._frame_models(co, rname, refs, arg_cos, sink)
         if entry_models is None:
             return None, False
 
-        # (2) entry invariants, target only, only when closed
-        if not co.is_open and self._check(
-            _eligible_invariants(co),
-            (entry_models[-1], co.concrete),
-            INVARIANT_ENTRY,
-            co,
-            rname,
-            ordinal,
-            sink,
+        # (2) entry invariants, target only, only when closed; the flag is
+        # saved here for steps 4, 6 and 7
+        was_open = co.is_open
+        if not was_open and self._check(
+            _eligible_invariants(co), (entry_models[-1], co.concrete), INVARIANT_ENTRY,
+            co, rname, sink,
         ):
             return None, False
 
         # (3) preconditions; first failing clause aborts
         ctx = CallCtx(self, co, routine, args, arg_cos, entry_models)
         if routine.pre:
-            failed = self._check(routine.pre, (ctx,), PRECONDITION, co, rname, ordinal, sink, True)
+            failed = self._check(routine.pre, (ctx,), PRECONDITION, co, rname, sink, True)
             if failed:
                 return None, failed == PRECONDITION
 
-        # (4) open the target and open-listed arguments, saving each flag
-        # with the object's key in the model maps
-        saved = [(co, co.is_open, -1)]
+        # (4) open the target, (5) body, (6) restore its flag
         co.is_open = True
-        for k in routine.open_args:
-            aco = arg_cos[k]
-            if aco is not None:
-                saved.append((aco, aco.is_open, k))
-                aco.is_open = True
-
-        # (5) body, (6) restore
         try:
             result = routine.body(co.concrete, *args)
         except Exception as e:
-            sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "crash", ordinal, repr(e)))
+            sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "crash", repr(e)))
             return None, False
         finally:
-            # in reverse, so a target that is also an opened argument ends
-            # with its own saved flag
-            for o, flag, _ in reversed(saved):
-                o.is_open = flag
+            co.is_open = was_open
 
         # post-state models
-        exit_models = self._frame_models(co, rname, refs, arg_cos, sink, ordinal)
+        exit_models = self._frame_models(co, rname, refs, arg_cos, sink)
         if exit_models is None:
             return result, False
 
-        # (7) exit invariants: target plus opened arguments, each if closed
-        exit_failed = False
-        for o, _, k in saved:
-            if not o.is_open and self._check(
-                _eligible_invariants(o),
-                (exit_models[k], o.concrete),
-                INVARIANT_EXIT,
-                o,
-                rname,
-                ordinal,
-                sink,
-            ):
-                exit_failed = True
-        if exit_failed:
+        # (7) exit invariants, target only, only when it was closed
+        if not was_open and self._check(
+            _eligible_invariants(co), (exit_models[-1], co.concrete), INVARIANT_EXIT,
+            co, rname, sink,
+        ):
             # first-failure: a broken exit invariant makes postcondition and
             # frame reports noise, so they are suppressed
             return result, False
@@ -353,20 +325,18 @@ class Engine:
         ctx.result = result
         fnargs = (ctx,)
         if routine.post:
-            self._check(routine.post, fnargs, POSTCONDITION, co, rname, ordinal, sink)
+            self._check(routine.post, fnargs, POSTCONDITION, co, rname, sink)
         if routine.frame_preds:
-            self._check(routine.frame_preds, fnargs, FRAME, co, rname, ordinal, sink)
+            self._check(routine.frame_preds, fnargs, FRAME, co, rname, sink)
 
         return result, False
 
 
-def _violation(kind, co, routine_name, clause_name, ordinal, detail=""):
+def _violation(kind, co, routine_name, clause_name, detail=""):
     """The protocol's one violation constructor: blame falls on the caller
     for a precondition and on the callee for every other kind."""
     blame = CALLER if kind == PRECONDITION else CALLEE
-    return Violation(
-        kind, co.spec.name, routine_name, clause_name, blame, ordinal, co.token, detail
-    )
+    return Violation(kind, co.spec.name, routine_name, clause_name, blame, co, detail)
 
 
 def _frame_detail(pred, ctx):

@@ -41,21 +41,22 @@ class ModelCtx:
     ``CallCtx`` and the probe's ``AbstractCtx``.
 
     ``entry_models`` and ``exit_models`` map a role index (-1 for the
-    target, k for reference argument k) to the role's model map;
-    ``exit_models`` is None until the exit state exists. The ``_int`` forms
-    also resolve a derived attribute over the role's map and convert a model
-    integer to an ``int``. ``old`` and ``now`` read a query with one
-    subscript, ``models[role_index[role]][qname]``, and work out whether the
-    role or the query is missing only when that raises ``KeyError``. The
-    ``_int`` forms read it with the role map's ``get``, so a derived
-    attribute, which no map holds, is reached without raising. The accessors
-    read only those maps (by subscript and ``get``) and ``args`` (by
-    subscript), so the probe can record reads in the data it hands over. A
-    subclass supplies ``_spec`` (the class spec of a role index), ``obj``,
+    target, k for reference argument k) to the role's model map; a void
+    reference argument has no key in either, which is how a derived frame
+    predicate skips it. ``exit_models`` is None until the exit state exists.
+    The ``_int`` forms also resolve a derived attribute over the role's map
+    and convert a model integer to an ``int``. ``old`` and ``now`` read a
+    query with one subscript, ``models[role_index[role]][qname]``, and work
+    out whether the role or the query is missing only when that raises
+    ``KeyError``. The ``_int`` forms read it with the role map's ``get``, so
+    a derived attribute, which no map holds, is reached without raising. The
+    accessors read only those maps (by subscript and ``get``) and ``args``
+    (by subscript), so the probe can record reads in the data it hands over.
+    A subclass supplies ``_spec`` (the class spec of a role index), ``obj``,
     ``arg_is_target``, ``self_id`` and ``arg_id``.
     """
 
-    __slots__ = ("role_index", "entry_models", "exit_models", "args", "arg_cos", "result")
+    __slots__ = ("role_index", "entry_models", "exit_models", "args", "result")
 
     def _spec(self, idx):
         raise NotImplementedError
@@ -233,8 +234,6 @@ class RoutineSpec:
     derived; the weak bindings use this) or a tuple of ``(role, query)`` pairs
     naming what may change; an empty tuple means "modifies nothing". Plain
     query-name strings are accepted and default to the target role.
-    ``open_args`` lists argument positions opened for the duration of the call
-    and re-checked at exit.
     """
 
     __slots__ = (
@@ -244,7 +243,6 @@ class RoutineSpec:
         "pre",
         "post",
         "modify",
-        "open_args",
         "returns_value",
         # filled in by bind()
         "frame_preds",
@@ -260,7 +258,6 @@ class RoutineSpec:
         pre=(),
         post=(),
         modify=None,
-        open_args=(),
         returns_value=False,
     ):
         self.name = name
@@ -273,7 +270,6 @@ class RoutineSpec:
                 (TARGET, m) if isinstance(m, str) else (m[0], m[1]) for m in modify
             )
         self.modify = modify
-        self.open_args = tuple(open_args)
         self.returns_value = returns_value
         self.frame_preds = ()
         self.ref_params = tuple(
@@ -389,7 +385,7 @@ def derive_frame_postconditions(routine, class_spec, specs_by_name):
 
 def _unchanged_pred(role, idx, qname):
     def fn(ctx):
-        if idx != -1 and ctx.arg_cos[idx] is None:
+        if idx not in ctx.entry_models:  # a void reference argument
             return True
         try:
             return ctx.exit_models[idx][qname] == ctx.entry_models[idx][qname]
@@ -405,8 +401,8 @@ def _unchanged_pred(role, idx, qname):
 def bind(specs_by_name):
     """Validate a same-level family of class specs and derive their frames.
 
-    Checks modify well-formedness, parameter references, and open_args, then
-    attaches frame predicates to each routine. Call once per binding family;
+    Checks parameter references and modify well-formedness, then attaches
+    frame predicates to each routine. Call once per binding family;
     raises SpecError on ill-formed input.
     """
     for spec in specs_by_name.values():
@@ -417,12 +413,6 @@ def bind(specs_by_name):
                     raise SpecError(
                         "%s.%s: parameter %d references unknown class %s"
                         % (spec.name, routine.name, k, cname)
-                    )
-            for k in routine.open_args:
-                if k not in routine.ref_params:
-                    raise SpecError(
-                        "%s.%s: open argument %d is not a reference parameter"
-                        % (spec.name, routine.name, k)
                     )
             routine.frame_preds = derive_frame_postconditions(
                 routine, spec, specs_by_name

@@ -112,6 +112,8 @@ def _cmd_run(args):
         where = os.path.dirname(os.path.abspath(args.report))
         if not os.path.isdir(where):
             raise ConfigError("report directory %s does not exist" % (where,))
+        if os.path.isdir(args.report):
+            raise ConfigError("report path %s is a directory" % (args.report,))
     res = run_session(cfg)
     if args.report:
         write_report(args.report, res)

@@ -241,10 +241,7 @@ def run_session(cfg):
                 cls = SUSPECT
             elif call_tainted:
                 cls = INCONSISTENCY
-            elif (
-                v.kind == "invariant_entry"
-                and engine.object_by_token(v.token).calls > 1
-            ):
+            elif v.kind == "invariant_entry" and v.obj.calls > 1:
                 # corruption discovered mid-call: everything after it in this
                 # call is fallout, not fresh evidence
                 cls = INCONSISTENCY
@@ -276,7 +273,7 @@ def run_session(cfg):
                     res.series.append((ordinal, unique_real))
 
             if v.blame == "callee":
-                gen.evict(engine.object_by_token(v.token))
+                gen.evict(v.obj)
 
         for co in tainted:
             gen.evict(co)

@@ -360,12 +360,11 @@ def test_both_contexts_read_and_refuse_alike():
     # maps' first lookup of its query
     contexts = (
         lambda: CallCtx(engine, co, routine, (), [], entry),
-        lambda: AbstractCtx(routine.role_index, {-1: spec}, entry, {}, ()),
+        lambda: AbstractCtx(routine.role_index, {-1: spec}, entry, ()),
         lambda: AbstractCtx(
             routine.role_index,
             {-1: spec},
             {-1: _ReadMap(entry[-1])},
-            {},
             _ReadArgs(()),
         ),
     )
@@ -574,8 +573,7 @@ def reference_probe(class_spec, routine, domain):
     checked = 0
     for pre in domain.pre_states(class_spec, routine):
         entry = pre["roles"]
-        arg_cos = {k: (object() if k in entry else None) for k in routine.ref_params}
-        ctx = AbstractCtx(routine.role_index, role_specs, entry, arg_cos, pre["args"])
+        ctx = AbstractCtx(routine.role_index, role_specs, entry, pre["args"])
         try:
             if not all(p.fn(ctx) for p in routine.pre):
                 continue
@@ -1438,7 +1436,7 @@ def test_defining_clause_compares_the_exit_value():
     p = defines("appended", "sequence", lambda ctx: V.seq_extended(ctx.old("sequence"), one))
     assert p.definition[:2] == ("target", "sequence")
     spec = build_class("array_stack", "strong")
-    ctx = AbstractCtx({"target": -1}, {-1: spec}, {-1: {"sequence": V.EMPTY_SEQ}}, {}, ())
+    ctx = AbstractCtx({"target": -1}, {-1: spec}, {-1: {"sequence": V.EMPTY_SEQ}}, ())
     ctx.exit_models = {-1: {"sequence": V.seq_extended(V.EMPTY_SEQ, one)}}
     assert p.fn(ctx) is True
     ctx.exit_models = {-1: {"sequence": V.EMPTY_SEQ}}

@@ -251,53 +251,44 @@ def test_is_open_restored_after_normal_and_failing_calls():
     assert co.is_open is False
 
 
-def test_opened_argument_flag_saved_and_restored():
-    spec = toy_specs()
-    eng = Engine()
-    a = eng.register(Toy(), spec)
-    b = eng.register(Toy(), spec)
-    spec.routines["swap_index_with"].open_args = (0,)
-    try:
-        seen = {}
+def test_call_back_on_an_open_target_checks_no_invariant_and_leaves_it_open():
+    # the body of a call on co makes a checked call back on co: co is open,
+    # so that call runs no entry or exit invariant and leaves co open
+    eng, co, spec = fresh()
+    events = logged(spec)
+    seen = {}
 
-        def body(o, p):
-            seen["target_open"] = o._checked.is_open
-            seen["arg_open"] = p._checked.is_open
-            p.index = -5
+    def call_back(o):
+        start = len(events)
+        inner = eng.checked_call(co, spec.routines["push"], (1,))
+        seen["inner"] = [e[:2] for e in events[start:]]
+        seen["violations"] = inner.violations
+        seen["open"] = co.is_open
 
-        orig = spec.routines["swap_index_with"].body
-        spec.routines["swap_index_with"].body = body
-        try:
-            out = eng.checked_call(a, spec.routines["swap_index_with"], (b.concrete,))
-        finally:
-            spec.routines["swap_index_with"].body = orig
-        assert seen == {"target_open": True, "arg_open": True}
-        assert a.is_open is False and b.is_open is False
-        # the opened argument's exit invariants run too
-        assert [(v.kind, v.clause, v.token) for v in out.violations] == [
-            (INVARIANT_EXIT, "index_bounds", b.token)
-        ]
-    finally:
-        spec.routines["swap_index_with"].open_args = ()
+    spec.routines["noop"].body = call_back
+    out = eng.checked_call(co, spec.routines["noop"], ())
+    assert seen == {
+        "inner": [("body", "push"), ("post", "appended"), ("frame", "unchanged:target.index")],
+        "violations": (),
+        "open": True,
+    }
+    assert co.is_open is False
+    # the outer call is checked in full: noop modifies nothing, yet the
+    # call back changed the sequence
+    assert [e[1] for e in events if e[0] == "invariant"] == ["index_bounds", "peer_link"] * 2
+    assert [(v.kind, v.clause, v.obj) for v in out.violations] == [
+        (FRAME, "unchanged:target.sequence", co)
+    ]
 
 
-def test_target_opened_as_its_own_argument_is_closed_after_the_call():
-    spec = toy_specs()
-    eng = Engine()
-    a = eng.register(Toy(), spec)
-    spec.routines["swap_index_with"].open_args = (0,)
-    try:
-        out = eng.checked_call(a, spec.routines["swap_index_with"], (a.concrete,))
-        assert not out.violations
-        assert a.is_open is False
-        # closed again, so the next call checks its entry invariants
-        a.concrete.index = -5
-        out = eng.checked_call(a, spec.routines["noop"], ())
-        assert [(v.kind, v.clause) for v in out.violations] == [
-            (INVARIANT_ENTRY, "index_bounds")
-        ]
-    finally:
-        spec.routines["swap_index_with"].open_args = ()
+def test_direct_mutation_between_calls_is_seen_at_the_next_entry():
+    # each call evaluates its entry models afresh, so a change made outside
+    # any checked call shows at the next one
+    eng, co, spec = fresh()
+    assert not eng.checked_call(co, spec.routines["noop"], ()).violations
+    co.concrete.index = -5
+    out = eng.checked_call(co, spec.routines["noop"], ())
+    assert [(v.kind, v.clause) for v in out.violations] == [(INVARIANT_ENTRY, "index_bounds")]
 
 
 # --- preconditions --------------------------------------------------------
@@ -531,7 +522,8 @@ def test_nested_qualified_call_violations_reach_top_outcome():
     b = eng.register(Toy(), spec)
     a.concrete.peer = b.concrete
     out = eng.checked_call(a, spec.routines["poke_peer"], ())
-    assert any(v.kind == POSTCONDITION and v.routine == "push" for v in out.violations)
+    nested = [v for v in out.violations if v.kind == POSTCONDITION and v.routine == "push"]
+    assert len(nested) == 1 and nested[0].obj is b
     assert out.invalid is False
 
 

@@ -73,7 +73,6 @@ def spec_fingerprint(spec):
                 "post": [p.name for p in r.post],
                 "frame": [p.name for p in r.frame_preds],
                 "modify": None if r.modify is None else [list(m) for m in r.modify],
-                "open_args": list(r.open_args),
                 "returns_value": r.returns_value,
             }
             for name, r in spec.routines.items()
@@ -84,37 +83,37 @@ def spec_fingerprint(spec):
 # (class, level, builder options) -> sha256 of the fingerprint's JSON
 SPEC_FINGERPRINTS = {
     ("array_stack", "strong", ()):
-        "e9754e216d58e4194b228fc66abc323a1a7e2a51ebbea2a73c49812957cbfb88",
+        "3387227cd0aa630456448f082c129640546bf28398ba1d22f96939369bafdd57",
     ("array_stack", "weak", ()):
-        "cbc3388a40817ae9c6515c8cd773d47c347143e9e1fa9d1aac27c5b50b506798",
+        "917fd43454f3fb2f43bec5fcc0b228e4ff5bb381b7e446c6406d72c3064c58c7",
     ("binary_node", "strong", ()):
-        "c8683fbcc1b61ec9967035c6785977222ae850fef991d4d7775cf595ae53b0fd",
+        "68df6ed013607b87968933cbff51eee8b1be62c8980c17aab879ee1a5a6a73fe",
     ("binary_node", "strong", (("depend_parent", False),)):
-        "cdafc8a937799ffe46c80b1e9d466e1f6f24666b4ab2811ab54a8a34943b761d",
+        "85571c00169aaf9b9c96e1c009b4587714ed7a0f0cce98f77c337f315aa65010",
     ("binary_node", "weak", ()):
-        "c93702969575c683b4ebcdb594b426346a7f45b0fc3df5e11e99c44fc806caf0",
+        "a6274ede74d506f641c02451fdec39ec48e6d67cfbcebdbd6df37aeae7f4350d",
     ("cursor_list", "strong", ()):
-        "90259b4f970594cc894bf28eb37e73dc13eb9a2c82ec37f761c9bd9916e8902e",
+        "3ebed48813e40c7c33d08a323fe5ea21b4daa9da69a24c5c4670aee685ddbaf3",
     ("cursor_list", "strong", (("redundant_index_clause", True),)):
-        "34d375c40ccb1a668843cf574c1bc4d41ad667c77a4d7a52822be20a634cda0d",
+        "797eeca33d751e7da8715d7107c5ac121454f0af2f7e408aa85b0b3fc1dbb5c0",
     ("cursor_list", "weak", ()):
-        "c81395792cb7da45022ea4fbe2c2f0026bd29ed90b286c620e689c033ece339b",
+        "ee1ebef038c6ad7a230e62202d363557751cf7c800d11b83626b4520f8a27d8a",
     ("cursor_set", "strong", ()):
-        "4cd1ef02a40d33bf4f2fc3119ac1c5fdbba4cec621ebd195648c2958f38698e5",
+        "d7e6d72c32512f3d7e1fef05ef003717660282db17a3eeb46db09c39ddc7d243",
     ("cursor_set", "weak", ()):
-        "99b6f057a3d0fe7d3eec98c7dbf00a25bc75db3eea48fc3b886a9ba4f409ef4e",
+        "e4d7f60825fcdbf8b51e5ee0101ee9875495bf8a0e7648b01d8dac65574afa75",
     ("resizable_array", "strong", ()):
-        "4feb8b83e28355e83ebff3c990eb29c01f4ee251f794cf27ec5ecb9a4b7bb0b5",
+        "ee5545cb91bab2779c3b1a5e762cdf2aabe3c1af4ba55fc30050698b0f1ca31b",
     ("resizable_array", "weak", ()):
-        "08ea34fd1a523b420f85950356c12dc07b3bae49d134d41bca001585d314db63",
+        "a6158756652799c909b51a9a66de50f613cb7b23c10888f575f11176141cc47b",
     ("ring_queue", "strong", ()):
-        "0d82a50969467610b2a0ec976c7efe788cbf4cd62a7e58556aba79aa57486e51",
+        "ca2730acfb8a5e9dd1c4f83f6ae30fa5ccc56de0fc5929a7243008cbafb42d96",
     ("ring_queue", "weak", ()):
-        "e98d522c2d5417756d833874d54d1cb88c5c4f56873144dc4c783560737614b5",
+        "c59f819c813ce72bccc1fe84445f94735b5f194cb9ce458f59bbfd70219f6492",
     ("two_way_list", "strong", ()):
-        "92288831e88e07ee0dff0a4271f3e185faaf6434c4e8e197b4bac274d9fc1013",
+        "d1cf88182e6af54599e05aa605bdbd59c7591e31d1090d659fc07d65d9d848ec",
     ("two_way_list", "weak", ()):
-        "f4c08007e2554058a3bde6c1be3b563cc13a7d462ffb0689711186f587dc9571",
+        "178477759cd642b61a1a4ac280e21b97e43f012a6626e937affc5d1fb1497ee8",
 }
 
 

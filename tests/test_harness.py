@@ -364,20 +364,27 @@ def test_cli_rejects_bad_config(capsys):
     assert "MB-1 given more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing_directory", "path_is_a_directory"])
 def test_cli_run_missing_report_directory_fails_before_the_session(
-    tmp_path, capsys, monkeypatch
+    tmp_path, capsys, monkeypatch, case
 ):
     def no_session(cfg):
         raise AssertionError("the session ran before the report path was checked")
 
     monkeypatch.setattr(cli, "run_session", no_session)
     missing = tmp_path / "missing"
+    if case == "missing_directory":
+        report = missing / "r.jsonl"
+        message = "report directory %s does not exist" % missing
+    else:
+        report = tmp_path
+        message = "report path %s is a directory" % tmp_path
     code = main(
         ["run", "--class", "cursor_list", "--spec", "strong", "--seed", "1",
-         "--max-calls", "200000", "--report", str(missing / "r.jsonl")]
+         "--max-calls", "200000", "--report", str(report)]
     )
     assert code == 2
-    assert capsys.readouterr().err == "error: report directory %s does not exist\n" % missing
+    assert capsys.readouterr().err == "error: %s\n" % message
     assert not missing.exists()
 
 
