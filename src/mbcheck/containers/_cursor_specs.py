@@ -1,18 +1,89 @@
-"""Model queries and contract clauses common to the cursor containers.
+"""What the cursor containers share: bodies, declarations and clauses.
+
+``CursorChain`` holds the bodies of the linked cursor classes, the way
+EiffelBase's ``TWO_WAY_LIST`` inherits ``LINKED_LIST``'s: a class overrides
+only the bodies it changes. ``cursor_decl`` declares a class's routines from
+one table of parameters, preconditions and result flags, with each body
+taken from the class itself.
 
 Preconditions are written over derivable names (``old_int`` resolves either a
 model query or a derived attribute), so one predicate object serves the weak
 binding, the strong binding, and abstract probe states alike. The motion
 postconditions are pure index arithmetic and equally strong at either level.
-Model queries and invariants are made anew for each build, so no two bindings
-share one.
+``LIST_ROUTINES``, ``LIST_POST`` and ``LIST_MODIFY`` name the routines both
+linked lists declare and give their postconditions and strong frames. Model
+queries and invariants are made anew for each build, so no two bindings share
+one.
 """
 
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.containers._shared import chain_items, item_value
-from mbcheck.engine import ARG0, InvariantClause, ModelQuery, defines, pred
+from mbcheck.containers._shared import (
+    APPENDED,
+    COUNT_DOWN,
+    COUNT_UNCHANGED,
+    COUNT_UP,
+    COUNT_ZERO,
+    EMPTIED,
+    ClassDecl,
+    RoutineDecl,
+    cell_at,
+    chain_items,
+    item_value,
+    walk,
+)
+from mbcheck.engine import ARG0, InvariantClause, ModelQuery, Param, defines, pred
+
+
+class CursorChain:
+    """A chain of cells from ``first_cell`` with a cached ``last_cell``, its
+    ``count`` and an integer cursor, 0 = before and count + 1 = after. Cells
+    are located by walking from the head."""
+
+    def __init__(self, bugs=frozenset()):
+        self._bugs = bugs
+        self.first_cell = None
+        self.last_cell = None
+        self.count = 0
+        self.index = 0
+
+    # commands
+
+    def replace(self, v):
+        cell_at(self.first_cell, self.index).item = v
+
+    def start(self):
+        self.index = 1
+
+    def finish(self):
+        self.index = self.count
+
+    def forth(self):
+        self.index += 1
+
+    def back(self):
+        self.index -= 1
+
+    def go_i_th(self, i):
+        self.index = i
+
+    def wipe_out(self):
+        self.first_cell = None
+        self.last_cell = None
+        self.count = 0
+        self.index = 0
+
+    # queries
+
+    def has(self, v):
+        return v in walk(self.first_cell)
+
+    def item(self):
+        return cell_at(self.first_cell, self.index).item
+
+    def off(self):
+        return self.index < 1 or self.index > self.count
 
 
 def linked_model(level):
@@ -68,6 +139,41 @@ PRE = {
         lambda ctx: 0 <= ctx.arg(0) <= ctx.old_int("count") + 1,
     ),
 }
+
+# routine name -> (parameter kinds, preconditions, returns a value); a "ref"
+# parameter names the declaring class
+DECLARED = {
+    "extend": (("item",), (), False),
+    "replace": (("item",), (PRE["cursor_on_item"],), False),
+    "remove": ((), (PRE["cursor_on_item"],), False),
+    "start": ((), (), False),
+    "finish": ((), (), False),
+    "forth": ((), (PRE["not_after"],), False),
+    "back": ((), (PRE["not_before"],), False),
+    "go_i_th": (("index",), (PRE["position_in_range"],), False),
+    "wipe_out": ((), (), False),
+    "has": (("item",), (), True),
+    "item": ((), (PRE["cursor_on_item"],), True),
+    "off": ((), (), True),
+    "is_equal": (("ref",), (PRE["other_given"],), True),
+}
+
+
+def cursor_decl(name, concrete, routines, consistency_probe=None):
+    """The ``ClassDecl`` of cursor class ``concrete``. ``routines`` lists its
+    routines in order: a name is declared from ``DECLARED`` with the body
+    ``concrete`` has under that name; a ``RoutineDecl`` stands as given."""
+    decls = []
+    for r in routines:
+        if isinstance(r, str):
+            kinds, pre, returns_value = DECLARED[r]
+            params = [Param(k, name if k == "ref" else None) for k in kinds]
+            r = RoutineDecl(getattr(concrete, r), params, pre, returns_value)
+        decls.append(r)
+    return ClassDecl(
+        name, concrete, decls, size_of=lambda o: o.count, consistency_probe=consistency_probe
+    )
+
 
 MOTION_POST = {
     "at_first": pred("at_first", lambda ctx: ctx.now_int("index") == 1),
@@ -130,3 +236,56 @@ EQUAL_IMPLIES_SAME_COUNT = pred(
     "equal_implies_same_count",
     lambda ctx: (not ctx.result) or ctx.old_int("count") == ctx.old_int("count", ARG0),
 )
+
+# the routines both linked lists declare, in their order
+LIST_ROUTINES = (
+    "extend",
+    "replace",
+    "remove",
+    "start",
+    "finish",
+    "forth",
+    "back",
+    "go_i_th",
+    "wipe_out",
+    "has",
+    "item",
+    "off",
+)
+
+# level -> postconditions of the routines both linked lists declare
+LIST_POST = {
+    "strong": {
+        **MOTION,
+        "extend": [APPENDED],
+        "replace": [REPLACED],
+        "remove": [REMOVED],
+        "wipe_out": [EMPTIED, MOTION_POST["cursor_reset"]],
+        "has": [REPORTS_MEMBERSHIP],
+        "item": [REPORTS_ITEM],
+    },
+    "weak": {
+        **MOTION,
+        "extend": [COUNT_UP],
+        "replace": [COUNT_UNCHANGED],
+        "remove": [COUNT_DOWN],
+        "wipe_out": [COUNT_ZERO, MOTION_POST["cursor_reset"]],
+        "has": [FOUND_IMPLIES_NONEMPTY],
+    },
+}
+
+# the strong frames of the routines both linked lists declare
+LIST_MODIFY = {
+    "extend": ("sequence",),
+    "replace": ("sequence",),
+    "remove": ("sequence",),
+    "start": ("index",),
+    "finish": ("index",),
+    "forth": ("index",),
+    "back": ("index",),
+    "go_i_th": ("index",),
+    "wipe_out": ("sequence", "index"),
+    "has": (),
+    "item": (),
+    "off": (),
+}

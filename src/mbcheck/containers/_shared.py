@@ -31,6 +31,9 @@ COUNT_UNCHANGED = pred(
     "count_unchanged", lambda ctx: ctx.now_int("count") == ctx.old_int("count")
 )
 COUNT_ZERO = pred("count_zero", lambda ctx: ctx.now_int("count") == 0)
+COUNT_REPORTS_EMPTINESS = pred(
+    "reports_emptiness", lambda ctx: ctx.result == (ctx.old_int("count") == 0)
+)
 
 # clauses of the strong bindings over a "sequence" model, which derive the
 # weak level's count from it
@@ -41,6 +44,9 @@ APPENDED = defines(
     lambda ctx: V.seq_extended(ctx.old("sequence"), item_value(ctx.arg(0))),
 )
 EMPTIED = pred("emptied", lambda ctx: V.seq_is_empty(ctx.now("sequence")))
+SEQUENCE_REPORTS_EMPTINESS = pred(
+    "reports_emptiness", lambda ctx: ctx.result == V.seq_is_empty(ctx.now("sequence"))
+)
 
 
 class RoutineDecl:

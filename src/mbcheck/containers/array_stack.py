@@ -5,12 +5,14 @@ from __future__ import annotations
 import mbcheck.values as V
 from mbcheck.containers._shared import (
     APPENDED,
-    EMPTIED,
     COUNT_DOWN,
+    COUNT_REPORTS_EMPTINESS,
     COUNT_UP,
     COUNT_ZERO,
+    EMPTIED,
     NOT_EMPTY,
     SEQUENCE_COUNT,
+    SEQUENCE_REPORTS_EMPTINESS,
     ClassDecl,
     RoutineDecl,
     item_value,
@@ -84,12 +86,7 @@ def build(level, bugs=frozenset()):
                         == V.seq_last(ctx.now("sequence")),
                     )
                 ],
-                "is_empty": [
-                    pred(
-                        "reports_emptiness",
-                        lambda ctx: ctx.result == V.seq_is_empty(ctx.now("sequence")),
-                    )
-                ],
+                "is_empty": [SEQUENCE_REPORTS_EMPTINESS],
             },
             modify={
                 "push": ("sequence",),
@@ -107,11 +104,6 @@ def build(level, bugs=frozenset()):
             "push": [COUNT_UP],
             "pop": [COUNT_DOWN],
             "wipe_out": [COUNT_ZERO],
-            "is_empty": [
-                pred(
-                    "reports_emptiness",
-                    lambda ctx: ctx.result == (ctx.old_int("count") == 0),
-                )
-            ],
+            "is_empty": [COUNT_REPORTS_EMPTINESS],
         },
     )

@@ -9,58 +9,33 @@ only the representation invariant dereferences it.
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.engine import (
-    ARG0,
-    InvariantClause,
-    defines,
-    index_param,
-    item_param,
-    pred,
-    ref_param,
-)
+from mbcheck.engine import ARG0, InvariantClause, defines, pred, ref_param
 from mbcheck.errors import ConfigError
 
 from mbcheck.containers._shared import (
-    APPENDED,
-    COUNT_DOWN,
-    COUNT_UNCHANGED,
-    COUNT_UP,
-    COUNT_ZERO,
-    EMPTIED,
     SEQUENCE_COUNT,
     Cell,
-    ClassDecl,
     RoutineDecl,
     cell_at,
     chain_items,
-    walk,
 )
 from mbcheck.containers._cursor_specs import (
+    EQUAL_IMPLIES_SAME_COUNT,
+    INDEX_UNCHANGED,
+    LIST_MODIFY,
+    LIST_POST,
+    LIST_ROUTINES,
+    PRE,
+    CursorChain,
+    cursor_decl,
     linked_invariants,
     linked_model,
-    EQUAL_IMPLIES_SAME_COUNT,
-    FOUND_IMPLIES_NONEMPTY,
-    INDEX_UNCHANGED,
-    MOTION,
-    MOTION_POST,
-    PRE,
-    REMOVED,
-    REPLACED,
-    REPORTS_ITEM,
-    REPORTS_MEMBERSHIP,
 )
 
 CLASS_NAME = "cursor_list"
 
 
-class CursorList:
-
-    def __init__(self, bugs=frozenset()):
-        self._bugs = bugs
-        self.first_cell = None
-        self.last_cell = None
-        self.count = 0
-        self.index = 0
+class CursorList(CursorChain):
 
     # commands
 
@@ -76,9 +51,6 @@ class CursorList:
         self.last_cell = cell
         self.count += 1
 
-    def replace(self, v):
-        cell_at(self.first_cell, self.index).item = v
-
     def remove(self):
         prev = cell_at(self.first_cell, self.index - 1) if self.index > 1 else None
         cur = prev.next if prev is not None else self.first_cell
@@ -91,27 +63,6 @@ class CursorList:
             # removed the tail: the cache must follow
             self.last_cell = prev
         self.count -= 1
-
-    def start(self):
-        self.index = 1
-
-    def finish(self):
-        self.index = self.count
-
-    def forth(self):
-        self.index += 1
-
-    def back(self):
-        self.index -= 1
-
-    def go_i_th(self, i):
-        self.index = i
-
-    def wipe_out(self):
-        self.first_cell = None
-        self.last_cell = None
-        self.count = 0
-        self.index = 0
 
     def merge_right(self, other):
         items = chain_items(other.first_cell)
@@ -142,15 +93,6 @@ class CursorList:
 
     # queries
 
-    def has(self, v):
-        return v in walk(self.first_cell)
-
-    def item(self):
-        return cell_at(self.first_cell, self.index).item
-
-    def off(self):
-        return self.index < 1 or self.index > self.count
-
     def is_equal(self, other):
         return chain_items(self.first_cell) == chain_items(other.first_cell)
 
@@ -162,35 +104,18 @@ def _true_tail(o):
     return cell
 
 
-DECL = ClassDecl(
+DECL = cursor_decl(
     CLASS_NAME,
     CursorList,
     [
-        RoutineDecl(CursorList.extend, [item_param()]),
-        RoutineDecl(CursorList.replace, [item_param()], pre=[PRE["cursor_on_item"]]),
-        RoutineDecl(CursorList.remove, pre=[PRE["cursor_on_item"]]),
-        RoutineDecl(CursorList.start),
-        RoutineDecl(CursorList.finish),
-        RoutineDecl(CursorList.forth, pre=[PRE["not_after"]]),
-        RoutineDecl(CursorList.back, pre=[PRE["not_before"]]),
-        RoutineDecl(CursorList.go_i_th, [index_param()], pre=[PRE["position_in_range"]]),
-        RoutineDecl(CursorList.wipe_out),
-        RoutineDecl(CursorList.has, [item_param()], returns_value=True),
-        RoutineDecl(CursorList.item, pre=[PRE["cursor_on_item"]], returns_value=True),
-        RoutineDecl(CursorList.off, returns_value=True),
-        RoutineDecl(
-            CursorList.is_equal,
-            [ref_param(CLASS_NAME)],
-            pre=[PRE["other_given"]],
-            returns_value=True,
-        ),
+        *LIST_ROUTINES,
+        "is_equal",
         RoutineDecl(
             CursorList.merge_right,
             [ref_param(CLASS_NAME)],
             pre=[PRE["not_after"], PRE["other_given"], PRE["other_not_current"]],
         ),
     ],
-    size_of=lambda o: o.count,
 )
 
 
@@ -226,13 +151,7 @@ def build(level, bugs=frozenset(), redundant_index_clause=False):
             ],
             attr_derivations=SEQUENCE_COUNT,
             post={
-                **MOTION,
-                "extend": [APPENDED],
-                "replace": [REPLACED],
-                "remove": [REMOVED],
-                "wipe_out": [EMPTIED, MOTION_POST["cursor_reset"]],
-                "has": [REPORTS_MEMBERSHIP],
-                "item": [REPORTS_ITEM],
+                **LIST_POST[level],
                 "is_equal": [
                     pred(
                         "reports_equality",
@@ -242,22 +161,7 @@ def build(level, bugs=frozenset(), redundant_index_clause=False):
                 ],
                 "merge_right": merge_post,
             },
-            modify={
-                "extend": ("sequence",),
-                "replace": ("sequence",),
-                "remove": ("sequence",),
-                "start": ("index",),
-                "finish": ("index",),
-                "forth": ("index",),
-                "back": ("index",),
-                "go_i_th": ("index",),
-                "wipe_out": ("sequence", "index"),
-                "has": (),
-                "item": (),
-                "off": (),
-                "is_equal": (),
-                "merge_right": (("target", "sequence"),),
-            },
+            modify={**LIST_MODIFY, "is_equal": (), "merge_right": (("target", "sequence"),)},
         )
     return DECL.spec(
         level,
@@ -265,12 +169,7 @@ def build(level, bugs=frozenset(), redundant_index_clause=False):
         model=linked_model(level),
         invariants=linked_invariants(level),
         post={
-            **MOTION,
-            "extend": [COUNT_UP],
-            "replace": [COUNT_UNCHANGED],
-            "remove": [COUNT_DOWN],
-            "wipe_out": [COUNT_ZERO, MOTION_POST["cursor_reset"]],
-            "has": [FOUND_IMPLIES_NONEMPTY],
+            **LIST_POST[level],
             "is_equal": [EQUAL_IMPLIES_SAME_COUNT],
             "merge_right": [
                 pred(

@@ -9,35 +9,36 @@ the same element (or its successor).
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.engine import ARG0, InvariantClause, defines, item_param, pred, ref_param
+from mbcheck.engine import ARG0, InvariantClause, defines, item_param, pred
 
 from mbcheck.containers._shared import (
     COUNT_ZERO,
     EMPTIED,
     SEQUENCE_COUNT,
     Cell,
-    ClassDecl,
     RoutineDecl,
     cell_at,
     chain_items,
     item_value,
-    walk,
 )
 from mbcheck.containers._cursor_specs import (
-    linked_invariants,
-    linked_model,
     EQUAL_IMPLIES_SAME_COUNT,
     FOUND_IMPLIES_NONEMPTY,
     MOTION,
     MOTION_POST,
-    PRE,
     REPORTS_ITEM,
+    CursorChain,
+    cursor_decl,
+    linked_invariants,
+    linked_model,
 )
 
 CLASS_NAME = "cursor_set"
 
 
-class CursorSet:
+class CursorSet(CursorChain):
+    """A ``CursorChain`` without ``last_cell``: ``__init__`` and ``wipe_out``
+    leave it out."""
 
     def __init__(self, bugs=frozenset()):
         self._bugs = bugs
@@ -108,27 +109,12 @@ class CursorSet:
             cell = cell.next
             pos += 1
 
-    def start(self):
-        self.index = 1
-
-    def forth(self):
-        self.index += 1
-
     def wipe_out(self):
         self.first_cell = None
         self.count = 0
         self.index = 0
 
     # queries
-
-    def has(self, v):
-        return v in walk(self.first_cell)
-
-    def item(self):
-        return cell_at(self.first_cell, self.index).item
-
-    def off(self):
-        return self.index < 1 or self.index > self.count
 
     def is_equal(self, other):
         if "EQ-1" in self._bugs:
@@ -164,27 +150,21 @@ def _value_removed(ctx):
     return V.seq_removed_at(s, pos) if pos else s
 
 
-DECL = ClassDecl(
+DECL = cursor_decl(
     CLASS_NAME,
     CursorSet,
     [
-        RoutineDecl(CursorSet.extend, [item_param()]),
-        RoutineDecl(CursorSet.replace, [item_param()], pre=[PRE["cursor_on_item"]]),
+        "extend",
+        "replace",
         RoutineDecl(CursorSet.remove, [item_param()]),
-        RoutineDecl(CursorSet.start),
-        RoutineDecl(CursorSet.forth, pre=[PRE["not_after"]]),
-        RoutineDecl(CursorSet.wipe_out),
-        RoutineDecl(CursorSet.has, [item_param()], returns_value=True),
-        RoutineDecl(CursorSet.item, pre=[PRE["cursor_on_item"]], returns_value=True),
-        RoutineDecl(CursorSet.off, returns_value=True),
-        RoutineDecl(
-            CursorSet.is_equal,
-            [ref_param(CLASS_NAME)],
-            pre=[PRE["other_given"]],
-            returns_value=True,
-        ),
+        "start",
+        "forth",
+        "wipe_out",
+        "has",
+        "item",
+        "off",
+        "is_equal",
     ],
-    size_of=lambda o: o.count,
     consistency_probe=_no_duplicates,
 )
 

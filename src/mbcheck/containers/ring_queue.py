@@ -9,12 +9,14 @@ from __future__ import annotations
 import mbcheck.values as V
 from mbcheck.containers._shared import (
     APPENDED,
-    EMPTIED,
     COUNT_DOWN,
+    COUNT_REPORTS_EMPTINESS,
     COUNT_UP,
     COUNT_ZERO,
+    EMPTIED,
     NOT_EMPTY,
     SEQUENCE_COUNT,
+    SEQUENCE_REPORTS_EMPTINESS,
     ClassDecl,
     RoutineDecl,
     item_value,
@@ -123,12 +125,7 @@ def build(level, bugs=frozenset()):
                         == V.seq_item(ctx.now("sequence"), 1),
                     )
                 ],
-                "is_empty": [
-                    pred(
-                        "reports_emptiness",
-                        lambda ctx: ctx.result == V.seq_is_empty(ctx.now("sequence")),
-                    )
-                ],
+                "is_empty": [SEQUENCE_REPORTS_EMPTINESS],
             },
             modify={
                 "put": ("sequence",),
@@ -146,11 +143,6 @@ def build(level, bugs=frozenset()):
             "put": [COUNT_UP],
             "remove": [COUNT_DOWN],
             "wipe_out": [COUNT_ZERO],
-            "is_empty": [
-                pred(
-                    "reports_emptiness",
-                    lambda ctx: ctx.result == (ctx.old_int("count") == 0),
-                )
-            ],
+            "is_empty": [COUNT_REPORTS_EMPTINESS],
         },
     )

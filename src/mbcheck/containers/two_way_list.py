@@ -9,47 +9,30 @@ buys.
 from __future__ import annotations
 
 import mbcheck.values as V
-from mbcheck.engine import InvariantClause, defines, index_param, item_param, pred
+from mbcheck.engine import InvariantClause, defines, item_param
 
 from mbcheck.containers._shared import (
-    APPENDED,
-    COUNT_DOWN,
-    COUNT_UNCHANGED,
     COUNT_UP,
-    COUNT_ZERO,
-    EMPTIED,
     SEQUENCE_COUNT,
-    ClassDecl,
     DCell,
     RoutineDecl,
     cell_at,
     item_value,
-    walk,
 )
 from mbcheck.containers._cursor_specs import (
+    LIST_MODIFY,
+    LIST_POST,
+    LIST_ROUTINES,
+    CursorChain,
+    cursor_decl,
     linked_invariants,
     linked_model,
-    FOUND_IMPLIES_NONEMPTY,
-    MOTION,
-    MOTION_POST,
-    PRE,
-    REMOVED,
-    REPLACED,
-    REPORTS_ITEM,
-    REPORTS_MEMBERSHIP,
 )
 
 CLASS_NAME = "two_way_list"
 
 
-class TwoWayList:
-
-    def __init__(self, bugs=frozenset()):
-        self._bugs = bugs
-        self.first_cell = None
-        self.last_cell = None
-        self.count = 0
-        self.index = 0
+class TwoWayList(CursorChain):
 
     # commands
 
@@ -75,9 +58,6 @@ class TwoWayList:
             self.last_cell = cell
         self.count += 1
 
-    def replace(self, v):
-        cell_at(self.first_cell, self.index).item = v
-
     def remove(self):
         prev = cell_at(self.first_cell, self.index - 1) if self.index > 1 else None
         cur = prev.next if prev is not None else self.first_cell
@@ -92,41 +72,12 @@ class TwoWayList:
             self.last_cell = prev
         self.count -= 1
 
-    def start(self):
-        self.index = 1
-
-    def finish(self):
-        self.index = self.count
-
-    def forth(self):
-        self.index += 1
-
     def back(self):
         if "TW-2" in self._bugs:
             if self.index > 1:
                 self.index -= 1
         else:
             self.index -= 1
-
-    def go_i_th(self, i):
-        self.index = i
-
-    def wipe_out(self):
-        self.first_cell = None
-        self.last_cell = None
-        self.count = 0
-        self.index = 0
-
-    # queries
-
-    def has(self, v):
-        return v in walk(self.first_cell)
-
-    def item(self):
-        return cell_at(self.first_cell, self.index).item
-
-    def off(self):
-        return self.index < 1 or self.index > self.count
 
 
 def _back_links_sound(o):
@@ -143,25 +94,11 @@ def _back_links_sound(o):
     return o.last_cell is before
 
 
-DECL = ClassDecl(
+DECL = cursor_decl(
     CLASS_NAME,
     TwoWayList,
-    [
-        RoutineDecl(TwoWayList.extend, [item_param()]),
-        RoutineDecl(TwoWayList.put_front, [item_param()]),
-        RoutineDecl(TwoWayList.replace, [item_param()], pre=[PRE["cursor_on_item"]]),
-        RoutineDecl(TwoWayList.remove, pre=[PRE["cursor_on_item"]]),
-        RoutineDecl(TwoWayList.start),
-        RoutineDecl(TwoWayList.finish),
-        RoutineDecl(TwoWayList.forth, pre=[PRE["not_after"]]),
-        RoutineDecl(TwoWayList.back, pre=[PRE["not_before"]]),
-        RoutineDecl(TwoWayList.go_i_th, [index_param()], pre=[PRE["position_in_range"]]),
-        RoutineDecl(TwoWayList.wipe_out),
-        RoutineDecl(TwoWayList.has, [item_param()], returns_value=True),
-        RoutineDecl(TwoWayList.item, pre=[PRE["cursor_on_item"]], returns_value=True),
-        RoutineDecl(TwoWayList.off, returns_value=True),
-    ],
-    size_of=lambda o: o.count,
+    # put_front follows extend
+    [LIST_ROUTINES[0], RoutineDecl(TwoWayList.put_front, [item_param()]), *LIST_ROUTINES[1:]],
 )
 
 
@@ -179,8 +116,7 @@ def build(level, bugs=frozenset()):
             ],
             attr_derivations=SEQUENCE_COUNT,
             post={
-                **MOTION,
-                "extend": [APPENDED],
+                **LIST_POST[level],
                 "put_front": [
                     defines(
                         "prefixed",
@@ -190,40 +126,13 @@ def build(level, bugs=frozenset()):
                         ),
                     )
                 ],
-                "replace": [REPLACED],
-                "remove": [REMOVED],
-                "wipe_out": [EMPTIED, MOTION_POST["cursor_reset"]],
-                "has": [REPORTS_MEMBERSHIP],
-                "item": [REPORTS_ITEM],
             },
-            modify={
-                "extend": ("sequence",),
-                "put_front": ("sequence",),
-                "replace": ("sequence",),
-                "remove": ("sequence",),
-                "start": ("index",),
-                "finish": ("index",),
-                "forth": ("index",),
-                "back": ("index",),
-                "go_i_th": ("index",),
-                "wipe_out": ("sequence", "index"),
-                "has": (),
-                "item": (),
-                "off": (),
-            },
+            modify={**LIST_MODIFY, "put_front": ("sequence",)},
         )
     return DECL.spec(
         level,
         bugs,
         model=linked_model(level),
         invariants=linked_invariants(level),
-        post={
-            **MOTION,
-            "extend": [COUNT_UP],
-            "put_front": [COUNT_UP],
-            "replace": [COUNT_UNCHANGED],
-            "remove": [COUNT_DOWN],
-            "wipe_out": [COUNT_ZERO, MOTION_POST["cursor_reset"]],
-            "has": [FOUND_IMPLIES_NONEMPTY],
-        },
+        post={**LIST_POST[level], "put_front": [COUNT_UP]},
     )

@@ -107,13 +107,9 @@ def _cmd_run(args):
         alphabet=args.alphabet,
         max_object_size=args.max_object_size,
     )
-    # fail before the session, not after it
+    # fail before the session, not after it; appending keeps an existing report
     if args.report:
-        where = os.path.dirname(os.path.abspath(args.report))
-        if not os.path.isdir(where):
-            raise ConfigError("report directory %s does not exist" % (where,))
-        if os.path.isdir(args.report):
-            raise ConfigError("report path %s is a directory" % (args.report,))
+        open(args.report, "a").close()
     res = run_session(cfg)
     if args.report:
         write_report(args.report, res)

@@ -47,7 +47,6 @@ class SessionConfig:
     pool_max: int = 6
     max_object_size: int = 16
     alphabet: int = 4
-    build_options: tuple = ()  # extra (key, value) pairs for the class builder
 
     def __post_init__(self):
         if (self.max_calls is None) == (self.wall_secs is None):
@@ -193,9 +192,7 @@ def _tainted_participants(spec, target, refs):
 
 
 def run_session(cfg):
-    spec = build_class(
-        cfg.class_name, cfg.level, frozenset(cfg.bugs), **dict(cfg.build_options)
-    )
+    spec = build_class(cfg.class_name, cfg.level, frozenset(cfg.bugs))
     engine = Engine()
     rng = random.Random(cfg.seed)
     gen = _Generator(cfg, spec, engine, rng)

@@ -11,6 +11,9 @@ from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers import bugs as bug_catalog
 from mbcheck.containers._shared import ClassDecl, RoutineDecl, walk
 from mbcheck.containers.array_stack import ArrayStack
+from mbcheck.containers.cursor_list import CursorList
+from mbcheck.containers.cursor_set import CursorSet
+from mbcheck.containers.two_way_list import TwoWayList
 from mbcheck.errors import SpecError
 
 
@@ -474,6 +477,37 @@ def test_every_build_makes_new_specs(cls):
         for name, routine in a.routines.items():
             assert routine is not b.routines[name]
             assert (routine.modify is None) == (level == "weak")
+
+
+CURSOR_CLASSES = {
+    "cursor_list": CursorList,
+    "two_way_list": TwoWayList,
+    "cursor_set": CursorSet,
+}
+SHARED_CURSOR_BODIES = [
+    ("start", ("cursor_list", "two_way_list", "cursor_set")),
+    ("forth", ("cursor_list", "two_way_list", "cursor_set")),
+    ("has", ("cursor_list", "two_way_list", "cursor_set")),
+    ("item", ("cursor_list", "two_way_list", "cursor_set")),
+    ("off", ("cursor_list", "two_way_list", "cursor_set")),
+    ("__init__", ("cursor_list", "two_way_list")),
+    ("replace", ("cursor_list", "two_way_list")),
+    ("finish", ("cursor_list", "two_way_list")),
+    ("go_i_th", ("cursor_list", "two_way_list")),
+    ("wipe_out", ("cursor_list", "two_way_list")),
+]
+
+
+@pytest.mark.parametrize("routine, classes", SHARED_CURSOR_BODIES)
+def test_shared_cursor_body_is_one_function(routine, classes):
+    bodies = {getattr(CURSOR_CLASSES[cls], routine) for cls in classes}
+    if routine != "__init__":
+        bodies.update(
+            build_class(cls, level).routines[routine].body
+            for cls in classes
+            for level in LEVELS
+        )
+    assert len(bodies) == 1
 
 
 def test_overlay_must_name_declared_routines():

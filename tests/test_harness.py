@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 
 import pytest
@@ -364,7 +365,9 @@ def test_cli_rejects_bad_config(capsys):
     assert "MB-1 given more than once" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["missing_directory", "path_is_a_directory"])
+@pytest.mark.parametrize(
+    "case", ["missing_directory", "path_is_a_directory", "path_under_proc"]
+)
 def test_cli_run_missing_report_directory_fails_before_the_session(
     tmp_path, capsys, monkeypatch, case
 ):
@@ -375,17 +378,42 @@ def test_cli_run_missing_report_directory_fails_before_the_session(
     missing = tmp_path / "missing"
     if case == "missing_directory":
         report = missing / "r.jsonl"
-        message = "report directory %s does not exist" % missing
-    else:
+        message = "[Errno 2] No such file or directory: '%s'" % report
+    elif case == "path_is_a_directory":
         report = tmp_path
-        message = "report path %s is a directory" % tmp_path
+        message = "[Errno 21] Is a directory: '%s'" % tmp_path
+    else:
+        # the directory exists, but no file can be made in it
+        if not os.path.isdir("/proc"):
+            pytest.skip("no /proc on this system")
+        report = "/proc/x.jsonl"
+        message = None
     code = main(
         ["run", "--class", "cursor_list", "--spec", "strong", "--seed", "1",
          "--max-calls", "200000", "--report", str(report)]
     )
     assert code == 2
-    assert capsys.readouterr().err == "error: %s\n" % message
+    err = capsys.readouterr().err
+    if message is None:
+        assert err.startswith("error: [Errno ") and "'/proc/x.jsonl'" in err
+    else:
+        assert err == "error: %s\n" % message
     assert not missing.exists()
+
+
+def test_cli_run_report_path_check_keeps_an_existing_report(tmp_path, monkeypatch):
+    def failed_session(cfg):
+        raise ConfigError("the session failed")
+
+    monkeypatch.setattr(cli, "run_session", failed_session)
+    report = tmp_path / "r.jsonl"
+    report.write_text("kept\n")
+    code = main(
+        ["run", "--class", "cursor_list", "--spec", "strong", "--seed", "1",
+         "--max-calls", "10", "--report", str(report)]
+    )
+    assert code == 2
+    assert report.read_text() == "kept\n"
 
 
 def test_cli_compare_end_to_end(tmp_path, capsys):
