@@ -110,7 +110,7 @@ def count_evaluations(all_tasks):
     wrapped = set()
     for _, _, strong, routine in all_tasks:
         groups = (
-            ("invariant", [cl for cl in strong.invariants if cl.kind == "model"]),
+            ("invariant", strong.model_invariants),
             ("post", routine.post),
         )
         for layer, objs in groups:

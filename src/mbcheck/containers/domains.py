@@ -95,7 +95,7 @@ class SequenceDomain:
         built once per spec."""
         states = self._states.get(spec)
         if states is None:
-            invariants = [cl for cl in spec.invariants if cl.kind == "model"]
+            invariants = spec.model_invariants
             if "index" in spec.model_names:
                 every = (
                     {"sequence": s, "index": V.integer(i)}

@@ -234,11 +234,6 @@ def completeness_probe(class_spec, routine, domain):
     for k in routine.ref_params:
         role_specs[k] = domain.role_spec(routine.params[k].ref_class)
 
-    # model-kind invariants filter candidate post-states per role
-    model_invariants = {
-        idx: tuple(cl for cl in spec.invariants if cl.kind == "model")
-        for idx, spec in role_specs.items()
-    }
     posts = routine.post
     results = tuple(domain.result_choices(routine)) if routine.returns_value else (None,)
     ref_ks = frozenset(routine.ref_params)
@@ -277,7 +272,7 @@ def completeness_probe(class_spec, routine, domain):
             if admitted is None:
                 admitted = admitted_by_role[key] = _Admitted()
                 admitted.pending = _role_candidates(
-                    dict(m), role_free, lists, model_invariants[idx]
+                    dict(m), role_free, lists, role_specs[idx].model_invariants
                 )
                 if decided:  # the base key needs the list whole
                     admitted.fill(interned)

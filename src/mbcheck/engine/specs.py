@@ -14,7 +14,7 @@ defaults to the target role.
 from __future__ import annotations
 
 from mbcheck.errors import ModelEvalError, SpecError
-from mbcheck.values import INT, as_int
+from mbcheck.values import as_int
 
 TARGET = "target"
 ARG0 = "arg0"
@@ -45,7 +45,7 @@ class ModelCtx:
     reference argument has no key in either, which is how a derived frame
     predicate skips it. ``exit_models`` is None until the exit state exists.
     The ``_int`` forms also resolve a derived attribute over the role's map
-    and convert a model integer to an ``int``. ``old`` and ``now`` read a
+    and check that the value is an integer. ``old`` and ``now`` read a
     query with one subscript, ``models[role_index[role]][qname]``, and work
     out whether the role or the query is missing only when that raises
     ``KeyError``. The ``_int`` forms read it with the role map's ``get``, so
@@ -102,9 +102,7 @@ class ModelCtx:
                     % (qname, spec.name)
                 )
             v = deriv(m)
-        if type(v) is tuple:
-            return v[1] if v[0] == INT else as_int(v)
-        return v
+        return v if type(v) is int else as_int(v)
 
     def old_int(self, qname, role=TARGET):
         return self._resolve(self.entry_models, qname, role)
@@ -295,9 +293,11 @@ class ClassSpec:
     its first lookup, which is how it records the queries read.
     ``consistency_probe`` is an optional concrete-state predicate used by the
     harness for fault classification bookkeeping only. ``size_of`` reports an
-    object's size for the pool's discard heuristic. ``depend_gated`` is true
-    when some invariant declares ``depend``; only then does the runtime test
-    invariant eligibility clause by clause.
+    object's size for the pool's discard heuristic. ``model_invariants`` are
+    the invariants of kind ``model``, the ones an abstract state obeys on its
+    own; the probe's domains and searches filter candidate states by them.
+    ``depend_gated`` is true when some invariant declares ``depend``; only
+    then does the runtime test invariant eligibility clause by clause.
     """
 
     __slots__ = (
@@ -306,6 +306,7 @@ class ClassSpec:
         "model",
         "model_names",
         "invariants",
+        "model_invariants",
         "routines",
         "make",
         "attr_derivations",
@@ -336,6 +337,7 @@ class ClassSpec:
         if len(self.model_names) != len(self.model):
             raise SpecError("duplicate model query names in %s" % name)
         self.invariants = tuple(invariants)
+        self.model_invariants = tuple(cl for cl in self.invariants if cl.kind == "model")
         self.depend_gated = any(cl.depend for cl in self.invariants)
         self.routines = dict(routines)
         self.make = make

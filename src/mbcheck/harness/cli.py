@@ -107,9 +107,11 @@ def _cmd_run(args):
         alphabet=args.alphabet,
         max_object_size=args.max_object_size,
     )
-    # fail before the session, not after it; appending keeps an existing report
+    # fail before the session, not after it; appending keeps an existing
+    # report and its timing sidecar
     if args.report:
         open(args.report, "a").close()
+        open(args.report + ".timing", "a").close()
     res = run_session(cfg)
     if args.report:
         write_report(args.report, res)

@@ -158,9 +158,8 @@ def throughput_ratios(paths):
     return out
 
 
-def write_comparison(path, cmp_result, ratios=None):
+def write_comparison(path, cmp_result, ratios):
     with open(path, "w") as f:
         f.write(json.dumps(cmp_result, sort_keys=True, indent=2) + "\n")
-    if ratios is not None:
-        with open(str(path) + ".timing", "w") as f:
-            f.write(json.dumps({"weak_over_strong_speed": ratios}, sort_keys=True) + "\n")
+    with open(str(path) + ".timing", "w") as f:
+        f.write(json.dumps({"weak_over_strong_speed": ratios}, sort_keys=True) + "\n")

@@ -85,10 +85,6 @@ class FaultRecord:
     matched_bug: str | None = None
     analogue_of: str | None = None
 
-    @property
-    def key(self):
-        return (self.class_name, self.routine, self.clause, self.kind)
-
 
 @dataclass
 class SessionResult:

@@ -1,28 +1,24 @@
 """Immutable model values: booleans, integers, atoms, object ids, sequences,
 sets and bags with structural equality.
 
-A model value is a tagged pair ``(tag, payload)``:
+An integer is its own exact ``int``. Every other model value is a tagged
+pair ``(tag, payload)``:
 
     ('b', bool)                         boolean
-    ('i', int)                          integer
     ('a', hashable)                     opaque atom (item payloads beyond ints)
     ('o', int)                          object identity token (0 = void)
-    ('q', tuple of elements)            sequence, positions 1..len
-    ('s', frozenset of elements)        set
-    ('g', frozenset of (element, n))    bag, n >= 1
+    ('q', tuple of values)              sequence, positions 1..len
+    ('s', frozenset of values)          set
+    ('g', frozenset of (value, n))      bag, n >= 1
 
-An element is an integer stored as its exact ``int``, or any other model
-value in its tagged form. A raw int is never a tuple, so the element ``1``
-and the atom ``('a', True)`` stay distinct although ``True == 1``; top-level
-values are always tagged. Payloads nest, so equality and hashing are the
+That one rule holds at top level and inside payloads alike, so no operation
+converts between forms. A raw int is never a tuple, so the integer ``1``
+stays distinct from the boolean ``('b', True)`` and the atoms ``('a', True)``
+and ``('a', 1.0)`` although ``True == 1.0 == 1``; only an exact ``int`` is
+raw, never a bool or a float. Payloads nest, so equality and hashing are the
 native tuple/frozenset ones: structural, and entirely in C. All operations
 return fresh values and never mutate their inputs; out-of-domain accesses
 raise ModelEvalError.
-
-Tags change only at the kernel's boundary: operations that return an element
-(``seq_item``, ``seq_last``, ``seq_items``) tag an int on the way out, and
-operations that take one (``sequence``, ``seq_has``, ``seq_extended``,
-``set_has``, ``bag_of`` and the like) untag a tagged int on the way in.
 
 ``item`` and ``item_sequence`` give the model of stored container elements:
 integers stay integers, anything else hashable becomes an atom. A sequence of
@@ -40,7 +36,6 @@ from mbcheck.errors import ModelEvalError
 BACKEND = "pure"
 
 BOOL = "b"
-INT = "i"
 ATOM = "a"
 OID = "o"
 SEQ = "q"
@@ -52,16 +47,6 @@ FALSE = (BOOL, False)
 EMPTY_SEQ = (SEQ, ())
 
 
-def _raw(v):
-    """The payload element for the model value ``v``."""
-    return v[1] if v[0] == INT else v
-
-
-def _tagged(x):
-    """The model value for the payload element ``x``."""
-    return (INT, x) if type(x) is int else x
-
-
 # --- constructors ---------------------------------------------------------
 
 
@@ -70,7 +55,7 @@ def boolean(x):
 
 
 def integer(x):
-    return (INT, x if type(x) is int else int(x))
+    return x if type(x) is int else int(x)
 
 
 def atom(x):
@@ -90,17 +75,16 @@ VOID_ID = object_id(0)
 
 
 def sequence(items):
-    return (SEQ, tuple([_raw(v) for v in items]))
+    return (SEQ, tuple(items))
 
 
 def mset(items):
-    return (SET, frozenset([_raw(v) for v in items]))
+    return (SET, frozenset(items))
 
 
 def bag_of(items):
     counts = {}
     for v in items:
-        v = _raw(v)
         counts[v] = counts.get(v, 0) + 1
     return (BAG, frozenset(counts.items()))
 
@@ -110,7 +94,6 @@ def bag_from_counts(pairs):
     for v, n in pairs:
         if n <= 0:
             raise ModelEvalError("bag multiplicity must be positive")
-        v = _raw(v)
         counts[v] = counts.get(v, 0) + n
     return (BAG, frozenset(counts.items()))
 
@@ -118,7 +101,7 @@ def bag_from_counts(pairs):
 def item(x):
     """Model value for a stored element: ints keep integer arithmetic,
     anything else hashable rides along as an opaque atom."""
-    return (INT, x) if type(x) is int else atom(x)
+    return x if type(x) is int else atom(x)
 
 
 def item_sequence(xs):
@@ -132,14 +115,10 @@ def item_sequence(xs):
 # --- variant access -------------------------------------------------------
 
 
-def kind(v):
-    return v[0]
-
-
 def as_int(v):
-    if v[0] != INT:
+    if type(v) is not int:
         raise ModelEvalError("not an integer value: %r" % (v,))
-    return v[1]
+    return v
 
 
 def oid_token(v):
@@ -163,30 +142,30 @@ def seq_item(s, i):
     items = s[1]
     if i < 1 or i > len(items):
         raise ModelEvalError("sequence position %d outside 1..%d" % (i, len(items)))
-    return _tagged(items[i - 1])
+    return items[i - 1]
 
 
 def seq_last(s):
     items = s[1]
     if not items:
         raise ModelEvalError("last of empty sequence")
-    return _tagged(items[-1])
+    return items[-1]
 
 
 def seq_has(s, v):
-    return _raw(v) in s[1]
+    return v in s[1]
 
 
 def seq_index_of(s, v):
     """The first position of ``v`` in ``s``, or 0 when ``s`` lacks it."""
     try:
-        return s[1].index(_raw(v)) + 1
+        return s[1].index(v) + 1
     except ValueError:
         return 0
 
 
 def seq_items(s):
-    return tuple([_tagged(x) for x in s[1]])
+    return s[1]
 
 
 def seq_front(s, i):
@@ -219,14 +198,14 @@ def seq_concat(a, b):
 
 
 def seq_extended(s, v):
-    return (SEQ, s[1] + (_raw(v),))
+    return (SEQ, s[1] + (v,))
 
 
 def seq_replaced_at(s, i, v):
     items = s[1]
     if i < 1 or i > len(items):
         raise ModelEvalError("sequence position %d outside 1..%d" % (i, len(items)))
-    return (SEQ, items[: i - 1] + (_raw(v),) + items[i:])
+    return (SEQ, items[: i - 1] + (v,) + items[i:])
 
 
 def seq_removed_at(s, i):
@@ -259,18 +238,16 @@ def set_count(s):
 
 
 def set_has(s, v):
-    return _raw(v) in s[1]
+    return v in s[1]
 
 
 def set_extended(s, v):
-    v = _raw(v)
     if v in s[1]:
         return s
     return (SET, s[1] | {v})
 
 
 def set_removed(s, v):
-    v = _raw(v)
     if v not in s[1]:
         return s
     return (SET, s[1] - {v})
@@ -287,7 +264,6 @@ def bag_count(b):
 
 
 def bag_occurrences(b, v):
-    v = _raw(v)
     for x, n in b[1]:
         if x == v:
             return n
@@ -299,13 +275,14 @@ def bag_occurrences(b, v):
 
 def is_model_value(v) -> bool:
     """Deep well-formedness check. For tests and debugging, not the hot path."""
+    # a bool or float would equal an int, so only an exact int is raw
+    if type(v) is int:
+        return True
     if type(v) is not tuple or len(v) != 2:
         return False
     tag, payload = v
     if tag == BOOL:
         return payload is True or payload is False
-    if tag == INT:
-        return type(payload) is int
     if tag == ATOM:
         try:
             hash(payload)
@@ -315,14 +292,14 @@ def is_model_value(v) -> bool:
     if tag == OID:
         return type(payload) is int and payload >= 0
     if tag == SEQ:
-        return type(payload) is tuple and all(_is_element(x) for x in payload)
+        return type(payload) is tuple and all(map(is_model_value, payload))
     if tag == SET:
-        return type(payload) is frozenset and all(_is_element(x) for x in payload)
+        return type(payload) is frozenset and all(map(is_model_value, payload))
     if tag == BAG:
         return type(payload) is frozenset and all(
             type(p) is tuple
             and len(p) == 2
-            and _is_element(p[0])
+            and is_model_value(p[0])
             and type(p[1]) is int
             and p[1] >= 1
             for p in payload
@@ -330,21 +307,13 @@ def is_model_value(v) -> bool:
     return False
 
 
-def _is_element(x) -> bool:
-    # a raw bool or float would equal an int, so only an exact int is raw
-    return type(x) is int or is_model_value(x)
-
-
 def mv_repr(v) -> str:
-    """Deterministic printable form, used in violation details and witnesses;
-    ``v`` may also be a payload element."""
+    """Deterministic printable form, used in violation details and witnesses."""
     if type(v) is int:
         return str(v)
     tag, payload = v
     if tag == BOOL:
         return "true" if payload else "false"
-    if tag == INT:
-        return str(payload)
     if tag == ATOM:
         return repr(payload)
     if tag == OID:

@@ -366,7 +366,13 @@ def test_cli_rejects_bad_config(capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["missing_directory", "path_is_a_directory", "path_under_proc"]
+    "case",
+    [
+        "missing_directory",
+        "path_is_a_directory",
+        "path_under_proc",
+        "timing_sidecar_is_a_directory",
+    ],
 )
 def test_cli_run_missing_report_directory_fails_before_the_session(
     tmp_path, capsys, monkeypatch, case
@@ -382,6 +388,11 @@ def test_cli_run_missing_report_directory_fails_before_the_session(
     elif case == "path_is_a_directory":
         report = tmp_path
         message = "[Errno 21] Is a directory: '%s'" % tmp_path
+    elif case == "timing_sidecar_is_a_directory":
+        # the report can be made, but its timing sidecar cannot
+        report = tmp_path / "r.jsonl"
+        (tmp_path / "r.jsonl.timing").mkdir()
+        message = "[Errno 21] Is a directory: '%s.timing'" % report
     else:
         # the directory exists, but no file can be made in it
         if not os.path.isdir("/proc"):

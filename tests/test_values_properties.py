@@ -9,6 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mbcheck.values as V
+from mbcheck.containers import build_class
+from mbcheck.containers.domains import SequenceDomain
+from mbcheck.engine import Engine, completeness_probe, pred
+from mbcheck.errors import ModelEvalError
 
 ints = st.integers(-30, 30).map(V.integer)
 bools = st.booleans().map(V.boolean)
@@ -80,37 +84,60 @@ def test_bag_total_count(items):
     assert sum(V.bag_occurrences(b, x) for x in set(items)) == len(items)
 
 
-# --- stored elements: the kernel against the tagged reference -----------
+# --- stored elements: the kernel against a reference ---------------------
 #
-# The reference is the representation the kernel once had: every element of
-# a payload in its tagged form, ``('i', x)`` for an exact int and an atom for
-# anything else. The kernel stores exact ints raw inside payloads; every
-# figure read through its boundary must agree with the reference.
+# The reference holds no kernel form: it keys each stored item by whether it
+# is an exact int, ``(True, x)`` for an exact int and ``(False, x)`` for
+# anything else, so an int never equals the bool or float that ``==`` calls
+# equal to it. ``_ref_of`` reads a kernel element into the reference and
+# ``_kernel_of`` builds one from it with the public constructors; every
+# figure read through the kernel's operations must agree with the reference.
 
 
 def _ref_item(x):
-    """The tagged element of the reference for the stored item ``x``."""
-    return (V.INT, x) if type(x) is int else (V.ATOM, x)
+    """The reference element for the stored item ``x``."""
+    return (type(x) is int, x)
 
 
 def _by_rule(xs):
-    """The reference sequence of the stored items ``xs``."""
-    return (V.SEQ, tuple(_ref_item(x) for x in xs))
+    """The reference elements of the stored items ``xs``."""
+    return tuple(_ref_item(x) for x in xs)
 
 
-def _ref_repr(v):
-    """The reference's printed form of a tagged element or collection."""
-    tag, payload = v
-    if tag == V.INT:
-        return str(payload)
-    if tag == V.ATOM:
-        return repr(payload)
-    if tag == V.SEQ:
-        return "[%s]" % ", ".join(_ref_repr(x) for x in payload)
-    if tag == V.SET:
-        return "{%s}" % ", ".join(sorted(_ref_repr(x) for x in payload))
-    assert tag == V.BAG
-    return "{%s}" % ", ".join(sorted("%s x%d" % (_ref_repr(x), n) for x, n in payload))
+def _ref_of(v):
+    """The reference element for the kernel element ``v``."""
+    if type(v) is int:
+        return (True, v)
+    assert v[0] == V.ATOM
+    return (False, v[1])
+
+
+def _kernel_of(r):
+    """The kernel element for the reference element ``r``."""
+    is_int, x = r
+    return V.integer(x) if is_int else V.atom(x)
+
+
+def _ref_items(s):
+    """The reference elements of the kernel sequence ``s``, in order."""
+    return tuple(_ref_of(v) for v in V.seq_items(s))
+
+
+def _ref_repr(r):
+    is_int, x = r
+    return str(x) if is_int else repr(x)
+
+
+def _seq_repr(rs):
+    return "[%s]" % ", ".join(_ref_repr(r) for r in rs)
+
+
+def _set_repr(rs):
+    return "{%s}" % ", ".join(sorted(_ref_repr(r) for r in rs))
+
+
+def _bag_repr(counts):
+    return "{%s}" % ", ".join(sorted("%s x%d" % (_ref_repr(r), n) for r, n in counts.items()))
 
 
 # ints on both sides of small-int caches and past 64 bits, and the values a
@@ -157,11 +184,11 @@ def item_pairs(draw):
 def test_item_sequence_matches_per_element_rule(xs):
     expected = _by_rule(xs)
     got = V.item_sequence(xs)
-    assert got == V.sequence(expected[1]) == V.sequence(V.item(x) for x in xs)
-    assert V.seq_items(got) == expected[1]
-    assert [V.seq_item(got, i) for i in range(1, len(xs) + 1)] == list(expected[1])
-    assert [V.item(x) for x in xs] == list(expected[1])
-    assert V.mv_repr(got) == _ref_repr(expected)
+    assert got == V.sequence(map(_kernel_of, expected)) == V.sequence(V.item(x) for x in xs)
+    assert _ref_items(got) == expected
+    assert tuple(_ref_of(V.seq_item(got, i)) for i in range(1, len(xs) + 1)) == expected
+    assert tuple(_ref_of(V.item(x)) for x in xs) == expected
+    assert V.mv_repr(got) == _seq_repr(expected)
     assert V.is_model_value(got)
 
 
@@ -177,37 +204,40 @@ def test_item_sequence_paths_match_per_element_rule(pair, y, z):
     assert (a == b) == (ra == rb)
     if ra == rb:
         assert hash(a) == hash(b)
-    assert V.mv_repr(a) == _ref_repr(ra)
+    assert V.mv_repr(a) == _seq_repr(ra)
     if xs:
-        assert V.seq_last(a) == ra[1][-1]
+        assert _ref_of(V.seq_last(a)) == ra[-1]
     vy, ry = V.item(y), _ref_item(y)
-    assert vy == ry
-    assert V.seq_has(a, vy) == (ry in ra[1])
-    assert V.seq_index_of(a, vy) == (ra[1].index(ry) + 1 if ry in ra[1] else 0)
-    assert V.seq_extended(a, vy) == V.sequence(ra[1] + (ry,))
+    assert _ref_of(vy) == ry
+    assert V.seq_has(a, vy) == (ry in ra)
+    assert V.seq_index_of(a, vy) == (ra.index(ry) + 1 if ry in ra else 0)
+    assert _ref_items(V.seq_extended(a, vy)) == ra + (ry,)
+    if xs:
+        assert _ref_items(V.seq_replaced_at(a, 1, vy)) == (ry,) + ra[1:]
 
     cat = V.seq_concat(a, b)
-    assert cat == V.sequence(ra[1] + rb[1])
-    assert V.seq_items(cat) == ra[1] + rb[1]
-    assert V.mv_repr(cat) == _ref_repr((V.SEQ, ra[1] + rb[1]))
+    assert cat == V.sequence(map(_kernel_of, ra + rb))
+    assert _ref_items(cat) == ra + rb
+    assert V.mv_repr(cat) == _seq_repr(ra + rb)
 
-    st_a, rs_a = V.seq_to_set(a), frozenset(ra[1])
+    st_a, rs_a = V.seq_to_set(a), frozenset(ra)
     assert V.set_count(st_a) == len(rs_a)
     assert V.set_has(st_a, vy) == (ry in rs_a)
-    assert V.mv_repr(st_a) == _ref_repr((V.SET, rs_a))
-    assert st_a == V.mset(rs_a)
+    assert V.mv_repr(st_a) == _set_repr(rs_a)
+    assert st_a == V.mset(map(_kernel_of, rs_a))
     vz, rz = V.item(z), _ref_item(z)
     ext, rext = V.set_extended(st_a, vy), rs_a | {ry}
-    assert ext == V.mset(rext) and V.set_has(ext, vz) == (rz in rext)
+    assert ext == V.mset(map(_kernel_of, rext)) and V.set_has(ext, vz) == (rz in rext)
     rem, rrem = V.set_removed(st_a, vy), rs_a - {ry}
-    assert rem == V.mset(rrem) and V.set_has(rem, vz) == (rz in rrem)
-    assert (V.seq_to_set(a) == V.seq_to_set(b)) == (rs_a == frozenset(rb[1]))
+    assert rem == V.mset(map(_kernel_of, rrem)) and V.set_has(rem, vz) == (rz in rrem)
+    assert (V.seq_to_set(a) == V.seq_to_set(b)) == (rs_a == frozenset(rb))
 
-    bag, counts = V.seq_to_bag(a), Counter(ra[1])
+    bag, counts = V.seq_to_bag(a), Counter(ra)
     assert V.bag_count(bag) == len(xs)
     assert V.bag_occurrences(bag, vy) == counts[ry]
-    assert bag == V.bag_of(ra[1]) == V.bag_from_counts(counts.items())
-    assert V.mv_repr(bag) == _ref_repr((V.BAG, frozenset(counts.items())))
+    assert bag == V.bag_of(map(_kernel_of, ra))
+    assert bag == V.bag_from_counts((_kernel_of(r), n) for r, n in counts.items())
+    assert V.mv_repr(bag) == _bag_repr(counts)
     for v in (cat, st_a, ext, rem, bag):
         assert V.is_model_value(v)
 
@@ -233,8 +263,8 @@ def test_item_sequence_short_lists_at_gate_zero(xs):
     # item_sequence tries its all-int copy first at every length, 0 and 1
     # included; a bool or a float among the ints must still make atoms
     got = V.item_sequence(xs)
-    assert V.seq_items(got) == _by_rule(xs)[1]
-    assert got == V.sequence(_by_rule(xs)[1])
+    assert _ref_items(got) == _by_rule(xs)
+    assert got == V.sequence(map(_kernel_of, _by_rule(xs)))
     assert V.is_model_value(got)
 
 
@@ -247,11 +277,52 @@ def test_item_sequence_keeps_bools_and_floats_atoms():
         V.atom(False),
         V.integer(0),
     )
-    assert V.kind(V.seq_item(got, 1)) == V.ATOM and V.kind(V.seq_item(got, 2)) == V.ATOM
+    assert [type(v) is int for v in V.seq_items(got)] == [False, False, True, False, True]
     assert V.item(True) == V.atom(True) != V.integer(1)
     assert V.seq_has(got, V.integer(1)) and V.seq_index_of(got, V.integer(1)) == 3
     assert V.item_sequence([True]) != V.item_sequence([1]) != V.item_sequence([1.0])
     assert V.item_sequence([]) == V.EMPTY_SEQ
+
+
+def test_exact_ints_are_their_own_model_values():
+    # one integer representation: an exact int is a model value as it stands,
+    # at top level as inside payloads; a bool or a float never is
+    assert V.integer(5) == 5 and type(V.integer(5)) is int
+    assert V.integer(V.integer(-3)) == -3 and V.as_int(2**70) == 2**70
+    assert V.is_model_value(5) and V.is_model_value(2**70)
+    for x in (True, False, 1.0, 0.0):
+        assert not V.is_model_value(x)
+        with pytest.raises(ModelEvalError):
+            V.as_int(x)
+    assert V.item(1) == 1 and V.item(True) != V.item(1) and V.item(1.0) != V.item(1)
+    assert V.boolean(True) != 1 and V.object_id(1) != 1
+    assert V.seq_item(V.sequence([4, 5]), 2) == 5 and V.seq_last(V.sequence([4, 5])) == 5
+
+    # a bound spec's model values, at run time and in the probe
+    spec = build_class("cursor_list", "strong")
+    forth = spec.routines["forth"]
+    reads, items = [], []
+
+    def spy(ctx):
+        reads.append((ctx.old("index"), ctx.now("index"), ctx.old_int("count")))
+        items.extend(V.seq_items(ctx.old("sequence")))
+        return True
+
+    forth.post = forth.post + (pred("reads_exact_ints", spy),)
+    eng = Engine()
+    a = eng.create(spec)
+    for op, *args in [("extend", 4), ("extend", 5), ("start",), ("forth",)]:
+        assert not eng.call(a, op, *args).violations
+    models = {q.name: q.evaluate(a.concrete) for q in spec.model}
+    assert models["index"] == 2 and type(models["index"]) is int
+    assert V.seq_items(models["sequence"]) == (4, 5)
+    assert reads == [(1, 2, 2)] and items == [4, 5]
+
+    del reads[:], items[:]
+    dom = SequenceDomain({"cursor_list": spec}, max_len=2, alphabet=2)
+    assert completeness_probe(spec, forth, dom).pre_states_checked > 0
+    assert reads and items
+    assert all(type(v) is int for v in items + [v for r in reads for v in r])
 
 
 def test_item_sequence_rejects_unhashable_elements():
