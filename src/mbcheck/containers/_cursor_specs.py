@@ -6,7 +6,7 @@ only the bodies it changes. ``cursor_decl`` declares a class's routines from
 one table of parameters, preconditions and result flags, with each body
 taken from the class itself.
 
-Preconditions are written over derivable names (``old_int`` resolves either a
+Preconditions are written over derivable names (``old`` resolves either a
 model query or a derived attribute), so one predicate object serves the weak
 binding, the strong binding, and abstract probe states alike. The motion
 postconditions are pure index arithmetic and equally strong at either level.
@@ -30,7 +30,6 @@ from mbcheck.containers._shared import (
     RoutineDecl,
     cell_at,
     chain_items,
-    item_value,
     walk,
 )
 from mbcheck.engine import ARG0, InvariantClause, ModelQuery, Param, defines, pred
@@ -89,11 +88,11 @@ class CursorChain:
 def linked_model(level):
     """Model queries of a linked cursor class (``first_cell``, ``count``,
     ``index``)."""
-    index = ModelQuery("index", lambda o: V.integer(o.index))
+    index = ModelQuery("index", lambda o: o.index)
     if level == "strong":
         sequence = ModelQuery("sequence", lambda o: V.item_sequence(chain_items(o.first_cell)))
         return [sequence, index]
-    return [ModelQuery("count", lambda o: V.integer(o.count)), index]
+    return [ModelQuery("count", lambda o: o.count), index]
 
 
 def linked_invariants(level):
@@ -103,14 +102,14 @@ def linked_invariants(level):
         return [
             InvariantClause(
                 "index_in_range",
-                lambda m, o: 0 <= V.as_int(m["index"]) <= V.as_int(m["count"]) + 1,
+                lambda m, o: 0 <= m["index"] <= m["count"] + 1,
                 kind="model",
             )
         ]
     return [
         InvariantClause(
             "index_in_range",
-            lambda m, o: 0 <= V.as_int(m["index"]) <= V.seq_count(m["sequence"]) + 1,
+            lambda m, o: 0 <= m["index"] <= V.seq_count(m["sequence"]) + 1,
             kind="model",
         ),
         InvariantClause(
@@ -124,19 +123,17 @@ def linked_invariants(level):
 PRE = {
     "cursor_on_item": pred(
         "cursor_on_item",
-        lambda ctx: 1 <= ctx.old_int("index") <= ctx.old_int("count"),
+        lambda ctx: 1 <= ctx.old("index") <= ctx.old("count"),
     ),
-    "not_after": pred(
-        "not_after", lambda ctx: ctx.old_int("index") <= ctx.old_int("count")
-    ),
-    "not_before": pred("not_before", lambda ctx: ctx.old_int("index") >= 1),
+    "not_after": pred("not_after", lambda ctx: ctx.old("index") <= ctx.old("count")),
+    "not_before": pred("not_before", lambda ctx: ctx.old("index") >= 1),
     "other_given": pred("other_given", lambda ctx: not ctx.arg_is_void(0)),
     "other_not_current": pred(
         "other_not_current", lambda ctx: not ctx.arg_is_target(0)
     ),
     "position_in_range": pred(
         "position_in_range",
-        lambda ctx: 0 <= ctx.arg(0) <= ctx.old_int("count") + 1,
+        lambda ctx: 0 <= ctx.arg(0) <= ctx.old("count") + 1,
     ),
 }
 
@@ -176,18 +173,16 @@ def cursor_decl(name, concrete, routines, consistency_probe=None):
 
 
 MOTION_POST = {
-    "at_first": pred("at_first", lambda ctx: ctx.now_int("index") == 1),
-    "at_last": pred("at_last", lambda ctx: ctx.now_int("index") == ctx.old_int("count")),
-    "stepped": pred("stepped", lambda ctx: ctx.now_int("index") == ctx.old_int("index") + 1),
-    "stepped_back": pred(
-        "stepped_back", lambda ctx: ctx.now_int("index") == ctx.old_int("index") - 1
-    ),
-    "went": pred("went", lambda ctx: ctx.now_int("index") == ctx.arg(0)),
-    "cursor_reset": pred("cursor_reset", lambda ctx: ctx.now_int("index") == 0),
+    "at_first": pred("at_first", lambda ctx: ctx.now("index") == 1),
+    "at_last": pred("at_last", lambda ctx: ctx.now("index") == ctx.old("count")),
+    "stepped": pred("stepped", lambda ctx: ctx.now("index") == ctx.old("index") + 1),
+    "stepped_back": pred("stepped_back", lambda ctx: ctx.now("index") == ctx.old("index") - 1),
+    "went": pred("went", lambda ctx: ctx.now("index") == ctx.arg(0)),
+    "cursor_reset": pred("cursor_reset", lambda ctx: ctx.now("index") == 0),
     "reports_off": pred(
         "reports_off",
         lambda ctx: ctx.result
-        == (ctx.old_int("index") < 1 or ctx.old_int("index") > ctx.old_int("count")),
+        == (ctx.old("index") < 1 or ctx.old("index") > ctx.old("count")),
     ),
 }
 
@@ -201,40 +196,37 @@ MOTION = {
     "off": [MOTION_POST["reports_off"]],
 }
 
-INDEX_UNCHANGED = pred(
-    "index_unchanged", lambda ctx: ctx.now_int("index") == ctx.old_int("index")
-)
+INDEX_UNCHANGED = pred("index_unchanged", lambda ctx: ctx.now("index") == ctx.old("index"))
 
 # strong postconditions over a "sequence" model and an "index" cursor
 REMOVED = defines(
     "removed",
     "sequence",
-    lambda ctx: V.seq_removed_at(ctx.old("sequence"), ctx.old_int("index")),
+    lambda ctx: V.seq_removed_at(ctx.old("sequence"), ctx.old("index")),
 )
 REPLACED = defines(
     "replaced",
     "sequence",
     lambda ctx: V.seq_replaced_at(
-        ctx.old("sequence"), ctx.old_int("index"), item_value(ctx.arg(0))
+        ctx.old("sequence"), ctx.old("index"), V.item(ctx.arg(0))
     ),
 )
 REPORTS_ITEM = pred(
     "reports_item",
-    lambda ctx: ctx.result
-    == V.as_int(V.seq_item(ctx.now("sequence"), ctx.old_int("index"))),
+    lambda ctx: V.item(ctx.result) == V.seq_item(ctx.now("sequence"), ctx.old("index")),
 )
 REPORTS_MEMBERSHIP = pred(
     "reports_membership",
-    lambda ctx: ctx.result == V.seq_has(ctx.now("sequence"), item_value(ctx.arg(0))),
+    lambda ctx: ctx.result == V.seq_has(ctx.now("sequence"), V.item(ctx.arg(0))),
 )
 
 # weak postconditions over the count
 FOUND_IMPLIES_NONEMPTY = pred(
-    "found_implies_nonempty", lambda ctx: (not ctx.result) or ctx.old_int("count") > 0
+    "found_implies_nonempty", lambda ctx: (not ctx.result) or ctx.old("count") > 0
 )
 EQUAL_IMPLIES_SAME_COUNT = pred(
     "equal_implies_same_count",
-    lambda ctx: (not ctx.result) or ctx.old_int("count") == ctx.old_int("count", ARG0),
+    lambda ctx: (not ctx.result) or ctx.old("count") == ctx.old("count", ARG0),
 )
 
 # the routines both linked lists declare, in their order

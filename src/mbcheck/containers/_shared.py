@@ -19,29 +19,23 @@ from mbcheck.engine import ClassSpec, RoutineSpec, defines, pred
 from mbcheck.errors import SpecError
 
 
-item_value = V.item
-
 # clauses over the size of a container, shared by several bindings
-NOT_EMPTY = pred("not_empty", lambda ctx: ctx.old_int("count") > 0)
-COUNT_UP = pred("count_up", lambda ctx: ctx.now_int("count") == ctx.old_int("count") + 1)
-COUNT_DOWN = pred(
-    "count_down", lambda ctx: ctx.now_int("count") == ctx.old_int("count") - 1
-)
-COUNT_UNCHANGED = pred(
-    "count_unchanged", lambda ctx: ctx.now_int("count") == ctx.old_int("count")
-)
-COUNT_ZERO = pred("count_zero", lambda ctx: ctx.now_int("count") == 0)
+NOT_EMPTY = pred("not_empty", lambda ctx: ctx.old("count") > 0)
+COUNT_UP = pred("count_up", lambda ctx: ctx.now("count") == ctx.old("count") + 1)
+COUNT_DOWN = pred("count_down", lambda ctx: ctx.now("count") == ctx.old("count") - 1)
+COUNT_UNCHANGED = pred("count_unchanged", lambda ctx: ctx.now("count") == ctx.old("count"))
+COUNT_ZERO = pred("count_zero", lambda ctx: ctx.now("count") == 0)
 COUNT_REPORTS_EMPTINESS = pred(
-    "reports_emptiness", lambda ctx: ctx.result == (ctx.old_int("count") == 0)
+    "reports_emptiness", lambda ctx: ctx.result == (ctx.old("count") == 0)
 )
 
 # clauses of the strong bindings over a "sequence" model, which derive the
 # weak level's count from it
-SEQUENCE_COUNT = {"count": lambda m: V.integer(V.seq_count(m["sequence"]))}
+SEQUENCE_COUNT = {"count": lambda m: V.seq_count(m["sequence"])}
 APPENDED = defines(
     "appended",
     "sequence",
-    lambda ctx: V.seq_extended(ctx.old("sequence"), item_value(ctx.arg(0))),
+    lambda ctx: V.seq_extended(ctx.old("sequence"), V.item(ctx.arg(0))),
 )
 EMPTIED = pred("emptied", lambda ctx: V.seq_is_empty(ctx.now("sequence")))
 SEQUENCE_REPORTS_EMPTINESS = pred(

@@ -15,7 +15,6 @@ from mbcheck.containers._shared import (
     SEQUENCE_REPORTS_EMPTINESS,
     ClassDecl,
     RoutineDecl,
-    item_value,
 )
 from mbcheck.engine import ModelQuery, defines, item_param, pred
 
@@ -82,7 +81,7 @@ def build(level, bugs=frozenset()):
                 "top": [
                     pred(
                         "reports_top",
-                        lambda ctx: item_value(ctx.result)
+                        lambda ctx: V.item(ctx.result)
                         == V.seq_last(ctx.now("sequence")),
                     )
                 ],
@@ -99,7 +98,7 @@ def build(level, bugs=frozenset()):
     return DECL.spec(
         level,
         bugs,
-        model=[ModelQuery("count", lambda o: V.integer(len(o.storage)))],
+        model=[ModelQuery("count", lambda o: len(o.storage))],
         post={
             "push": [COUNT_UP],
             "pop": [COUNT_DOWN],

@@ -17,7 +17,7 @@ import mbcheck.values as V
 from mbcheck.engine import ARG0, InvariantClause, ModelQuery, item_param, pred, ref_param
 from mbcheck.errors import ConfigError
 
-from mbcheck.containers._shared import ClassDecl, RoutineDecl, item_value, qcall
+from mbcheck.containers._shared import ClassDecl, RoutineDecl, qcall
 
 CLASS_NAME = "binary_node"
 
@@ -192,7 +192,7 @@ def build(level, bugs=frozenset(), depend_parent=True):
     # both levels model the links and share the postconditions; the strong
     # level adds the link invariants, the acyclicity guard and the frames
     model = [
-        ModelQuery("item", lambda o: item_value(o.item)),
+        ModelQuery("item", lambda o: V.item(o.item)),
         ModelQuery("parent", lambda o: _oid(o.parent)),
         ModelQuery("left", lambda o: _oid(o.left)),
         ModelQuery("right", lambda o: _oid(o.right)),
@@ -200,7 +200,7 @@ def build(level, bugs=frozenset(), depend_parent=True):
     adopted = pred("adopted", lambda ctx: ctx.now("parent", ARG0) == ctx.self_id())
     post = {
         "set_item": [
-            pred("item_set", lambda ctx: ctx.now("item") == item_value(ctx.arg(0)))
+            pred("item_set", lambda ctx: ctx.now("item") == V.item(ctx.arg(0)))
         ],
         "set_left": [
             pred("linked_left", lambda ctx: ctx.now("left") == ctx.arg_id(0)),
@@ -226,7 +226,7 @@ def build(level, bugs=frozenset(), depend_parent=True):
             )
         ],
         "node_item": [
-            pred("reports_item", lambda ctx: item_value(ctx.result) == ctx.now("item"))
+            pred("reports_item", lambda ctx: V.item(ctx.result) == ctx.now("item"))
         ],
         "is_leaf": [
             pred(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import mbcheck.values as V
 from mbcheck.engine import ARG0, InvariantClause, defines, pred, ref_param
-from mbcheck.errors import ConfigError
 
 from mbcheck.containers._shared import (
     SEQUENCE_COUNT,
@@ -121,22 +120,15 @@ DECL = cursor_decl(
 
 def _spliced(ctx):
     s = ctx.old("sequence")
-    i = ctx.old_int("index")
+    i = ctx.old("index")
     return V.seq_concat(
         V.seq_concat(V.seq_front(s, i), ctx.old("sequence", ARG0)),
         V.seq_tail(s, i + 1),
     )
 
 
-def build(level, bugs=frozenset(), redundant_index_clause=False):
-    if redundant_index_clause and level != "strong":
-        raise ConfigError(
-            "option redundant_index_clause applies only at level strong, not %s" % level
-        )
+def build(level, bugs=frozenset()):
     if level == "strong":
-        merge_post = [defines("spliced", "sequence", _spliced)]
-        if redundant_index_clause:
-            merge_post.append(INDEX_UNCHANGED)
         return DECL.spec(
             level,
             bugs,
@@ -159,7 +151,7 @@ def build(level, bugs=frozenset(), redundant_index_clause=False):
                         == (ctx.now("sequence") == ctx.now("sequence", ARG0)),
                     )
                 ],
-                "merge_right": merge_post,
+                "merge_right": [defines("spliced", "sequence", _spliced)],
             },
             modify={**LIST_MODIFY, "is_equal": (), "merge_right": (("target", "sequence"),)},
         )
@@ -174,8 +166,7 @@ def build(level, bugs=frozenset(), redundant_index_clause=False):
             "merge_right": [
                 pred(
                     "count_sum",
-                    lambda ctx: ctx.now_int("count")
-                    == ctx.old_int("count") + ctx.old_int("count", ARG0),
+                    lambda ctx: ctx.now("count") == ctx.old("count") + ctx.old("count", ARG0),
                 ),
                 INDEX_UNCHANGED,
             ],

@@ -19,7 +19,6 @@ from mbcheck.containers._shared import (
     RoutineDecl,
     cell_at,
     chain_items,
-    item_value,
 )
 from mbcheck.containers._cursor_specs import (
     EQUAL_IMPLIES_SAME_COUNT,
@@ -131,21 +130,21 @@ def _no_duplicates(o):
 
 def _extended(ctx):
     s = ctx.old("sequence")
-    v = item_value(ctx.arg(0))
+    v = V.item(ctx.arg(0))
     return s if V.seq_has(s, v) else V.seq_extended(s, v)
 
 
 def _replaced_element(ctx):
     s = ctx.old("sequence")
-    old_item = V.seq_item(s, ctx.old_int("index"))
-    v = item_value(ctx.arg(0))
+    old_item = V.seq_item(s, ctx.old("index"))
+    v = V.item(ctx.arg(0))
     expected = V.set_extended(V.set_removed(V.seq_to_set(s), old_item), v)
     return V.seq_to_set(ctx.now("sequence")) == expected
 
 
 def _value_removed(ctx):
     s = ctx.old("sequence")
-    v = item_value(ctx.arg(0))
+    v = V.item(ctx.arg(0))
     pos = V.seq_index_of(s, v)
     return V.seq_removed_at(s, pos) if pos else s
 
@@ -170,7 +169,7 @@ DECL = cursor_decl(
 
 _HAS_NOW = pred("has_now", lambda ctx: ctx.obj.has(ctx.arg(0)))
 _COUNT_NOT_INCREASED = pred(
-    "count_not_increased", lambda ctx: ctx.now_int("count") <= ctx.old_int("count")
+    "count_not_increased", lambda ctx: ctx.now("count") <= ctx.old("count")
 )
 
 
@@ -198,8 +197,8 @@ def build(level, bugs=frozenset()):
                     pred("replaced_element", _replaced_element),
                     pred(
                         "cursor_on_new",
-                        lambda ctx: V.seq_item(ctx.now("sequence"), ctx.now_int("index"))
-                        == item_value(ctx.arg(0)),
+                        lambda ctx: V.seq_item(ctx.now("sequence"), ctx.now("index"))
+                        == V.item(ctx.arg(0)),
                     ),
                 ],
                 "remove": [defines("value_removed", "sequence", _value_removed)],
@@ -209,7 +208,7 @@ def build(level, bugs=frozenset()):
                         "reports_membership",
                         lambda ctx: ctx.result
                         == V.set_has(
-                            V.seq_to_set(ctx.now("sequence")), item_value(ctx.arg(0))
+                            V.seq_to_set(ctx.now("sequence")), V.item(ctx.arg(0))
                         ),
                     )
                 ],
@@ -249,7 +248,7 @@ def build(level, bugs=frozenset()):
                 _HAS_NOW,
                 pred(
                     "count_not_decreased",
-                    lambda ctx: ctx.now_int("count") >= ctx.old_int("count"),
+                    lambda ctx: ctx.now("count") >= ctx.old("count"),
                 ),
             ],
             "replace": [_HAS_NOW, _COUNT_NOT_INCREASED],

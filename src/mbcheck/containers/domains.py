@@ -81,7 +81,7 @@ class SequenceDomain:
         self.unique = unique
         self.pre_seqs = _all_seqs(max_len, alphabet, unique)
         self.value_seqs = _all_seqs(value_len, alphabet, unique)
-        self.index_values = [V.integer(i) for i in range(0, value_len + 2)]
+        self.index_values = list(range(0, value_len + 2))
         self._states = {}  # spec -> _role_states
 
     def role_spec(self, ref_class):
@@ -98,7 +98,7 @@ class SequenceDomain:
             invariants = spec.model_invariants
             if "index" in spec.model_names:
                 every = (
-                    {"sequence": s, "index": V.integer(i)}
+                    {"sequence": s, "index": i}
                     for s in self.pre_seqs
                     for i in range(V.seq_count(s) + 2)
                 )

@@ -15,7 +15,6 @@ from mbcheck.containers._shared import (
     SEQUENCE_COUNT,
     ClassDecl,
     RoutineDecl,
-    item_value,
 )
 from mbcheck.engine import ModelQuery, defines, index_param, item_param, pred
 
@@ -28,9 +27,7 @@ def _in_bounds(k):
     """Argument ``k`` lies within the current bounds."""
     return pred(
         "index_in_bounds",
-        lambda ctx: ctx.old_int("lower")
-        <= ctx.arg(k)
-        <= ctx.old_int("lower") + ctx.old_int("count") - 1,
+        lambda ctx: ctx.old("lower") <= ctx.arg(k) <= ctx.old("lower") + ctx.old("count") - 1,
     )
 
 
@@ -79,25 +76,24 @@ class ResizableArray:
 def _forced(ctx):
     s = ctx.old("sequence")
     n = V.seq_count(s)
-    low = ctx.old_int("lower")
-    v = item_value(ctx.arg(0))
+    low = ctx.old("lower")
+    v = V.item(ctx.arg(0))
     i = ctx.arg(1)
-    zero = V.integer(_DEFAULT)
     if n == 0:
         expected = V.sequence([v])
         expected_lower = i
     elif i < low:
-        pad = V.sequence([zero] * (low - i - 1))
+        pad = V.sequence([_DEFAULT] * (low - i - 1))
         expected = V.seq_concat(V.seq_concat(V.sequence([v]), pad), s)
         expected_lower = i
     elif i > low + n - 1:
-        pad = V.sequence([zero] * (i - (low + n - 1) - 1))
+        pad = V.sequence([_DEFAULT] * (i - (low + n - 1) - 1))
         expected = V.seq_extended(V.seq_concat(s, pad), v)
         expected_lower = low
     else:
         expected = V.seq_replaced_at(s, i - low + 1, v)
         expected_lower = low
-    return ctx.now("sequence") == expected and ctx.now_int("lower") == expected_lower
+    return ctx.now("sequence") == expected and ctx.now("lower") == expected_lower
 
 
 DECL = ClassDecl(
@@ -117,7 +113,7 @@ DECL = ClassDecl(
     size_of=lambda o: len(o.storage),
 )
 
-_LOWER_RESET = pred("lower_reset", lambda ctx: ctx.now_int("lower") == 1)
+_LOWER_RESET = pred("lower_reset", lambda ctx: ctx.now("lower") == 1)
 _HOLDS_VALUE = pred("holds_value", lambda ctx: ctx.obj.item(ctx.arg(1)) == ctx.arg(0))
 
 
@@ -128,7 +124,7 @@ def build(level, bugs=frozenset()):
             bugs,
             model=[
                 ModelQuery("sequence", lambda o: V.item_sequence(o.storage)),
-                ModelQuery("lower", lambda o: V.integer(o.lower)),
+                ModelQuery("lower", lambda o: o.lower),
             ],
             attr_derivations=SEQUENCE_COUNT,
             post={
@@ -138,8 +134,8 @@ def build(level, bugs=frozenset()):
                         "sequence",
                         lambda ctx: V.seq_replaced_at(
                             ctx.old("sequence"),
-                            ctx.arg(1) - ctx.old_int("lower") + 1,
-                            item_value(ctx.arg(0)),
+                            ctx.arg(1) - ctx.old("lower") + 1,
+                            V.item(ctx.arg(0)),
                         ),
                     )
                 ],
@@ -148,9 +144,9 @@ def build(level, bugs=frozenset()):
                 "item": [
                     pred(
                         "reports_item",
-                        lambda ctx: item_value(ctx.result)
+                        lambda ctx: V.item(ctx.result)
                         == V.seq_item(
-                            ctx.now("sequence"), ctx.arg(0) - ctx.old_int("lower") + 1
+                            ctx.now("sequence"), ctx.arg(0) - ctx.old("lower") + 1
                         ),
                     )
                 ],
@@ -173,8 +169,8 @@ def build(level, bugs=frozenset()):
         level,
         bugs,
         model=[
-            ModelQuery("count", lambda o: V.integer(len(o.storage))),
-            ModelQuery("lower", lambda o: V.integer(o.lower)),
+            ModelQuery("count", lambda o: len(o.storage)),
+            ModelQuery("lower", lambda o: o.lower),
         ],
         post={
             "put": [_HOLDS_VALUE, COUNT_UNCHANGED],
@@ -182,14 +178,14 @@ def build(level, bugs=frozenset()):
                 _HOLDS_VALUE,
                 pred(
                     "bounds_cover_index",
-                    lambda ctx: ctx.now_int("lower")
+                    lambda ctx: ctx.now("lower")
                     <= ctx.arg(1)
-                    <= ctx.now_int("lower") + ctx.now_int("count") - 1,
+                    <= ctx.now("lower") + ctx.now("count") - 1,
                 ),
             ],
             "wipe_out": [COUNT_ZERO, _LOWER_RESET],
             "item_count": [
-                pred("reports_count", lambda ctx: ctx.result == ctx.old_int("count"))
+                pred("reports_count", lambda ctx: ctx.result == ctx.old("count"))
             ],
         },
     )

@@ -19,7 +19,6 @@ from mbcheck.containers._shared import (
     SEQUENCE_REPORTS_EMPTINESS,
     ClassDecl,
     RoutineDecl,
-    item_value,
 )
 from mbcheck.engine import InvariantClause, ModelQuery, defines, item_param, pred
 
@@ -121,7 +120,7 @@ def build(level, bugs=frozenset()):
                 "item": [
                     pred(
                         "reports_front",
-                        lambda ctx: item_value(ctx.result)
+                        lambda ctx: V.item(ctx.result)
                         == V.seq_item(ctx.now("sequence"), 1),
                     )
                 ],
@@ -138,7 +137,7 @@ def build(level, bugs=frozenset()):
     return DECL.spec(
         level,
         bugs,
-        model=[ModelQuery("count", lambda o: V.integer(o.count))],
+        model=[ModelQuery("count", lambda o: o.count)],
         post={
             "put": [COUNT_UP],
             "remove": [COUNT_DOWN],

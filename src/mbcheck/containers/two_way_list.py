@@ -17,7 +17,6 @@ from mbcheck.containers._shared import (
     DCell,
     RoutineDecl,
     cell_at,
-    item_value,
 )
 from mbcheck.containers._cursor_specs import (
     LIST_MODIFY,
@@ -122,7 +121,7 @@ def build(level, bugs=frozenset()):
                         "prefixed",
                         "sequence",
                         lambda ctx: V.seq_concat(
-                            V.sequence([item_value(ctx.arg(0))]), ctx.old("sequence")
+                            V.sequence([V.item(ctx.arg(0))]), ctx.old("sequence")
                         ),
                     )
                 ],

@@ -14,7 +14,6 @@ defaults to the target role.
 from __future__ import annotations
 
 from mbcheck.errors import ModelEvalError, SpecError
-from mbcheck.values import as_int
 
 TARGET = "target"
 ARG0 = "arg0"
@@ -25,15 +24,11 @@ def arg_role(k: int) -> str:
     return "arg%d" % k
 
 
-# what ``now``/``now_int`` raise, in either predicate context, when a
-# precondition asks for the exit state
+# what ``now`` raises, in either predicate context, when a precondition
+# asks for the exit state
 NO_EXIT_STATE = "exit state is not available in a precondition"
 
 _ABSENT = object()  # what a role map's ``get`` returns for a query it lacks
-
-
-def _no_model_state(role):
-    return ModelEvalError("no model state for role %s" % role)
 
 
 class ModelCtx:
@@ -44,16 +39,12 @@ class ModelCtx:
     target, k for reference argument k) to the role's model map; a void
     reference argument has no key in either, which is how a derived frame
     predicate skips it. ``exit_models`` is None until the exit state exists.
-    The ``_int`` forms also resolve a derived attribute over the role's map
-    and check that the value is an integer. ``old`` and ``now`` read a
-    query with one subscript, ``models[role_index[role]][qname]``, and work
-    out whether the role or the query is missing only when that raises
-    ``KeyError``. The ``_int`` forms read it with the role map's ``get``, so
-    a derived attribute, which no map holds, is reached without raising. The
-    accessors read only those maps (by subscript and ``get``) and ``args``
-    (by subscript), so the probe can record reads in the data it hands over.
-    A subclass supplies ``_spec`` (the class spec of a role index), ``obj``,
-    ``arg_is_target``, ``self_id`` and ``arg_id``.
+    ``old`` and ``now`` read a name from the role's map with one ``get``; a
+    name the map lacks is a derived attribute, which they run over the map.
+    The accessors read only those maps (by subscript and ``get``) and
+    ``args`` (by subscript), so the probe can record reads in the data it
+    hands over. A subclass supplies ``_spec`` (the class spec of a role
+    index), ``obj``, ``arg_is_target``, ``self_id`` and ``arg_id``.
     """
 
     __slots__ = ("role_index", "entry_models", "exit_models", "args", "result")
@@ -61,56 +52,32 @@ class ModelCtx:
     def _spec(self, idx):
         raise NotImplementedError
 
-    def _map(self, models, role):
+    def _read(self, models, qname, role):
         try:
-            return models[self.role_index[role]]
+            idx = self.role_index[role]
+            m = models[idx]
         except KeyError:
-            raise _no_model_state(role) from None
-
-    def _not_found(self, models, qname, role):
-        """The error for a failed lookup of ``qname`` in ``role``'s map."""
-        self._map(models, role)
-        return ModelEvalError("%s is not a model query of role %s" % (qname, role))
-
-    def old(self, qname, role=TARGET):
-        try:
-            return self.entry_models[self.role_index[role]][qname]
-        except KeyError:
-            raise self._not_found(self.entry_models, qname, role) from None
-
-    def now(self, qname, role=TARGET):
-        models = self.exit_models
-        if models is None:
-            raise ModelEvalError(NO_EXIT_STATE)
-        try:
-            return models[self.role_index[role]][qname]
-        except KeyError:
-            raise self._not_found(models, qname, role) from None
-
-    def _resolve(self, models, qname, role):
-        try:
-            m = models[self.role_index[role]]
-        except KeyError:
-            raise _no_model_state(role) from None
+            raise ModelEvalError("no model state for role %s" % role) from None
         v = m.get(qname, _ABSENT)
         if v is _ABSENT:
-            spec = self._spec(self.role_index[role])
+            spec = self._spec(idx)
             deriv = spec.attr_derivations.get(qname)
             if deriv is None:
                 raise ModelEvalError(
                     "%s is neither a model query nor a derived attribute of %s"
                     % (qname, spec.name)
                 )
-            v = deriv(m)
-        return v if type(v) is int else as_int(v)
+            return deriv(m)
+        return v
 
-    def old_int(self, qname, role=TARGET):
-        return self._resolve(self.entry_models, qname, role)
+    def old(self, qname, role=TARGET):
+        return self._read(self.entry_models, qname, role)
 
-    def now_int(self, qname, role=TARGET):
-        if self.exit_models is None:
+    def now(self, qname, role=TARGET):
+        models = self.exit_models
+        if models is None:
             raise ModelEvalError(NO_EXIT_STATE)
-        return self._resolve(self.exit_models, qname, role)
+        return self._read(models, qname, role)
 
     def arg(self, k):
         return self.args[k]
@@ -156,11 +123,10 @@ def defines(name, query, expected, role=TARGET):
     ``ctx.now(query, role) == expected(ctx)``.
 
     ``expected`` computes that value from the entry state and the arguments
-    (``old``, ``old_int``, ``arg`` ...), never from the exit state or the
-    result. The runtime evaluates the clause as it does any predicate; the
-    completeness probe also solves it, keeping only the candidate exit values
-    equal to ``expected`` instead of testing every one (see
-    ``completeness_probe``).
+    (``old``, ``arg`` ...), never from the exit state or the result. The
+    runtime evaluates the clause as it does any predicate; the completeness
+    probe also solves it, keeping only the candidate exit values equal to
+    ``expected`` instead of testing every one (see ``completeness_probe``).
     """
 
     def fn(ctx):
@@ -285,8 +251,8 @@ class ClassSpec:
     """A complete binding for one class at one specification level.
 
     ``attr_derivations`` maps derived attribute names (such as ``count``) to
-    functions over a role's model map; ``ModelCtx.old_int``/``now_int`` run
-    one when a predicate names no model query, at run time and in the probe
+    functions over a role's model map; ``ModelCtx.old``/``now`` run one
+    when a predicate names no model query, at run time and in the probe
     alike. A derivation reads the map by subscript, ``get`` or ``in`` only,
     never by iterating it or taking its length: the probe hands it a map
     that holds just the queries read so far and copies each other one in on

@@ -14,9 +14,10 @@ from mbcheck.errors import ConfigError
 
 FORMAT = 1
 
-# the fields that comparing reports reads, with their JSON types
+# the fields a report row must hold (those comparing reports reads, and the
+# format), with their JSON types
 _FIELDS = {
-    "header": {"class": str, "level": str, "seed": int, "budget": dict},
+    "header": {"class": str, "level": str, "seed": int, "budget": dict, "format": int},
     "series": {"points": list},
     "summary": {"calls": int, "detected_bugs": list, "unique_real": int, "records": dict},
 }
@@ -113,11 +114,10 @@ def write_report(path, result, timing=True):
 
 def read_report(path):
     """Parse one report into {"header": ..., "faults": [...], "series": [...],
-    "summary": ...}."""
-    header = None
+    "summary": ...}. A report holds one header and one summary row, and at
+    most one series row."""
+    rows = {}  # kind -> its one header, series or summary row
     faults = []
-    series = []
-    summary = None
     with open(path, encoding="utf-8") as f:
         try:
             for lineno, raw in enumerate(f, 1):
@@ -131,49 +131,56 @@ def read_report(path):
                 if not isinstance(row, dict):
                     raise ConfigError("%s line %d is not a JSON object" % (path, lineno))
                 kind = row.get("kind")
-                if kind == "header":
-                    header = row
-                elif kind == "fault":
+                if kind == "fault":
                     faults.append(row)
-                elif kind == "series":
-                    _check_fields(path, kind, row)
-                    series = row["points"]
-                elif kind == "summary":
-                    summary = row
-                else:
+                    continue
+                if kind not in _FIELDS:
                     raise ConfigError("unknown report row kind %r in %s" % (kind, path))
+                if kind in rows:
+                    raise ConfigError("%s line %d is a second %s row" % (path, lineno, kind))
+                if kind == "series":
+                    _check_fields(path, kind, row)
+                rows[kind] = row
         except UnicodeDecodeError as e:
             # decoding happens as the loop reads the file
             raise ConfigError("%s is not UTF-8 text: %s" % (path, e))
-    if header is None or summary is None:
+    if "header" not in rows or "summary" not in rows:
         raise ConfigError("%s is not a complete report" % (path,))
-    _check_fields(path, "header", header)
-    _check_fields(path, "summary", summary)
-    return {"header": header, "faults": faults, "series": series, "summary": summary}
+    _check_fields(path, "header", rows["header"])
+    _check_fields(path, "summary", rows["summary"])
+    return {
+        "header": rows["header"],
+        "faults": faults,
+        "series": rows["series"]["points"] if "series" in rows else [],
+        "summary": rows["summary"],
+    }
 
 
 def _check_fields(path, kind, row):
+    # JSON gives each type exactly, so ``type`` tells a boolean from an integer
     fields = _FIELDS[kind]
     missing = [f for f in fields if f not in row]
     if missing:
         raise ConfigError("%s %s lacks %s" % (path, kind, ", ".join(missing)))
     for f, t in fields.items():
-        if not isinstance(row[f], t):
+        if type(row[f]) is not t:
             raise ConfigError("%s %s %s must be a JSON %s" % (path, kind, f, _JSON_TYPES[t]))
     if kind == "header":
+        if row["format"] != FORMAT:
+            raise ConfigError("%s %s format must be %d" % (path, kind, FORMAT))
         max_calls = row["budget"].get("max_calls")
-        if max_calls is not None and not isinstance(max_calls, int):
+        if max_calls is not None and type(max_calls) is not int:
             raise ConfigError(
                 "%s %s budget max_calls must be a JSON integer or null" % (path, kind)
             )
     elif kind == "series":
         for p in row["points"]:
-            if not (isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)):
+            if not (type(p) is list and len(p) == 2 and all(type(x) is int for x in p)):
                 raise ConfigError("%s %s points must be [integer, integer] pairs" % (path, kind))
     else:
-        if not all(isinstance(b, str) for b in row["detected_bugs"]):
+        if not all(type(b) is str for b in row["detected_bugs"]):
             raise ConfigError("%s %s detected_bugs must be strings" % (path, kind))
-        if not all(isinstance(n, int) for n in row["records"].values()):
+        if not all(type(n) is int for n in row["records"].values()):
             raise ConfigError("%s %s records counts must be integers" % (path, kind))
 
 

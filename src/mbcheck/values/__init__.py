@@ -54,10 +54,6 @@ def boolean(x):
     return TRUE if x else FALSE
 
 
-def integer(x):
-    return x if type(x) is int else int(x)
-
-
 def atom(x):
     """Opaque element value; equality and hashing are the payload's own."""
     hash(x)  # not storable otherwise
@@ -113,12 +109,6 @@ def item_sequence(xs):
 
 
 # --- variant access -------------------------------------------------------
-
-
-def as_int(v):
-    if type(v) is not int:
-        raise ModelEvalError("not an integer value: %r" % (v,))
-    return v
 
 
 def oid_token(v):

@@ -219,27 +219,27 @@ def test_criterion_7_value_identities():
     ]
     checked = 0
     for xs in seqs:
-        s = V.sequence(V.integer(x) for x in xs)
+        s = V.sequence(xs)
         n = len(xs)
         for i in range(0, n + 1):
             assert V.seq_concat(V.seq_front(s, i), V.seq_tail(s, i + 1)) == s
             assert V.seq_count(V.seq_front(s, i)) == i
             assert V.seq_count(V.seq_tail(s, i + 1)) == n - i
             checked += 1
-        assert V.seq_to_bag(s) == V.bag_of(V.integer(x) for x in xs)
+        assert V.seq_to_bag(s) == V.bag_of(xs)
         for x in alphabet:
-            assert V.bag_occurrences(V.seq_to_bag(s), V.integer(x)) == xs.count(x)
+            assert V.bag_occurrences(V.seq_to_bag(s), x) == xs.count(x)
     for xs in seqs:
         if len(xs) > 3:
             continue
-        s = V.sequence(V.integer(x) for x in xs)
+        s = V.sequence(xs)
         for ys in seqs:
             if len(ys) > 3:
                 continue
-            t = V.sequence(V.integer(y) for y in ys)
+            t = V.sequence(ys)
             u = V.seq_concat(s, t)
             assert V.seq_count(u) == len(xs) + len(ys)
-            assert V.seq_to_bag(u) == V.bag_of(V.integer(z) for z in xs + ys)
+            assert V.seq_to_bag(u) == V.bag_of(xs + ys)
             checked += 1
     verdict(
         7,

@@ -46,13 +46,13 @@ class Box:
 
 def box_spec(routines, attr_derivations=None):
     model = [
-        ModelQuery("n", lambda o: V.integer(o.n)),
-        ModelQuery("cap", lambda o: V.integer(o.cap)),
+        ModelQuery("n", lambda o: o.n),
+        ModelQuery("cap", lambda o: o.cap),
     ]
     invariants = [
         InvariantClause(
             "n_in_cap",
-            lambda m, o: 0 <= V.as_int(m["n"]) <= V.as_int(m["cap"]),
+            lambda m, o: 0 <= m["n"] <= m["cap"],
             kind="model",
         )
     ]
@@ -81,7 +81,7 @@ class BoxDomain:
     def _grid(self):
         for cap in self.caps:
             for n in range(cap + 1):
-                yield {"n": V.integer(n), "cap": V.integer(cap)}
+                yield {"n": n, "cap": cap}
 
     def pre_states(self, class_spec, routine):
         self._spec = class_spec
@@ -101,10 +101,10 @@ class BoxDomain:
                 yield {"roles": roles, "args": ()}
 
     def value_choices(self, qname):
-        return [V.integer(v) for v in self.vals]
+        return list(self.vals)
 
     def result_choices(self, routine):
-        return [V.integer(v) for v in self.vals]
+        return list(self.vals)
 
 
 def probe(routine_spec, domain=None):
@@ -122,8 +122,8 @@ def test_pinned_increment_is_complete():
         "bump",
         [],
         lambda o: None,
-        pre=[pred("room", lambda ctx: ctx.old_int("n") < ctx.old_int("cap"))],
-        post=[pred("up_one", lambda ctx: ctx.now_int("n") == ctx.old_int("n") + 1)],
+        pre=[pred("room", lambda ctx: ctx.old("n") < ctx.old("cap"))],
+        post=[pred("up_one", lambda ctx: ctx.now("n") == ctx.old("n") + 1)],
         modify=("n",),
     )
     res = probe(r)
@@ -137,15 +137,15 @@ def test_lower_bound_only_is_incomplete_with_two_witnesses():
         "loosen",
         [],
         lambda o: None,
-        pre=[pred("room", lambda ctx: ctx.old_int("n") < ctx.old_int("cap"))],
-        post=[pred("not_less", lambda ctx: ctx.now_int("n") >= ctx.old_int("n"))],
+        pre=[pred("room", lambda ctx: ctx.old("n") < ctx.old("cap"))],
+        post=[pred("not_less", lambda ctx: ctx.now("n") >= ctx.old("n"))],
         modify=("n",),
     )
     res = probe(r)
     assert res.verdict == "incomplete"
     assert len(res.witness_posts) == 2
-    a = V.as_int(res.witness_posts[0][0][-1]["n"])
-    b = V.as_int(res.witness_posts[1][0][-1]["n"])
+    a = res.witness_posts[0][0][-1]["n"]
+    b = res.witness_posts[1][0][-1]["n"]
     assert a != b
 
 
@@ -154,7 +154,7 @@ def test_unreachable_post_is_unsatisfiable():
         "teleport",
         [],
         lambda o: None,
-        post=[pred("way_up", lambda ctx: ctx.now_int("n") == ctx.old_int("n") + 10)],
+        post=[pred("way_up", lambda ctx: ctx.now("n") == ctx.old("n") + 10)],
         modify=("n",),
     )
     res = probe(r)
@@ -180,8 +180,8 @@ def test_invariant_filter_can_make_a_weak_post_complete():
         "nudge",
         [],
         lambda o: None,
-        pre=[pred("full", lambda ctx: ctx.old_int("n") == ctx.old_int("cap"))],
-        post=[pred("not_less", lambda ctx: ctx.now_int("n") >= ctx.old_int("n"))],
+        pre=[pred("full", lambda ctx: ctx.old("n") == ctx.old("cap"))],
+        post=[pred("not_less", lambda ctx: ctx.now("n") >= ctx.old("n"))],
         modify=("n",),
     )
     res = probe(r)
@@ -194,13 +194,13 @@ def test_unframed_routine_frees_every_query():
         "bump_unframed",
         [],
         lambda o: None,
-        pre=[pred("room", lambda ctx: ctx.old_int("n") < ctx.old_int("cap"))],
-        post=[pred("up_one", lambda ctx: ctx.now_int("n") == ctx.old_int("n") + 1)],
+        pre=[pred("room", lambda ctx: ctx.old("n") < ctx.old("cap"))],
+        post=[pred("up_one", lambda ctx: ctx.now("n") == ctx.old("n") + 1)],
         modify=None,
     )
     res = probe(r)
     assert res.verdict == "incomplete"
-    caps = {V.as_int(w[0][-1]["cap"]) for w in res.witness_posts}
+    caps = {w[0][-1]["cap"] for w in res.witness_posts}
     assert len(caps) == 2
 
 
@@ -249,14 +249,14 @@ def test_reference_argument_coordinates_probe_jointly():
             pred("other_given", lambda ctx: not ctx.arg_is_void(0)),
             pred(
                 "fits",
-                lambda ctx: ctx.old_int("n") <= ctx.old_int("cap", ARG0),
+                lambda ctx: ctx.old("n") <= ctx.old("cap", ARG0),
             ),
         ],
         post=[
             pred(
                 "moved",
-                lambda ctx: ctx.now_int("n", ARG0) == ctx.old_int("n")
-                and ctx.now_int("n") == 0,
+                lambda ctx: ctx.now("n", ARG0) == ctx.old("n")
+                and ctx.now("n") == 0,
             )
         ],
         modify=(("target", "n"), (ARG0, "n")),
@@ -271,7 +271,7 @@ def test_reference_argument_left_loose_is_incomplete():
         [ref_param("abox")],
         lambda o, p: None,
         pre=[pred("other_given", lambda ctx: not ctx.arg_is_void(0))],
-        post=[pred("emptied", lambda ctx: ctx.now_int("n") == 0)],
+        post=[pred("emptied", lambda ctx: ctx.now("n") == 0)],
         modify=(("target", "n"), (ARG0, "n")),
     )
     res = probe(r)
@@ -290,13 +290,12 @@ def test_concrete_precondition_is_rejected_loudly():
         probe(r)
 
 
-@pytest.mark.parametrize("read", ["now", "now_int"])
-def test_exit_state_read_in_precondition_is_refused(read):
+def test_exit_state_read_in_precondition_is_refused():
     r = RoutineSpec(
         "peek",
         [],
         lambda o: None,
-        pre=[pred("reads_exit", lambda ctx: getattr(ctx, read)("n") is not None)],
+        pre=[pred("reads_exit", lambda ctx: ctx.now("n") is not None)],
         modify=(),
     )
     with pytest.raises(
@@ -308,7 +307,7 @@ def test_exit_state_read_in_precondition_is_refused(read):
 
 
 def test_unbound_spec_is_rejected():
-    model = [ModelQuery("n", lambda o: V.integer(o.n))]
+    model = [ModelQuery("n", lambda o: o.n)]
     spec = ClassSpec("loose", "strong", model, [], {"r": RoutineSpec("r", [], lambda o: None, modify=())}, Box)
     with pytest.raises(ConfigError):
         completeness_probe(spec, spec.routines["r"], BoxDomain())
@@ -319,8 +318,6 @@ def test_unbound_spec_is_rejected():
 PREDICATE_SURFACE = (
     "old",
     "now",
-    "old_int",
-    "now_int",
     "arg",
     "arg_is_void",
     "arg_is_target",
@@ -328,16 +325,39 @@ PREDICATE_SURFACE = (
     "self_id",
     "arg_id",
 )
-MODEL_ACCESSORS = ("old", "now", "old_int", "now_int", "arg", "arg_is_void")
+MODEL_ACCESSORS = ("old", "now", "arg", "arg_is_void")
 
 
 @pytest.mark.parametrize("ctx_class", [CallCtx, AbstractCtx])
 def test_both_contexts_answer_one_predicate_surface(ctx_class):
     assert issubclass(ctx_class, ModelCtx)
+    public = {n for n, v in vars(ModelCtx).items() if callable(v) and not n.startswith("_")}
+    assert public == set(MODEL_ACCESSORS)
     assert all(hasattr(ctx_class, name) for name in PREDICATE_SURFACE)
     # the model accessors are ModelCtx's alone
     assert not set(MODEL_ACCESSORS) & set(vars(ctx_class))
     assert not hasattr(ctx_class, "attr") and not hasattr(ctx_class, "arg_attr")
+
+
+def test_old_and_now_resolve_a_derived_attribute():
+    # strong cursor_list has no count query but derives count from the
+    # sequence; over recording maps the derivation reads the sequence alone
+    spec = build_class("cursor_list", "strong")
+    engine = Engine()
+    co = engine.create(spec)
+    routine = spec.routines["extend"]
+    entry = {"sequence": V.sequence([7, 8, 9]), "index": 0}
+    exit_ = {"sequence": V.sequence([7, 8, 9, 5]), "index": 0}
+    recording = AbstractCtx(routine.role_index, {-1: spec}, {-1: _ReadMap(entry)}, _ReadArgs((5,)))
+    recording.exit_models = {-1: _ReadMap(exit_)}
+    for ctx in (
+        CallCtx(engine, co, routine, (5,), [], {-1: entry}),
+        AbstractCtx(routine.role_index, {-1: spec}, {-1: entry}, (5,)),
+    ):
+        ctx.exit_models = {-1: exit_}
+        assert (ctx.old("count"), ctx.now("count")) == (3, 4)
+    assert (recording.old("count"), recording.now("count")) == (3, 4)
+    assert set(recording.entry_models[-1]) == set(recording.exit_models[-1]) == {"sequence"}
 
 
 def test_both_contexts_read_and_refuse_alike():
@@ -347,7 +367,7 @@ def test_both_contexts_read_and_refuse_alike():
     routine = spec.routines["finish"]
     entry = {-1: {q.name: q.evaluate(co.concrete) for q in spec.model}}
     # finish moves the cursor; the exit state differs from the entry there
-    moved = {"index": V.integer(1)}
+    moved = {"index": 1}
     exit_ = {-1: {**entry[-1], **moved}}
 
     def recording_exit():
@@ -378,12 +398,10 @@ def test_both_contexts_read_and_refuse_alike():
 
     entry_reads = [
         lambda ctx: ctx.old("sequence"),
-        lambda ctx: ctx.old_int("count"),
         lambda ctx: ctx.old("count"),
-        lambda ctx: ctx.old_int("lower"),
+        lambda ctx: ctx.old("lower"),
         lambda ctx: ctx.old("index", ARG0),
         lambda ctx: ctx.now("index"),
-        lambda ctx: ctx.now_int("index"),
         lambda ctx: ctx.entry_models[-1].get("index"),
         lambda ctx: ctx.entry_models[-1].get("lower", "absent"),
         lambda ctx: "sequence" in ctx.entry_models[-1],
@@ -392,10 +410,8 @@ def test_both_contexts_read_and_refuse_alike():
     exit_reads = [
         lambda ctx: ctx.now("index"),
         lambda ctx: ctx.now("sequence"),
-        lambda ctx: ctx.now_int("index"),
-        lambda ctx: ctx.now_int("count"),
         lambda ctx: ctx.now("count"),
-        lambda ctx: ctx.now_int("lower"),
+        lambda ctx: ctx.now("lower"),
         lambda ctx: ctx.now("index", ARG0),
         lambda ctx: ctx.exit_models[-1].get("sequence"),
         lambda ctx: ctx.exit_models[-1].get("lower", "absent"),
@@ -416,20 +432,16 @@ def test_both_contexts_read_and_refuse_alike():
     empty = V.EMPTY_SEQ
     assert got[0][1:] == [
         0,
-        "ModelEvalError: count is not a model query of role target",
         "ModelEvalError: lower is neither a model query nor a derived attribute of cursor_list",
         "ModelEvalError: no model state for role arg0",
         "ModelEvalError: " + NO_EXIT_STATE,
-        "ModelEvalError: " + NO_EXIT_STATE,
-        V.integer(0),
+        0,
         "absent",
         True,
         False,
-        V.integer(1),
-        empty,
         1,
+        empty,
         0,
-        "ModelEvalError: count is not a model query of role target",
         "ModelEvalError: lower is neither a model query nor a derived attribute of cursor_list",
         "ModelEvalError: no model state for role arg0",
         empty,
@@ -440,14 +452,14 @@ def test_both_contexts_read_and_refuse_alike():
 
 
 def test_recording_map_keeps_what_was_read():
-    src = {"n": V.integer(1), "cap": V.integer(2)}
+    src = {"n": 1, "cap": 2}
     m = _ReadMap(src)
     assert m.get("lower") is None and "lower" not in m and m.get("lower", 7) == 7
     assert not m  # a miss records nothing
     assert "cap" in m and set(m) == {"cap"}
-    assert m.get("n") == V.integer(1) and set(m) == {"cap", "n"}
-    m["n"] = V.integer(0)  # a free coordinate, assigned, shadows the source
-    assert m["n"] == m.get("n") == V.integer(0) and src["n"] == V.integer(1)
+    assert m.get("n") == 1 and set(m) == {"cap", "n"}
+    m["n"] = 0  # a free coordinate, assigned, shadows the source
+    assert m["n"] == m.get("n") == 0 and src["n"] == 1
     args = _ReadArgs((5, None, 7))
     assert args[2] == 7 and args[1] is None and sorted(args) == [1, 2]
 
@@ -461,7 +473,7 @@ def all_seqs(max_len, alphabet):
     for _ in range(max_len):
         frontier = [s + [a] for s in frontier for a in range(alphabet)]
         out.extend(frontier)
-    return [V.sequence(map(V.integer, s)) for s in out]
+    return [V.sequence(s) for s in out]
 
 
 class SeqDomain:
@@ -478,7 +490,7 @@ class SeqDomain:
     def pre_states(self, class_spec, routine):
         for s in self.pre:
             for i in range(V.seq_count(s) + 2):
-                roles = {-1: {"sequence": s, "index": V.integer(i)}}
+                roles = {-1: {"sequence": s, "index": i}}
                 if routine.params:
                     for a in range(self.alphabet):
                         yield {"roles": roles, "args": (a,)}
@@ -488,10 +500,10 @@ class SeqDomain:
     def value_choices(self, qname):
         if qname == "sequence":
             return self.choices
-        return [V.integer(v) for v in range(-1, 5)]
+        return list(range(-1, 5))
 
     def result_choices(self, routine):
-        return [V.integer(v) for v in range(self.alphabet)]
+        return list(range(self.alphabet))
 
 
 def toy_seq_spec(routines):
@@ -500,12 +512,12 @@ def toy_seq_spec(routines):
 
     model = [
         ModelQuery("sequence", lambda o: V.EMPTY_SEQ),
-        ModelQuery("index", lambda o: V.integer(0)),
+        ModelQuery("index", lambda o: 0),
     ]
     invariants = [
         InvariantClause(
             "index_bounds",
-            lambda m, o: 0 <= V.as_int(m["index"]) <= V.seq_count(m["sequence"]) + 1,
+            lambda m, o: 0 <= m["index"] <= V.seq_count(m["sequence"]) + 1,
             kind="model",
         )
     ]
@@ -523,7 +535,7 @@ def test_append_post_is_complete_over_sequences():
             pred(
                 "appended",
                 lambda ctx: ctx.now("sequence")
-                == V.seq_extended(ctx.old("sequence"), V.integer(ctx.arg(0))),
+                == V.seq_extended(ctx.old("sequence"), ctx.arg(0)),
             )
         ],
         modify=("sequence",),
@@ -834,7 +846,7 @@ def _box_with_invariant(fn):
         "grow",
         [],
         lambda o: None,
-        post=[pred("not_less", lambda ctx: ctx.now_int("n") >= ctx.old_int("n"))],
+        post=[pred("not_less", lambda ctx: ctx.now("n") >= ctx.old("n"))],
         modify=("n",),
     )
     spec = box_spec({r.name: r})
@@ -847,7 +859,7 @@ def _box_with_invariant(fn):
 
 def _raising_from(limit):
     def below_limit(m, o):
-        if V.as_int(m["n"]) >= limit:
+        if m["n"] >= limit:
             raise ModelEvalError("n = %d is beyond the invariant's reach" % limit)
         return True
 
@@ -877,7 +889,7 @@ def test_invariant_raising_at_a_later_pre_state_is_reached_by_the_fill():
     # filter reaches n = 3, where the invariant raises, although a search of
     # every pre-state stops at (0, 1) with n = 0 and n = 1 admitted.
     def capped(m, o):
-        n, cap = V.as_int(m["n"]), V.as_int(m["cap"])
+        n, cap = m["n"], m["cap"]
         if cap >= 1 and n >= 3:
             raise ModelEvalError("n = %d is beyond cap %d" % (n, cap))
         return 0 <= n <= cap
@@ -1111,9 +1123,9 @@ def _drain_into():
     # reads the argument only when the target is non-empty; ambiguous only
     # for the last argument state, (n, cap) = (2, 2)
     def drained(ctx):
-        if ctx.old_int("n") == 0 or ctx.old_int("n", ARG0) != 2:
-            return ctx.now_int("n") == 0
-        return ctx.now_int("n") < 2
+        if ctx.old("n") == 0 or ctx.old("n", ARG0) != 2:
+            return ctx.now("n") == 0
+        return ctx.now("n") < 2
 
     return RoutineSpec(
         "drain_into",
@@ -1134,13 +1146,13 @@ def _fill_by_room():
         post=[
             pred(
                 "filled",
-                lambda ctx: ctx.now_int("n") == 0
-                if ctx.old_int("room")
-                else ctx.now_int("n") <= 1,
+                lambda ctx: ctx.now("n") == 0
+                if ctx.old("room")
+                else ctx.now("n") <= 1,
             )
         ],
         modify=("n",),
-    ), {"room": lambda m: V.integer(V.as_int(m["cap"]) - V.as_int(m["n"]))}
+    ), {"room": lambda m: m["cap"] - m["n"]}
 
 
 def _fill_by_room_through_get():
@@ -1150,9 +1162,9 @@ def _fill_by_room_through_get():
     def filled(ctx):
         if "cap" not in ctx.exit_models[-1]:
             return False
-        if ctx.old_int("room"):
-            return ctx.now_int("n") == 0
-        return ctx.now_int("n") <= 1
+        if ctx.old("room"):
+            return ctx.now("n") == 0
+        return ctx.now("n") <= 1
 
     return RoutineSpec(
         "fill_by_room_through_get",
@@ -1160,7 +1172,7 @@ def _fill_by_room_through_get():
         lambda o: None,
         post=[pred("filled", filled)],
         modify=("n",),
-    ), {"room": lambda m: V.integer(V.as_int(m.get("cap")) - V.as_int(m.get("n")))}
+    ), {"room": lambda m: m.get("cap") - m.get("n")}
 
 
 def _step_or_loosen():
@@ -1172,15 +1184,15 @@ def _step_or_loosen():
         pre=[
             pred(
                 "room_or_full_two",
-                lambda ctx: ctx.old_int("n") < ctx.old_int("cap") or ctx.old_int("n") == 2,
+                lambda ctx: ctx.old("n") < ctx.old("cap") or ctx.old("n") == 2,
             )
         ],
         post=[
             pred(
                 "stepped",
-                lambda ctx: ctx.now_int("n") == ctx.old_int("n") + 1
-                if ctx.old_int("n") < 2
-                else ctx.now_int("n") <= 1,
+                lambda ctx: ctx.now("n") == ctx.old("n") + 1
+                if ctx.old("n") < 2
+                else ctx.now("n") <= 1,
             )
         ],
         modify=("n",),
@@ -1193,7 +1205,7 @@ def _small_n():
         "small_n",
         [],
         lambda o: None,
-        post=[pred("small", lambda ctx: ctx.now_int("n") <= 1)],
+        post=[pred("small", lambda ctx: ctx.now("n") <= 1)],
         modify=("n",),
     ), None
 
@@ -1235,8 +1247,8 @@ def _defined_after_a_raising_clause():
         [],
         lambda o: None,
         post=[
-            pred("not_two", lambda ctx: ctx.now_int("n") != 2 or ctx.obj is None),
-            defines("emptied", "n", lambda ctx: V.integer(0)),
+            pred("not_two", lambda ctx: ctx.now("n") != 2 or ctx.obj is None),
+            defines("emptied", "n", lambda ctx: 0),
         ],
         modify=("n",),
     ), "refused"
@@ -1245,8 +1257,8 @@ def _defined_after_a_raising_clause():
 def _expected_raises_on_a_late_pre_state():
     # complete up to cap 2, where expected reads a query the model lacks
     def expected(ctx):
-        if V.as_int(ctx.old("cap")) < 2:
-            return V.integer(0)
+        if ctx.old("cap") < 2:
+            return 0
         return ctx.old("lower")
 
     return RoutineSpec(
@@ -1273,7 +1285,7 @@ def _expected_outside_the_candidates():
         lambda o: None,
         post=[
             defines(
-                "widened", "cap", lambda ctx: V.integer(V.as_int(ctx.old("cap")) + 3)
+                "widened", "cap", lambda ctx: ctx.old("cap") + 3
             )
         ],
         modify=("cap",),
@@ -1284,12 +1296,12 @@ def _defined_on_a_fixed_coordinate():
     # cap is framed, so the run stops at its clause, which raises from cap 2
     # on; solving the clause on n there would leave no candidate
     def cap_kept(ctx):
-        return ctx.old("cap") if V.as_int(ctx.old("cap")) < 2 else ctx.old("lower")
+        return ctx.old("cap") if ctx.old("cap") < 2 else ctx.old("lower")
 
     def halved(ctx):
-        if V.as_int(ctx.old("cap")) < 2:
-            return V.integer(V.as_int(ctx.old("n")) // 2)
-        return V.integer(9)
+        if ctx.old("cap") < 2:
+            return ctx.old("n") // 2
+        return 9
 
     return RoutineSpec(
         "halve",
@@ -1307,11 +1319,11 @@ def _defined_on_an_argument_role():
         lambda o, p: None,
         pre=[
             pred("other_given", lambda ctx: not ctx.arg_is_void(0)),
-            pred("fits", lambda ctx: ctx.old_int("n") <= ctx.old_int("cap", ARG0)),
+            pred("fits", lambda ctx: ctx.old("n") <= ctx.old("cap", ARG0)),
         ],
         post=[
             defines("received", "n", lambda ctx: ctx.old("n"), role=ARG0),
-            defines("poured", "n", lambda ctx: V.integer(0)),
+            defines("poured", "n", lambda ctx: 0),
         ],
         modify=(("target", "n"), (ARG0, "n")),
     ), "complete"
@@ -1324,7 +1336,7 @@ def _defined_on_an_absent_argument_role():
         [ref_param("abox")],
         lambda o, p: None,
         post=[
-            defines("poured", "n", lambda ctx: V.integer(0)),
+            defines("poured", "n", lambda ctx: 0),
             defines("received", "n", lambda ctx: ctx.old("n"), role=ARG0),
         ],
         modify=(("target", "n"), (ARG0, "n")),
@@ -1339,7 +1351,7 @@ def _two_definitions_in_a_row():
         lambda o: None,
         post=[
             defines("n_kept", "n", lambda ctx: ctx.old("n")),
-            defines("cap_doubled", "cap", lambda ctx: V.integer(2 * V.as_int(ctx.old("cap")))),
+            defines("cap_doubled", "cap", lambda ctx: 2 * ctx.old("cap")),
         ],
         modify=None,
     ), "complete"
@@ -1352,8 +1364,8 @@ def _definition_after_one_no_candidate_meets():
         [],
         lambda o: None,
         post=[
-            defines("n_nine", "n", lambda ctx: V.integer(9)),
-            defines("cap_broken", "cap", lambda ctx: V.integer(1 // 0)),
+            defines("n_nine", "n", lambda ctx: 9),
+            defines("cap_broken", "cap", lambda ctx: 1 // 0),
         ],
         modify=None,
     ), "inconclusive"
@@ -1367,8 +1379,8 @@ def _definition_after_one_that_raises():
         [],
         lambda o: None,
         post=[
-            defines("n_copied", "n", lambda ctx: V.integer(ctx.obj.n)),
-            defines("cap_nine", "cap", lambda ctx: V.integer(9)),
+            defines("n_copied", "n", lambda ctx: ctx.obj.n),
+            defines("cap_nine", "cap", lambda ctx: 9),
         ],
         modify=None,
     ), "refused"
@@ -1432,7 +1444,7 @@ def test_invariants_run_once_per_role_candidate_over_fresh_lists(contract, monke
 
 
 def test_defining_clause_compares_the_exit_value():
-    one = V.integer(1)
+    one = 1
     p = defines("appended", "sequence", lambda ctx: V.seq_extended(ctx.old("sequence"), one))
     assert p.definition[:2] == ("target", "sequence")
     spec = build_class("array_stack", "strong")

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from mbcheck.engine import completeness_probe
+from mbcheck.engine import bind, completeness_probe
 from mbcheck.errors import ConfigError
-from mbcheck.containers import build_class
+from mbcheck.containers import build_class, cursor_list
+from mbcheck.containers._cursor_specs import INDEX_UNCHANGED
 from mbcheck.containers.domains import SequenceDomain
 
 
@@ -41,12 +42,22 @@ def test_strong_merge_is_complete():
     assert res.pre_states_checked > 100
 
 
+def spelled_merge_spec():
+    """Strong cursor_list with the cursor frame of ``merge_right`` also
+    spelled out as the postcondition ``index_unchanged``."""
+    spec = cursor_list.build("strong")
+    merge = spec.routines["merge_right"]
+    merge.post = (*merge.post, INDEX_UNCHANGED)
+    bind({spec.name: spec})
+    return spec
+
+
 def test_explicit_index_clause_on_merge_is_redundant():
     # the derived frame already pins the cursor; spelling it out as a
     # postcondition must not change the probe's verdict
-    spelled = build_class("cursor_list", "strong", redundant_index_clause=True)
+    spelled = spelled_merge_spec()
     dom = SequenceDomain({"cursor_list": spelled}, max_len=2)
-    assert any(p.name == "index_unchanged" for p in spelled.routines["merge_right"].post)
+    assert [p.name for p in spelled.routines["merge_right"].post] == ["spliced", "index_unchanged"]
     res = completeness_probe(spelled, spelled.routines["merge_right"], dom)
     assert res.verdict == "complete"
 

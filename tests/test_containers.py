@@ -15,6 +15,8 @@ from mbcheck.containers.cursor_list import CursorList
 from mbcheck.containers.cursor_set import CursorSet
 from mbcheck.containers.two_way_list import TwoWayList
 from mbcheck.errors import SpecError
+from mbcheck.harness import SessionConfig, run_session
+from mbcheck.harness import session as session_module
 
 
 def mk(name, level, bugs=(), **options):
@@ -68,7 +70,7 @@ def test_two_way_list_clean_trace(level):
 @pytest.mark.parametrize("cls", ["cursor_list", "two_way_list"])
 def test_replace_checks_non_integer_items(cls):
     # any binding accepts any item; strong two_way_list's replaced post once
-    # converted the item with V.integer and raised instead of checking
+    # converted the item to an int and raised instead of checking
     eng, spec = mk(cls, "strong")
     a = eng.create(spec)
     for op, *args in [("extend", "x"), ("start",), ("replace", "y")]:
@@ -466,6 +468,37 @@ def test_no_cycle_clause_is_experimental_and_strong_only():
 
 
 # --- routine tables and level overlays ------------------------------------
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+def test_session_model_values_are_well_formed(cls, level, monkeypatch):
+    # the bindings hand their int fields to the model as they stand; every
+    # value a query or a derivation returns must still be a model value
+    seen, bad = [0], []
+
+    def checked(name, fn):
+        def wrapped(x):
+            v = fn(x)
+            seen[0] += 1
+            if not V.is_model_value(v):
+                bad.append((name, v))
+            return v
+
+        return wrapped
+
+    def build(*args):
+        spec = build_class(*args)
+        for q in spec.model:
+            q.evaluate = checked(q.name, q.evaluate)
+        for name, fn in spec.attr_derivations.items():
+            spec.attr_derivations[name] = checked(name, fn)
+        return spec
+
+    monkeypatch.setattr(session_module, "build_class", build)
+    bugs = tuple(e.bug_id for e in bug_catalog.bugs_for_class(cls))
+    run_session(SessionConfig(cls, level, 0, max_calls=2000, bugs=bugs))
+    assert seen[0] > 2000 and not bad, bad[:5]
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES)

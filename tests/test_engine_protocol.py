@@ -82,15 +82,15 @@ class Toy:
 
 
 def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=(), bound=True):
-    seq_eval = seq_eval or (lambda o: V.sequence(V.integer(x) for x in o.items))
+    seq_eval = seq_eval or (lambda o: V.sequence(o.items))
     model = [
         ModelQuery("sequence", seq_eval),
-        ModelQuery("index", lambda o: V.integer(o.index)),
+        ModelQuery("index", lambda o: o.index),
     ]
     invariants = [
         InvariantClause(
             "index_bounds",
-            lambda m, o: 0 <= V.as_int(m["index"]) <= V.seq_count(m["sequence"]),
+            lambda m, o: 0 <= m["index"] <= V.seq_count(m["sequence"]),
             kind="model",
         ),
         InvariantClause(
@@ -110,7 +110,7 @@ def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=(), bou
                 pred(
                     "appended",
                     lambda ctx: ctx.now("sequence")
-                    == V.seq_extended(ctx.old("sequence"), V.integer(ctx.arg(0))),
+                    == V.seq_extended(ctx.old("sequence"), ctx.arg(0)),
                 )
             ],
             modify=push_modify,
@@ -123,7 +123,7 @@ def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=(), bou
             [index_param()],
             Toy.set_index,
             pre=[pred("in_range", lambda ctx: 0 <= ctx.arg(0) <= len(ctx.obj.items))],
-            post=[pred("index_set", lambda ctx: ctx.now_int("index") == ctx.arg(0))],
+            post=[pred("index_set", lambda ctx: ctx.now("index") == ctx.arg(0))],
             modify=("index",),
         ),
         "set_peer": RoutineSpec(
@@ -316,14 +316,13 @@ def test_entry_invariant_checked_before_precondition():
     assert out.invalid is False
 
 
-@pytest.mark.parametrize("read", ["now", "now_int"])
-def test_exit_state_read_in_precondition_is_a_model_eval_error(read):
+def test_exit_state_read_in_precondition_is_a_model_eval_error():
     eng, co, spec = fresh()
     peek = RoutineSpec(
         "peek",
         [],
         lambda o: o.items.append(0),
-        pre=[pred("reads_exit", lambda ctx: getattr(ctx, read)("index") is not None)],
+        pre=[pred("reads_exit", lambda ctx: ctx.now("index") is not None)],
         modify=(),
     )
     out = eng.checked_call(co, peek, ())
@@ -345,10 +344,10 @@ def test_snapshot_is_eager():
     out = eng.checked_call(co, spec.routines["push"], (6,))
     assert not out.violations
     (ctx,) = [e[2] for e in events if e[0] == "post"]
-    assert ctx.old("sequence") == V.sequence(map(V.integer, [4, 5]))
-    assert ctx.old("index") == V.integer(0)
+    assert ctx.old("sequence") == V.sequence([4, 5])
+    assert ctx.old("index") == 0
     # body mutation did not bleed into the snapshot
-    assert ctx.now("sequence") == V.sequence(map(V.integer, [4, 5, 6]))
+    assert ctx.now("sequence") == V.sequence([4, 5, 6])
     assert co.concrete.items == [4, 5, 6]
 
 
@@ -367,8 +366,8 @@ def test_snapshot_covers_reference_arguments():
         (FRAME, "unchanged:arg0.sequence")
     ]
     ctx = next(e[2] for e in events if e[0] == "frame")
-    assert ctx.old("sequence", ARG0) == V.sequence([V.integer(9)])
-    assert ctx.now("sequence", ARG0) == V.sequence([V.integer(9), V.integer(1)])
+    assert ctx.old("sequence", ARG0) == V.sequence([9])
+    assert ctx.now("sequence", ARG0) == V.sequence([9, 1])
 
 
 # --- postconditions, frames, result --------------------------------------
@@ -549,7 +548,7 @@ def test_guard_suppresses_checking_within_model_evaluation():
         # a model query that itself calls a public routine of its object
         co = o._checked
         co.engine.checked_call(co, co.spec.routines["push"], (1,))
-        return V.sequence(V.integer(x) for x in o.items)
+        return V.sequence(o.items)
 
     eng, co, spec = fresh(toy_specs(seq_eval=tricky_eval))
     events = logged(spec)
@@ -586,7 +585,7 @@ def test_guard_nests_and_unwinds():
     def counting_eval(o):
         out = qualified(o, "size")
         seen.append((out.result, out.violations, o._checked.engine._suppress))
-        return V.sequence(V.integer(x) for x in o.items)
+        return V.sequence(o.items)
 
     eng, a, spec = fresh(toy_specs(seq_eval=counting_eval))
     b = eng.register(Toy(), spec)

@@ -17,6 +17,7 @@ from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers.bugs import bugs_for_class
 from mbcheck.errors import ConfigError
 from mbcheck.harness import SessionConfig, run_session, write_report
+from test_container_probes import spelled_merge_spec
 
 GOLDEN_REPORTS_SHA256 = "f8a014a2c32f7b30c9edf779a5efc38484f644bd9fcadeb8d221ab1a21199f8e"
 
@@ -80,67 +81,71 @@ def spec_fingerprint(spec):
     }
 
 
-# (class, level, builder options) -> sha256 of the fingerprint's JSON
+# (class, level, variant) -> sha256 of the fingerprint's JSON; a variant
+# other than "" names a builder in VARIANTS
 SPEC_FINGERPRINTS = {
-    ("array_stack", "strong", ()):
+    ("array_stack", "strong", ""):
         "3387227cd0aa630456448f082c129640546bf28398ba1d22f96939369bafdd57",
-    ("array_stack", "weak", ()):
+    ("array_stack", "weak", ""):
         "917fd43454f3fb2f43bec5fcc0b228e4ff5bb381b7e446c6406d72c3064c58c7",
-    ("binary_node", "strong", ()):
+    ("binary_node", "strong", ""):
         "68df6ed013607b87968933cbff51eee8b1be62c8980c17aab879ee1a5a6a73fe",
-    ("binary_node", "strong", (("depend_parent", False),)):
+    ("binary_node", "strong", "depend_parent"):
         "85571c00169aaf9b9c96e1c009b4587714ed7a0f0cce98f77c337f315aa65010",
-    ("binary_node", "weak", ()):
+    ("binary_node", "weak", ""):
         "a6274ede74d506f641c02451fdec39ec48e6d67cfbcebdbd6df37aeae7f4350d",
-    ("cursor_list", "strong", ()):
+    ("cursor_list", "strong", ""):
         "3ebed48813e40c7c33d08a323fe5ea21b4daa9da69a24c5c4670aee685ddbaf3",
-    ("cursor_list", "strong", (("redundant_index_clause", True),)):
+    ("cursor_list", "strong", "spelled_merge"):
         "797eeca33d751e7da8715d7107c5ac121454f0af2f7e408aa85b0b3fc1dbb5c0",
-    ("cursor_list", "weak", ()):
+    ("cursor_list", "weak", ""):
         "ee1ebef038c6ad7a230e62202d363557751cf7c800d11b83626b4520f8a27d8a",
-    ("cursor_set", "strong", ()):
+    ("cursor_set", "strong", ""):
         "d7e6d72c32512f3d7e1fef05ef003717660282db17a3eeb46db09c39ddc7d243",
-    ("cursor_set", "weak", ()):
+    ("cursor_set", "weak", ""):
         "e4d7f60825fcdbf8b51e5ee0101ee9875495bf8a0e7648b01d8dac65574afa75",
-    ("resizable_array", "strong", ()):
+    ("resizable_array", "strong", ""):
         "ee5545cb91bab2779c3b1a5e762cdf2aabe3c1af4ba55fc30050698b0f1ca31b",
-    ("resizable_array", "weak", ()):
+    ("resizable_array", "weak", ""):
         "a6158756652799c909b51a9a66de50f613cb7b23c10888f575f11176141cc47b",
-    ("ring_queue", "strong", ()):
+    ("ring_queue", "strong", ""):
         "ca2730acfb8a5e9dd1c4f83f6ae30fa5ccc56de0fc5929a7243008cbafb42d96",
-    ("ring_queue", "weak", ()):
+    ("ring_queue", "weak", ""):
         "c59f819c813ce72bccc1fe84445f94735b5f194cb9ce458f59bbfd70219f6492",
-    ("two_way_list", "strong", ()):
+    ("two_way_list", "strong", ""):
         "d1cf88182e6af54599e05aa605bdbd59c7591e31d1090d659fc07d65d9d848ec",
-    ("two_way_list", "weak", ()):
+    ("two_way_list", "weak", ""):
         "178477759cd642b61a1a4ac280e21b97e43f012a6626e937affc5d1fb1497ee8",
 }
 
 
+VARIANTS = {
+    "depend_parent": lambda: build_class("binary_node", "strong", depend_parent=False),
+    "spelled_merge": spelled_merge_spec,
+}
+
+
 @pytest.mark.parametrize(
-    "cls,level,options",
+    "cls,level,variant",
     list(SPEC_FINGERPRINTS),
-    ids=["-".join([c, lv, *(k for k, _ in o)]) for c, lv, o in SPEC_FINGERPRINTS],
+    ids=["-".join(filter(None, key)) for key in SPEC_FINGERPRINTS],
 )
-def test_spec_fingerprint(cls, level, options):
-    data = spec_fingerprint(build_class(cls, level, **dict(options)))
+def test_spec_fingerprint(cls, level, variant):
+    spec = VARIANTS[variant]() if variant else build_class(cls, level)
+    data = spec_fingerprint(spec)
     text = json.dumps(data, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SPEC_FINGERPRINTS[
-        (cls, level, options)
+        (cls, level, variant)
     ], json.dumps(data, indent=1)
 
 
-@pytest.mark.parametrize(
-    "cls,option",
-    [("binary_node", ("depend_parent", False)), ("cursor_list", ("redundant_index_clause", True))],
-)
-def test_weak_level_rejects_strong_only_options(cls, option):
+def test_weak_level_rejects_strong_only_options():
     # the weak binding has nothing the option could change
-    message = "option %s applies only at level strong, not weak" % option[0]
+    message = "option depend_parent applies only at level strong, not weak"
     with pytest.raises(ConfigError, match=message):
-        build_class(cls, "weak", **dict([option]))
+        build_class("binary_node", "weak", depend_parent=False)
 
 
 def test_spec_fingerprints_cover_every_binding():
-    covered = {(cls, level) for cls, level, options in SPEC_FINGERPRINTS if not options}
+    covered = {(cls, level) for cls, level, variant in SPEC_FINGERPRINTS if not variant}
     assert covered == {(cls, level) for cls in ALL_CLASSES for level in ("strong", "weak")}

@@ -484,18 +484,18 @@ def test_cli_compare_malformed_report_line_is_a_config_error(tmp_path, capsys, d
     "rows, message",
     [
         ([{"kind": "header"}, {"kind": "summary"}], "header lacks class, level, seed, budget"),
-        ([{"kind": "header", "class": "cursor_list", "level": "strong", "seed": 1,
-           "budget": {"max_calls": 10}}, {"kind": "summary", "calls": 10}],
+        ([{"kind": "header", "format": 1, "class": "cursor_list", "level": "strong",
+           "seed": 1, "budget": {"max_calls": 10}}, {"kind": "summary", "calls": 10}],
          "summary lacks detected_bugs, unique_real, records"),
-        ([{"kind": "header", "class": "cursor_list", "level": "strong", "seed": 1,
-           "budget": 10}, {"kind": "summary", "calls": 10, "detected_bugs": [],
-                           "unique_real": 0, "records": {}}],
+        ([{"kind": "header", "format": 1, "class": "cursor_list", "level": "strong",
+           "seed": 1, "budget": 10}, {"kind": "summary", "calls": 10, "detected_bugs": [],
+                                      "unique_real": 0, "records": {}}],
          "header budget must be a JSON object"),
         ([{"kind": "header"}, {"kind": "series"}], "series lacks points"),
         ([{"kind": "series", "points": 5}], "series points must be a JSON array"),
-        ([{"kind": "header", "class": "cursor_list", "level": "strong", "seed": 1,
-           "budget": {}}, {"kind": "summary", "calls": 10, "detected_bugs": 5,
-                           "unique_real": 0, "records": {}}],
+        ([{"kind": "header", "format": 1, "class": "cursor_list", "level": "strong",
+           "seed": 1, "budget": {}}, {"kind": "summary", "calls": 10, "detected_bugs": 5,
+                                      "unique_real": 0, "records": {}}],
          "summary detected_bugs must be a JSON array"),
     ],
 )
@@ -504,11 +504,11 @@ def test_cli_compare_report_bad_fields_is_a_config_error(tmp_path, capsys, rows,
     p.write_text("".join(json.dumps(r) + "\n" for r in rows))
     assert main(["compare", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and str(p) in err
 
 
-GOOD_HEADER = {"kind": "header", "class": "cursor_list", "level": "strong", "seed": 1,
-               "budget": {"max_calls": 10}}
+GOOD_HEADER = {"kind": "header", "format": 1, "class": "cursor_list", "level": "strong",
+               "seed": 1, "budget": {"max_calls": 10}}
 GOOD_SUMMARY = {"kind": "summary", "calls": 10, "detected_bugs": [], "unique_real": 0,
                 "records": {}}
 
@@ -524,6 +524,26 @@ GOOD_SUMMARY = {"kind": "summary", "calls": 10, "detected_bugs": [], "unique_rea
          "summary detected_bugs must be strings"),
         ([dict(GOOD_HEADER, budget={"max_calls": "10"}), GOOD_SUMMARY],
          "header budget max_calls must be a JSON integer or null"),
+        # the format this version writes, and no other
+        ([{k: v for k, v in GOOD_HEADER.items() if k != "format"}, GOOD_SUMMARY],
+         "header lacks format"),
+        ([dict(GOOD_HEADER, format="1"), GOOD_SUMMARY], "header format must be a JSON integer"),
+        ([dict(GOOD_HEADER, format=99), GOOD_SUMMARY], "header format must be 1"),
+        ([dict(GOOD_HEADER, format=True), GOOD_SUMMARY], "header format must be a JSON integer"),
+        # a JSON boolean is not an integer
+        ([GOOD_HEADER, dict(GOOD_SUMMARY, calls=True)], "summary calls must be a JSON integer"),
+        ([dict(GOOD_HEADER, seed=False), GOOD_SUMMARY], "header seed must be a JSON integer"),
+        ([dict(GOOD_HEADER, budget={"max_calls": True}), GOOD_SUMMARY],
+         "header budget max_calls must be a JSON integer or null"),
+        ([GOOD_HEADER, dict(GOOD_SUMMARY, records={"real": True})],
+         "summary records counts must be integers"),
+        ([GOOD_HEADER, {"kind": "series", "points": [[1, False]]}, GOOD_SUMMARY],
+         "series points must be [integer, integer] pairs"),
+        # one row of each kind; the last one no longer wins
+        ([GOOD_HEADER, GOOD_HEADER, GOOD_SUMMARY], "line 2 is a second header row"),
+        ([GOOD_HEADER, GOOD_SUMMARY, GOOD_SUMMARY], "line 3 is a second summary row"),
+        ([GOOD_HEADER, {"kind": "series", "points": []}, {"kind": "series", "points": []},
+          GOOD_SUMMARY], "line 3 is a second series row"),
     ],
 )
 def test_cli_compare_report_bad_elements_is_a_config_error(tmp_path, capsys, rows, message):
@@ -531,7 +551,7 @@ def test_cli_compare_report_bad_elements_is_a_config_error(tmp_path, capsys, row
     p.write_text("".join(json.dumps(r) + "\n" for r in rows))
     assert main(["compare", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and str(p) in err
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,8 @@ import mbcheck.values as V
 from mbcheck.containers import build_class
 from mbcheck.containers.domains import SequenceDomain
 from mbcheck.engine import Engine, completeness_probe, pred
-from mbcheck.errors import ModelEvalError
 
-ints = st.integers(-30, 30).map(V.integer)
+ints = st.integers(-30, 30)
 bools = st.booleans().map(V.boolean)
 oids = st.integers(0, 9).map(V.object_id)
 scalars = ints | bools | oids
@@ -115,7 +114,7 @@ def _ref_of(v):
 def _kernel_of(r):
     """The kernel element for the reference element ``r``."""
     is_int, x = r
-    return V.integer(x) if is_int else V.atom(x)
+    return x if is_int else V.atom(x)
 
 
 def _ref_items(s):
@@ -273,13 +272,13 @@ def test_item_sequence_keeps_bools_and_floats_atoms():
     assert V.seq_items(got) == (
         V.atom(True),
         V.atom(1.0),
-        V.integer(1),
+        1,
         V.atom(False),
-        V.integer(0),
+        0,
     )
     assert [type(v) is int for v in V.seq_items(got)] == [False, False, True, False, True]
-    assert V.item(True) == V.atom(True) != V.integer(1)
-    assert V.seq_has(got, V.integer(1)) and V.seq_index_of(got, V.integer(1)) == 3
+    assert V.item(True) == V.atom(True) != 1
+    assert V.seq_has(got, 1) and V.seq_index_of(got, 1) == 3
     assert V.item_sequence([True]) != V.item_sequence([1]) != V.item_sequence([1.0])
     assert V.item_sequence([]) == V.EMPTY_SEQ
 
@@ -287,13 +286,9 @@ def test_item_sequence_keeps_bools_and_floats_atoms():
 def test_exact_ints_are_their_own_model_values():
     # one integer representation: an exact int is a model value as it stands,
     # at top level as inside payloads; a bool or a float never is
-    assert V.integer(5) == 5 and type(V.integer(5)) is int
-    assert V.integer(V.integer(-3)) == -3 and V.as_int(2**70) == 2**70
     assert V.is_model_value(5) and V.is_model_value(2**70)
     for x in (True, False, 1.0, 0.0):
         assert not V.is_model_value(x)
-        with pytest.raises(ModelEvalError):
-            V.as_int(x)
     assert V.item(1) == 1 and V.item(True) != V.item(1) and V.item(1.0) != V.item(1)
     assert V.boolean(True) != 1 and V.object_id(1) != 1
     assert V.seq_item(V.sequence([4, 5]), 2) == 5 and V.seq_last(V.sequence([4, 5])) == 5
@@ -304,7 +299,7 @@ def test_exact_ints_are_their_own_model_values():
     reads, items = [], []
 
     def spy(ctx):
-        reads.append((ctx.old("index"), ctx.now("index"), ctx.old_int("count")))
+        reads.append((ctx.old("index"), ctx.now("index"), ctx.old("count")))
         items.extend(V.seq_items(ctx.old("sequence")))
         return True
 
