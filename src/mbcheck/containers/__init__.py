@@ -1,11 +1,10 @@
 """Checkable container classes and their weak/strong bindings.
 
 Each module declares its routines once (a ``ClassDecl`` from ``_shared``) and
-exposes ``build(level, bugs=..., **options)``, which lays the level's model,
-invariants, postconditions and, at the strong level, frames over that table
-and returns a new unbound class spec; ``build_class`` here also binds it. All
-families are self-contained: reference parameters only name the family's own
-class.
+exposes ``build(level, bugs)``, which lays the level's model, invariants,
+postconditions and, at the strong level, frames over that table and returns a
+new unbound class spec; ``build_class`` here also binds it. All families are
+self-contained: reference parameters only name the family's own class.
 """
 
 from __future__ import annotations
@@ -36,13 +35,13 @@ BUILDERS = {
 ALL_CLASSES = tuple(sorted(BUILDERS))
 
 
-def build_class(name, level, bugs=frozenset(), **options):
+def build_class(name, level, bugs=frozenset()):
     """Build and bind one class spec."""
     builder = BUILDERS.get(name)
     if builder is None:
         raise ConfigError("unknown class %r; choose from %s" % (name, ", ".join(ALL_CLASSES)))
     if level not in ("weak", "strong"):
         raise ConfigError("unknown level %r; choose weak or strong" % (level,))
-    spec = builder(level, frozenset(bugs), **options)
+    spec = builder(level, frozenset(bugs))
     bind({spec.name: spec})
     return spec

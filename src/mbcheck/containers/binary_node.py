@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import mbcheck.values as V
 from mbcheck.engine import ARG0, InvariantClause, ModelQuery, item_param, pred, ref_param
-from mbcheck.errors import ConfigError
 
 from mbcheck.containers._shared import ClassDecl, RoutineDecl, qcall
 
@@ -140,7 +139,7 @@ def _detached(side):
         t = V.oid_token(ctx.old(side))
         if t == 0:
             return True
-        child = ctx.engine.object_by_token(t).concrete
+        child = ctx.co.engine.object_by_token(t).concrete
         return child.parent is None
 
     return pred("former_child_detached", fn)
@@ -184,11 +183,7 @@ DECL = ClassDecl(
 )
 
 
-def build(level, bugs=frozenset(), depend_parent=True):
-    if not depend_parent and level != "strong":
-        raise ConfigError(
-            "option depend_parent applies only at level strong, not %s" % level
-        )
+def build(level, bugs=frozenset()):
     # both levels model the links and share the postconditions; the strong
     # level adds the link invariants, the acyclicity guard and the frames
     model = [
@@ -238,7 +233,6 @@ def build(level, bugs=frozenset(), depend_parent=True):
     }
     if level != "strong":
         return DECL.spec(level, bugs, model=model, post=post)
-    dep = (lambda a: (a,)) if depend_parent else (lambda a: ())
     return DECL.spec(
         level,
         bugs,
@@ -250,19 +244,19 @@ def build(level, bugs=frozenset(), depend_parent=True):
                 lambda m, o: o.parent is None
                 or o.parent.left is o
                 or o.parent.right is o,
-                depend=dep("parent"),
+                depend=("parent",),
                 kind="representation",
             ),
             InvariantClause(
                 "parent_side_left",
                 lambda m, o: o.left is None or o.left.parent is o,
-                depend=dep("left"),
+                depend=("left",),
                 kind="representation",
             ),
             InvariantClause(
                 "parent_side_right",
                 lambda m, o: o.right is None or o.right.parent is o,
-                depend=dep("right"),
+                depend=("right",),
                 kind="representation",
             ),
         ],

@@ -126,10 +126,9 @@ class CallCtx(ModelCtx):
     ``self_id``/``arg_id`` give object identities as model values.
     """
 
-    __slots__ = ("engine", "co", "arg_cos")
+    __slots__ = ("co", "arg_cos")
 
-    def __init__(self, engine, co, routine, args, arg_cos, entry_models):
-        self.engine = engine
+    def __init__(self, co, routine, args, arg_cos, entry_models):
         self.co = co
         self.role_index = routine.role_index
         self.args = args
@@ -290,7 +289,7 @@ class Engine:
             return None, False
 
         # (3) preconditions; first failing clause aborts
-        ctx = CallCtx(self, co, routine, args, arg_cos, entry_models)
+        ctx = CallCtx(co, routine, args, arg_cos, entry_models)
         if routine.pre:
             failed = self._check(routine.pre, (ctx,), PRECONDITION, co, rname, sink, True)
             if failed:

@@ -17,7 +17,6 @@ from mbcheck.errors import ModelEvalError, SpecError
 
 TARGET = "target"
 ARG0 = "arg0"
-ARG1 = "arg1"
 
 
 def arg_role(k: int) -> str:

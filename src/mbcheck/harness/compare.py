@@ -126,35 +126,26 @@ def compare_reports(paths):
 
 
 def throughput_ratios(paths):
-    """class -> median weak calls/s over median strong calls/s (how many times
-    faster weak checking runs), from timing sidecars; classes missing either
-    side are skipped. A class's rates are calls per CPU second when every
-    sidecar of the class carries ``cpu_s``, and calls per wall-clock second
-    otherwise."""
-    runs = {}
+    """class -> median weak calls per CPU second over median strong calls per
+    CPU second (how many times faster weak checking runs), from timing
+    sidecars. Reports without a sidecar and classes missing either level are
+    skipped."""
+    rates = {}
     for p in paths:
         rep = read_report(p)
         h = rep["header"]
         try:
-            t = read_timing(p)
+            cpu_s = read_timing(p)["cpu_s"]
         except OSError:
             continue
-        cpu_s = t.get("cpu_s")
-        cpu_rate = None
-        if cpu_s is not None:
-            cpu_rate = rep["summary"]["calls"] / cpu_s if cpu_s > 0 else 0.0
-        runs.setdefault(h["class"], []).append((h["level"], t["calls_per_s"], cpu_rate))
+        rate = rep["summary"]["calls"] / cpu_s if cpu_s > 0 else 0.0
+        rates.setdefault(h["class"], {}).setdefault(h["level"], []).append(rate)
     out = {}
-    for cls, rows in sorted(runs.items()):
-        cpu = all(r[2] is not None for r in rows)
-        by_level = {}
-        for level, wall_rate, cpu_rate in rows:
-            by_level.setdefault(level, []).append(cpu_rate if cpu else wall_rate)
+    for cls, by_level in sorted(rates.items()):
         if "weak" in by_level and "strong" in by_level:
-            w = median(by_level["weak"])
             s = median(by_level["strong"])
             if s > 0:
-                out[cls] = w / s
+                out[cls] = median(by_level["weak"]) / s
     return out
 
 

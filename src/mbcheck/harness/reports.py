@@ -9,6 +9,7 @@ sidecar file (``<report>.timing``) so they cannot leak into the stable part.
 from __future__ import annotations
 
 import json
+import math
 
 from mbcheck.errors import ConfigError
 
@@ -92,23 +93,12 @@ def render_report(result):
     return "".join(lines)
 
 
-def write_report(path, result, timing=True):
+def write_report(path, result):
     body = render_report(result)
     with open(path, "w") as f:
         f.write(body)
-    if timing:
-        with open(str(path) + ".timing", "w") as f:
-            f.write(
-                json.dumps(
-                    {
-                        "wall_s": result.wall_s,
-                        "cpu_s": result.cpu_s,
-                        "calls_per_s": result.calls_per_s,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    with open(str(path) + ".timing", "w") as f:
+        f.write(json.dumps({"cpu_s": result.cpu_s, "wall_s": result.wall_s}) + "\n")
     return body
 
 
@@ -186,8 +176,8 @@ def _check_fields(path, kind, row):
 
 def read_timing(path):
     """The ``.timing`` sidecar of the report at ``path``. A missing sidecar
-    raises OSError; a malformed one raises ConfigError naming the file.
-    ``cpu_s`` is optional, since older sidecars lack it."""
+    raises OSError; a malformed one, or one whose ``cpu_s`` is not a finite
+    non-negative number, raises ConfigError naming the file."""
     tpath = str(path) + ".timing"
     with open(tpath) as f:
         try:
@@ -196,10 +186,10 @@ def read_timing(path):
             raise ConfigError("%s is not valid JSON: %s" % (tpath, e))
     if not isinstance(timing, dict):
         raise ConfigError("%s is not a JSON object" % (tpath,))
-    cps = timing.get("calls_per_s")
-    if isinstance(cps, bool) or not isinstance(cps, (int, float)):
-        raise ConfigError("%s calls_per_s must be a JSON number" % (tpath,))
-    cpu_s = timing.get("cpu_s", 0.0)
-    if isinstance(cpu_s, bool) or not isinstance(cpu_s, (int, float)):
+    cpu_s = timing.get("cpu_s")
+    if type(cpu_s) not in (int, float):
         raise ConfigError("%s cpu_s must be a JSON number" % (tpath,))
+    # json reads NaN and Infinity as floats
+    if not (math.isfinite(cpu_s) and cpu_s >= 0):
+        raise ConfigError("%s cpu_s must be finite and non-negative, not %r" % (tpath, cpu_s))
     return timing

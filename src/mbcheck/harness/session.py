@@ -98,10 +98,6 @@ class SessionResult:
     wall_s: float = 0.0
     cpu_s: float = 0.0  # process CPU time of the session loop
 
-    @property
-    def calls_per_s(self):
-        return self.calls / self.wall_s if self.wall_s > 0 else 0.0
-
     def by_classification(self, cls):
         return [r for r in self.records if r.classification == cls]
 

@@ -351,7 +351,7 @@ def test_old_and_now_resolve_a_derived_attribute():
     recording = AbstractCtx(routine.role_index, {-1: spec}, {-1: _ReadMap(entry)}, _ReadArgs((5,)))
     recording.exit_models = {-1: _ReadMap(exit_)}
     for ctx in (
-        CallCtx(engine, co, routine, (5,), [], {-1: entry}),
+        CallCtx(co, routine, (5,), [], {-1: entry}),
         AbstractCtx(routine.role_index, {-1: spec}, {-1: entry}, (5,)),
     ):
         ctx.exit_models = {-1: exit_}
@@ -379,7 +379,7 @@ def test_both_contexts_read_and_refuse_alike():
     # each read gets a fresh context, so a get or an in is the recording
     # maps' first lookup of its query
     contexts = (
-        lambda: CallCtx(engine, co, routine, (), [], entry),
+        lambda: CallCtx(co, routine, (), [], entry),
         lambda: AbstractCtx(routine.role_index, {-1: spec}, entry, ()),
         lambda: AbstractCtx(
             routine.role_index,

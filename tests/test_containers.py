@@ -6,8 +6,8 @@ from __future__ import annotations
 import pytest
 
 import mbcheck.values as V
-from mbcheck.engine import Engine
-from mbcheck.containers import ALL_CLASSES, build_class
+from mbcheck.engine import Engine, InvariantClause, bind
+from mbcheck.containers import ALL_CLASSES, binary_node, build_class
 from mbcheck.containers import bugs as bug_catalog
 from mbcheck.containers._shared import ClassDecl, RoutineDecl, walk
 from mbcheck.containers.array_stack import ArrayStack
@@ -19,10 +19,23 @@ from mbcheck.harness import SessionConfig, run_session
 from mbcheck.harness import session as session_module
 
 
-def mk(name, level, bugs=(), **options):
-    spec = build_class(name, level, frozenset(bugs), **options)
+def mk(name, level, bugs=()):
+    spec = build_class(name, level, frozenset(bugs))
     eng = Engine()
     return eng, spec
+
+
+def binary_node_without_depend(bugs=()):
+    """Strong ``binary_node`` with the ``depend`` annotations stripped from
+    its invariants, so each is checked even while the object on its other
+    end is open."""
+    spec = binary_node.build("strong", frozenset(bugs))
+    spec.invariants = tuple(
+        InvariantClause(cl.name, cl.fn, depend=(), kind=cl.kind) for cl in spec.invariants
+    )
+    spec.depend_gated = False
+    bind({spec.name: spec})
+    return spec
 
 
 def signatures(outcome):
@@ -415,14 +428,14 @@ def test_pl1_dangling_forward_link():
 
 
 def test_depend_gating_keeps_handshake_silent():
-    eng, spec = mk("binary_node", "strong", depend_parent=True)
+    eng, spec = mk("binary_node", "strong")
     p, c = eng.create(spec), eng.create(spec)
     assert not eng.call(p, "set_left", c.concrete).violations
     assert not eng.call(p, "prune_left").violations
 
 
 def test_without_depend_the_handshake_trips_entry_check():
-    eng, spec = mk("binary_node", "strong", depend_parent=False)
+    eng, spec = Engine(), binary_node_without_depend()
     p, c = eng.create(spec), eng.create(spec)
     out = eng.call(p, "set_left", c.concrete)
     assert not out.violations  # forward link is set before the adoption call

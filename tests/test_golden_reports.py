@@ -15,14 +15,14 @@ import pytest
 
 from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers.bugs import bugs_for_class
-from mbcheck.errors import ConfigError
-from mbcheck.harness import SessionConfig, run_session, write_report
+from mbcheck.harness import SessionConfig, render_report, run_session
 from test_container_probes import spelled_merge_spec
+from test_containers import binary_node_without_depend
 
 GOLDEN_REPORTS_SHA256 = "f8a014a2c32f7b30c9edf779a5efc38484f644bd9fcadeb8d221ab1a21199f8e"
 
 
-def test_golden_reports(tmp_path):
+def test_golden_reports():
     # every class x (strong, weak) x seeds 0 and 1, 2,000 calls, full bug set
     bodies = []
     for cls in ALL_CLASSES:
@@ -32,7 +32,7 @@ def test_golden_reports(tmp_path):
                 res = run_session(
                     SessionConfig(cls, level, seed, max_calls=2000, bugs=bugs)
                 )
-                bodies.append(write_report(tmp_path / "r.jsonl", res, timing=False))
+                bodies.append(render_report(res))
     digest = hashlib.sha256("".join(bodies).encode()).hexdigest()
     assert digest == GOLDEN_REPORTS_SHA256
 
@@ -40,7 +40,7 @@ def test_golden_reports(tmp_path):
 LARGE_OBJECT_REPORTS_SHA256 = "d13604a41d50a6f58ae0f077b4b4ef16d51b2a6a7ba86d3c6a649d808d27a5ba"
 
 
-def test_golden_large_object_reports(tmp_path):
+def test_golden_large_object_reports():
     # every class x (strong, weak), seed 0, full and empty bug sets, 4,000
     # calls. With p_new at 0.02 objects live long: resizable_array grows to
     # 54 elements, well past the item_sequence gate, and ring_queue's content
@@ -54,7 +54,7 @@ def test_golden_large_object_reports(tmp_path):
                     cls, level, 0, max_calls=4000, bugs=bugs,
                     max_object_size=160, p_new=0.02,
                 )
-                bodies.append(write_report(tmp_path / "r.jsonl", run_session(cfg), timing=False))
+                bodies.append(render_report(run_session(cfg)))
     digest = hashlib.sha256("".join(bodies).encode()).hexdigest()
     assert digest == LARGE_OBJECT_REPORTS_SHA256
 
@@ -120,7 +120,7 @@ SPEC_FINGERPRINTS = {
 
 
 VARIANTS = {
-    "depend_parent": lambda: build_class("binary_node", "strong", depend_parent=False),
+    "depend_parent": binary_node_without_depend,
     "spelled_merge": spelled_merge_spec,
 }
 
@@ -137,13 +137,6 @@ def test_spec_fingerprint(cls, level, variant):
     assert hashlib.sha256(text.encode()).hexdigest() == SPEC_FINGERPRINTS[
         (cls, level, variant)
     ], json.dumps(data, indent=1)
-
-
-def test_weak_level_rejects_strong_only_options():
-    # the weak binding has nothing the option could change
-    message = "option depend_parent applies only at level strong, not weak"
-    with pytest.raises(ConfigError, match=message):
-        build_class("binary_node", "weak", depend_parent=False)
 
 
 def test_spec_fingerprints_cover_every_binding():

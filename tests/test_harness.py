@@ -173,7 +173,7 @@ def test_report_round_trip(tmp_path):
     assert fault["violation"] == "frame"
     assert fault["clause"] == "unchanged:target.index"
     timing = json.loads((tmp_path / "r.jsonl.timing").read_text())
-    assert timing["calls_per_s"] > 0
+    assert set(timing) == {"cpu_s", "wall_s"}
     assert timing["cpu_s"] > 0
 
 
@@ -258,17 +258,14 @@ def test_throughput_ratios_cover_both_level_classes(report_batch):
 
 def _with_sidecars(report_batch, tmp_path, rates):
     """Copies of the batch's reports whose sidecars give each (class, level)
-    the rates in ``rates``: ``(wall calls/s, CPU calls/s)``, or a wall rate
-    alone for a sidecar written before ``cpu_s`` existed."""
+    the rates in ``rates``: ``(wall calls/s, CPU calls/s)``."""
     paths = []
     for src in report_batch:
         dst = tmp_path / src.name
         shutil.copy(src, dst)
         h = read_report(dst)["header"]
-        wall, *cpu = rates[(h["class"], h["level"])]
-        timing = {"calls_per_s": wall, "wall_s": 6000 / wall}
-        if cpu:
-            timing["cpu_s"] = 6000 / cpu[0]
+        wall, cpu = rates[(h["class"], h["level"])]
+        timing = {"cpu_s": 6000 / cpu, "wall_s": 6000 / wall}
         (tmp_path / (src.name + ".timing")).write_text(json.dumps(timing))
         paths.append(dst)
     return paths
@@ -285,16 +282,9 @@ RATES = {
 
 
 def test_throughput_ratios_prefer_cpu_time(report_batch, tmp_path):
+    # the ratios are the CPU ones; the sidecars' wall times are ignored
     paths = _with_sidecars(report_batch, tmp_path, RATES)
     assert throughput_ratios(paths) == pytest.approx({"cursor_list": 4.0, "ring_queue": 1.5})
-
-
-def test_throughput_ratios_fall_back_to_wall_for_old_sidecars(report_batch, tmp_path):
-    # one ring_queue sidecar lacks cpu_s, so that class keeps wall rates
-    paths = _with_sidecars(report_batch, tmp_path, RATES)
-    old = tmp_path / "ring_queue-strong-1.jsonl.timing"
-    old.write_text(json.dumps({"calls_per_s": 100.0, "wall_s": 60.0}))
-    assert throughput_ratios(paths) == pytest.approx({"cursor_list": 4.0, "ring_queue": 3.0})
 
 
 # --- CLI ------------------------------------------------------------------
@@ -560,23 +550,28 @@ def test_cli_compare_report_bad_elements_is_a_config_error(tmp_path, capsys, row
         (None, 0, ""),  # a missing sidecar is skipped
         ("{not json", 2, "not valid JSON"),
         ("[1]", 2, "not a JSON object"),
-        ('{"wall_s": 1.0}', 2, "calls_per_s must be a JSON number"),
-        ('{"calls_per_s": "fast"}', 2, "calls_per_s must be a JSON number"),
-        ('{"calls_per_s": 1.0, "cpu_s": "slow"}', 2, "cpu_s must be a JSON number"),
-        ('{"calls_per_s": 1.0, "cpu_s": true}', 2, "cpu_s must be a JSON number"),
-        ('{"calls_per_s": 1.0, "cpu_s": null}', 2, "cpu_s must be a JSON number"),
-        ('{"calls_per_s": 1.0}', 0, ""),  # written before cpu_s existed
+        ('{"wall_s": 1.0, "cpu_s": "slow"}', 2, "cpu_s must be a JSON number"),
+        ('{"wall_s": 1.0, "cpu_s": true}', 2, "cpu_s must be a JSON number"),
+        ('{"wall_s": 1.0, "cpu_s": null}', 2, "cpu_s must be a JSON number"),
+        ('{"wall_s": 1.0}', 2, "cpu_s must be a JSON number"),
+        # json reads NaN and Infinity, which no CPU time can be
+        ('{"wall_s": 1.0, "cpu_s": NaN}', 2, "cpu_s must be finite and non-negative"),
+        ('{"wall_s": 1.0, "cpu_s": Infinity}', 2, "cpu_s must be finite and non-negative"),
+        ('{"wall_s": 1.0, "cpu_s": -1}', 2, "cpu_s must be finite and non-negative"),
+        ('{"wall_s": 1.0, "cpu_s": 0}', 0, ""),  # a coarse process clock may read 0
     ],
     ids=[
         "missing",
         "not_json",
         "list",
-        "no_calls_per_s",
-        "text_calls_per_s",
         "text_cpu_s",
         "bool_cpu_s",
         "null_cpu_s",
         "no_cpu_s",
+        "nan_cpu_s",
+        "inf_cpu_s",
+        "negative_cpu_s",
+        "zero_cpu_s",
     ],
 )
 def test_cli_compare_timing_sidecar_missing_or_malformed(tmp_path, capsys, sidecar, code, message):
