@@ -3,13 +3,12 @@
 Each module declares its routines once (a ``ClassDecl`` from ``_shared``) and
 exposes ``build(level, bugs)``, which lays the level's model, invariants,
 postconditions and, at the strong level, frames over that table and returns a
-new unbound class spec; ``build_class`` here also binds it. All families are
-self-contained: reference parameters only name the family's own class.
+new class spec, its frame predicates derived. Reference parameters name only
+the class's own spec.
 """
 
 from __future__ import annotations
 
-from mbcheck.engine import bind
 from mbcheck.errors import ConfigError
 
 from mbcheck.containers import (
@@ -36,12 +35,10 @@ ALL_CLASSES = tuple(sorted(BUILDERS))
 
 
 def build_class(name, level, bugs=frozenset()):
-    """Build and bind one class spec."""
+    """Build one class spec."""
     builder = BUILDERS.get(name)
     if builder is None:
         raise ConfigError("unknown class %r; choose from %s" % (name, ", ".join(ALL_CLASSES)))
     if level not in ("weak", "strong"):
         raise ConfigError("unknown level %r; choose weak or strong" % (level,))
-    spec = builder(level, frozenset(bugs))
-    bind({spec.name: spec})
-    return spec
+    return builder(level, frozenset(bugs))

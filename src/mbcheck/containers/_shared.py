@@ -82,7 +82,7 @@ class ClassDecl:
         modify=(),
         pre=(),
     ):
-        """A new, unbound ``ClassSpec`` for ``level``.
+        """A new ``ClassSpec`` for ``level``, its frames derived.
 
         ``post`` maps routine names to their postconditions and ``pre`` to
         preconditions appended at this level. The strong level maps every

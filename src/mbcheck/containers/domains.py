@@ -53,7 +53,7 @@ def _sequence_count(max_len, alphabet):
 class SequenceDomain:
     """Abstract domain for one class whose strong model is sequence + index.
 
-    ``role_specs`` maps class name -> bound strong spec, used to resolve
+    ``role_specs`` maps class name -> strong spec, used to resolve
     reference-argument roles. Objects whose model lacks an index query (the
     stack and the queue) get sequence-only states. A role's states are those
     on which its spec's model invariants (``kind="model"``) hold, so
@@ -75,7 +75,7 @@ class SequenceDomain:
                 "probe bounds max_len=%d alphabet=%d value_len=%d ask for more than "
                 "%d candidate sequences" % (max_len, alphabet, value_len, MAX_SEQUENCES)
             )
-        self.role_specs_by_name = dict(role_specs)
+        self.role_specs = dict(role_specs)
         self.max_len = max_len
         self.alphabet = alphabet
         self.unique = unique
@@ -85,7 +85,7 @@ class SequenceDomain:
         self._states = {}  # spec -> _role_states
 
     def role_spec(self, ref_class):
-        spec = self.role_specs_by_name.get(ref_class)
+        spec = self.role_specs.get(ref_class)
         if spec is None:
             raise ConfigError("domain has no spec for class %r" % (ref_class,))
         return spec
@@ -110,6 +110,12 @@ class SequenceDomain:
         return states
 
     def pre_states(self, class_spec, routine):
+        ref_ks = routine.ref_params
+        if len(ref_ks) > 1:
+            raise ConfigError(
+                "%s.%s has %d reference parameters; the domain takes at most one"
+                % (class_spec.name, routine.name, len(ref_ks))
+            )
         target_states = self._role_states(class_spec)
         plain = [p.kind for p in routine.params if p.kind != "ref"]
         if plain:
@@ -123,14 +129,12 @@ class SequenceDomain:
         else:
             plain_args = [()]
 
-        ref_ks = routine.ref_params
         for tm in target_states:
             if not ref_ks:
                 for args in plain_args:
                     yield {"roles": {-1: tm}, "args": args}
                 continue
-            # a single reference parameter is all the containers use
-            k = ref_ks[0]
+            (k,) = ref_ks
             arg_spec = self.role_spec(routine.params[k].ref_class)
             for am in self._role_states(arg_spec):
                 for args in plain_args:

@@ -227,9 +227,6 @@ def completeness_probe(class_spec, routine, domain):
     after it, which a search of every pre-state may never reach. Pre-state
     and candidate values must be hashable.
     """
-    if not class_spec.bound:
-        raise ConfigError("class spec %s has not been bound" % class_spec.name)
-
     role_specs = {-1: class_spec}
     for k in routine.ref_params:
         role_specs[k] = domain.role_spec(routine.params[k].ref_class)

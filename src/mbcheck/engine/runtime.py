@@ -2,7 +2,7 @@
 
 `Engine.checked_call` wraps one routine invocation with the full checking
 protocol. It reads the routine's clause tuples and argument positions at call
-time, and the frame predicates that `engine.specs.bind` derived:
+time, and the frame predicates derived when its `ClassSpec` was built:
 
 1. pre-state models of the frame universe (every model query of the target
    and of each reference argument), taken eagerly before the body; the

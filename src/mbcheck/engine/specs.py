@@ -164,7 +164,8 @@ class Param:
     """Formal parameter descriptor, used by generation and the probe.
 
     kind: "item" (element value), "index" (position-like integer), or "ref"
-    (object reference; ``ref_class`` names its binding).
+    (object reference; ``ref_class`` names its class, which must be the
+    class of the spec that holds the routine).
     """
 
     __slots__ = ("kind", "ref_class")
@@ -207,7 +208,7 @@ class RoutineSpec:
         "post",
         "modify",
         "returns_value",
-        # filled in by bind()
+        # frame_preds is derived when a ClassSpec is built over the routine
         "frame_preds",
         "ref_params",
         "role_index",
@@ -249,6 +250,10 @@ class RoutineSpec:
 class ClassSpec:
     """A complete binding for one class at one specification level.
 
+    Construction derives each routine's ``frame_preds`` from its ``modify``
+    clause. A reference parameter must name the spec's own class; any other
+    is refused with ``SpecError``.
+
     ``attr_derivations`` maps derived attribute names (such as ``count``) to
     functions over a role's model map; ``ModelCtx.old``/``now`` run one
     when a predicate names no model query, at run time and in the probe
@@ -277,7 +282,6 @@ class ClassSpec:
         "attr_derivations",
         "consistency_probe",
         "size_of",
-        "bound",
         "depend_gated",
     )
 
@@ -309,29 +313,33 @@ class ClassSpec:
         self.attr_derivations = dict(attr_derivations or {})
         self.consistency_probe = consistency_probe
         self.size_of = size_of
-        self.bound = False
+        for routine in self.routines.values():
+            for k in routine.ref_params:
+                cname = routine.params[k].ref_class
+                if cname != name:
+                    raise SpecError(
+                        "%s.%s: parameter %d references class %s, not its own class"
+                        % (name, routine.name, k, cname)
+                    )
+            routine.frame_preds = derive_frame_postconditions(routine, self)
 
     def __repr__(self):
         return "ClassSpec(%s, %s)" % (self.name, self.level)
 
 
-def derive_frame_postconditions(routine, class_spec, specs_by_name):
+def derive_frame_postconditions(routine, class_spec):
     """Turn a routine's ``modify`` clause into unchanged-predicates.
 
     The frame universe is every model query of the target plus every model
-    query of each reference argument. One predicate per (role, query) pair not
-    listed in ``modify`` asserts the query's exit value equals its snapshot
-    value. Returns ``()`` for an unframed routine (``modify is None``).
+    query of each reference argument, which is of the target's own class.
+    One predicate per (role, query) pair not listed in ``modify`` asserts the
+    query's exit value equals its snapshot value. Returns ``()`` for an
+    unframed routine (``modify is None``).
     """
     if routine.modify is None:
         return ()
-    universe = []
-    for qname in (q.name for q in class_spec.model):
-        universe.append((TARGET, -1, qname))
-    for k in routine.ref_params:
-        arg_spec = specs_by_name[routine.params[k].ref_class]
-        for qname in (q.name for q in arg_spec.model):
-            universe.append((arg_role(k), k, qname))
+    roles = [(TARGET, -1)] + [(arg_role(k), k) for k in routine.ref_params]
+    universe = [(role, idx, q.name) for role, idx in roles for q in class_spec.model]
 
     known = {(role, qname) for role, _, qname in universe}
     for role, qname in routine.modify:
@@ -363,26 +371,3 @@ def _unchanged_pred(role, idx, qname):
     p = NamedPred("unchanged:%s.%s" % (role, qname), fn)
     p.frame_info = (idx, qname)
     return p
-
-
-def bind(specs_by_name):
-    """Validate a same-level family of class specs and derive their frames.
-
-    Checks parameter references and modify well-formedness, then attaches
-    frame predicates to each routine. Call once per binding family;
-    raises SpecError on ill-formed input.
-    """
-    for spec in specs_by_name.values():
-        for routine in spec.routines.values():
-            for k in routine.ref_params:
-                cname = routine.params[k].ref_class
-                if cname not in specs_by_name:
-                    raise SpecError(
-                        "%s.%s: parameter %d references unknown class %s"
-                        % (spec.name, routine.name, k, cname)
-                    )
-            routine.frame_preds = derive_frame_postconditions(
-                routine, spec, specs_by_name
-            )
-        spec.bound = True
-    return specs_by_name

@@ -37,11 +37,7 @@ def _curve(series_by_class, budget, grid_points):
 
 
 def compare_reports(paths):
-    runs = []
-    for p in paths:
-        rep = read_report(p)
-        rep["path"] = str(p)
-        runs.append(rep)
+    runs = [read_report(p) for p in paths]
     if not runs:
         raise ConfigError("no reports to compare")
 

@@ -49,6 +49,18 @@ class SessionConfig:
     alphabet: int = 4
 
     def __post_init__(self):
+        ids = list(self.bugs)  # a set of ids is accepted too, and has no count
+        for bug_id in ids:
+            if ids.count(bug_id) > 1:
+                raise ConfigError("bug id %s given more than once" % (bug_id,))
+            entry = _bugs.BY_ID.get(bug_id)
+            if entry is None:
+                raise ConfigError("unknown bug id %r" % (bug_id,))
+            if entry.class_name != self.class_name:
+                raise ConfigError(
+                    "bug %s belongs to class %s, not %s"
+                    % (bug_id, entry.class_name, self.class_name)
+                )
         if (self.max_calls is None) == (self.wall_secs is None):
             raise ConfigError("give exactly one of max_calls and wall_secs")
         if self.max_calls is not None and self.max_calls < 1:
@@ -92,11 +104,14 @@ class SessionResult:
     records: list = field(default_factory=list)
     series: list = field(default_factory=list)  # (call ordinal, unique real so far)
     calls: int = 0
-    valid_calls: int = 0
     invalid_calls: int = 0
     objects_created: int = 0
     wall_s: float = 0.0
     cpu_s: float = 0.0  # process CPU time of the session loop
+
+    @property
+    def valid_calls(self):
+        return self.calls - self.invalid_calls
 
     def by_classification(self, cls):
         return [r for r in self.records if r.classification == cls]
@@ -196,7 +211,6 @@ def run_session(cfg):
     deadline = None if cfg.wall_secs is None else time.monotonic() + cfg.wall_secs
     started = time.monotonic()
     cpu_started = time.process_time()
-    unique_real = 0
 
     while True:
         if cfg.max_calls is not None and res.calls >= cfg.max_calls:
@@ -214,20 +228,15 @@ def run_session(cfg):
         ordinal = res.calls
         if out.invalid:
             res.invalid_calls += 1
-        else:
-            res.valid_calls += 1
 
         call_tainted = bool(tainted)
         for v in out.violations:
-            if out.invalid and v.blame == "caller":
+            if (v.class_name, v.clause) in _EXPERIMENTAL:
+                cls = SUSPECT
+            elif out.invalid and v.blame == "caller":
                 # top-level precondition failure: the generated call itself is
-                # at fault, not the class; only an experimental clause turns
-                # this into a record worth keeping
-                if (v.class_name, v.clause) not in _EXPERIMENTAL:
-                    continue
-                cls = SUSPECT
-            elif (v.class_name, v.clause) in _EXPERIMENTAL:
-                cls = SUSPECT
+                # at fault, not the class
+                continue
             elif call_tainted:
                 cls = INCONSISTENCY
             elif v.kind == "invariant_entry" and v.obj.calls > 1:
@@ -258,8 +267,7 @@ def run_session(cfg):
                 by_key[key] = rec
                 res.records.append(rec)
                 if cls == REAL:
-                    unique_real += 1
-                    res.series.append((ordinal, unique_real))
+                    res.series.append((ordinal, len(res.series) + 1))
 
             if v.blame == "callee":
                 gen.evict(v.obj)

@@ -1,0 +1,48 @@
+"""Smoke runs of the scripts under ``benchmarks/``.
+
+Each script runs in its own interpreter with ``PYTHONPATH`` at this
+checkout's ``src``, so the monkeypatching ``bench_probe.py`` does to count
+evaluations cannot leak into the other tests.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+from mbcheck.containers import ALL_CLASSES
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(tmp_path, name, *args):
+    """Run ``benchmarks/<name>`` with ``args``; returns its last stdout line
+    parsed as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / name), *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_bench_probe_runs_and_counts_the_searched_pre_states(tmp_path):
+    out = run_script(tmp_path, "bench_probe.py", "--repeats", "1")
+    counts = out["evaluations_per_pass"]
+    # the figures README gives for one pass
+    assert counts["pre_states_checked"] == 10_204
+    assert counts["pre_states_searched"] == 2_077
+
+
+def test_bench_sessions_runs(tmp_path):
+    out = run_script(tmp_path, "bench_sessions.py", "--seeds", "1", "--calls", "300")
+    assert out["seeds"] == 1 and out["calls"] == 300
+    assert sorted(out["calls_per_cpu_s"]) == list(ALL_CLASSES)

@@ -23,9 +23,9 @@ from mbcheck.engine import (
     InvariantClause,
     ModelQuery,
     RoutineSpec,
-    bind,
     completeness_probe,
     defines,
+    derive_frame_postconditions,
     index_param,
     item_param,
     pred,
@@ -56,11 +56,9 @@ def box_spec(routines, attr_derivations=None):
             kind="model",
         )
     ]
-    spec = ClassSpec(
+    return ClassSpec(
         "abox", "strong", model, invariants, routines, Box, attr_derivations=attr_derivations
     )
-    bind({"abox": spec})
-    return spec
 
 
 class BoxDomain:
@@ -306,13 +304,6 @@ def test_exit_state_read_in_precondition_is_refused():
         probe(r)
 
 
-def test_unbound_spec_is_rejected():
-    model = [ModelQuery("n", lambda o: o.n)]
-    spec = ClassSpec("loose", "strong", model, [], {"r": RoutineSpec("r", [], lambda o: None, modify=())}, Box)
-    with pytest.raises(ConfigError):
-        completeness_probe(spec, spec.routines["r"], BoxDomain())
-
-
 # --- one predicate surface for the runtime and the probe -------------------
 
 PREDICATE_SURFACE = (
@@ -521,9 +512,7 @@ def toy_seq_spec(routines):
             kind="model",
         )
     ]
-    spec = ClassSpec("holder", "strong", model, invariants, routines, Holder)
-    bind({"holder": spec})
-    return spec
+    return ClassSpec("holder", "strong", model, invariants, routines, Holder)
 
 
 def test_append_post_is_complete_over_sequences():
@@ -1476,20 +1465,29 @@ def test_frame_over_a_query_the_domain_leaves_out_is_refused():
 def test_read_of_a_query_the_domain_leaves_out_is_refused(clause, stage):
     # cursor_list states have no "lower"; the read must refuse, not crash
     strong = build_class("cursor_list", "strong")
-    forth = strong.routines["forth"]
+    old_forth = strong.routines["forth"]
     reads_lower = {
         "pre": pred("lower_known", lambda ctx: ctx.old("lower") is not None),
         "post": pred("lower_known", lambda ctx: ctx.now("lower") is not None),
     }[clause]
-    strong.routines["forth"] = RoutineSpec(
+    forth = RoutineSpec(
         "forth",
-        forth.params,
-        forth.body,
-        pre=forth.pre + ((reads_lower,) if clause == "pre" else ()),
-        post=forth.post + ((reads_lower,) if clause == "post" else ()),
-        modify=forth.modify,
+        old_forth.params,
+        old_forth.body,
+        pre=old_forth.pre + ((reads_lower,) if clause == "pre" else ()),
+        post=old_forth.post + ((reads_lower,) if clause == "post" else ()),
+        modify=old_forth.modify,
     )
-    bind({"cursor_list": strong})
+    forth.frame_preds = derive_frame_postconditions(forth, strong)
     dom = SequenceDomain({"cursor_list": strong})
     with pytest.raises(ConfigError, match="%s is not abstractly evaluable" % stage):
-        completeness_probe(strong, strong.routines["forth"], dom)
+        completeness_probe(strong, forth, dom)
+
+
+def test_domain_refuses_a_routine_with_two_reference_parameters():
+    # the domain fills one reference role; a second would get no argument
+    strong = build_class("cursor_list", "strong")
+    pair = RoutineSpec("pair", [ref_param("cursor_list")] * 2, lambda o, p, q: None, modify=())
+    dom = SequenceDomain({"cursor_list": strong})
+    with pytest.raises(ConfigError, match="cursor_list.pair has 2 reference parameters"):
+        next(dom.pre_states(strong, pair))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from mbcheck.engine import bind, completeness_probe
+from mbcheck.engine import completeness_probe
 from mbcheck.errors import ConfigError
 from mbcheck.containers import build_class, cursor_list
 from mbcheck.containers._cursor_specs import INDEX_UNCHANGED
@@ -48,7 +48,6 @@ def spelled_merge_spec():
     spec = cursor_list.build("strong")
     merge = spec.routines["merge_right"]
     merge.post = (*merge.post, INDEX_UNCHANGED)
-    bind({spec.name: spec})
     return spec
 
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 import pytest
 
 import mbcheck.values as V
-from mbcheck.engine import Engine, InvariantClause, bind
-from mbcheck.containers import ALL_CLASSES, binary_node, build_class
+from mbcheck.engine import Engine, InvariantClause
+from mbcheck.containers import ALL_CLASSES, binary_node, build_class, cursor_list
 from mbcheck.containers import bugs as bug_catalog
 from mbcheck.containers._shared import ClassDecl, RoutineDecl, walk
 from mbcheck.containers.array_stack import ArrayStack
@@ -34,7 +34,6 @@ def binary_node_without_depend(bugs=()):
         InvariantClause(cl.name, cl.fn, depend=(), kind=cl.kind) for cl in spec.invariants
     )
     spec.depend_gated = False
-    bind({spec.name: spec})
     return spec
 
 
@@ -233,6 +232,18 @@ def test_mb2_cursor_drift_frame_vs_post():
     eng.call(b, "extend", 8)
     out = eng.call(a, "merge_right", b.concrete)
     assert signatures(out) == [("postcondition", "index_unchanged")]
+
+
+def test_mb2_frame_fires_on_a_spec_built_by_its_module():
+    # a class module's own build returns a spec with its frames derived;
+    # no second step is needed before an engine checks it
+    spec = cursor_list.build("strong", frozenset({"MB-2"}))
+    eng = Engine()
+    a, b = eng.create(spec), eng.create(spec)
+    eng.call(a, "extend", 1)
+    eng.call(b, "extend", 2)
+    out = eng.call(a, "merge_right", b.concrete)
+    assert signatures(out) == [("frame", "unchanged:target.index")]
 
 
 def test_ld1_stale_tail_cache():

@@ -13,7 +13,6 @@ from mbcheck.engine import (
     RoutineSpec,
     TARGET,
     ARG0,
-    bind,
     derive_frame_postconditions,
     index_param,
     item_param,
@@ -81,7 +80,7 @@ class Toy:
         return len(self.items)
 
 
-def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=(), bound=True):
+def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=()):
     seq_eval = seq_eval or (lambda o: V.sequence(o.items))
     model = [
         ModelQuery("sequence", seq_eval),
@@ -151,10 +150,7 @@ def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=(), bou
             modify=(("target", "index"), (ARG0, "index")),
         ),
     }
-    spec = ClassSpec("toy", "strong", model, invariants, routines, Toy)
-    if bound:
-        bind({"toy": spec})
-    return spec
+    return ClassSpec("toy", "strong", model, invariants, routines, Toy)
 
 
 def fresh(spec=None):
@@ -165,7 +161,7 @@ def fresh(spec=None):
 
 def logged(spec):
     """Wrap every invariant, pre, post and frame ``fn`` and every routine
-    ``body`` of a bound spec to log each call, as the benchmark's tracer
+    ``body`` of a spec to log each call, as the benchmark's tracer
     wraps them; returns the event list, in call order. An invariant logs
     ("invariant", clause name, concrete object, its is_open flag), a
     predicate (phase, clause name, ctx) and a body ("body", routine name)."""
@@ -432,12 +428,18 @@ def test_modify_unknown_query_rejected_at_bind_time():
         toy_specs(push_modify=("sequins",))
 
 
+def test_reference_parameter_of_another_class_is_refused():
+    other = RoutineSpec("adopt", [ref_param("other")], lambda o, p: None, modify=())
+    with pytest.raises(SpecError, match="references class other"):
+        ClassSpec("toy", "strong", [ModelQuery("sequence", lambda o: ())], [], {"adopt": other}, Toy)
+
+
 def test_derive_frame_postconditions_enumerates_universe_minus_modify():
     spec = toy_specs()
     r = spec.routines["swap_index_with"]
     names = [p.name for p in r.frame_preds]
     assert names == ["unchanged:target.sequence", "unchanged:arg0.sequence"]
-    preds = derive_frame_postconditions(r, spec, {"toy": spec})
+    preds = derive_frame_postconditions(r, spec)
     assert [p.name for p in preds] == names
 
 
@@ -644,33 +646,32 @@ def test_suppressed_crash_propagates():
 def test_depend_invariant_gated_through_the_protocol():
     # b's body calls a.push while b is open: on a, the depend clause
     # peer_link is skipped and the plain clause index_bounds still runs, at
-    # entry and at exit; the gate holds on a spec that was never bound too
-    for bound in (True, False):
-        spec = toy_specs(bound=bound)
-        events = logged(spec)
-        eng = Engine()
-        a = eng.register(Toy(), spec)
-        b = eng.register(Toy(), spec)
-        a.concrete.peer = b.concrete
-        b.concrete.peer = a.concrete
-        b.concrete.link_ok = False  # peer_link on a is false while it is checked
-        out = eng.checked_call(b, spec.routines["poke_peer"], ())
-        assert not out.violations
-        assert a.concrete.items == [7]
-        A, B = a.concrete, b.concrete
-        assert [e[:3] for e in events if e[0] in ("invariant", "body")] == [
-            ("invariant", "index_bounds", B),
-            ("invariant", "peer_link", B),
-            ("body", "poke_peer"),
-            ("invariant", "index_bounds", A),
-            ("body", "push"),
-            ("invariant", "index_bounds", A),
-            ("invariant", "index_bounds", B),
-            ("invariant", "peer_link", B),
-        ]
-        # with b closed, the clause runs on a again
-        out = eng.checked_call(a, spec.routines["noop"], ())
-        assert [(v.kind, v.clause) for v in out.violations] == [(INVARIANT_ENTRY, "peer_link")]
+    # entry and at exit
+    spec = toy_specs()
+    events = logged(spec)
+    eng = Engine()
+    a = eng.register(Toy(), spec)
+    b = eng.register(Toy(), spec)
+    a.concrete.peer = b.concrete
+    b.concrete.peer = a.concrete
+    b.concrete.link_ok = False  # peer_link on a is false while it is checked
+    out = eng.checked_call(b, spec.routines["poke_peer"], ())
+    assert not out.violations
+    assert a.concrete.items == [7]
+    A, B = a.concrete, b.concrete
+    assert [e[:3] for e in events if e[0] in ("invariant", "body")] == [
+        ("invariant", "index_bounds", B),
+        ("invariant", "peer_link", B),
+        ("body", "poke_peer"),
+        ("invariant", "index_bounds", A),
+        ("body", "push"),
+        ("invariant", "index_bounds", A),
+        ("invariant", "index_bounds", B),
+        ("invariant", "peer_link", B),
+    ]
+    # with b closed, the clause runs on a again
+    out = eng.checked_call(a, spec.routines["noop"], ())
+    assert [(v.kind, v.clause) for v in out.violations] == [(INVARIANT_ENTRY, "peer_link")]
 
 
 # --- check plans and instrumentation --------------------------------------
@@ -680,7 +681,7 @@ CLAUSE_LAYERS = ("model", "invariant", "pre", "post", "frame")
 
 def _instrument(spec, counts, wrapped):
     """Wrap every model query's ``evaluate`` and every clause's ``fn`` of an
-    already bound spec with a counter, as the benchmark's tracer does; a
+    already built spec with a counter, as the benchmark's tracer does; a
     clause object shared between specs is wrapped once. Appends (object,
     attribute, original) to ``wrapped`` for restoring."""
 
@@ -770,7 +771,7 @@ def test_plans_see_clauses_instrumented_after_build(
     monkeypatch, class_name, calls, expected, eligibility_tests
 ):
     # the runtime must reach each clause's fn and each query's evaluate
-    # through the object at call time, never a function kept from bind():
+    # through the object at call time, never a function kept from the build:
     # the tracer rewraps them after build_class returns and counts every
     # call. The counts were measured on the protocol before this one.
     from mbcheck.containers import build_class

@@ -66,6 +66,21 @@ def test_config_rejects_unknown_class_and_level():
         run_session(cfg(level="medium"))
 
 
+@pytest.mark.parametrize(
+    "bugs, message",
+    [
+        (("XX-9",), "unknown bug id 'XX-9'"),
+        (("QU-1",), "bug QU-1 belongs to class ring_queue, not cursor_list"),
+        (("MB-1", "MB-1"), "bug id MB-1 given more than once"),
+    ],
+    ids=["unknown", "other_class", "repeated"],
+)
+def test_config_refuses_the_bug_ids_the_cli_refuses(bugs, message):
+    # a session would otherwise run and write these ids into its report header
+    with pytest.raises(ConfigError, match=message):
+        cfg(bugs=bugs)
+
+
 # --- session mechanics ----------------------------------------------------
 
 

@@ -293,7 +293,7 @@ def test_exact_ints_are_their_own_model_values():
     assert V.boolean(True) != 1 and V.object_id(1) != 1
     assert V.seq_item(V.sequence([4, 5]), 2) == 5 and V.seq_last(V.sequence([4, 5])) == 5
 
-    # a bound spec's model values, at run time and in the probe
+    # a built spec's model values, at run time and in the probe
     spec = build_class("cursor_list", "strong")
     forth = spec.routines["forth"]
     reads, items = [], []
