@@ -138,7 +138,7 @@ PRE = {
 }
 
 # routine name -> (parameter kinds, preconditions, returns a value); a "ref"
-# parameter names the declaring class
+# parameter is of the declaring class
 DECLARED = {
     "extend": (("item",), (), False),
     "replace": (("item",), (PRE["cursor_on_item"],), False),
@@ -164,7 +164,7 @@ def cursor_decl(name, concrete, routines, consistency_probe=None):
     for r in routines:
         if isinstance(r, str):
             kinds, pre, returns_value = DECLARED[r]
-            params = [Param(k, name if k == "ref" else None) for k in kinds]
+            params = [Param(k) for k in kinds]
             r = RoutineDecl(getattr(concrete, r), params, pre, returns_value)
         decls.append(r)
     return ClassDecl(

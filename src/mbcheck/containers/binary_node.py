@@ -152,7 +152,7 @@ DECL = ClassDecl(
         RoutineDecl(BinaryNode.set_item, [item_param()]),
         RoutineDecl(
             BinaryNode.set_left,
-            [ref_param(CLASS_NAME)],
+            [ref_param()],
             pre=[
                 pred("no_left_yet", lambda ctx: ctx.old("left") == V.VOID_ID),
                 *_PRE_CHILD,
@@ -160,7 +160,7 @@ DECL = ClassDecl(
         ),
         RoutineDecl(
             BinaryNode.set_right,
-            [ref_param(CLASS_NAME)],
+            [ref_param()],
             pre=[
                 pred("no_right_yet", lambda ctx: ctx.old("right") == V.VOID_ID),
                 *_PRE_CHILD,
@@ -174,7 +174,7 @@ DECL = ClassDecl(
             BinaryNode.prune_right,
             pre=[pred("has_right", lambda ctx: ctx.old("right") != V.VOID_ID)],
         ),
-        RoutineDecl(BinaryNode.set_parent, [ref_param(CLASS_NAME)], pre=[_PRE_ATTACHED]),
+        RoutineDecl(BinaryNode.set_parent, [ref_param()], pre=[_PRE_ATTACHED]),
         RoutineDecl(BinaryNode.node_item, returns_value=True),
         RoutineDecl(BinaryNode.is_leaf, returns_value=True),
     ],

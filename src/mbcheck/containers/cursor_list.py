@@ -111,7 +111,7 @@ DECL = cursor_decl(
         "is_equal",
         RoutineDecl(
             CursorList.merge_right,
-            [ref_param(CLASS_NAME)],
+            [ref_param()],
             pre=[PRE["not_after"], PRE["other_given"], PRE["other_not_current"]],
         ),
     ],

@@ -20,9 +20,12 @@ from mbcheck.errors import ConfigError
 _BOOL_ROUTINES = frozenset(["off", "is_equal", "has", "is_empty"])
 
 
-# most candidate sequences a domain may build, pre-state and value ones
-# together; larger bounds are refused before anything is enumerated
+# most candidate sequences and sequence elements a domain may build, and
+# most role states (a pre-state sequence with a cursor) it may enumerate;
+# larger bounds are refused before anything is built
 MAX_SEQUENCES = 1_000_000
+MAX_ELEMENTS = 10_000_000
+MAX_ROLE_STATES = 100_000
 
 
 def _all_seqs(max_len, alphabet, unique=False):
@@ -38,23 +41,26 @@ def _all_seqs(max_len, alphabet, unique=False):
     return out
 
 
-def _sequence_count(max_len, alphabet):
-    """``sum(alphabet ** n for n in range(max_len + 1))``, or
-    ``MAX_SEQUENCES + 1`` once the sum passes ``MAX_SEQUENCES``."""
-    total = term = 1
-    for _ in range(max_len):
+def _sizes(max_len, alphabet):
+    """``(sequences, elements)`` over every sequence of at most ``max_len``
+    elements over ``range(alphabet)``, or None once either passes its
+    limit."""
+    seqs, elements, term = 1, 0, 1
+    for n in range(1, max_len + 1):
         term *= alphabet
-        total += term
-        if total > MAX_SEQUENCES:
-            return MAX_SEQUENCES + 1
-    return total
+        seqs += term
+        elements += n * term
+        if seqs > MAX_SEQUENCES or elements > MAX_ELEMENTS:
+            return None
+    return seqs, elements
 
 
 class SequenceDomain:
     """Abstract domain for one class whose strong model is sequence + index.
 
-    ``role_specs`` maps class name -> strong spec, used to resolve
-    reference-argument roles. Objects whose model lacks an index query (the
+    ``role_specs`` maps class name -> strong spec. A reference argument is
+    of the target's class, so ``pre_states`` takes its role's spec from the
+    map under the target's name. Objects whose model lacks an index query (the
     stack and the queue) get sequence-only states. A role's states are those
     on which its spec's model invariants (``kind="model"``) hold, so
     ``unique`` only narrows the enumeration: it drops repeated elements from
@@ -69,11 +75,14 @@ class SequenceDomain:
                 % (max_len, alphabet)
             )
         value_len = 2 * max_len if value_len is None else value_len
-        # the duplicate-free sequences are a subset, so this bounds them too
-        if _sequence_count(max(max_len, value_len), alphabet) > MAX_SEQUENCES:
+        # the duplicate-free sequences are a subset, so these bound them too;
+        # a pre-state sequence of n elements has at most n + 2 cursors
+        pre = _sizes(max(max_len, value_len), alphabet) and _sizes(max_len, alphabet)
+        if pre is None or pre[1] + 2 * pre[0] > MAX_ROLE_STATES:
             raise ConfigError(
                 "probe bounds max_len=%d alphabet=%d value_len=%d ask for more than "
-                "%d candidate sequences" % (max_len, alphabet, value_len, MAX_SEQUENCES)
+                "%d candidate sequences, %d sequence elements or %d role states"
+                % (max_len, alphabet, value_len, MAX_SEQUENCES, MAX_ELEMENTS, MAX_ROLE_STATES)
             )
         self.role_specs = dict(role_specs)
         self.max_len = max_len
@@ -135,7 +144,7 @@ class SequenceDomain:
                     yield {"roles": {-1: tm}, "args": args}
                 continue
             (k,) = ref_ks
-            arg_spec = self.role_spec(routine.params[k].ref_class)
+            arg_spec = self.role_spec(class_spec.name)
             for am in self._role_states(arg_spec):
                 for args in plain_args:
                     full = list(args)

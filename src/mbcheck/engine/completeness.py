@@ -11,15 +11,15 @@ invariants only on the candidates it visits, and a pre-state that agrees
 with an earlier, passing one on every value that search read is counted but
 not searched again (see ``completeness_probe``).
 
-The caller supplies the domain, an object with four methods:
+The caller supplies the domain, an object with three methods:
 ``pre_states(class_spec, routine)`` yields abstract pre-states (``{"roles":
-{role index: model map}, "args": tuple}``), ``role_spec(ref_class)`` resolves
-a reference argument's spec, ``value_choices(query)`` gives the candidate
-exit values of a model query and ``result_choices(routine)`` the candidate
-results; candidates depend on no pre-state. Predicates are evaluated over an
-abstract context with the same model accessors as the runtime one
-(``ModelCtx``); predicates that probe concrete state raise and are reported
-as not abstractly evaluable.
+{role index: model map}, "args": tuple}``), ``value_choices(query)`` gives
+the candidate exit values of a model query and ``result_choices(routine)``
+the candidate results; candidates depend on no pre-state. A reference
+argument is of the target's class, so every role has ``class_spec``.
+Predicates are evaluated over an abstract context with the same model
+accessors as the runtime one (``ModelCtx``); predicates that probe concrete
+state raise and are reported as not abstractly evaluable.
 """
 
 from __future__ import annotations
@@ -34,24 +34,21 @@ class AbstractCtx(ModelCtx):
     """Predicate context over abstract model assignments.
 
     The model accessors come from ``ModelCtx``, so the same predicate
-    objects evaluate here and at run time; a role's spec comes from
-    ``role_specs``. An abstract state holds no concrete object and no
-    identity: ``obj``, ``self_id`` and ``arg_id`` raise ``ModelEvalError``,
-    and no argument is the target.
+    objects evaluate here and at run time; ``spec`` is every role's spec.
+    An abstract state holds no concrete object and no identity: ``obj``,
+    ``self_id`` and ``arg_id`` raise ``ModelEvalError``, and no argument is
+    the target.
     """
 
-    __slots__ = ("role_specs",)
+    __slots__ = ()
 
-    def __init__(self, role_index, role_specs, entry_models, args):
+    def __init__(self, role_index, spec, entry_models, args):
         self.role_index = role_index
-        self.role_specs = role_specs
+        self.spec = spec
         self.entry_models = entry_models
         self.exit_models = None
         self.args = args
         self.result = None
-
-    def _spec(self, idx):
-        return self.role_specs[idx]
 
     @property
     def obj(self):
@@ -148,7 +145,7 @@ def completeness_probe(class_spec, routine, domain):
     """Probe one routine over ``domain``; see module docstring.
 
     ``class_spec`` provides the abstract state space (its model queries span
-    the target role); the routine may come from any binding of the same
+    every role); the routine may come from any binding of the same
     concrete class, so a weak routine spec can be probed over the richer
     model.
 
@@ -227,10 +224,6 @@ def completeness_probe(class_spec, routine, domain):
     after it, which a search of every pre-state may never reach. Pre-state
     and candidate values must be hashable.
     """
-    role_specs = {-1: class_spec}
-    for k in routine.ref_params:
-        role_specs[k] = domain.role_spec(routine.params[k].ref_class)
-
     posts = routine.post
     results = tuple(domain.result_choices(routine)) if routine.returns_value else (None,)
     ref_ks = frozenset(routine.ref_params)
@@ -243,7 +236,7 @@ def completeness_probe(class_spec, routine, domain):
     for pre in domain.pre_states(class_spec, routine):
         entry = pre["roles"]
         args = pre["args"]
-        ctx = AbstractCtx(routine.role_index, role_specs, entry, args)
+        ctx = AbstractCtx(routine.role_index, class_spec, entry, args)
         try:
             if not all(p.fn(ctx) for p in routine.pre):
                 continue
@@ -269,7 +262,7 @@ def completeness_probe(class_spec, routine, domain):
             if admitted is None:
                 admitted = admitted_by_role[key] = _Admitted()
                 admitted.pending = _role_candidates(
-                    dict(m), role_free, lists, role_specs[idx].model_invariants
+                    dict(m), role_free, lists, class_spec.model_invariants
                 )
                 if decided:  # the base key needs the list whole
                     admitted.fill(interned)

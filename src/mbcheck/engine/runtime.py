@@ -120,25 +120,22 @@ def invariant_clause_eligible(clause, co):
 class CallCtx(ModelCtx):
     """Evaluation context handed to pre/post/frame predicates at run time.
 
-    The model accessors come from ``ModelCtx``; a role's spec is the spec of
-    the checked object in that role. ``obj`` is the live target (its
-    pre-state in a precondition, its post-state afterwards), and
-    ``self_id``/``arg_id`` give object identities as model values.
+    The model accessors come from ``ModelCtx``; every role's spec is the
+    target's. ``obj`` is the live target (its pre-state in a precondition,
+    its post-state afterwards), and ``self_id``/``arg_id`` give object
+    identities as model values.
     """
 
-    __slots__ = ("co", "arg_cos")
+    __slots__ = ("co",)
 
-    def __init__(self, co, routine, args, arg_cos, entry_models):
+    def __init__(self, co, routine, args, entry_models):
         self.co = co
+        self.spec = co.spec
         self.role_index = routine.role_index
         self.args = args
-        self.arg_cos = arg_cos
         self.entry_models = entry_models
         self.exit_models = None
         self.result = None
-
-    def _spec(self, idx):
-        return self.co.spec if idx == -1 else self.arg_cos[idx].spec
 
     @property
     def obj(self):
@@ -151,8 +148,8 @@ class CallCtx(ModelCtx):
         return object_id(self.co.token)
 
     def arg_id(self, k):
-        a = self.arg_cos[k]
-        return object_id(a.token) if a is not None else object_id(0)
+        a = self.args[k]
+        return object_id(a._checked.token) if a is not None else object_id(0)
 
 
 class Engine:
@@ -289,7 +286,7 @@ class Engine:
             return None, False
 
         # (3) preconditions; first failing clause aborts
-        ctx = CallCtx(co, routine, args, arg_cos, entry_models)
+        ctx = CallCtx(co, routine, args, entry_models)
         if routine.pre:
             failed = self._check(routine.pre, (ctx,), PRECONDITION, co, rname, sink, True)
             if failed:

@@ -34,32 +34,29 @@ class ModelCtx:
     """The model accessors of a predicate context, shared by the runtime's
     ``CallCtx`` and the probe's ``AbstractCtx``.
 
-    ``entry_models`` and ``exit_models`` map a role index (-1 for the
-    target, k for reference argument k) to the role's model map; a void
-    reference argument has no key in either, which is how a derived frame
-    predicate skips it. ``exit_models`` is None until the exit state exists.
-    ``old`` and ``now`` read a name from the role's map with one ``get``; a
-    name the map lacks is a derived attribute, which they run over the map.
-    The accessors read only those maps (by subscript and ``get``) and
-    ``args`` (by subscript), so the probe can record reads in the data it
-    hands over. A subclass supplies ``_spec`` (the class spec of a role
-    index), ``obj``, ``arg_is_target``, ``self_id`` and ``arg_id``.
+    ``spec`` is the class spec of every role: a reference argument is of
+    the target's class. ``entry_models`` and ``exit_models`` map a role
+    index (-1 for the target, k for reference argument k) to the role's
+    model map; a void reference argument has no key in either, which is how
+    a derived frame predicate skips it. ``exit_models`` is None until the
+    exit state exists. ``old`` and ``now`` read a name from the role's map
+    with one ``get``; a name the map lacks is a derived attribute of
+    ``spec``, which they run over the map. The accessors read only those
+    maps (by subscript and ``get``) and ``args`` (by subscript), so the
+    probe can record reads in the data it hands over. A subclass supplies
+    ``obj``, ``arg_is_target``, ``self_id`` and ``arg_id``.
     """
 
-    __slots__ = ("role_index", "entry_models", "exit_models", "args", "result")
-
-    def _spec(self, idx):
-        raise NotImplementedError
+    __slots__ = ("spec", "role_index", "entry_models", "exit_models", "args", "result")
 
     def _read(self, models, qname, role):
         try:
-            idx = self.role_index[role]
-            m = models[idx]
+            m = models[self.role_index[role]]
         except KeyError:
             raise ModelEvalError("no model state for role %s" % role) from None
         v = m.get(qname, _ABSENT)
         if v is _ABSENT:
-            spec = self._spec(idx)
+            spec = self.spec
             deriv = spec.attr_derivations.get(qname)
             if deriv is None:
                 raise ModelEvalError(
@@ -164,19 +161,15 @@ class Param:
     """Formal parameter descriptor, used by generation and the probe.
 
     kind: "item" (element value), "index" (position-like integer), or "ref"
-    (object reference; ``ref_class`` names its class, which must be the
-    class of the spec that holds the routine).
+    (a reference to an object of the routine's own class).
     """
 
-    __slots__ = ("kind", "ref_class")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind, ref_class=None):
+    def __init__(self, kind):
         if kind not in ("item", "index", "ref"):
             raise SpecError("unknown param kind %r" % kind)
-        if (kind == "ref") != (ref_class is not None):
-            raise SpecError("ref params need ref_class, others must not have one")
         self.kind = kind
-        self.ref_class = ref_class
 
 
 def item_param():
@@ -187,8 +180,8 @@ def index_param():
     return Param("index")
 
 
-def ref_param(class_name):
-    return Param("ref", class_name)
+def ref_param():
+    return Param("ref")
 
 
 class RoutineSpec:
@@ -251,8 +244,7 @@ class ClassSpec:
     """A complete binding for one class at one specification level.
 
     Construction derives each routine's ``frame_preds`` from its ``modify``
-    clause. A reference parameter must name the spec's own class; any other
-    is refused with ``SpecError``.
+    clause. A reference parameter is of the spec's own class.
 
     ``attr_derivations`` maps derived attribute names (such as ``count``) to
     functions over a role's model map; ``ModelCtx.old``/``now`` run one
@@ -314,13 +306,6 @@ class ClassSpec:
         self.consistency_probe = consistency_probe
         self.size_of = size_of
         for routine in self.routines.values():
-            for k in routine.ref_params:
-                cname = routine.params[k].ref_class
-                if cname != name:
-                    raise SpecError(
-                        "%s.%s: parameter %d references class %s, not its own class"
-                        % (name, routine.name, k, cname)
-                    )
             routine.frame_preds = derive_frame_postconditions(routine, self)
 
     def __repr__(self):

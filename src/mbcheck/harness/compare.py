@@ -125,14 +125,14 @@ def throughput_ratios(paths):
     """class -> median weak calls per CPU second over median strong calls per
     CPU second (how many times faster weak checking runs), from timing
     sidecars. Reports without a sidecar and classes missing either level are
-    skipped."""
+    skipped; a sidecar that exists but cannot be read raises OSError."""
     rates = {}
     for p in paths:
         rep = read_report(p)
         h = rep["header"]
         try:
             cpu_s = read_timing(p)["cpu_s"]
-        except OSError:
+        except FileNotFoundError:
             continue
         rate = rep["summary"]["calls"] / cpu_s if cpu_s > 0 else 0.0
         rates.setdefault(h["class"], {}).setdefault(h["level"], []).append(rate)

@@ -176,7 +176,8 @@ def _check_fields(path, kind, row):
 
 def read_timing(path):
     """The ``.timing`` sidecar of the report at ``path``. A missing sidecar
-    raises OSError; a malformed one, or one whose ``cpu_s`` is not a finite
+    raises FileNotFoundError and an unreadable one another OSError; a
+    malformed one, or one whose ``cpu_s`` is not a finite
     non-negative number, raises ConfigError naming the file."""
     tpath = str(path) + ".timing"
     with open(tpath) as f:

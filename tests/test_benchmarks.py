@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts under ``benchmarks/``.
+"""Smoke runs of the scripts under ``benchmarks/`` and of the benchmark in
+``perfbench/``.
 
 Each script runs in its own interpreter with ``PYTHONPATH`` at this
 checkout's ``src``, so the monkeypatching ``bench_probe.py`` does to count
@@ -10,8 +11,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 from mbcheck.containers import ALL_CLASSES
 
@@ -46,3 +50,22 @@ def test_bench_sessions_runs(tmp_path):
     out = run_script(tmp_path, "bench_sessions.py", "--seeds", "1", "--calls", "300")
     assert out["seeds"] == 1 and out["calls"] == 300
     assert sorted(out["calls_per_cpu_s"]) == list(ALL_CLASSES)
+
+
+@pytest.mark.parametrize("workload", ["sweep", "large_objects", "probe"])
+def test_perfbench_workload_runs_correct_when_traced(tmp_path, workload):
+    # a copy of perfbench/ beside a link to src/, so the run writes its
+    # reports and spans under tmp_path; a traced run also checks the calls
+    # the tracer wraps, and the workload checks its pinned outputs
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench")
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0.5", "--trace", "1"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -71,10 +71,6 @@ class BoxDomain:
     def __init__(self, caps=(0, 1, 2), vals=range(5)):
         self.caps = tuple(caps)
         self.vals = tuple(vals)
-        self._spec = None
-
-    def role_spec(self, ref_class):
-        return self._spec
 
     def _grid(self):
         for cap in self.caps:
@@ -82,7 +78,6 @@ class BoxDomain:
                 yield {"n": n, "cap": cap}
 
     def pre_states(self, class_spec, routine):
-        self._spec = class_spec
         for tm in self._grid():
             roles = {-1: tm}
             if routine.ref_params:
@@ -108,7 +103,6 @@ class BoxDomain:
 def probe(routine_spec, domain=None):
     spec = box_spec({routine_spec.name: routine_spec})
     domain = domain or BoxDomain()
-    domain._spec = spec
     return completeness_probe(spec, spec.routines[routine_spec.name], domain)
 
 
@@ -241,7 +235,7 @@ def test_query_with_free_result_is_incomplete():
 def test_reference_argument_coordinates_probe_jointly():
     r = RoutineSpec(
         "pour_into",
-        [ref_param("abox")],
+        [ref_param()],
         lambda o, p: None,
         pre=[
             pred("other_given", lambda ctx: not ctx.arg_is_void(0)),
@@ -266,7 +260,7 @@ def test_reference_argument_coordinates_probe_jointly():
 def test_reference_argument_left_loose_is_incomplete():
     r = RoutineSpec(
         "spill_into",
-        [ref_param("abox")],
+        [ref_param()],
         lambda o, p: None,
         pre=[pred("other_given", lambda ctx: not ctx.arg_is_void(0))],
         post=[pred("emptied", lambda ctx: ctx.now("n") == 0)],
@@ -339,16 +333,30 @@ def test_old_and_now_resolve_a_derived_attribute():
     routine = spec.routines["extend"]
     entry = {"sequence": V.sequence([7, 8, 9]), "index": 0}
     exit_ = {"sequence": V.sequence([7, 8, 9, 5]), "index": 0}
-    recording = AbstractCtx(routine.role_index, {-1: spec}, {-1: _ReadMap(entry)}, _ReadArgs((5,)))
+    recording = AbstractCtx(routine.role_index, spec, {-1: _ReadMap(entry)}, _ReadArgs((5,)))
     recording.exit_models = {-1: _ReadMap(exit_)}
     for ctx in (
-        CallCtx(co, routine, (5,), [], {-1: entry}),
-        AbstractCtx(routine.role_index, {-1: spec}, {-1: entry}, (5,)),
+        CallCtx(co, routine, (5,), {-1: entry}),
+        AbstractCtx(routine.role_index, spec, {-1: entry}, (5,)),
     ):
         ctx.exit_models = {-1: exit_}
         assert (ctx.old("count"), ctx.now("count")) == (3, 4)
     assert (recording.old("count"), recording.now("count")) == (3, 4)
     assert set(recording.entry_models[-1]) == set(recording.exit_models[-1]) == {"sequence"}
+
+    # an argument role derives count from its own sequence, at run time too
+    other = engine.create(spec)
+    merge = spec.routines["merge_right"]
+    arg_entry = {"sequence": V.sequence([1, 2]), "index": 0}
+    for ctx in (
+        CallCtx(co, merge, (other.concrete,), {-1: entry, 0: arg_entry}),
+        AbstractCtx(merge.role_index, spec, {-1: entry, 0: arg_entry}, (object(),)),
+    ):
+        assert ctx.old("count", ARG0) == V.seq_count(arg_entry["sequence"]) == 2
+        with pytest.raises(
+            ModelEvalError, match="lower is neither a model query nor a derived attribute"
+        ):
+            ctx.old("lower", ARG0)
 
 
 def test_both_contexts_read_and_refuse_alike():
@@ -370,11 +378,11 @@ def test_both_contexts_read_and_refuse_alike():
     # each read gets a fresh context, so a get or an in is the recording
     # maps' first lookup of its query
     contexts = (
-        lambda: CallCtx(co, routine, (), [], entry),
-        lambda: AbstractCtx(routine.role_index, {-1: spec}, entry, ()),
+        lambda: CallCtx(co, routine, (), entry),
+        lambda: AbstractCtx(routine.role_index, spec, entry, ()),
         lambda: AbstractCtx(
             routine.role_index,
-            {-1: spec},
+            spec,
             {-1: _ReadMap(entry[-1])},
             _ReadArgs(()),
         ),
@@ -475,9 +483,6 @@ class SeqDomain:
         self.choices = all_seqs(choice_len, alphabet)
         self.alphabet = alphabet
 
-    def role_spec(self, ref_class):
-        raise AssertionError("no reference params in these probes")
-
     def pre_states(self, class_spec, routine):
         for s in self.pre:
             for i in range(V.seq_count(s) + 2):
@@ -564,17 +569,12 @@ def reference_probe(class_spec, routine, domain):
     every role's model invariants checked again for each combination. The
     role-by-role search in ``completeness_probe`` must agree with it on
     verdict, pre-states checked and witnesses."""
-    role_specs = {-1: class_spec}
-    for k in routine.ref_params:
-        role_specs[k] = domain.role_spec(routine.params[k].ref_class)
-    model_invariants = {
-        idx: tuple(cl for cl in spec.invariants if cl.kind == "model")
-        for idx, spec in role_specs.items()
-    }
+    # every role is of the target's class
+    model_invariants = tuple(cl for cl in class_spec.invariants if cl.kind == "model")
     checked = 0
     for pre in domain.pre_states(class_spec, routine):
         entry = pre["roles"]
-        ctx = AbstractCtx(routine.role_index, role_specs, entry, pre["args"])
+        ctx = AbstractCtx(routine.role_index, class_spec, entry, pre["args"])
         try:
             if not all(p.fn(ctx) for p in routine.pre):
                 continue
@@ -598,9 +598,7 @@ def reference_probe(class_spec, routine, domain):
             for (_, idx, qname), val in zip(free, combo):
                 exit_maps[idx][qname] = val
             if not all(
-                cl.fn(m, None)
-                for idx, m in exit_maps.items()
-                for cl in model_invariants[idx]
+                cl.fn(m, None) for m in exit_maps.values() for cl in model_invariants
             ):
                 continue
             ctx.exit_models = exit_maps
@@ -842,7 +840,6 @@ def _box_with_invariant(fn):
     (invariant,) = spec.invariants
     invariant.fn = fn
     domain = BoxDomain()
-    domain._spec = spec
     return spec, spec.routines[r.name], domain
 
 
@@ -1118,7 +1115,7 @@ def _drain_into():
 
     return RoutineSpec(
         "drain_into",
-        [ref_param("abox")],
+        [ref_param()],
         lambda o, p: None,
         pre=[pred("other_given", lambda ctx: not ctx.arg_is_void(0))],
         post=[pred("drained", drained)],
@@ -1213,7 +1210,6 @@ def test_decided_pre_states_match_flat_search(contract):
     r, derivations = contract()
     spec = box_spec({r.name: r}, derivations)
     domain = BoxDomain()
-    domain._spec = spec
     routine = spec.routines[r.name]
     want = outcome(reference_probe, spec, routine, domain)
     assert want[0] == "incomplete"
@@ -1304,7 +1300,7 @@ def _defined_on_a_fixed_coordinate():
 def _defined_on_an_argument_role():
     return RoutineSpec(
         "pour_into",
-        [ref_param("abox")],
+        [ref_param()],
         lambda o, p: None,
         pre=[
             pred("other_given", lambda ctx: not ctx.arg_is_void(0)),
@@ -1322,7 +1318,7 @@ def _defined_on_an_absent_argument_role():
     # a void argument has no model state, which the flat search reads
     return RoutineSpec(
         "pour_maybe",
-        [ref_param("abox")],
+        [ref_param()],
         lambda o, p: None,
         post=[
             defines("poured", "n", lambda ctx: 0),
@@ -1408,7 +1404,6 @@ def test_defining_clauses_match_flat_search(contract):
     r, verdict = contract()
     spec = box_spec({r.name: r})
     domain = BoxDomain()
-    domain._spec = spec
     routine = spec.routines[r.name]
     want = outcome(reference_probe, spec, routine, domain)
     assert want[0] == verdict
@@ -1425,7 +1420,6 @@ def test_invariants_run_once_per_role_candidate_over_fresh_lists(contract, monke
     r = contract()[0]
     spec = box_spec({r.name: r})
     domain = BoxDomain()
-    domain._spec = spec
     routine = spec.routines[r.name]
     seen = count_invariant_runs(monkeypatch, spec)
     assert completeness_probe(spec, routine, domain).verdict == "complete"
@@ -1437,7 +1431,7 @@ def test_defining_clause_compares_the_exit_value():
     p = defines("appended", "sequence", lambda ctx: V.seq_extended(ctx.old("sequence"), one))
     assert p.definition[:2] == ("target", "sequence")
     spec = build_class("array_stack", "strong")
-    ctx = AbstractCtx({"target": -1}, {-1: spec}, {-1: {"sequence": V.EMPTY_SEQ}}, ())
+    ctx = AbstractCtx({"target": -1}, spec, {-1: {"sequence": V.EMPTY_SEQ}}, ())
     ctx.exit_models = {-1: {"sequence": V.seq_extended(V.EMPTY_SEQ, one)}}
     assert p.fn(ctx) is True
     ctx.exit_models = {-1: {"sequence": V.EMPTY_SEQ}}
@@ -1487,7 +1481,7 @@ def test_read_of_a_query_the_domain_leaves_out_is_refused(clause, stage):
 def test_domain_refuses_a_routine_with_two_reference_parameters():
     # the domain fills one reference role; a second would get no argument
     strong = build_class("cursor_list", "strong")
-    pair = RoutineSpec("pair", [ref_param("cursor_list")] * 2, lambda o, p, q: None, modify=())
+    pair = RoutineSpec("pair", [ref_param()] * 2, lambda o, p, q: None, modify=())
     dom = SequenceDomain({"cursor_list": strong})
     with pytest.raises(ConfigError, match="cursor_list.pair has 2 reference parameters"):
         next(dom.pre_states(strong, pair))

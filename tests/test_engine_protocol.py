@@ -126,7 +126,7 @@ def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=()):
             modify=("index",),
         ),
         "set_peer": RoutineSpec(
-            "set_peer", [ref_param("toy")], Toy.set_peer, modify=()
+            "set_peer", [ref_param()], Toy.set_peer, modify=()
         ),
         "poke_peer": RoutineSpec("poke_peer", [], Toy.poke_peer, modify=()),
         "corrupt_then_push": RoutineSpec(
@@ -144,7 +144,7 @@ def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=()):
         ),
         "swap_index_with": RoutineSpec(
             "swap_index_with",
-            [ref_param("toy")],
+            [ref_param()],
             lambda o, p: (setattr(o, "index", 0), setattr(p, "index", 0)),
             pre=[pred("peer_given", lambda ctx: not ctx.arg_is_void(0))],
             modify=(("target", "index"), (ARG0, "index")),
@@ -426,12 +426,6 @@ def test_void_reference_argument_skips_its_frame_slice():
 def test_modify_unknown_query_rejected_at_bind_time():
     with pytest.raises(SpecError):
         toy_specs(push_modify=("sequins",))
-
-
-def test_reference_parameter_of_another_class_is_refused():
-    other = RoutineSpec("adopt", [ref_param("other")], lambda o, p: None, modify=())
-    with pytest.raises(SpecError, match="references class other"):
-        ClassSpec("toy", "strong", [ModelQuery("sequence", lambda o: ())], [], {"adopt": other}, Toy)
 
 
 def test_derive_frame_postconditions_enumerates_universe_minus_modify():

@@ -69,7 +69,7 @@ def spec_fingerprint(spec):
         "routines": [
             {
                 "name": name,
-                "params": [[p.kind, p.ref_class] for p in r.params],
+                "params": [[p.kind, spec.name if p.kind == "ref" else None] for p in r.params],
                 "pre": [p.name for p in r.pre],
                 "post": [p.name for p in r.post],
                 "frame": [p.name for p in r.frame_preds],

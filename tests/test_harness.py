@@ -607,6 +607,24 @@ def test_cli_compare_timing_sidecar_missing_or_malformed(tmp_path, capsys, sidec
         assert err.startswith("error: %s" % timing) and message in err
 
 
+def test_cli_compare_unreadable_timing_sidecar_is_an_error(tmp_path, capsys):
+    # a sidecar that exists but cannot be read is not a missing one
+    p = tmp_path / "r.jsonl"
+    main(
+        ["run", "--class", "cursor_set", "--spec", "strong", "--seed", "2",
+         "--max-calls", "200", "--report", str(p)]
+    )
+    timing = tmp_path / "r.jsonl.timing"
+    timing.unlink()
+    timing.mkdir()
+    out = tmp_path / "cmp.json"
+    capsys.readouterr()
+    assert main(["compare", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(timing) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "content",
     [{"report": ["r.jsonl"]}, {"reports": [1]}],
@@ -701,18 +719,24 @@ def test_cli_probe_rejects_empty_bounds(capsys, bound):
 
 
 def test_cli_probe_rejects_bounds_too_large_to_enumerate(capsys, monkeypatch):
-    # --max-len 8 --alphabet 4 asks for value sequences up to 16 elements,
-    # about 5.7e9 of them; the domain must refuse before building any
+    # the domain must refuse before building any sequence
     def no_enumeration(*a, **kw):
         raise AssertionError("sequences enumerated")
 
     monkeypatch.setattr(domains, "_all_seqs", no_enumeration)
-    argv = ["probe", "--class", "cursor_list", "--routine", "merge_right",
-            "--max-len", "8", "--alphabet", "4"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "candidate sequences" in captured.err
-    assert captured.out == ""
+    for bound in (
+        # value sequences up to 16 elements, about 5.7e9 of them
+        ["--max-len", "8", "--alphabet", "4"],
+        # 2,001 sequences, but 2.0M elements and 502,502 role states
+        ["--max-len", "1000", "--alphabet", "1"],
+        # 200,001 sequences of about 2e10 elements
+        ["--max-len", "100000", "--alphabet", "1"],
+    ):
+        argv = ["probe", "--class", "cursor_list", "--routine", "merge_right"] + bound
+        assert main(argv) == 2, bound
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "candidate sequences" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_probe_refuses_frame_over_missing_query(capsys):
