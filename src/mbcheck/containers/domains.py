@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 
 import mbcheck.values as V
+from mbcheck.engine.specs import TARGET
 from mbcheck.errors import ConfigError
 
 # queries a boolean-valued routine may produce; everything else gets items
@@ -119,11 +120,11 @@ class SequenceDomain:
         return states
 
     def pre_states(self, class_spec, routine):
-        ref_ks = routine.ref_params
-        if len(ref_ks) > 1:
+        refs = routine.ref_roles
+        if len(refs) > 1:
             raise ConfigError(
                 "%s.%s has %d reference parameters; the domain takes at most one"
-                % (class_spec.name, routine.name, len(ref_ks))
+                % (class_spec.name, routine.name, len(refs))
             )
         target_states = self._role_states(class_spec)
         plain = [p.kind for p in routine.params if p.kind != "ref"]
@@ -139,21 +140,21 @@ class SequenceDomain:
             plain_args = [()]
 
         for tm in target_states:
-            if not ref_ks:
+            if not refs:
                 for args in plain_args:
-                    yield {"roles": {-1: tm}, "args": args}
+                    yield {"roles": {TARGET: tm}, "args": args}
                 continue
-            (k,) = ref_ks
+            ((k, role),) = refs
             arg_spec = self.role_spec(class_spec.name)
             for am in self._role_states(arg_spec):
                 for args in plain_args:
                     full = list(args)
                     full.insert(k, object())
-                    yield {"roles": {-1: tm, k: am}, "args": tuple(full)}
+                    yield {"roles": {TARGET: tm, role: am}, "args": tuple(full)}
             for args in plain_args:
                 full = list(args)
                 full.insert(k, None)
-                yield {"roles": {-1: tm}, "args": tuple(full)}
+                yield {"roles": {TARGET: tm}, "args": tuple(full)}
 
     def value_choices(self, qname):
         if qname == "sequence":

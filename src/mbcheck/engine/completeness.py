@@ -13,7 +13,7 @@ not searched again (see ``completeness_probe``).
 
 The caller supplies the domain, an object with three methods:
 ``pre_states(class_spec, routine)`` yields abstract pre-states (``{"roles":
-{role index: model map}, "args": tuple}``), ``value_choices(query)`` gives
+{role name: model map}, "args": tuple}``), ``value_choices(query)`` gives
 the candidate exit values of a model query and ``result_choices(routine)``
 the candidate results; candidates depend on no pre-state. A reference
 argument is of the target's class, so every role has ``class_spec``.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 
 from mbcheck.errors import ConfigError, ModelEvalError
-from mbcheck.engine.specs import TARGET, ModelCtx, arg_role
+from mbcheck.engine.specs import TARGET, ModelCtx
 
 
 class AbstractCtx(ModelCtx):
@@ -42,8 +42,7 @@ class AbstractCtx(ModelCtx):
 
     __slots__ = ()
 
-    def __init__(self, role_index, spec, entry_models, args):
-        self.role_index = role_index
+    def __init__(self, spec, entry_models, args):
         self.spec = spec
         self.entry_models = entry_models
         self.exit_models = None
@@ -107,8 +106,8 @@ class _ReadArgs(dict):
 
 
 def _reads(maps):
-    """The ``(role index, query)`` coordinates held in role maps."""
-    return {(idx, q) for idx, m in maps.items() for q in m}
+    """The ``(role name, query)`` coordinates held in role maps."""
+    return {(role, q) for role, m in maps.items() for q in m}
 
 
 class ProbeResult:
@@ -158,7 +157,7 @@ def completeness_probe(class_spec, routine, domain):
     combination with the other roles; in a probe's first search, only when
     the search reaches a candidate. Combinations are taken in the order of
     the flat product over (role, query) coordinates, target first,
-    then arguments in ascending order, queries in role-map order.
+    then arguments by role name, queries in role-map order.
 
     Defining clauses (``defines``) are solved, not tested per candidate.
     A search takes the leading run of the routine's postconditions that are
@@ -226,7 +225,7 @@ def completeness_probe(class_spec, routine, domain):
     """
     posts = routine.post
     results = tuple(domain.result_choices(routine)) if routine.returns_value else (None,)
-    ref_ks = frozenset(routine.ref_params)
+    ref_ks = frozenset(k for k, _ in routine.ref_roles)
     layouts = {}  # role-map shape -> see _layout
     admitted_by_role = {}  # role key -> _Admitted; see _role_candidates
     interned = {}  # filtered candidate list -> its number, so equal lists key alike
@@ -236,7 +235,7 @@ def completeness_probe(class_spec, routine, domain):
     for pre in domain.pre_states(class_spec, routine):
         entry = pre["roles"]
         args = pre["args"]
-        ctx = AbstractCtx(routine.role_index, class_spec, entry, args)
+        ctx = AbstractCtx(class_spec, entry, args)
         try:
             if not all(p.fn(ctx) for p in routine.pre):
                 continue
@@ -247,7 +246,7 @@ def completeness_probe(class_spec, routine, domain):
             )
         checked += 1
 
-        shape = tuple((idx, tuple(m)) for idx, m in entry.items())
+        shape = tuple((role, tuple(m)) for role, m in entry.items())
         layout = layouts.get(shape)
         if layout is None:
             layout = layouts[shape] = _layout(shape, routine, domain)
@@ -255,9 +254,9 @@ def completeness_probe(class_spec, routine, domain):
 
         role_lists = []
         list_numbers = []
-        for idx, role_free, fixed, lists in order:
-            m = entry[idx]
-            key = (idx, role_free, fixed, tuple(m[q] for q in fixed))
+        for role, role_free, fixed, lists in order:
+            m = entry[role]
+            key = (role, role_free, fixed, tuple(m[q] for q in fixed))
             admitted = admitted_by_role.get(key)
             if admitted is None:
                 admitted = admitted_by_role[key] = _Admitted()
@@ -279,11 +278,11 @@ def completeness_probe(class_spec, routine, domain):
 
         # the exit maps hold the free coordinates, which each candidate
         # assigns; fixed ones fill from the entry maps when first read
-        ctx.entry_models = {idx: _ReadMap(m) for idx, m in entry.items()}
+        ctx.entry_models = {role: _ReadMap(m) for role, m in entry.items()}
         ctx.args = _ReadArgs(args)
-        exit_maps = {idx: _ReadMap(m) for idx, m in entry.items()}
+        exit_maps = {role: _ReadMap(m) for role, m in entry.items()}
         search_lists = _solve(ctx, solved, role_lists) if solved else role_lists
-        role_maps = [exit_maps[idx] for idx, _, _, _ in order]
+        role_maps = [exit_maps[role] for role, _, _, _ in order]
         ctx.exit_models = exit_maps
         found = []
         # once a search has succeeded every list is whole, so the later
@@ -303,7 +302,7 @@ def completeness_probe(class_spec, routine, domain):
                     else:
                         if frame_error is not None:
                             raise ModelEvalError(frame_error)
-                        witness = {idx: {**entry[idx], **m} for idx, m in exit_maps.items()}
+                        witness = {role: {**entry[role], **m} for role, m in exit_maps.items()}
                         found.append((witness, result))
                         if len(found) == 2:
                             return ProbeResult("incomplete", pre, found, checked, searched)
@@ -330,7 +329,7 @@ def _project(entry, args, ref_ks, read):
     positions of ``read``; a reference argument counts by presence."""
     coords, arg_ks = read
     return (
-        tuple([entry[idx][q] for idx, q in coords]),
+        tuple([entry[role][q] for role, q in coords]),
         tuple([args[k] is None if k in ref_ks else args[k] for k in arg_ks]),
     )
 
@@ -338,46 +337,47 @@ def _project(entry, args, ref_ks, read):
 def _layout(shape, routine, domain):
     """How to search the pre-states of one role-map shape:
 
-    - the search order, a list with one ``(role index, free query names,
+    - the search order, a list with one ``(role name, free query names,
       fixed query names, candidate value list per free query)`` per role
-      present, target first (``modify is None`` frees every query);
-    - the set of free ``(role index, query)`` coordinates;
+      present, target first, then the arguments by role name (``modify is
+      None`` frees every query);
+    - the set of free ``(role name, query)`` coordinates;
     - the text of the error the first derived frame predicate to raise on
       this shape raises, or None. On the probe's exit maps a frame
-      predicate compares a fixed coordinate with its own entry value, so it
-      holds when the coordinate is in the shape or its argument role is
-      absent, and raises otherwise;
+      predicate compares a fixed coordinate with its own entry value, so
+      running the predicates once over maps with the shape's queries, as
+      both entry and exit, decides them for every pre-state of the shape;
     - the leading run of the routine's postconditions that are defining
       clauses over free coordinates, as ``(search slot, position in the
       slot's free queries, expected)``; none for a routine that returns a
       value."""
     modified = None if routine.modify is None else set(routine.modify)
     out = []
-    for idx, qnames in sorted(shape, key=lambda s: (s[0] != -1, s[0])):
-        role = TARGET if idx == -1 else arg_role(idx)
+    for role, qnames in sorted(shape, key=lambda s: (s[0] != TARGET, s[0])):
         free = tuple(
             q for q in qnames if modified is None or (role, q) in modified
         )
         fixed = tuple(q for q in qnames if q not in free)
-        out.append((idx, free, fixed, tuple(domain.value_choices(q) for q in free)))
-    roles = dict(shape)
+        out.append((role, free, fixed, tuple(domain.value_choices(q) for q in free)))
+    placeholders = {role: dict.fromkeys(qnames) for role, qnames in shape}
+    frame = AbstractCtx(None, placeholders, ())  # frame predicates read no spec
+    frame.exit_models = placeholders
     frame_error = None
     for p in routine.frame_preds:
-        idx, qname = p.frame_info
-        if (idx == -1 or idx in roles) and qname not in roles.get(idx, ()):
-            # the text _unchanged_pred raises
-            role = TARGET if idx == -1 else arg_role(idx)
-            frame_error = "%s.%s is not in the model map" % (role, qname)
+        try:
+            p.fn(frame)
+        except ModelEvalError as e:
+            frame_error = str(e)
             break
-    free = frozenset((idx, q) for idx, role_free, _, _ in out for q in role_free)
-    slots = {idx: (slot, role_free) for slot, (idx, role_free, _, _) in enumerate(out)}
+    free = frozenset((role, q) for role, role_free, _, _ in out for q in role_free)
+    slots = {role: (slot, role_free) for slot, (role, role_free, _, _) in enumerate(out)}
     solved = []
     if not routine.returns_value:  # expected could read a result
         for p in routine.post:
             if p.definition is None:
                 break
             role, qname, expected = p.definition
-            slot = slots.get(routine.role_index.get(role))
+            slot = slots.get(role)
             if slot is None or qname not in slot[1]:
                 break
             solved.append((slot[0], slot[1].index(qname), expected))

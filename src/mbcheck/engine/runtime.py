@@ -38,7 +38,7 @@ recorded as a violation of kind ``model_eval_error`` with clause ``crash``.
 
 from __future__ import annotations
 
-from mbcheck.engine.specs import ModelCtx
+from mbcheck.engine.specs import TARGET, ModelCtx
 from mbcheck.values import mv_repr, object_id
 
 PRECONDITION = "precondition"
@@ -121,17 +121,17 @@ class CallCtx(ModelCtx):
     """Evaluation context handed to pre/post/frame predicates at run time.
 
     The model accessors come from ``ModelCtx``; every role's spec is the
-    target's. ``obj`` is the live target (its pre-state in a precondition,
-    its post-state afterwards), and ``self_id``/``arg_id`` give object
-    identities as model values.
+    target's, and the model maps are keyed by role name. ``obj`` is the
+    live target (its pre-state in a precondition, its post-state
+    afterwards), and ``self_id``/``arg_id`` give object identities as model
+    values.
     """
 
     __slots__ = ("co",)
 
-    def __init__(self, co, routine, args, entry_models):
+    def __init__(self, co, args, entry_models):
         self.co = co
         self.spec = co.spec
-        self.role_index = routine.role_index
         self.args = args
         self.entry_models = entry_models
         self.exit_models = None
@@ -206,21 +206,21 @@ class Engine:
                 self._sink = None
         return CallOutcome(result, tuple(sink[start:]), invalid)
 
-    def _frame_models(self, co, rname, refs, arg_cos, sink):
-        """Model maps of the frame universe: the target's under key -1 and
-        each present reference argument's under its position, evaluated with
+    def _frame_models(self, co, routine, args, sink):
+        """Model maps of the frame universe, keyed by role name: the
+        target's and each present reference argument's, evaluated with
         checking suppressed. On failure, records a ``model_eval_error`` on
         clause ``model`` and returns None."""
         self._suppress += 1
         try:
-            models = {-1: _model_map(co)}
-            for k in refs:
-                aco = arg_cos[k]
-                if aco is not None:
-                    models[k] = _model_map(aco)
+            models = {TARGET: _model_map(co)}
+            for k, role in routine.ref_roles:
+                a = args[k]
+                if a is not None:
+                    models[role] = _model_map(a._checked)
             return models
         except Exception as e:
-            sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "model", repr(e)))
+            sink.append(_violation(MODEL_EVAL_ERROR, co, routine.name, "model", repr(e)))
             return None
         finally:
             self._suppress -= 1
@@ -262,17 +262,9 @@ class Engine:
         Returns ``(result, invalid)``; ``invalid`` is true when a
         precondition rejected the call."""
         rname = routine.name
-        refs = routine.ref_params
-
-        # reference-argument wrappers
-        arg_cos = [None] * len(args)
-        for k in refs:
-            a = args[k]
-            if a is not None:
-                arg_cos[k] = a._checked
 
         # (1) pre-state models for the whole frame universe
-        entry_models = self._frame_models(co, rname, refs, arg_cos, sink)
+        entry_models = self._frame_models(co, routine, args, sink)
         if entry_models is None:
             return None, False
 
@@ -280,13 +272,13 @@ class Engine:
         # saved here for steps 4, 6 and 7
         was_open = co.is_open
         if not was_open and self._check(
-            _eligible_invariants(co), (entry_models[-1], co.concrete), INVARIANT_ENTRY,
+            _eligible_invariants(co), (entry_models[TARGET], co.concrete), INVARIANT_ENTRY,
             co, rname, sink,
         ):
             return None, False
 
         # (3) preconditions; first failing clause aborts
-        ctx = CallCtx(co, routine, args, entry_models)
+        ctx = CallCtx(co, args, entry_models)
         if routine.pre:
             failed = self._check(routine.pre, (ctx,), PRECONDITION, co, rname, sink, True)
             if failed:
@@ -303,13 +295,13 @@ class Engine:
             co.is_open = was_open
 
         # post-state models
-        exit_models = self._frame_models(co, rname, refs, arg_cos, sink)
+        exit_models = self._frame_models(co, routine, args, sink)
         if exit_models is None:
             return result, False
 
         # (7) exit invariants, target only, only when it was closed
         if not was_open and self._check(
-            _eligible_invariants(co), (exit_models[-1], co.concrete), INVARIANT_EXIT,
+            _eligible_invariants(co), (exit_models[TARGET], co.concrete), INVARIANT_EXIT,
             co, rname, sink,
         ):
             # first-failure: a broken exit invariant makes postcondition and
@@ -336,10 +328,10 @@ def _violation(kind, co, routine_name, clause_name, detail=""):
 
 
 def _frame_detail(pred, ctx):
-    idx, qname = pred.frame_info
+    role, qname = pred.frame_info
     return "%s -> %s" % (
-        mv_repr(ctx.entry_models[idx][qname]),
-        mv_repr(ctx.exit_models[idx][qname]),
+        mv_repr(ctx.entry_models[role][qname]),
+        mv_repr(ctx.exit_models[role][qname]),
     )
 
 

@@ -19,10 +19,6 @@ TARGET = "target"
 ARG0 = "arg0"
 
 
-def arg_role(k: int) -> str:
-    return "arg%d" % k
-
-
 # what ``now`` raises, in either predicate context, when a precondition
 # asks for the exit state
 NO_EXIT_STATE = "exit state is not available in a precondition"
@@ -36,10 +32,10 @@ class ModelCtx:
 
     ``spec`` is the class spec of every role: a reference argument is of
     the target's class. ``entry_models`` and ``exit_models`` map a role
-    index (-1 for the target, k for reference argument k) to the role's
-    model map; a void reference argument has no key in either, which is how
-    a derived frame predicate skips it. ``exit_models`` is None until the
-    exit state exists. ``old`` and ``now`` read a name from the role's map
+    name (``"target"``, ``"arg0"``, ...) to the role's model map; a void
+    reference argument has no key in either, which is how a derived frame
+    predicate skips it. ``exit_models`` is None until the exit state
+    exists. ``old`` and ``now`` read a name from the role's map
     with one ``get``; a name the map lacks is a derived attribute of
     ``spec``, which they run over the map. The accessors read only those
     maps (by subscript and ``get``) and ``args`` (by subscript), so the
@@ -47,11 +43,11 @@ class ModelCtx:
     ``obj``, ``arg_is_target``, ``self_id`` and ``arg_id``.
     """
 
-    __slots__ = ("spec", "role_index", "entry_models", "exit_models", "args", "result")
+    __slots__ = ("spec", "entry_models", "exit_models", "args", "result")
 
     def _read(self, models, qname, role):
         try:
-            m = models[self.role_index[role]]
+            m = models[role]
         except KeyError:
             raise ModelEvalError("no model state for role %s" % role) from None
         v = m.get(qname, _ABSENT)
@@ -103,7 +99,7 @@ class NamedPred:
     def __init__(self, name, fn):
         self.name = name
         self.fn = fn
-        self.frame_info = None  # (role index, query name) on derived frame preds
+        self.frame_info = None  # (role name, query name) on derived frame preds
         self.definition = None  # (role, query, expected) on defining clauses
 
     def __repr__(self):
@@ -191,6 +187,8 @@ class RoutineSpec:
     derived; the weak bindings use this) or a tuple of ``(role, query)`` pairs
     naming what may change; an empty tuple means "modifies nothing". Plain
     query-name strings are accepted and default to the target role.
+    ``ref_roles`` pairs each reference parameter's position with its role
+    name, ``"arg<position>"``.
     """
 
     __slots__ = (
@@ -203,8 +201,7 @@ class RoutineSpec:
         "returns_value",
         # frame_preds is derived when a ClassSpec is built over the routine
         "frame_preds",
-        "ref_params",
-        "role_index",
+        "ref_roles",
     )
 
     def __init__(
@@ -229,12 +226,9 @@ class RoutineSpec:
         self.modify = modify
         self.returns_value = returns_value
         self.frame_preds = ()
-        self.ref_params = tuple(
-            k for k, p in enumerate(self.params) if p.kind == "ref"
+        self.ref_roles = tuple(
+            (k, "arg%d" % k) for k, p in enumerate(self.params) if p.kind == "ref"
         )
-        self.role_index = {TARGET: -1}
-        for k in self.ref_params:
-            self.role_index[arg_role(k)] = k
 
     def __repr__(self):
         return "RoutineSpec(%s)" % self.name
@@ -323,36 +317,30 @@ def derive_frame_postconditions(routine, class_spec):
     """
     if routine.modify is None:
         return ()
-    roles = [(TARGET, -1)] + [(arg_role(k), k) for k in routine.ref_params]
-    universe = [(role, idx, q.name) for role, idx in roles for q in class_spec.model]
+    roles = [TARGET] + [role for _, role in routine.ref_roles]
+    universe = [(role, q.name) for role in roles for q in class_spec.model]
 
-    known = {(role, qname) for role, _, qname in universe}
     for role, qname in routine.modify:
-        if (role, qname) not in known:
+        if (role, qname) not in universe:
             raise SpecError(
                 "%s.%s: modify names %s.%s which is not in the frame universe"
                 % (class_spec.name, routine.name, role, qname)
             )
 
     modified = set(routine.modify)
-    preds = []
-    for role, idx, qname in universe:
-        if (role, qname) in modified:
-            continue
-        preds.append(_unchanged_pred(role, idx, qname))
-    return tuple(preds)
+    return tuple(_unchanged_pred(*u) for u in universe if u not in modified)
 
 
-def _unchanged_pred(role, idx, qname):
+def _unchanged_pred(role, qname):
     def fn(ctx):
-        if idx not in ctx.entry_models:  # a void reference argument
+        if role not in ctx.entry_models:  # a void reference argument
             return True
         try:
-            return ctx.exit_models[idx][qname] == ctx.entry_models[idx][qname]
+            return ctx.exit_models[role][qname] == ctx.entry_models[role][qname]
         except KeyError:
             # an abstract state may leave out queries of the full model
             raise ModelEvalError("%s.%s is not in the model map" % (role, qname)) from None
 
     p = NamedPred("unchanged:%s.%s" % (role, qname), fn)
-    p.frame_info = (idx, qname)
+    p.frame_info = (role, qname)
     return p

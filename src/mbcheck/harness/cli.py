@@ -23,7 +23,7 @@ from mbcheck.errors import ConfigError, SpecError
 from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers import bugs as _bugs
 from mbcheck.containers.domains import SequenceDomain
-from mbcheck.engine import completeness_probe
+from mbcheck.engine import TARGET, completeness_probe
 from mbcheck.harness.compare import compare_reports, throughput_ratios, write_comparison
 from mbcheck.harness.reports import render_report, write_report
 from mbcheck.harness.session import SessionConfig, run_session
@@ -146,22 +146,22 @@ def _cmd_compare(args):
 
 def _fmt_roles(roles):
     parts = []
-    for rid, models in sorted(roles.items()):
-        who = "target" if rid == -1 else "arg%d" % rid
+    for role, models in sorted(roles.items(), key=lambda rm: (rm[0] != TARGET, rm[0])):
         inner = ", ".join("%s=%s" % (m, V.mv_repr(v)) for m, v in sorted(models.items()))
-        parts.append("%s{%s}" % (who, inner))
+        parts.append("%s{%s}" % (role, inner))
     return "; ".join(parts)
 
 
 def _fmt_args(routine, args):
+    refs = dict(routine.ref_roles)
     out = []
     for k, a in enumerate(args):
-        if routine.params[k].kind != "ref":
+        if k not in refs:
             out.append(repr(a))
         elif a is None:
             out.append("void")
         else:
-            out.append("<ref arg%d>" % k)  # model lives in the role map
+            out.append("<ref %s>" % refs[k])  # model lives in the role map
     return "(%s)" % ", ".join(out)
 
 

@@ -151,7 +151,7 @@ class _Generator:
         return self.rng.choice(self.pool)
 
     def _index_arg(self, target):
-        if self.spec.size_of is not None and self.rng.random() < 0.5:
+        if self.rng.random() < 0.5:
             n = self.spec.size_of(target.concrete)
             return self.rng.choice((0, 1, -1, n, n + 1, max(n - 1, 0)))
         return self.rng.randint(-10, 10)
@@ -276,11 +276,7 @@ def run_session(cfg):
             gen.evict(co)
         # ``in`` on the pool is identity membership: CheckedObject defines no
         # __eq__
-        if (
-            spec.size_of is not None
-            and target in gen.pool
-            and spec.size_of(target.concrete) > cfg.max_object_size
-        ):
+        if target in gen.pool and spec.size_of(target.concrete) > cfg.max_object_size:
             gen.evict(target)
 
     res.wall_s = time.monotonic() - started

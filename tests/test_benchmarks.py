@@ -44,6 +44,10 @@ def test_bench_probe_runs_and_counts_the_searched_pre_states(tmp_path):
     # the figures README gives for one pass
     assert counts["pre_states_checked"] == 10_204
     assert counts["pre_states_searched"] == 2_077
+    assert counts["post"] == 7_702
+    assert counts["solved"] == 1_344
+    assert counts["invariant"] == 10_462
+    assert counts["domain_invariant"] == 4_096
 
 
 def test_bench_sessions_runs(tmp_path):

@@ -17,6 +17,7 @@ from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers.domains import SequenceDomain
 from mbcheck.engine import (
     ARG0,
+    TARGET,
     CallCtx,
     ClassSpec,
     Engine,
@@ -79,11 +80,11 @@ class BoxDomain:
 
     def pre_states(self, class_spec, routine):
         for tm in self._grid():
-            roles = {-1: tm}
-            if routine.ref_params:
+            roles = {TARGET: tm}
+            if routine.ref_roles:
                 for am in self._grid():
                     r2 = dict(roles)
-                    r2[0] = am
+                    r2[ARG0] = am
                     yield {"roles": r2, "args": (object(),)}
                 # and the void argument
                 yield {"roles": roles, "args": (None,)}
@@ -136,8 +137,8 @@ def test_lower_bound_only_is_incomplete_with_two_witnesses():
     res = probe(r)
     assert res.verdict == "incomplete"
     assert len(res.witness_posts) == 2
-    a = res.witness_posts[0][0][-1]["n"]
-    b = res.witness_posts[1][0][-1]["n"]
+    a = res.witness_posts[0][0][TARGET]["n"]
+    b = res.witness_posts[1][0][TARGET]["n"]
     assert a != b
 
 
@@ -192,7 +193,7 @@ def test_unframed_routine_frees_every_query():
     )
     res = probe(r)
     assert res.verdict == "incomplete"
-    caps = {w[0][-1]["cap"] for w in res.witness_posts}
+    caps = {w[0][TARGET]["cap"] for w in res.witness_posts}
     assert len(caps) == 2
 
 
@@ -330,27 +331,27 @@ def test_old_and_now_resolve_a_derived_attribute():
     spec = build_class("cursor_list", "strong")
     engine = Engine()
     co = engine.create(spec)
-    routine = spec.routines["extend"]
     entry = {"sequence": V.sequence([7, 8, 9]), "index": 0}
     exit_ = {"sequence": V.sequence([7, 8, 9, 5]), "index": 0}
-    recording = AbstractCtx(routine.role_index, spec, {-1: _ReadMap(entry)}, _ReadArgs((5,)))
-    recording.exit_models = {-1: _ReadMap(exit_)}
+    recording = AbstractCtx(spec, {TARGET: _ReadMap(entry)}, _ReadArgs((5,)))
+    recording.exit_models = {TARGET: _ReadMap(exit_)}
     for ctx in (
-        CallCtx(co, routine, (5,), {-1: entry}),
-        AbstractCtx(routine.role_index, spec, {-1: entry}, (5,)),
+        CallCtx(co, (5,), {TARGET: entry}),
+        AbstractCtx(spec, {TARGET: entry}, (5,)),
     ):
-        ctx.exit_models = {-1: exit_}
+        ctx.exit_models = {TARGET: exit_}
         assert (ctx.old("count"), ctx.now("count")) == (3, 4)
     assert (recording.old("count"), recording.now("count")) == (3, 4)
-    assert set(recording.entry_models[-1]) == set(recording.exit_models[-1]) == {"sequence"}
+    assert (
+        set(recording.entry_models[TARGET]) == set(recording.exit_models[TARGET]) == {"sequence"}
+    )
 
     # an argument role derives count from its own sequence, at run time too
     other = engine.create(spec)
-    merge = spec.routines["merge_right"]
     arg_entry = {"sequence": V.sequence([1, 2]), "index": 0}
     for ctx in (
-        CallCtx(co, merge, (other.concrete,), {-1: entry, 0: arg_entry}),
-        AbstractCtx(merge.role_index, spec, {-1: entry, 0: arg_entry}, (object(),)),
+        CallCtx(co, (other.concrete,), {TARGET: entry, ARG0: arg_entry}),
+        AbstractCtx(spec, {TARGET: entry, ARG0: arg_entry}, (object(),)),
     ):
         assert ctx.old("count", ARG0) == V.seq_count(arg_entry["sequence"]) == 2
         with pytest.raises(
@@ -363,29 +364,23 @@ def test_both_contexts_read_and_refuse_alike():
     spec = build_class("cursor_list", "strong")
     engine = Engine()
     co = engine.create(spec)
-    routine = spec.routines["finish"]
-    entry = {-1: {q.name: q.evaluate(co.concrete) for q in spec.model}}
+    entry = {TARGET: {q.name: q.evaluate(co.concrete) for q in spec.model}}
     # finish moves the cursor; the exit state differs from the entry there
     moved = {"index": 1}
-    exit_ = {-1: {**entry[-1], **moved}}
+    exit_ = {TARGET: {**entry[TARGET], **moved}}
 
     def recording_exit():
         # as a recording search holds it: only the free coordinate assigned
-        m = _ReadMap(entry[-1])
+        m = _ReadMap(entry[TARGET])
         m.update(moved)
-        return {-1: m}
+        return {TARGET: m}
 
     # each read gets a fresh context, so a get or an in is the recording
     # maps' first lookup of its query
     contexts = (
-        lambda: CallCtx(co, routine, (), entry),
-        lambda: AbstractCtx(routine.role_index, spec, entry, ()),
-        lambda: AbstractCtx(
-            routine.role_index,
-            spec,
-            {-1: _ReadMap(entry[-1])},
-            _ReadArgs(()),
-        ),
+        lambda: CallCtx(co, (), entry),
+        lambda: AbstractCtx(spec, entry, ()),
+        lambda: AbstractCtx(spec, {TARGET: _ReadMap(entry[TARGET])}, _ReadArgs(())),
     )
     exits = (lambda: exit_, lambda: exit_, recording_exit)
 
@@ -401,10 +396,10 @@ def test_both_contexts_read_and_refuse_alike():
         lambda ctx: ctx.old("lower"),
         lambda ctx: ctx.old("index", ARG0),
         lambda ctx: ctx.now("index"),
-        lambda ctx: ctx.entry_models[-1].get("index"),
-        lambda ctx: ctx.entry_models[-1].get("lower", "absent"),
-        lambda ctx: "sequence" in ctx.entry_models[-1],
-        lambda ctx: "lower" in ctx.entry_models[-1],
+        lambda ctx: ctx.entry_models[TARGET].get("index"),
+        lambda ctx: ctx.entry_models[TARGET].get("lower", "absent"),
+        lambda ctx: "sequence" in ctx.entry_models[TARGET],
+        lambda ctx: "lower" in ctx.entry_models[TARGET],
     ]
     exit_reads = [
         lambda ctx: ctx.now("index"),
@@ -412,10 +407,10 @@ def test_both_contexts_read_and_refuse_alike():
         lambda ctx: ctx.now("count"),
         lambda ctx: ctx.now("lower"),
         lambda ctx: ctx.now("index", ARG0),
-        lambda ctx: ctx.exit_models[-1].get("sequence"),
-        lambda ctx: ctx.exit_models[-1].get("lower", "absent"),
-        lambda ctx: "sequence" in ctx.exit_models[-1],
-        lambda ctx: "lower" in ctx.exit_models[-1],
+        lambda ctx: ctx.exit_models[TARGET].get("sequence"),
+        lambda ctx: ctx.exit_models[TARGET].get("lower", "absent"),
+        lambda ctx: "sequence" in ctx.exit_models[TARGET],
+        lambda ctx: "lower" in ctx.exit_models[TARGET],
     ]
 
     def answers(make, make_exit):
@@ -486,7 +481,7 @@ class SeqDomain:
     def pre_states(self, class_spec, routine):
         for s in self.pre:
             for i in range(V.seq_count(s) + 2):
-                roles = {-1: {"sequence": s, "index": i}}
+                roles = {TARGET: {"sequence": s, "index": i}}
                 if routine.params:
                     for a in range(self.alphabet):
                         yield {"roles": roles, "args": (a,)}
@@ -574,7 +569,7 @@ def reference_probe(class_spec, routine, domain):
     checked = 0
     for pre in domain.pre_states(class_spec, routine):
         entry = pre["roles"]
-        ctx = AbstractCtx(routine.role_index, class_spec, entry, pre["args"])
+        ctx = AbstractCtx(class_spec, entry, pre["args"])
         try:
             if not all(p.fn(ctx) for p in routine.pre):
                 continue
@@ -582,21 +577,20 @@ def reference_probe(class_spec, routine, domain):
             raise ConfigError("precondition is not abstractly evaluable: %s" % e)
         checked += 1
         universe = []
-        for idx in sorted(entry, key=lambda i: (i != -1, i)):
-            role = "target" if idx == -1 else "arg%d" % idx
-            for qname in entry[idx]:
-                universe.append((role, idx, qname))
+        for role in sorted(entry, key=lambda r: (r != TARGET, r)):
+            for qname in entry[role]:
+                universe.append((role, qname))
         if routine.modify is None:
             free = universe
         else:
-            free = [u for u in universe if (u[0], u[2]) in set(routine.modify)]
-        choice_lists = [domain.value_choices(qname) for _, _, qname in free]
+            free = [u for u in universe if u in set(routine.modify)]
+        choice_lists = [domain.value_choices(qname) for _, qname in free]
         results = domain.result_choices(routine) if routine.returns_value else (None,)
         found = []
         for combo in itertools.product(*choice_lists):
-            exit_maps = {idx: dict(m) for idx, m in entry.items()}
-            for (_, idx, qname), val in zip(free, combo):
-                exit_maps[idx][qname] = val
+            exit_maps = {role: dict(m) for role, m in entry.items()}
+            for (role, qname), val in zip(free, combo):
+                exit_maps[role][qname] = val
             if not all(
                 cl.fn(m, None) for m in exit_maps.values() for cl in model_invariants
             ):
@@ -731,7 +725,7 @@ SEARCHED = {
 def test_invariants_run_once_per_role_candidate(class_name, monkeypatch):
     figures = set()
     for key, strong, routine, dom in sequence_tasks(class_name, "len3-abc2"):
-        roles = 1 + len(routine.ref_params)
+        roles = 1 + len(routine.ref_roles)
         runs = {}
         for probe_fn in (reference_probe, completeness_probe):
             clause_counts = collections.Counter()
@@ -1146,7 +1140,7 @@ def _fill_by_room_through_get():
     # clause testing ``in`` on the exit map, where "cap" is fixed and so not
     # yet copied in: a map answering for its own keys alone admits nothing
     def filled(ctx):
-        if "cap" not in ctx.exit_models[-1]:
+        if "cap" not in ctx.exit_models[TARGET]:
             return False
         if ctx.old("room"):
             return ctx.now("n") == 0
@@ -1423,7 +1417,7 @@ def test_invariants_run_once_per_role_candidate_over_fresh_lists(contract, monke
     routine = spec.routines[r.name]
     seen = count_invariant_runs(monkeypatch, spec)
     assert completeness_probe(spec, routine, domain).verdict == "complete"
-    assert 0 < max(seen.values()) <= 1 + len(routine.ref_params)
+    assert 0 < max(seen.values()) <= 1 + len(routine.ref_roles)
 
 
 def test_defining_clause_compares_the_exit_value():
@@ -1431,10 +1425,10 @@ def test_defining_clause_compares_the_exit_value():
     p = defines("appended", "sequence", lambda ctx: V.seq_extended(ctx.old("sequence"), one))
     assert p.definition[:2] == ("target", "sequence")
     spec = build_class("array_stack", "strong")
-    ctx = AbstractCtx({"target": -1}, spec, {-1: {"sequence": V.EMPTY_SEQ}}, ())
-    ctx.exit_models = {-1: {"sequence": V.seq_extended(V.EMPTY_SEQ, one)}}
+    ctx = AbstractCtx(spec, {TARGET: {"sequence": V.EMPTY_SEQ}}, ())
+    ctx.exit_models = {TARGET: {"sequence": V.seq_extended(V.EMPTY_SEQ, one)}}
     assert p.fn(ctx) is True
-    ctx.exit_models = {-1: {"sequence": V.EMPTY_SEQ}}
+    ctx.exit_models = {TARGET: {"sequence": V.EMPTY_SEQ}}
     assert p.fn(ctx) is False
 
 

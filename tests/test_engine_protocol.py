@@ -358,8 +358,8 @@ def test_snapshot_covers_reference_arguments():
     b = eng.register(Toy(), spec)
     b.concrete.items.append(9)
     out = eng.checked_call(a, spec.routines["swap_index_with"], (b.concrete,))
-    assert [(v.kind, v.clause) for v in out.violations] == [
-        (FRAME, "unchanged:arg0.sequence")
+    assert [(v.kind, v.clause, v.detail) for v in out.violations] == [
+        (FRAME, "unchanged:arg0.sequence", "[9] -> [9, 1]")
     ]
     ctx = next(e[2] for e in events if e[0] == "frame")
     assert ctx.old("sequence", ARG0) == V.sequence([9])

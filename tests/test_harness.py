@@ -667,8 +667,16 @@ def test_cli_probe_verdict_exit_codes(capsys):
         ["probe", "--class", "cursor_list", "--routine", "merge_right",
          "--spec", "weak", "--max-len", "2"]
     ) == 1
-    out = capsys.readouterr().out
-    assert "incomplete" in out and "admitted exit" in out
+    # the witness as README shows it: target first, then the argument role
+    assert capsys.readouterr().out == (
+        "cursor_list.merge_right [weak]: incomplete (1 pre-states, 1 searched)\n"
+        "ambiguous pre-state: target{index=0, sequence=[]}; "
+        "arg0{index=0, sequence=[]} args=(<ref arg0>)\n"
+        "  admitted exit: target{index=0, sequence=[]}; "
+        "arg0{index=0, sequence=[]} result=None\n"
+        "  admitted exit: target{index=0, sequence=[]}; "
+        "arg0{index=1, sequence=[]} result=None\n"
+    )
     assert main(["probe", "--class", "binary_node", "--routine", "set_left"]) == 2
 
 
