@@ -136,10 +136,7 @@ _PRE_NO_CYCLE = pred("no_cycle", _no_cycle)
 
 def _detached(side):
     def fn(ctx):
-        t = V.oid_token(ctx.old(side))
-        if t == 0:
-            return True
-        child = ctx.co.engine.object_by_token(t).concrete
+        child = ctx.co.engine.object_by_token(V.oid_token(ctx.old(side))).concrete
         return child.parent is None
 
     return pred("former_child_detached", fn)

@@ -2,12 +2,17 @@
 
 Every entry names one switchable defect in a container body, the routine that
 hosts it, and the contract clause expected to flag it at each checking level.
-``detectability`` is the ground truth a harness comparison is scored against:
+``detectability`` is the ground truth a harness comparison is scored against,
+read off the signatures an entry has:
 
-- ``strong_only``: only the model-complete binding has a clause that fires;
-- ``both``: some clause fires at either level;
-- ``neither``: the defect is invisible to both bindings (its effect is not
-  observable through any specified query).
+- ``strong_only``: a strong signature and no weak one, so only the
+  model-complete binding has a clause that fires;
+- ``both``: both signatures, so some clause fires at either level;
+- ``neither``: no signature; the defect is invisible to both bindings (its
+  effect is not observable through any specified query).
+
+An entry may not have a weak signature without a strong one: whatever the
+weak binding flags, the strong binding flags too.
 
 A ``weak_analogue`` is a clause the weak binding may trip *downstream* of the
 defect, on a later call against an already-corrupted object. Those reports
@@ -37,10 +42,22 @@ class BugEntry:
     class_name: str
     routine: str
     description: str
-    detectability: str  # strong_only | both | neither
     strong: Signature | None = None
     weak: Signature | None = None
     weak_analogue: Signature | None = None
+
+    def __post_init__(self):
+        if self.weak is not None and self.strong is None:
+            raise ValueError(
+                "%s has a weak signature but no strong one; whatever the weak "
+                "binding flags, the strong one flags too" % (self.bug_id,)
+            )
+
+    @property
+    def detectability(self):
+        if self.strong is None:
+            return "neither"
+        return "strong_only" if self.weak is None else "both"
 
 
 CATALOG = (
@@ -49,7 +66,6 @@ CATALOG = (
         "cursor_list",
         "merge_right",
         "merge at cursor position 0 splices after the first element instead of at the front",
-        "strong_only",
         strong=Signature("merge_right", "spliced", "postcondition"),
     ),
     BugEntry(
@@ -57,7 +73,6 @@ CATALOG = (
         "cursor_list",
         "merge_right",
         "merge leaves the cursor one position to the right",
-        "both",
         strong=Signature("merge_right", "unchanged:target.index", "frame"),
         weak=Signature("merge_right", "index_unchanged", "postcondition"),
     ),
@@ -66,7 +81,6 @@ CATALOG = (
         "cursor_list",
         "remove",
         "removing the last element leaves the tail cache pointing at the removed cell",
-        "strong_only",
         strong=Signature("remove", "tail_cached", "invariant_exit"),
     ),
     BugEntry(
@@ -74,7 +88,6 @@ CATALOG = (
         "two_way_list",
         "put_front",
         "prepending never sets the old head's backward link",
-        "strong_only",
         strong=Signature("put_front", "back_links", "invariant_exit"),
     ),
     BugEntry(
@@ -82,7 +95,6 @@ CATALOG = (
         "two_way_list",
         "back",
         "stepping back from position 1 leaves the cursor at 1 instead of 0",
-        "both",
         strong=Signature("back", "stepped_back", "postcondition"),
         weak=Signature("back", "stepped_back", "postcondition"),
     ),
@@ -91,7 +103,6 @@ CATALOG = (
         "cursor_set",
         "replace",
         "replacing at the cursor skips the duplicate check, so the element may now occur twice",
-        "strong_only",
         strong=Signature("replace", "unique_items", "invariant_exit"),
         weak_analogue=Signature("remove", "not_has", "postcondition"),
     ),
@@ -100,7 +111,6 @@ CATALOG = (
         "cursor_set",
         "is_equal",
         "equality compares only the element counts, not the members",
-        "strong_only",
         strong=Signature("is_equal", "reports_set_equality", "postcondition"),
     ),
     BugEntry(
@@ -108,7 +118,6 @@ CATALOG = (
         "resizable_array",
         "force",
         "growing past the upper bound fills the first new gap position with garbage",
-        "strong_only",
         strong=Signature("force", "force_extends", "postcondition"),
     ),
     BugEntry(
@@ -116,7 +125,6 @@ CATALOG = (
         "binary_node",
         "prune_left",
         "pruning detaches the child but never clears the forward link",
-        "both",
         strong=Signature("prune_left", "parent_side_left", "invariant_exit"),
         weak=Signature("prune_left", "left_void", "postcondition"),
     ),
@@ -125,7 +133,6 @@ CATALOG = (
         "array_stack",
         "pop",
         "popping swaps the bottom element to the top first, so it removes the bottom",
-        "strong_only",
         strong=Signature("pop", "shrunk", "postcondition"),
     ),
     BugEntry(
@@ -133,7 +140,6 @@ CATALOG = (
         "ring_queue",
         "remove",
         "removing advances the head but forgets to decrement the count",
-        "both",
         strong=Signature("remove", "dropped_front", "postcondition"),
         weak=Signature("remove", "count_down", "postcondition"),
     ),
@@ -142,7 +148,6 @@ CATALOG = (
         "ring_queue",
         "put",
         "a full buffer grows by four slots instead of doubling",
-        "neither",
     ),
 )
 

@@ -62,10 +62,12 @@ class SequenceDomain:
     ``role_specs`` maps class name -> strong spec. A reference argument is
     of the target's class, so ``pre_states`` takes its role's spec from the
     map under the target's name. Objects whose model lacks an index query (the
-    stack and the queue) get sequence-only states. A role's states are those
-    on which its spec's model invariants (``kind="model"``) hold, so
-    ``unique`` only narrows the enumeration: it drops repeated elements from
-    the pre-state and candidate sequences before any invariant runs.
+    stack and the queue) get sequence-only states; a spec whose model lacks
+    a sequence query is refused when its states are first built. A role's
+    states are those on which its spec's model invariants (``kind="model"``)
+    hold, so ``unique`` only narrows the enumeration: it drops repeated
+    elements from the pre-state and candidate sequences before any invariant
+    runs.
     Candidate values and results depend on the query and the routine alone.
     """
 
@@ -105,6 +107,8 @@ class SequenceDomain:
         built once per spec."""
         states = self._states.get(spec)
         if states is None:
+            if "sequence" not in spec.model_names:
+                raise ConfigError("the completeness probe covers the sequence containers only")
             invariants = spec.model_invariants
             if "index" in spec.model_names:
                 every = (

@@ -170,16 +170,14 @@ class Engine:
 
     # --- object identity ---
 
-    def register(self, concrete, spec):
+    def create(self, spec):
+        concrete = spec.make()
         token = self._next_token
         self._next_token = token + 1
         co = CheckedObject(token, concrete, spec, self)
         self._objects[token] = co
         concrete._checked = co
         return co
-
-    def create(self, spec):
-        return self.register(spec.make(), spec)
 
     def object_by_token(self, token):
         return self._objects[token]

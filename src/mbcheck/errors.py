@@ -12,8 +12,8 @@ class ModelEvalError(Exception):
 
 class SpecError(Exception):
     """A specification binding is ill-formed (unknown query in a modify clause,
-    duplicate clause names, bad parameter descriptor, a reference parameter
-    of another class). Raised when the spec is built."""
+    duplicate clause names, bad parameter descriptor). Raised when the spec
+    is built."""
 
 
 class ConfigError(Exception):

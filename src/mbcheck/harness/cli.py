@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import mbcheck.values as V
@@ -48,17 +47,16 @@ def _parser():
         help="comma-separated defect ids to seed (see the bugs subcommand)",
     )
     run.add_argument("--report", default=None, help="report path; stdout if omitted")
-    run.add_argument("--p-new", type=float, default=0.2)
-    run.add_argument("--pool-max", type=int, default=6)
-    run.add_argument("--alphabet", type=int, default=4)
-    run.add_argument("--max-object-size", type=int, default=16)
+    run.add_argument("--p-new", type=float, default=SessionConfig.p_new)
+    run.add_argument("--pool-max", type=int, default=SessionConfig.pool_max)
+    run.add_argument("--alphabet", type=int, default=SessionConfig.alphabet)
+    run.add_argument("--max-object-size", type=int, default=SessionConfig.max_object_size)
+    run.set_defaults(func=_cmd_run)
 
     cmp_ = sub.add_parser("compare", help="compare saved weak/strong reports")
     cmp_.add_argument("reports", nargs="*", help="report paths")
-    cmp_.add_argument(
-        "--pairs", default=None, help='JSON manifest: {"reports": [paths...]}'
-    )
     cmp_.add_argument("--out", default=None, help="output path; stdout if omitted")
+    cmp_.set_defaults(func=_cmd_compare)
 
     probe = sub.add_parser("probe", help="bounded completeness check of one routine")
     probe.add_argument("--class", dest="class_name", required=True, choices=ALL_CLASSES)
@@ -73,8 +71,9 @@ def _parser():
         "invariants forbid are skipped either way, so this only narrows the "
         "enumeration",
     )
+    probe.set_defaults(func=_cmd_probe)
 
-    sub.add_parser("bugs", help="print the seeded-defect catalog")
+    sub.add_parser("bugs", help="print the seeded-defect catalog").set_defaults(func=_cmd_bugs)
     return p
 
 
@@ -119,23 +118,8 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    paths = list(args.reports)
-    if args.pairs:
-        with open(args.pairs) as f:
-            try:
-                manifest = json.load(f)
-            except ValueError as e:
-                raise ConfigError("%s is not valid JSON: %s" % (args.pairs, e))
-        reports = manifest.get("reports") if isinstance(manifest, dict) else None
-        if not isinstance(reports, list) or not all(isinstance(r, str) for r in reports):
-            raise ConfigError('%s needs a "reports" list of report paths' % (args.pairs,))
-        base = os.path.dirname(os.path.abspath(args.pairs))
-        for rel in reports:
-            paths.append(rel if os.path.isabs(rel) else os.path.join(base, rel))
-    if not paths:
-        raise ConfigError("no reports given; pass paths or --pairs")
-    result = compare_reports(paths)
-    ratios = throughput_ratios(paths)
+    result = compare_reports(args.reports)
+    ratios = throughput_ratios(args.reports)
     if args.out:
         write_comparison(args.out, result, ratios)
         print("%s: %d reports compared" % (args.out, result["reports"]))
@@ -167,8 +151,6 @@ def _fmt_args(routine, args):
 
 def _cmd_probe(args):
     strong = build_class(args.class_name, "strong")
-    if "sequence" not in strong.model_names:
-        raise ConfigError("the completeness probe covers the sequence containers only")
     binding = strong if args.level == "strong" else build_class(args.class_name, "weak")
     routine = binding.routines.get(args.routine)
     if routine is None:
@@ -210,25 +192,18 @@ def _cmd_probe(args):
     return 1
 
 
+def _cmd_bugs(args):
+    print(_bugs.manifest_json())
+    return 0
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "probe":
-            return _cmd_probe(args)
-        if args.command == "bugs":
-            print(_bugs.manifest_json())
-            return 0
-    except (ConfigError, SpecError) as e:
+        return args.func(args)
+    except (ConfigError, SpecError, OSError) as e:
         print("error: %s" % (e,), file=sys.stderr)
         return 2
-    except OSError as e:
-        print("error: %s" % (e,), file=sys.stderr)
-        return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

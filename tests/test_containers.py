@@ -627,3 +627,13 @@ def test_manifest_round_trips():
     assert ["binary_node", "no_cycle"] in data["experimental_clauses"]
     ids = [b["id"] for b in data["bugs"]]
     assert len(ids) == len(set(ids))
+
+
+def test_catalog_detectability_follows_the_signatures():
+    sig = bug_catalog.Signature("remove", "count_down", "postcondition")
+    entry = bug_catalog.BugEntry
+    assert entry("X-1", "ring_queue", "remove", "d").detectability == "neither"
+    assert entry("X-1", "ring_queue", "remove", "d", strong=sig).detectability == "strong_only"
+    assert entry("X-1", "ring_queue", "remove", "d", strong=sig, weak=sig).detectability == "both"
+    with pytest.raises(ValueError, match="X-1 has a weak signature but no strong one"):
+        entry("X-1", "ring_queue", "remove", "d", weak=sig)

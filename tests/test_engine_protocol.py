@@ -156,7 +156,7 @@ def toy_specs(seq_eval=None, push_modify=("sequence",), extra_invariants=()):
 def fresh(spec=None):
     spec = spec or toy_specs()
     eng = Engine()
-    return eng, eng.register(Toy(), spec), spec
+    return eng, eng.create(spec), spec
 
 
 def logged(spec):
@@ -354,8 +354,8 @@ def test_snapshot_covers_reference_arguments():
     spec.routines["swap_index_with"].body = lambda o, p: p.items.append(1)
     events = logged(spec)
     eng = Engine()
-    a = eng.register(Toy(), spec)
-    b = eng.register(Toy(), spec)
+    a = eng.create(spec)
+    b = eng.create(spec)
     b.concrete.items.append(9)
     out = eng.checked_call(a, spec.routines["swap_index_with"], (b.concrete,))
     assert [(v.kind, v.clause, v.detail) for v in out.violations] == [
@@ -374,7 +374,7 @@ def test_postcondition_failure_blames_callee():
     # sabotage: push body appends the wrong value
     spec.routines["push"].body = lambda o, v: o.items.append(v + 1)
     eng = Engine()
-    co = eng.register(Toy(), spec)
+    co = eng.create(spec)
     out = eng.checked_call(co, spec.routines["push"], (3,))
     assert [v.kind for v in out.violations] == [POSTCONDITION]
     assert out.violations[0].blame == CALLEE
@@ -393,7 +393,7 @@ def test_empty_modify_means_pure():
     spec = toy_specs()
     spec.routines["noop"].body = lambda o: o.items.append(1)
     eng = Engine()
-    co = eng.register(Toy(), spec)
+    co = eng.create(spec)
     out = eng.checked_call(co, spec.routines["noop"], ())
     assert [v.kind for v in out.violations] == [FRAME]
 
@@ -402,7 +402,7 @@ def test_unframed_routine_derives_no_frame_preds():
     spec = toy_specs(push_modify=None)
     assert spec.routines["push"].frame_preds == ()
     eng = Engine()
-    co = eng.register(Toy(), spec)
+    co = eng.create(spec)
     # same drifting body: without framing nothing fires beyond the post check
     out = eng.checked_call(co, spec.routines["push"], (1,))
     assert not out.violations
@@ -461,7 +461,7 @@ def test_model_eval_error_during_query_evaluation():
 
     spec = toy_specs(seq_eval=bad_eval)
     eng = Engine()
-    co = eng.register(Toy(), spec)
+    co = eng.create(spec)
     out = eng.checked_call(co, spec.routines["noop"], ())
     assert [v.kind for v in out.violations] == [MODEL_EVAL_ERROR]
     assert out.violations[0].clause == "model"
@@ -473,8 +473,8 @@ def test_model_eval_error_during_query_evaluation():
 def test_depend_clause_skipped_while_attached_object_open():
     spec = toy_specs()
     eng = Engine()
-    a = eng.register(Toy(), spec)
-    b = eng.register(Toy(), spec)
+    a = eng.create(spec)
+    b = eng.create(spec)
     a.concrete.peer = b.concrete
     b.concrete.link_ok = False  # peer_link clause is false right now
 
@@ -513,8 +513,8 @@ def test_nested_qualified_call_violations_reach_top_outcome():
     spec = toy_specs()
     spec.routines["push"].body = lambda o, v: o.items.append(v + 1)  # breaks post
     eng = Engine()
-    a = eng.register(Toy(), spec)
-    b = eng.register(Toy(), spec)
+    a = eng.create(spec)
+    b = eng.create(spec)
     a.concrete.peer = b.concrete
     out = eng.checked_call(a, spec.routines["poke_peer"], ())
     nested = [v for v in out.violations if v.kind == POSTCONDITION and v.routine == "push"]
@@ -531,8 +531,8 @@ def test_nested_precondition_violation_is_not_invalid_at_top():
 
     spec.routines["poke_peer"].body = bad_poke
     eng = Engine()
-    a = eng.register(Toy(), spec)
-    b = eng.register(Toy(), spec)
+    a = eng.create(spec)
+    b = eng.create(spec)
     a.concrete.peer = b.concrete
     out = eng.checked_call(a, spec.routines["poke_peer"], ())
     assert any(v.kind == PRECONDITION for v in out.violations)
@@ -584,7 +584,7 @@ def test_guard_nests_and_unwinds():
         return V.sequence(o.items)
 
     eng, a, spec = fresh(toy_specs(seq_eval=counting_eval))
-    b = eng.register(Toy(), spec)
+    b = eng.create(spec)
     a.concrete.peer = b.concrete
     out = eng.checked_call(a, spec.routines["poke_peer"], ())
     assert not out.violations
@@ -644,8 +644,8 @@ def test_depend_invariant_gated_through_the_protocol():
     spec = toy_specs()
     events = logged(spec)
     eng = Engine()
-    a = eng.register(Toy(), spec)
-    b = eng.register(Toy(), spec)
+    a = eng.create(spec)
+    b = eng.create(spec)
     a.concrete.peer = b.concrete
     b.concrete.peer = a.concrete
     b.concrete.link_ok = False  # peer_link on a is false while it is checked

@@ -330,6 +330,22 @@ def test_cli_run_with_bug_exits_one_and_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_run_generator_defaults_are_the_session_defaults(tmp_path, capsys):
+    argv = [
+        "run", "--class", "cursor_list", "--spec", "strong",
+        "--seed", "9", "--max-calls", "1500", "--bugs", "MB-1",
+    ]
+    a = tmp_path / "a.jsonl"
+    b = tmp_path / "b.jsonl"
+    main(argv + ["--report", str(a)])
+    main(
+        argv
+        + ["--p-new", "0.2", "--pool-max", "6", "--alphabet", "4",
+           "--max-object-size", "16", "--report", str(b)]
+    )
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_cli_run_to_stdout(capsys):
     code = main(
         ["run", "--class", "ring_queue", "--spec", "weak", "--seed", "3", "--max-calls", "500"]
@@ -451,18 +467,9 @@ def test_cli_compare_end_to_end(tmp_path, capsys):
     assert timing["weak_over_strong_speed"]["two_way_list"] > 0
 
 
-def test_cli_compare_pairs_manifest(tmp_path, capsys):
-    p = tmp_path / "r.jsonl"
-    main(
-        ["run", "--class", "cursor_set", "--spec", "strong", "--seed", "2",
-         "--max-calls", "1000", "--report", str(p)]
-    )
-    manifest = tmp_path / "pairs.json"
-    manifest.write_text(json.dumps({"reports": ["r.jsonl"]}))
-    capsys.readouterr()
-    assert main(["compare", "--pairs", str(manifest)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["reports"] == 1
+def test_cli_compare_without_reports_is_a_config_error(capsys):
+    assert main(["compare"]) == 2
+    assert capsys.readouterr().err == "error: no reports to compare\n"
 
 
 @pytest.mark.parametrize(
@@ -625,19 +632,6 @@ def test_cli_compare_unreadable_timing_sidecar_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "content",
-    [{"report": ["r.jsonl"]}, {"reports": [1]}],
-    ids=["no_reports_list", "non_string_entry"],
-)
-def test_cli_compare_manifest_without_reports_is_a_config_error(tmp_path, capsys, content):
-    manifest = tmp_path / "pairs.json"
-    manifest.write_text(json.dumps(content))
-    assert main(["compare", "--pairs", str(manifest)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and '"reports"' in err
-
-
 def test_cli_probe_witness_prints_plain_arguments(capsys):
     # weak cursor_list.replace leaves the cursor free; its one argument is an
     # item, printed as its value
@@ -753,6 +747,12 @@ def test_cli_probe_refuses_frame_over_missing_query(capsys):
     assert main(["probe", "--class", "resizable_array", "--routine", "item_count"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not abstractly evaluable" in err
+
+
+def test_cli_probe_refuses_a_class_without_a_sequence_model(capsys):
+    assert main(["probe", "--class", "binary_node", "--routine", "set_left"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sequence containers" in err
 
 
 def test_cli_bugs_dump(capsys):
