@@ -38,18 +38,18 @@ import platform
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 from statistics import median
+
+# the bound of the benchmark's probe workload
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import PROBE_ALPHABET, PROBE_MAX_LEN, PROBE_UNIQUE
 
 import mbcheck
 from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers.domains import SequenceDomain
 from mbcheck.engine import completeness_probe
 from mbcheck.errors import ConfigError
-
-# the bound of the benchmark's probe workload (perfbench/workloads.py)
-MAX_LEN = 3
-ALPHABET = 2
-UNIQUE = frozenset(["cursor_set"])
 
 
 def tasks():
@@ -68,7 +68,9 @@ def tasks():
 
 def run_task(c, strong, routine):
     """The outcome as a string, and the result (None unless the probe ran)."""
-    dom = SequenceDomain({c: strong}, max_len=MAX_LEN, alphabet=ALPHABET, unique=c in UNIQUE)
+    dom = SequenceDomain(
+        {c: strong}, max_len=PROBE_MAX_LEN, alphabet=PROBE_ALPHABET, unique=c in PROBE_UNIQUE
+    )
     try:
         res = completeness_probe(strong, routine, dom)
     except ConfigError as e:
@@ -127,9 +129,7 @@ def count_evaluations(all_tasks):
             _, res = run_task(c, strong, routine)
             if res is not None:
                 counts["pre_states_checked"] += res.pre_states_checked
-                # a probe without the memo searches every pre-state it checks
-                searched = getattr(res, "pre_states_searched", res.pre_states_checked)
-                counts["pre_states_searched"] += searched
+                counts["pre_states_searched"] += res.pre_states_searched
     finally:
         for name, fn in saved.items():
             setattr(SequenceDomain, name, fn)
@@ -178,7 +178,11 @@ def main():
             {
                 "python": sys.version.split()[0],
                 "machine": platform.machine(),
-                "bound": {"max_len": MAX_LEN, "alphabet": ALPHABET, "unique": sorted(UNIQUE)},
+                "bound": {
+                    "max_len": PROBE_MAX_LEN,
+                    "alphabet": PROBE_ALPHABET,
+                    "unique": sorted(PROBE_UNIQUE),
+                },
                 "repeats": args.repeats,
                 "summed_median_cpu_s": total,
                 "summed_median_cpu_s_by_level": by_level,

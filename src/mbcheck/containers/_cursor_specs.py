@@ -30,7 +30,6 @@ from mbcheck.containers._shared import (
     RoutineDecl,
     cell_at,
     chain_items,
-    walk,
 )
 from mbcheck.engine import ARG0, InvariantClause, ModelQuery, Param, defines, pred
 
@@ -76,7 +75,7 @@ class CursorChain:
     # queries
 
     def has(self, v):
-        return v in walk(self.first_cell)
+        return v in chain_items(self.first_cell)
 
     def item(self):
         return cell_at(self.first_cell, self.index).item

@@ -160,17 +160,9 @@ def qcall(other, routine_name, *args):
     return co.engine.checked_call(co, co.spec.routines[routine_name], args).result
 
 
-def walk(first_cell):
-    """Yield the items of a linked chain in order."""
-    cell = first_cell
-    while cell is not None:
-        yield cell.item
-        cell = cell.next
-
-
 def chain_items(first_cell):
     """The items of a linked chain in order, as a list. A plain loop costs
-    about half of ``list(walk(first_cell))``, which resumes a generator per
+    about half of what a generator does, since a generator resumes once per
     item."""
     items = []
     cell = first_cell

@@ -4,7 +4,7 @@ A domain enumerates abstract pre-states and candidate post-values for the
 sequence-plus-index container models. Bounds are small on purpose: the probe
 is a desk check, not a verifier. Two admitted post-states for one pre-state
 prove a contract incomplete. "No admissible post-state" holds only relative
-to the candidate domain: post-state sequences run up to ``value_len``
+to the candidate domain: post-state sequences run up to twice ``max_len``
 elements, so a contract whose only admissible exit is longer reads as
 inconclusive here. A routine judged complete is complete up to the bound.
 """
@@ -20,6 +20,14 @@ from mbcheck.errors import ConfigError
 # queries a boolean-valued routine may produce; everything else gets items
 _BOOL_ROUTINES = frozenset(["off", "is_equal", "has", "is_empty"])
 
+
+# the default bounds: the longest pre-state sequence and the alphabet size
+DEFAULT_MAX_LEN = 3
+DEFAULT_ALPHABET = 2
+
+# what a pre-state holds for a present reference argument, whose model lives
+# in its role map; one shared value lets the probe compare arguments by value
+REF_ARG = object()
 
 # most candidate sequences and sequence elements a domain may build, and
 # most role states (a pre-state sequence with a cursor) it may enumerate;
@@ -67,33 +75,33 @@ class SequenceDomain:
     states are those on which its spec's model invariants (``kind="model"``)
     hold, so ``unique`` only narrows the enumeration: it drops repeated
     elements from the pre-state and candidate sequences before any invariant
-    runs.
+    runs. A present reference argument is ``REF_ARG`` in every pre-state.
     Candidate values and results depend on the query and the routine alone.
     """
 
-    def __init__(self, role_specs, max_len=3, alphabet=2, unique=False, value_len=None):
+    def __init__(
+        self, role_specs, max_len=DEFAULT_MAX_LEN, alphabet=DEFAULT_ALPHABET, unique=False
+    ):
         if max_len < 1 or alphabet < 1:
             raise ConfigError(
                 "probe bounds must be at least 1, got max_len=%d alphabet=%d"
                 % (max_len, alphabet)
             )
-        value_len = 2 * max_len if value_len is None else value_len
         # the duplicate-free sequences are a subset, so these bound them too;
         # a pre-state sequence of n elements has at most n + 2 cursors
-        pre = _sizes(max(max_len, value_len), alphabet) and _sizes(max_len, alphabet)
+        pre = _sizes(2 * max_len, alphabet) and _sizes(max_len, alphabet)
         if pre is None or pre[1] + 2 * pre[0] > MAX_ROLE_STATES:
             raise ConfigError(
-                "probe bounds max_len=%d alphabet=%d value_len=%d ask for more than "
+                "probe bounds max_len=%d alphabet=%d ask for more than "
                 "%d candidate sequences, %d sequence elements or %d role states"
-                % (max_len, alphabet, value_len, MAX_SEQUENCES, MAX_ELEMENTS, MAX_ROLE_STATES)
+                % (max_len, alphabet, MAX_SEQUENCES, MAX_ELEMENTS, MAX_ROLE_STATES)
             )
         self.role_specs = dict(role_specs)
         self.max_len = max_len
         self.alphabet = alphabet
-        self.unique = unique
         self.pre_seqs = _all_seqs(max_len, alphabet, unique)
-        self.value_seqs = _all_seqs(value_len, alphabet, unique)
-        self.index_values = list(range(0, value_len + 2))
+        self.value_seqs = _all_seqs(2 * max_len, alphabet, unique)
+        self.index_values = list(range(2 * max_len + 2))
         self._states = {}  # spec -> _role_states
 
     def role_spec(self, ref_class):
@@ -131,17 +139,12 @@ class SequenceDomain:
                 % (class_spec.name, routine.name, len(refs))
             )
         target_states = self._role_states(class_spec)
-        plain = [p.kind for p in routine.params if p.kind != "ref"]
-        if plain:
-            arg_pools = []
-            for kind in plain:
-                if kind == "item":
-                    arg_pools.append(tuple(range(self.alphabet)))
-                else:
-                    arg_pools.append(tuple(range(-1, self.max_len + 2)))
-            plain_args = list(itertools.product(*arg_pools))
-        else:
-            plain_args = [()]
+        pools = [
+            range(self.alphabet) if p.kind == "item" else range(-1, self.max_len + 2)
+            for p in routine.params
+            if p.kind != "ref"
+        ]
+        plain_args = list(itertools.product(*pools))
 
         for tm in target_states:
             if not refs:
@@ -149,23 +152,17 @@ class SequenceDomain:
                     yield {"roles": {TARGET: tm}, "args": args}
                 continue
             ((k, role),) = refs
-            arg_spec = self.role_spec(class_spec.name)
-            for am in self._role_states(arg_spec):
+            for am in self._role_states(self.role_spec(class_spec.name)):
                 for args in plain_args:
-                    full = list(args)
-                    full.insert(k, object())
-                    yield {"roles": {TARGET: tm, role: am}, "args": tuple(full)}
+                    yield {
+                        "roles": {TARGET: tm, role: am},
+                        "args": args[:k] + (REF_ARG,) + args[k:],
+                    }
             for args in plain_args:
-                full = list(args)
-                full.insert(k, None)
-                yield {"roles": {TARGET: tm}, "args": tuple(full)}
+                yield {"roles": {TARGET: tm}, "args": args[:k] + (None,) + args[k:]}
 
     def value_choices(self, qname):
-        if qname == "sequence":
-            return self.value_seqs
-        if qname == "index":
-            return self.index_values
-        raise ConfigError("no candidate values for query %r" % (qname,))
+        return self.value_seqs if qname == "sequence" else self.index_values
 
     def result_choices(self, routine):
         if routine.name in _BOOL_ROUTINES:

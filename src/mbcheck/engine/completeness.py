@@ -16,7 +16,9 @@ The caller supplies the domain, an object with three methods:
 {role name: model map}, "args": tuple}``), ``value_choices(query)`` gives
 the candidate exit values of a model query and ``result_choices(routine)``
 the candidate results; candidates depend on no pre-state. A reference
-argument is of the target's class, so every role has ``class_spec``.
+argument is of the target's class, so every role has ``class_spec``; its
+model lives in its role map, and a present one is the same value in every
+pre-state's arguments, so arguments compare by value.
 Predicates are evaluated over an abstract context with the same model
 accessors as the runtime one (``ModelCtx``); predicates that probe concrete
 state raise and are reported as not abstractly evaluable.
@@ -64,10 +66,10 @@ class AbstractCtx(ModelCtx):
 
 
 class _ReadMap(dict):
-    """A role map that starts empty and copies each query of ``src`` in on
-    its first lookup, so its keys are the queries read. Subscript, ``get``
-    and ``in`` answer for the whole of ``src``; a key set in the map itself
-    shadows ``src``."""
+    """A role map, or the arguments by position, that starts empty and
+    copies each key of ``src`` in on its first lookup, so its keys are the
+    keys read. Subscript, ``get`` and ``in`` answer for the whole of
+    ``src``; a key set in the map itself shadows ``src``."""
 
     __slots__ = ("src",)
 
@@ -88,21 +90,6 @@ class _ReadMap(dict):
             self[q]  # a test for presence reads the query too
             return True
         return dict.__contains__(self, q)
-
-
-class _ReadArgs(dict):
-    """An argument tuple as a map from position to value that starts empty
-    and copies each position in on its first read, so its keys are the
-    positions read."""
-
-    __slots__ = ("args",)
-
-    def __init__(self, args):
-        self.args = args
-
-    def __missing__(self, k):
-        v = self[k] = self.args[k]
-        return v
 
 
 def _reads(maps):
@@ -188,15 +175,15 @@ def completeness_probe(class_spec, routine, domain):
     search that admits exactly one post-state is stored under its *base
     key* (the role-map shape and each role's filtered candidate list by
     content) together with what it read: the pre-state coordinates and
-    plain arguments the postconditions read, and the pre-state's values
-    there (a reference argument by presence only). The context records
-    these reads in the data it is handed, once per coordinate rather than
-    once per lookup: each role map starts empty and copies a query in from
-    the pre-state on its first lookup (by subscript, ``get`` or ``in``, from
-    an accessor or a derivation), so its keys are the queries read, and the
-    arguments work the same way by position. An exit map starts with the
-    free coordinates, which each candidate assigns, and its fixed ones fill
-    from the entry maps; the reads are its keys less the free coordinates.
+    arguments the postconditions read, and the pre-state's values there.
+    The context records these reads in the data it is handed, once per
+    coordinate rather than once per lookup: each role map starts empty and
+    copies a query in from the pre-state on its first lookup (by subscript,
+    ``get`` or ``in``, from an accessor or a derivation), so its keys are
+    the queries read, and the arguments, a map from position to value, work
+    the same way. An exit map starts with the free coordinates, which each
+    candidate assigns, and its fixed ones fill from the entry maps; the
+    reads are its keys less the free coordinates.
     A later pre-state with the same base key that agrees with a stored one
     on everything that search read is not searched. This is sound because:
 
@@ -225,7 +212,6 @@ def completeness_probe(class_spec, routine, domain):
     """
     posts = routine.post
     results = tuple(domain.result_choices(routine)) if routine.returns_value else (None,)
-    ref_ks = frozenset(k for k, _ in routine.ref_roles)
     layouts = {}  # role-map shape -> see _layout
     admitted_by_role = {}  # role key -> _Admitted; see _role_candidates
     interned = {}  # filtered candidate list -> its number, so equal lists key alike
@@ -271,7 +257,7 @@ def completeness_probe(class_spec, routine, domain):
         base = (shape, tuple(list_numbers))
         stored = decided.get(base)
         if stored is not None and any(
-            _project(entry, args, ref_ks, read) in seen for read, seen in stored.items()
+            _project(entry, args, read) in seen for read, seen in stored.items()
         ):
             continue
         searched += 1
@@ -279,9 +265,9 @@ def completeness_probe(class_spec, routine, domain):
         # the exit maps hold the free coordinates, which each candidate
         # assigns; fixed ones fill from the entry maps when first read
         ctx.entry_models = {role: _ReadMap(m) for role, m in entry.items()}
-        ctx.args = _ReadArgs(args)
+        ctx.args = _ReadMap(dict(enumerate(args)))
         exit_maps = {role: _ReadMap(m) for role, m in entry.items()}
-        search_lists = _solve(ctx, solved, role_lists) if solved else role_lists
+        search_lists = _solve(ctx, solved, role_lists)
         role_maps = [exit_maps[role] for role, _, _, _ in order]
         ctx.exit_models = exit_maps
         found = []
@@ -318,19 +304,17 @@ def completeness_probe(class_spec, routine, domain):
         # a fixed exit value is its entry value; a free one is a candidate
         coords = _reads(ctx.entry_models).union(_reads(exit_maps) - free)
         read = (tuple(sorted(coords)), tuple(sorted(ctx.args)))
-        decided.setdefault(base, {}).setdefault(read, set()).add(
-            _project(entry, args, ref_ks, read)
-        )
+        decided.setdefault(base, {}).setdefault(read, set()).add(_project(entry, args, read))
     return ProbeResult("complete", None, [], checked, searched)
 
 
-def _project(entry, args, ref_ks, read):
-    """The values of one pre-state at the coordinates and plain-argument
-    positions of ``read``; a reference argument counts by presence."""
+def _project(entry, args, read):
+    """The values of one pre-state at the coordinates and argument
+    positions of ``read``."""
     coords, arg_ks = read
     return (
         tuple([entry[role][q] for role, q in coords]),
-        tuple([args[k] is None if k in ref_ks else args[k] for k in arg_ks]),
+        tuple([args[k] for k in arg_ks]),
     )
 
 

@@ -21,7 +21,7 @@ import mbcheck.values as V
 from mbcheck.errors import ConfigError, SpecError
 from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers import bugs as _bugs
-from mbcheck.containers.domains import SequenceDomain
+from mbcheck.containers.domains import DEFAULT_ALPHABET, DEFAULT_MAX_LEN, SequenceDomain
 from mbcheck.engine import TARGET, completeness_probe
 from mbcheck.harness.compare import compare_reports, throughput_ratios, write_comparison
 from mbcheck.harness.reports import render_report, write_report
@@ -62,8 +62,8 @@ def _parser():
     probe.add_argument("--class", dest="class_name", required=True, choices=ALL_CLASSES)
     probe.add_argument("--routine", required=True)
     probe.add_argument("--spec", dest="level", default="strong", choices=("weak", "strong"))
-    probe.add_argument("--max-len", type=int, default=3)
-    probe.add_argument("--alphabet", type=int, default=2)
+    probe.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
+    probe.add_argument("--alphabet", type=int, default=DEFAULT_ALPHABET)
     probe.add_argument(
         "--unique",
         action="store_true",

@@ -49,6 +49,11 @@ class SessionConfig:
     alphabet: int = 4
 
     def __post_init__(self):
+        # the report's rule: its reader refuses any other type, a bool too
+        if type(self.seed) is not int:
+            raise ConfigError("seed must be an integer")
+        if self.max_calls is not None and type(self.max_calls) is not int:
+            raise ConfigError("max_calls must be an integer or None")
         ids = list(self.bugs)  # a set of ids is accepted too, and has no count
         for bug_id in ids:
             if ids.count(bug_id) > 1:

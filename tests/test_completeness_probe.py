@@ -14,7 +14,7 @@ import pytest
 
 import mbcheck.values as V
 from mbcheck.containers import ALL_CLASSES, build_class
-from mbcheck.containers.domains import SequenceDomain
+from mbcheck.containers.domains import REF_ARG, SequenceDomain
 from mbcheck.engine import (
     ARG0,
     TARGET,
@@ -32,7 +32,7 @@ from mbcheck.engine import (
     pred,
     ref_param,
 )
-from mbcheck.engine.completeness import AbstractCtx, ProbeResult, _ReadArgs, _ReadMap
+from mbcheck.engine.completeness import AbstractCtx, ProbeResult, _ReadMap
 from mbcheck.engine.specs import NO_EXIT_STATE, ModelCtx
 from mbcheck.errors import ConfigError, ModelEvalError
 
@@ -85,7 +85,7 @@ class BoxDomain:
                 for am in self._grid():
                     r2 = dict(roles)
                     r2[ARG0] = am
-                    yield {"roles": r2, "args": (object(),)}
+                    yield {"roles": r2, "args": (REF_ARG,)}
                 # and the void argument
                 yield {"roles": roles, "args": (None,)}
             elif routine.params:
@@ -99,6 +99,16 @@ class BoxDomain:
 
     def result_choices(self, routine):
         return list(self.vals)
+
+
+class ShortValuesDomain(SequenceDomain):
+    """A ``SequenceDomain`` whose candidate sequences and indices are no
+    longer than its pre-states'."""
+
+    def __init__(self, role_specs, **bounds):
+        super().__init__(role_specs, **bounds)
+        self.value_seqs = self.pre_seqs
+        self.index_values = list(range(self.max_len + 2))
 
 
 def probe(routine_spec, domain=None):
@@ -161,7 +171,7 @@ def test_post_beyond_the_candidates_is_inconclusive():
     # strong merge_right splices the argument's sequence in, which runs past
     # the candidates once they are no longer than the pre-state sequences
     strong = build_class("cursor_list", "strong")
-    dom = SequenceDomain({"cursor_list": strong}, max_len=3, alphabet=2, value_len=3)
+    dom = ShortValuesDomain({"cursor_list": strong}, max_len=3, alphabet=2)
     res = completeness_probe(strong, strong.routines["merge_right"], dom)
     assert res.verdict == "inconclusive"
     assert res.witness_posts == []
@@ -333,7 +343,7 @@ def test_old_and_now_resolve_a_derived_attribute():
     co = engine.create(spec)
     entry = {"sequence": V.sequence([7, 8, 9]), "index": 0}
     exit_ = {"sequence": V.sequence([7, 8, 9, 5]), "index": 0}
-    recording = AbstractCtx(spec, {TARGET: _ReadMap(entry)}, _ReadArgs((5,)))
+    recording = AbstractCtx(spec, {TARGET: _ReadMap(entry)}, _ReadMap({0: 5}))
     recording.exit_models = {TARGET: _ReadMap(exit_)}
     for ctx in (
         CallCtx(co, (5,), {TARGET: entry}),
@@ -380,7 +390,7 @@ def test_both_contexts_read_and_refuse_alike():
     contexts = (
         lambda: CallCtx(co, (), entry),
         lambda: AbstractCtx(spec, entry, ()),
-        lambda: AbstractCtx(spec, {TARGET: _ReadMap(entry[TARGET])}, _ReadArgs(())),
+        lambda: AbstractCtx(spec, {TARGET: _ReadMap(entry[TARGET])}, _ReadMap({})),
     )
     exits = (lambda: exit_, lambda: exit_, recording_exit)
 
@@ -445,6 +455,13 @@ def test_both_contexts_read_and_refuse_alike():
     ]
 
 
+def test_abstract_context_has_no_identity():
+    ctx = AbstractCtx(None, {TARGET: {}}, (REF_ARG,))
+    for read in (ctx.self_id, lambda: ctx.arg_id(0)):
+        with pytest.raises(ModelEvalError, match="object identity is not part of abstract states"):
+            read()
+
+
 def test_recording_map_keeps_what_was_read():
     src = {"n": 1, "cap": 2}
     m = _ReadMap(src)
@@ -454,7 +471,7 @@ def test_recording_map_keeps_what_was_read():
     assert m.get("n") == 1 and set(m) == {"cap", "n"}
     m["n"] = 0  # a free coordinate, assigned, shadows the source
     assert m["n"] == m.get("n") == 0 and src["n"] == 1
-    args = _ReadArgs((5, None, 7))
+    args = _ReadMap(dict(enumerate((5, None, 7))))
     assert args[2] == 7 and args[1] is None and sorted(args) == [1, 2]
 
 
@@ -617,24 +634,23 @@ SEQUENCE_CLASSES = [
     c for c in ALL_CLASSES if "sequence" in build_class(c, "strong").model_names
 ]
 
-# (max_len, alphabet, unique for cursor_set, value_len)
+# (max_len, alphabet, unique for cursor_set, domain class)
 BOUNDS = {
-    "len3-abc2": (3, 2, True, None),
-    "len2-abc3": (2, 3, False, None),
-    "len3-abc2-short-values": (3, 2, True, 3),
+    "len3-abc2": (3, 2, True, SequenceDomain),
+    "len2-abc3": (2, 3, False, SequenceDomain),
+    "len3-abc2-short-values": (3, 2, True, ShortValuesDomain),
 }
 
 
 def sequence_tasks(class_name, bound):
-    max_len, alphabet, unique, value_len = BOUNDS[bound]
+    max_len, alphabet, unique, domain = BOUNDS[bound]
     strong = build_class(class_name, "strong")
     weak = build_class(class_name, "weak")
-    dom = SequenceDomain(
+    dom = domain(
         {class_name: strong},
         max_len=max_len,
         alphabet=alphabet,
         unique=unique and class_name == "cursor_set",
-        value_len=value_len,
     )
     for binding in (strong, weak):
         for rname in sorted(binding.routines):
@@ -669,9 +685,10 @@ def test_role_by_role_search_matches_flat_search(class_name, bound):
 @pytest.mark.parametrize("bound", sorted(BOUNDS))
 @pytest.mark.parametrize("unique", [False, True])
 def test_domain_sequences_match_one_element_at_a_time(bound, unique):
-    max_len, alphabet, _, value_len = BOUNDS[bound]
-    dom = SequenceDomain({}, max_len=max_len, alphabet=alphabet, unique=unique, value_len=value_len)
-    for n, got in ((max_len, dom.pre_seqs), (value_len or 2 * max_len, dom.value_seqs)):
+    max_len, alphabet, _, domain = BOUNDS[bound]
+    dom = domain({}, max_len=max_len, alphabet=alphabet, unique=unique)
+    value_len = max_len if domain is ShortValuesDomain else 2 * max_len
+    for n, got in ((max_len, dom.pre_seqs), (value_len, dom.value_seqs)):
         want = [
             s
             for s in all_seqs(n, alphabet)

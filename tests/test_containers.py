@@ -9,7 +9,7 @@ import mbcheck.values as V
 from mbcheck.engine import Engine, InvariantClause
 from mbcheck.containers import ALL_CLASSES, binary_node, build_class, cursor_list
 from mbcheck.containers import bugs as bug_catalog
-from mbcheck.containers._shared import ClassDecl, RoutineDecl, walk
+from mbcheck.containers._shared import ClassDecl, RoutineDecl, chain_items
 from mbcheck.containers.array_stack import ArrayStack
 from mbcheck.containers.cursor_list import CursorList
 from mbcheck.containers.cursor_set import CursorSet
@@ -88,7 +88,7 @@ def test_replace_checks_non_integer_items(cls):
     for op, *args in [("extend", "x"), ("start",), ("replace", "y")]:
         out = eng.call(a, op, *args)
         assert not out.violations, (op, signatures(out))
-    assert list(walk(a.concrete.first_cell)) == ["y"]
+    assert chain_items(a.concrete.first_cell) == ["y"]
     assert spec.routines["replace"].post == mk("cursor_list", "strong")[1].routines["replace"].post
 
 
@@ -118,7 +118,7 @@ def test_cursor_set_replace_unlinks_duplicate(level):
     eng.call(a, "forth",)  # cursor on 2
     out = eng.call(a, "replace", 1)  # 1 already present at position 1
     assert not out.violations, signatures(out)
-    assert list(walk(a.concrete.first_cell)) == [1, 3]
+    assert chain_items(a.concrete.first_cell) == [1, 3]
     assert a.concrete.index == 1  # earlier duplicate removed, cursor shifted
 
 
@@ -224,7 +224,7 @@ def test_mb2_cursor_drift_frame_vs_post():
     out = eng.call(a, "merge_right", b.concrete)
     assert signatures(out) == [("frame", "unchanged:target.index")]
     # content itself is right, only the cursor drifted
-    assert list(walk(a.concrete.first_cell)) == [8, 1]
+    assert chain_items(a.concrete.first_cell) == [8, 1]
 
     eng, spec = mk("cursor_list", "weak", ["MB-2"])
     a, b = eng.create(spec), eng.create(spec)
@@ -266,7 +266,7 @@ def test_ld1_stale_tail_cache():
     assert not eng.call(a, "back").violations
     assert eng.call(a, "item").result == 2
     assert not eng.call(a, "extend", 7).violations
-    assert list(walk(a.concrete.first_cell)) == [1, 2, 7]
+    assert chain_items(a.concrete.first_cell) == [1, 2, 7]
 
 
 def test_tw1_missing_back_link():
@@ -282,7 +282,7 @@ def test_tw1_missing_back_link():
     out = eng.call(a, "put_front", 2)
     assert signatures(out) == []
     # forward reads unaffected
-    assert list(walk(a.concrete.first_cell)) == [2, 1]
+    assert chain_items(a.concrete.first_cell) == [2, 1]
 
 
 def test_tw1_silent_on_empty():
@@ -320,7 +320,7 @@ def test_sr1_duplicate_after_replace():
     eng.call(a, "start")
     out = eng.call(a, "replace", 2)
     assert signatures(out) == []
-    assert list(walk(a.concrete.first_cell)) == [2, 2]
+    assert chain_items(a.concrete.first_cell) == [2, 2]
     assert spec.consistency_probe(a.concrete) is False
     out = eng.call(a, "remove", 2)
     assert signatures(out) == [("postcondition", "not_has")]
@@ -470,6 +470,15 @@ def test_detach_by_hand_breaks_the_absent_parent():
     assert not out.violations
     out = eng.call(p, "is_leaf")
     assert signatures(out) == [("invariant_entry", "parent_side_left")]
+
+
+def test_raw_binary_nodes_link_without_an_engine():
+    # no engine registered: the child's set_parent is called directly
+    parent, child = binary_node.BinaryNode(), binary_node.BinaryNode()
+    parent.set_left(child)
+    assert parent.left is child and child.parent is parent
+    parent.prune_left()
+    assert parent.left is None and child.parent is None
 
 
 def test_no_cycle_clause_is_experimental_and_strong_only():

@@ -10,6 +10,7 @@ from mbcheck.engine import (
     Engine,
     InvariantClause,
     ModelQuery,
+    Param,
     RoutineSpec,
     TARGET,
     ARG0,
@@ -428,6 +429,29 @@ def test_modify_unknown_query_rejected_at_bind_time():
         toy_specs(push_modify=("sequins",))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: InvariantClause("c", lambda m, o: True, kind="ghost"), "invariant kind"),
+        (lambda: Param("ghost"), "unknown param kind 'ghost'"),
+        (
+            lambda: ClassSpec("toy", "medium", [], [], {}, Toy),
+            "level must be weak or strong",
+        ),
+        (
+            lambda: ClassSpec(
+                "toy", "strong", [ModelQuery("n", len), ModelQuery("n", len)], [], {}, Toy
+            ),
+            "duplicate model query names in toy",
+        ),
+    ],
+    ids=["invariant_kind", "param_kind", "level", "duplicate_query"],
+)
+def test_malformed_declarations_are_spec_errors(build, message):
+    with pytest.raises(SpecError, match=message):
+        build()
+
+
 def test_derive_frame_postconditions_enumerates_universe_minus_modify():
     spec = toy_specs()
     r = spec.routines["swap_index_with"]
@@ -465,6 +489,35 @@ def test_model_eval_error_during_query_evaluation():
     out = eng.checked_call(co, spec.routines["noop"], ())
     assert [v.kind for v in out.violations] == [MODEL_EVAL_ERROR]
     assert out.violations[0].clause == "model"
+
+
+def test_model_query_raising_at_exit_skips_every_exit_check():
+    # the entry state evaluates; the body breaks what the sequence query
+    # reads, so only the exit models fail
+    def seq_eval(o):
+        if getattr(o, "broken", False):
+            raise ZeroDivisionError("exit only")
+        return V.sequence(o.items)
+
+    spec = toy_specs(seq_eval=seq_eval)
+    size = spec.routines["size"]
+    body = size.body
+
+    def break_then_size(o):
+        o.broken = True
+        return body(o)
+
+    size.body = break_then_size
+    events = logged(spec)
+    eng = Engine()
+    co = eng.create(spec)
+    co.concrete.items = [4, 5]
+    out = eng.checked_call(co, size, ())
+    assert out.result == 2 and out.invalid is False
+    assert [(v.kind, v.clause) for v in out.violations] == [(MODEL_EVAL_ERROR, "model")]
+    assert "exit only" in out.violations[0].detail
+    # no exit invariant, postcondition or frame predicate ran
+    assert events[events.index(("body", "size")) + 1 :] == []
 
 
 # --- depend eligibility ---------------------------------------------------

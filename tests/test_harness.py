@@ -8,8 +8,7 @@ import shutil
 
 import pytest
 
-from mbcheck.containers import domains
-from mbcheck.containers.domains import SequenceDomain
+from mbcheck.containers import build_class, domains
 from mbcheck.errors import ConfigError
 from mbcheck.harness import (
     SessionConfig,
@@ -22,6 +21,7 @@ from mbcheck.harness import (
 from mbcheck.harness import cli
 from mbcheck.harness.compare import throughput_ratios
 from mbcheck.harness.cli import main
+from test_completeness_probe import ShortValuesDomain
 
 
 def cfg(**kw):
@@ -55,6 +55,41 @@ def test_config_requires_exactly_one_budget():
 def test_config_rejects_unbounded_budget_and_negative_size(kw, message):
     # a nan budget never ends a session; a negative size evicts every object
     # after every call
+    with pytest.raises(ConfigError, match=message):
+        cfg(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"seed": None}, "seed must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": "3"}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"max_calls": True}, "max_calls must be an integer or None"),
+        ({"max_calls": 2.5}, "max_calls must be an integer or None"),
+    ],
+    ids=["none_seed", "float_seed", "str_seed", "bool_seed", "bool_max_calls", "float_max_calls"],
+)
+def test_config_refuses_what_a_report_cannot_hold(kw, message):
+    # a None seed runs unseeded, so two runs of one config differ, and the
+    # others run to the end and write a report that read_report refuses
+    with pytest.raises(ConfigError, match=message):
+        cfg(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"max_calls": 0}, "max_calls must be positive"),
+        ({"p_new": 0.0}, r"p_new must be in \(0, 1\]"),
+        ({"p_new": 1.5}, r"p_new must be in \(0, 1\]"),
+        ({"pool_max": 0}, "pool_max must be positive"),
+        ({"alphabet": 0}, "alphabet must be positive"),
+    ],
+    ids=["zero_max_calls", "zero_p_new", "large_p_new", "zero_pool_max", "zero_alphabet"],
+)
+def test_config_refuses_empty_generator_settings(kw, message):
     with pytest.raises(ConfigError, match=message):
         cfg(**kw)
 
@@ -190,6 +225,17 @@ def test_report_round_trip(tmp_path):
     timing = json.loads((tmp_path / "r.jsonl.timing").read_text())
     assert set(timing) == {"cpu_s", "wall_s"}
     assert timing["cpu_s"] > 0
+
+
+def test_wall_budget_report_reads_back_and_sets_the_curve_budget(tmp_path):
+    res = run_session(cfg(max_calls=None, wall_secs=0.05))
+    path = tmp_path / "r.jsonl"
+    write_report(path, res)
+    rep = read_report(path)
+    assert rep["header"]["budget"] == {"wall_secs": 0.05}
+    # with no call budget, the curve runs to the calls the session made
+    curve = compare_reports([path])["curves"]["strong"]
+    assert curve[-1][0] == rep["summary"]["calls"] == res.calls > 0
 
 
 def test_report_bytes_exclude_wall_clock(tmp_path):
@@ -632,6 +678,27 @@ def test_cli_compare_unreadable_timing_sidecar_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_compare_unknown_level_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "r.jsonl"
+    rows = [dict(GOOD_HEADER, level="medium"), GOOD_SUMMARY]
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["compare", str(p)]) == 2
+    assert capsys.readouterr().err == "error: unknown level 'medium' in reports\n"
+
+
+def test_cli_probe_unknown_routine_is_a_config_error(capsys):
+    assert main(["probe", "--class", "cursor_list", "--routine", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cursor_list has no routine 'nope' at level strong\n"
+    assert captured.out == ""
+
+
+def test_cli_probe_prints_a_void_reference_argument():
+    routine = build_class("cursor_list", "weak").routines["merge_right"]
+    assert cli._fmt_args(routine, (None,)) == "(void)"
+    assert cli._fmt_args(routine, (domains.REF_ARG,)) == "(<ref arg0>)"
+
+
 def test_cli_probe_witness_prints_plain_arguments(capsys):
     # weak cursor_list.replace leaves the cursor free; its one argument is an
     # item, printed as its value
@@ -691,10 +758,7 @@ def test_cli_probe_weak_forth_at_a_larger_bound(capsys):
 def test_cli_probe_inconclusive_exits_0(capsys, monkeypatch):
     # with candidates no longer than the pre-states, strong merge_right's
     # spliced sequence has no candidate; that is no proof of incompleteness
-    def short_values(role_specs, **bounds):
-        return SequenceDomain(role_specs, value_len=bounds["max_len"], **bounds)
-
-    monkeypatch.setattr(cli, "SequenceDomain", short_values)
+    monkeypatch.setattr(cli, "SequenceDomain", ShortValuesDomain)
     assert main(["probe", "--class", "cursor_list", "--routine", "merge_right"]) == 0
     out = capsys.readouterr().out
     assert "inconclusive" in out and "no admissible post-state" in out
