@@ -11,7 +11,8 @@ model query or a derived attribute), so one predicate object serves the weak
 binding, the strong binding, and abstract probe states alike. The motion
 postconditions are pure index arithmetic and equally strong at either level.
 ``LIST_ROUTINES``, ``LIST_POST`` and ``LIST_MODIFY`` name the routines both
-linked lists declare and give their postconditions and strong frames. Model
+linked lists declare and give their postconditions and their commands' strong
+frames; a query that a strong binding leaves unframed modifies nothing. Model
 queries and invariants are made anew for each build, so no two bindings share
 one.
 """
@@ -265,7 +266,8 @@ LIST_POST = {
     },
 }
 
-# the strong frames of the routines both linked lists declare
+# the strong frames of the commands both linked lists declare; their
+# queries (has, item, off) modify nothing
 LIST_MODIFY = {
     "extend": ("sequence",),
     "replace": ("sequence",),
@@ -276,7 +278,4 @@ LIST_MODIFY = {
     "back": ("index",),
     "go_i_th": ("index",),
     "wipe_out": ("sequence", "index"),
-    "has": (),
-    "item": (),
-    "off": (),
 }

@@ -9,7 +9,9 @@ Each class declares its routines once, in a ``ClassDecl``: body, parameters,
 preconditions and whether the routine returns a value. A level (weak or
 strong) is an overlay on that table: it brings the model queries, invariants
 and attribute derivations, each routine's postconditions and, at the strong
-level only, each routine's frame (``modify``).
+level only, each command's frame (``modify``). A query (a routine declared
+with ``returns_value=True``) that the strong overlay leaves out modifies
+nothing.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class ClassDecl:
 
         ``post`` maps routine names to their postconditions and ``pre`` to
         preconditions appended at this level. The strong level maps every
-        routine to its ``modify`` frame; weak routines are unframed.
+        command to its ``modify`` frame, and a query it leaves out gets
+        ``modify=()``; weak routines are unframed.
         """
         modify, pre = dict(modify), dict(pre)
         declared = {r.name for r in self.routines}
@@ -98,8 +101,8 @@ class ClassDecl:
                     % (self.name, level, ", ".join(sorted(unknown)))
                 )
         framed = level == "strong"
-        if framed and set(modify) != declared:
-            raise SpecError("%s strong binding must frame every routine" % self.name)
+        if framed and any(r.name not in modify for r in self.routines if not r.returns_value):
+            raise SpecError("%s strong binding must frame every command" % self.name)
         if not framed and modify:
             raise SpecError("%s weak binding must be unframed" % self.name)
         concrete = self.concrete
@@ -115,7 +118,7 @@ class ClassDecl:
                     r.body,
                     pre=r.pre + tuple(pre.get(r.name, ())),
                     post=post.get(r.name, ()),
-                    modify=modify[r.name] if framed else None,
+                    modify=modify.get(r.name, ()) if framed else None,
                     returns_value=r.returns_value,
                 )
                 for r in self.routines

@@ -91,8 +91,6 @@ def build(level, bugs=frozenset()):
                 "push": ("sequence",),
                 "pop": ("sequence",),
                 "wipe_out": ("sequence",),
-                "top": (),
-                "is_empty": (),
             },
         )
     return DECL.spec(

@@ -265,7 +265,5 @@ def build(level, bugs=frozenset()):
             "prune_left": (("target", "left"),),
             "prune_right": (("target", "right"),),
             "set_parent": (("target", "parent"),),
-            "node_item": (),
-            "is_leaf": (),
         },
     )

@@ -153,7 +153,7 @@ def build(level, bugs=frozenset()):
                 ],
                 "merge_right": [defines("spliced", "sequence", _spliced)],
             },
-            modify={**LIST_MODIFY, "is_equal": (), "merge_right": (("target", "sequence"),)},
+            modify={**LIST_MODIFY, "merge_right": (("target", "sequence"),)},
         )
     return DECL.spec(
         level,

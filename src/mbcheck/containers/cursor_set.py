@@ -231,10 +231,6 @@ def build(level, bugs=frozenset()):
                 "start": ("index",),
                 "forth": ("index",),
                 "wipe_out": ("sequence", "index"),
-                "has": (),
-                "item": (),
-                "off": (),
-                "is_equal": (),
             },
         )
     return DECL.spec(

@@ -161,8 +161,6 @@ def build(level, bugs=frozenset()):
                 "put": ("sequence",),
                 "force": ("sequence", "lower"),
                 "wipe_out": ("sequence", "lower"),
-                "item": (),
-                "item_count": (),
             },
         )
     return DECL.spec(

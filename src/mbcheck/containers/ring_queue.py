@@ -130,8 +130,6 @@ def build(level, bugs=frozenset()):
                 "put": ("sequence",),
                 "remove": ("sequence",),
                 "wipe_out": ("sequence",),
-                "item": (),
-                "is_empty": (),
             },
         )
     return DECL.spec(

@@ -21,7 +21,8 @@ model lives in its role map, and a present one is the same value in every
 pre-state's arguments, so arguments compare by value.
 Predicates are evaluated over an abstract context with the same model
 accessors as the runtime one (``ModelCtx``); predicates that probe concrete
-state raise and are reported as not abstractly evaluable.
+state raise, and a pre- or postcondition that raises any exception is
+reported as not abstractly evaluable.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def completeness_probe(class_spec, routine, domain):
       before its search; the filter is deterministic, so drawing on demand
       gives the lists that filtering them whole gives.
 
-    A search that fails (no post-state, two, or a ``ModelEvalError``) ends
+    A search that fails (no post-state, two, or a clause that raises) ends
     the probe at once and is never stored, so the verdict, the witnesses
     and ``pre_states_checked`` are those of a search of every pre-state. A
     model invariant ends the probe with its own exception if it raises on a
@@ -225,10 +226,10 @@ def completeness_probe(class_spec, routine, domain):
         try:
             if not all(p.fn(ctx) for p in routine.pre):
                 continue
-        except ModelEvalError as e:
+        except Exception as e:
             raise ConfigError(
                 "%s.%s precondition is not abstractly evaluable: %s"
-                % (class_spec.name, routine.name, e)
+                % (class_spec.name, routine.name, _clause_error(e))
             )
         checked += 1
 
@@ -274,7 +275,7 @@ def completeness_probe(class_spec, routine, domain):
         # once a search has succeeded every list is whole, so the later
         # searches take itertools.product: through _product's generators
         # they read strong probe throughput 3-5% lower. Only a
-        # postcondition's ModelEvalError is converted; a model invariant
+        # postcondition's exception is converted; a model invariant
         # raising as a candidate is drawn keeps its own exception
         for combo in (itertools.product if decided else _product)(*search_lists):
             for m, assignment in zip(role_maps, combo):
@@ -292,10 +293,10 @@ def completeness_probe(class_spec, routine, domain):
                         found.append((witness, result))
                         if len(found) == 2:
                             return ProbeResult("incomplete", pre, found, checked, searched)
-                except ModelEvalError as e:
+                except Exception as e:
                     raise ConfigError(
                         "%s.%s postcondition is not abstractly evaluable: %s"
-                        % (class_spec.name, routine.name, e)
+                        % (class_spec.name, routine.name, _clause_error(e))
                     )
         if not found:
             return ProbeResult("inconclusive", pre, [], checked, searched)
@@ -306,6 +307,12 @@ def completeness_probe(class_spec, routine, domain):
         read = (tuple(sorted(coords)), tuple(sorted(ctx.args)))
         decided.setdefault(base, {}).setdefault(read, set()).add(_project(entry, args, read))
     return ProbeResult("complete", None, [], checked, searched)
+
+
+def _clause_error(e):
+    """How a clause's exception reads in the probe's ``ConfigError``: a
+    ``ModelEvalError`` by its text, any other exception by its repr."""
+    return str(e) if isinstance(e, ModelEvalError) else repr(e)
 
 
 def _project(entry, args, read):

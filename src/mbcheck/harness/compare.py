@@ -124,8 +124,10 @@ def compare_reports(paths):
 def throughput_ratios(paths):
     """class -> median weak calls per CPU second over median strong calls per
     CPU second (how many times faster weak checking runs), from timing
-    sidecars. Reports without a sidecar and classes missing either level are
-    skipped; a sidecar that exists but cannot be read raises OSError."""
+    sidecars. Reports without a sidecar, reports whose calls or sidecar
+    ``cpu_s`` is 0 (a coarse process clock can read 0), and classes missing
+    either level are skipped; a sidecar that exists but cannot be read
+    raises OSError."""
     rates = {}
     for p in paths:
         rep = read_report(p)
@@ -134,14 +136,13 @@ def throughput_ratios(paths):
             cpu_s = read_timing(p)["cpu_s"]
         except FileNotFoundError:
             continue
-        rate = rep["summary"]["calls"] / cpu_s if cpu_s > 0 else 0.0
-        rates.setdefault(h["class"], {}).setdefault(h["level"], []).append(rate)
+        calls = rep["summary"]["calls"]
+        if calls > 0 and cpu_s > 0:
+            rates.setdefault(h["class"], {}).setdefault(h["level"], []).append(calls / cpu_s)
     out = {}
     for cls, by_level in sorted(rates.items()):
         if "weak" in by_level and "strong" in by_level:
-            s = median(by_level["strong"])
-            if s > 0:
-                out[cls] = median(by_level["weak"]) / s
+            out[cls] = median(by_level["weak"]) / median(by_level["strong"])
     return out
 
 

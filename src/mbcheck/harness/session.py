@@ -50,10 +50,15 @@ class SessionConfig:
 
     def __post_init__(self):
         # the report's rule: its reader refuses any other type, a bool too
-        if type(self.seed) is not int:
-            raise ConfigError("seed must be an integer")
+        for name in ("seed", "pool_max", "max_object_size", "alphabet"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError("%s must be an integer" % name)
         if self.max_calls is not None and type(self.max_calls) is not int:
             raise ConfigError("max_calls must be an integer or None")
+        if type(self.p_new) not in (int, float):
+            raise ConfigError("p_new must be a number")
+        if self.wall_secs is not None and type(self.wall_secs) not in (int, float):
+            raise ConfigError("wall_secs must be a number or None")
         ids = list(self.bugs)  # a set of ids is accepted too, and has no count
         for bug_id in ids:
             if ids.count(bug_id) > 1:

@@ -309,6 +309,33 @@ def test_exit_state_read_in_precondition_is_refused():
         probe(r)
 
 
+@pytest.mark.parametrize(
+    "clause, stage, error",
+    [
+        ("pre", "precondition", r"IndexError\('tuple index out of range'\)"),
+        ("post", "postcondition", r"KeyError\(1\)"),
+    ],
+    ids=["pre", "post"],
+)
+def test_any_clause_exception_is_refused_by_its_repr(clause, stage, error):
+    # the routine has no arguments, so reading one raises: a precondition
+    # reads the argument tuple, a postcondition the map of arguments read
+    reads_arg = [pred("reads_arg", lambda ctx: ctx.arg(1) == 0)]
+    r = RoutineSpec(
+        "noop",
+        [],
+        lambda o: None,
+        pre=reads_arg if clause == "pre" else (),
+        post=reads_arg if clause == "post" else (),
+        modify=(),
+    )
+    with pytest.raises(
+        ConfigError,
+        match=r"^abox\.noop %s is not abstractly evaluable: %s$" % (stage, error),
+    ):
+        probe(r)
+
+
 # --- one predicate surface for the runtime and the probe -------------------
 
 PREDICATE_SURFACE = (
@@ -590,7 +617,7 @@ def reference_probe(class_spec, routine, domain):
         try:
             if not all(p.fn(ctx) for p in routine.pre):
                 continue
-        except ModelEvalError as e:
+        except Exception as e:
             raise ConfigError("precondition is not abstractly evaluable: %s" % e)
         checked += 1
         universe = []
@@ -619,7 +646,7 @@ def reference_probe(class_spec, routine, domain):
                     admitted = all(p.fn(ctx) for p in routine.post) and all(
                         p.fn(ctx) for p in routine.frame_preds
                     )
-                except ModelEvalError as e:
+                except Exception as e:
                     raise ConfigError("postcondition is not abstractly evaluable: %s" % e)
                 if admitted:
                     found.append((exit_maps, result))
@@ -658,19 +685,13 @@ def sequence_tasks(class_name, bound):
 
 
 def outcome(probe_fn, strong, routine, dom):
-    """What a probe run shows, with fresh argument tokens made comparable."""
+    """What a probe run shows: its verdict, pre-states checked and
+    witnesses, or whether it refused a clause as not abstractly evaluable."""
     try:
         res = probe_fn(strong, routine, dom)
     except ConfigError as e:
         return ("refused", "not abstractly evaluable" in str(e))
-
-    def pre(p):
-        if p is None:
-            return None
-        args = tuple("<ref>" if type(a) is object else a for a in p["args"])
-        return p["roles"], args
-
-    return (res.verdict, res.pre_states_checked, pre(res.witness_pre), res.witness_posts)
+    return (res.verdict, res.pre_states_checked, res.witness_pre, res.witness_posts)
 
 
 @pytest.mark.parametrize("bound", sorted(BOUNDS))

@@ -6,8 +6,8 @@ from __future__ import annotations
 import pytest
 
 import mbcheck.values as V
-from mbcheck.engine import Engine, InvariantClause
-from mbcheck.containers import ALL_CLASSES, binary_node, build_class, cursor_list
+from mbcheck.engine import Engine, InvariantClause, ModelQuery
+from mbcheck.containers import ALL_CLASSES, array_stack, binary_node, build_class, cursor_list
 from mbcheck.containers import bugs as bug_catalog
 from mbcheck.containers._shared import ClassDecl, RoutineDecl, chain_items
 from mbcheck.containers.array_stack import ArrayStack
@@ -584,10 +584,35 @@ def test_overlay_must_name_declared_routines():
         decl.spec("weak", frozenset(), model=[], post={}, pre={"pop": []})
     with pytest.raises(SpecError, match="undeclared routines pop"):
         decl.spec("strong", frozenset(), model=[], post={}, modify={"push": (), "pop": ()})
-    with pytest.raises(SpecError, match="frame every routine"):
+    with pytest.raises(SpecError, match="frame every command"):
         decl.spec("strong", frozenset(), model=[], post={}, modify={})
     with pytest.raises(SpecError, match="unframed"):
         decl.spec("weak", frozenset(), model=[], post={}, modify={"push": ()})
+
+
+def test_strong_query_left_unframed_modifies_nothing():
+    # a query the strong overlay leaves out derives the frame of modify=();
+    # one it frames keeps its frame as written; a command must be framed
+    commands = {"push": ("sequence",), "pop": ("sequence",), "wipe_out": ("sequence",)}
+
+    def frames(modify):
+        spec = array_stack.DECL.spec(
+            "strong",
+            frozenset(),
+            model=[ModelQuery("sequence", lambda o: V.item_sequence(o.storage))],
+            post={},
+            modify=modify,
+        )
+        return {r.name: (r.modify, [p.name for p in r.frame_preds]) for r in spec.routines.values()}
+
+    left_out = frames(commands)
+    assert left_out == frames({**commands, "top": (), "is_empty": ()})
+    assert left_out["top"] == left_out["is_empty"] == ((), ["unchanged:target.sequence"])
+    framed = frames({**commands, "top": ("sequence",)})
+    assert framed["top"] == ((("target", "sequence"),), [])
+    assert framed["is_empty"] == left_out["is_empty"]
+    with pytest.raises(SpecError, match="array_stack strong binding must frame every command"):
+        frames({"push": ("sequence",), "pop": ("sequence",), "top": ()})
 
 
 # --- catalog sanity -------------------------------------------------------

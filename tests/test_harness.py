@@ -12,6 +12,7 @@ from mbcheck.containers import build_class, domains
 from mbcheck.errors import ConfigError
 from mbcheck.harness import (
     SessionConfig,
+    SessionResult,
     compare_reports,
     read_report,
     render_report,
@@ -68,12 +69,23 @@ def test_config_rejects_unbounded_budget_and_negative_size(kw, message):
         ({"seed": True}, "seed must be an integer"),
         ({"max_calls": True}, "max_calls must be an integer or None"),
         ({"max_calls": 2.5}, "max_calls must be an integer or None"),
+        ({"alphabet": 2.5}, "alphabet must be an integer"),
+        ({"pool_max": 2.5}, "pool_max must be an integer"),
+        ({"max_object_size": True}, "max_object_size must be an integer"),
+        ({"p_new": True}, "p_new must be a number"),
+        ({"wall_secs": True}, "wall_secs must be a number or None"),
     ],
-    ids=["none_seed", "float_seed", "str_seed", "bool_seed", "bool_max_calls", "float_max_calls"],
+    ids=[
+        "none_seed", "float_seed", "str_seed", "bool_seed", "bool_max_calls", "float_max_calls",
+        "float_alphabet", "float_pool_max", "bool_max_object_size", "bool_p_new",
+        "bool_wall_secs",
+    ],
 )
 def test_config_refuses_what_a_report_cannot_hold(kw, message):
-    # a None seed runs unseeded, so two runs of one config differ, and the
-    # others run to the end and write a report that read_report refuses
+    # a None seed runs unseeded, so two runs of one config differ; a float
+    # alphabet fails at the first item argument drawn; the others run to the
+    # end and write a report header that read_report refuses or that holds
+    # 2.5 or true where the generator wants a count or a number
     with pytest.raises(ConfigError, match=message):
         cfg(**kw)
 
@@ -345,6 +357,27 @@ RATES = {
 def test_throughput_ratios_prefer_cpu_time(report_batch, tmp_path):
     # the ratios are the CPU ones; the sidecars' wall times are ignored
     paths = _with_sidecars(report_batch, tmp_path, RATES)
+    assert throughput_ratios(paths) == pytest.approx({"cursor_list": 4.0, "ring_queue": 1.5})
+
+
+@pytest.mark.parametrize(
+    "calls, cpu_s", [(500, 0.0), (0, 0.5)], ids=["zero_cpu_s", "zero_calls"]
+)
+def test_throughput_ratios_leave_out_zero_rates(report_batch, tmp_path, calls, cpu_s):
+    # a coarse process clock reads cpu_s 0, and a tiny wall_secs budget can
+    # end a session before its first call. Two such reports would halve the
+    # median of the level they join, and weak ones alone would give their
+    # class a ratio of 0, so they are left out as reports without a sidecar are
+    paths = _with_sidecars(report_batch, tmp_path, RATES)
+    zero_rated = [("cursor_list", "weak"), ("ring_queue", "strong"), ("array_stack", "weak")]
+    extra = [("array_stack", "strong", 100, 1.0)] + [
+        (cls, level, calls, cpu_s) for cls, level in zero_rated for _ in range(2)
+    ]
+    for n, (cls, level, c, t) in enumerate(extra):
+        p = tmp_path / ("extra-%d.jsonl" % n)
+        res = SessionResult(SessionConfig(cls, level, seed=n, wall_secs=1.0), calls=c, cpu_s=t)
+        write_report(p, res)
+        paths.append(p)
     assert throughput_ratios(paths) == pytest.approx({"cursor_list": 4.0, "ring_queue": 1.5})
 
 
