@@ -11,6 +11,7 @@ inconclusive here. A routine judged complete is complete up to the bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import mbcheck.values as V
@@ -99,10 +100,17 @@ class SequenceDomain:
         self.role_specs = dict(role_specs)
         self.max_len = max_len
         self.alphabet = alphabet
+        self.unique = unique
         self.pre_seqs = _all_seqs(max_len, alphabet, unique)
-        self.value_seqs = _all_seqs(2 * max_len, alphabet, unique)
         self.index_values = list(range(2 * max_len + 2))
         self._states = {}  # spec -> _role_states
+
+    @functools.cached_property
+    def value_seqs(self):
+        """The candidate exit sequences, up to twice ``max_len`` elements,
+        built when first asked for: a probe that frees no sequence query
+        never needs them."""
+        return _all_seqs(2 * self.max_len, self.alphabet, self.unique)
 
     def role_spec(self, ref_class):
         spec = self.role_specs.get(ref_class)
@@ -145,21 +153,22 @@ class SequenceDomain:
             if p.kind != "ref"
         ]
         plain_args = list(itertools.product(*pools))
-
-        for tm in target_states:
-            if not refs:
+        if not refs:
+            for tm in target_states:
                 for args in plain_args:
                     yield {"roles": {TARGET: tm}, "args": args}
-                continue
-            ((k, role),) = refs
+            return
+
+        ((k, role),) = refs
+        # the arguments with the reference present, then void
+        present = [args[:k] + (REF_ARG,) + args[k:] for args in plain_args]
+        void = [args[:k] + (None,) + args[k:] for args in plain_args]
+        for tm in target_states:
             for am in self._role_states(self.role_spec(class_spec.name)):
-                for args in plain_args:
-                    yield {
-                        "roles": {TARGET: tm, role: am},
-                        "args": args[:k] + (REF_ARG,) + args[k:],
-                    }
-            for args in plain_args:
-                yield {"roles": {TARGET: tm}, "args": args[:k] + (None,) + args[k:]}
+                for args in present:
+                    yield {"roles": {TARGET: tm, role: am}, "args": args}
+            for args in void:
+                yield {"roles": {TARGET: tm}, "args": args}
 
     def value_choices(self, qname):
         return self.value_seqs if qname == "sequence" else self.index_values

@@ -28,6 +28,7 @@ reported as not abstractly evaluable.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from mbcheck.errors import ConfigError, ModelEvalError
 from mbcheck.engine.specs import TARGET, ModelCtx
@@ -152,7 +153,8 @@ def completeness_probe(class_spec, routine, domain):
     defining clauses over free coordinates (no run when the routine returns
     a value, which ``expected`` could read), evaluates each ``expected``
     once over the entry state, and keeps, in order, the candidates of that
-    coordinate's role whose value there equals it. The search then gives
+    coordinate's role whose value there equals it (a complete list looks
+    them up in an index it builds on first use). The search then gives
     what testing every candidate gives, because:
 
     - a dropped candidate would have failed the first clause of the run it
@@ -175,18 +177,19 @@ def completeness_probe(class_spec, routine, domain):
     A pre-state already decided is counted but not searched again. Each
     search that admits exactly one post-state is stored under its *base
     key* (the role-map shape and each role's filtered candidate list by
-    content) together with what it read: the pre-state coordinates and
-    arguments the postconditions read, and the pre-state's values there.
-    The context records these reads in the data it is handed, once per
-    coordinate rather than once per lookup: each role map starts empty and
-    copies a query in from the pre-state on its first lookup (by subscript,
-    ``get`` or ``in``, from an accessor or a derivation), so its keys are
-    the queries read, and the arguments, a map from position to value, work
-    the same way. An exit map starts with the free coordinates, which each
-    candidate assigns, and its fixed ones fill from the entry maps; the
-    reads are its keys less the free coordinates.
-    A later pre-state with the same base key that agrees with a stored one
-    on everything that search read is not searched. This is sound because:
+    content) with what it read: the pre-state coordinates and arguments
+    the postconditions read, and the pre-state's values there. Each role
+    map of the context starts empty and copies a query in from the
+    pre-state on its first lookup (by subscript, ``get`` or ``in``), so its
+    keys are the queries read; the arguments, a map from position to value,
+    work the same way. An exit map starts with the free coordinates and
+    fills its fixed ones from the entry maps; its reads are its keys less
+    the free ones. A later pre-state with the same base key that agrees
+    with a stored one on everything that search read is not searched, and
+    costs little beyond its precondition: the layout's ``itemgetter`` per
+    role over its fixed queries gives the role's key, and each stored read
+    set has a projector, a getter per role read and one over the arguments,
+    built once from its sorted coordinates. This is sound because:
 
     - the checks are deterministic and read a pre-state only through those
       maps and arguments, so two searches over the same candidates and
@@ -209,31 +212,37 @@ def completeness_probe(class_spec, routine, domain):
     model invariant ends the probe with its own exception if it raises on a
     candidate the first search reaches, or on any candidate of a list filled
     after it, which a search of every pre-state may never reach. Pre-state
-    and candidate values must be hashable.
+    and candidate values must be hashable, and so must a defining clause's
+    expected value.
     """
     posts = routine.post
     results = tuple(domain.result_choices(routine)) if routine.returns_value else (None,)
     layouts = {}  # role-map shape -> see _layout
     admitted_by_role = {}  # role key -> _Admitted; see _role_candidates
     interned = {}  # filtered candidate list -> its number, so equal lists key alike
-    decided = {}  # base key -> {read set: projections of pre-states decided}
+    decided = {}  # base key -> {read set: (its projector, projections decided)}
 
     checked = searched = 0
     for pre in domain.pre_states(class_spec, routine):
         entry = pre["roles"]
         args = pre["args"]
         ctx = AbstractCtx(class_spec, entry, args)
+        holds = True
         try:
-            if not all(p.fn(ctx) for p in routine.pre):
-                continue
+            for p in routine.pre:
+                if not p.fn(ctx):
+                    holds = False
+                    break
         except Exception as e:
             raise ConfigError(
                 "%s.%s precondition is not abstractly evaluable: %s"
                 % (class_spec.name, routine.name, _clause_error(e))
             )
+        if not holds:
+            continue
         checked += 1
 
-        shape = tuple((role, tuple(m)) for role, m in entry.items())
+        shape = tuple([(role, tuple(m)) for role, m in entry.items()])
         layout = layouts.get(shape)
         if layout is None:
             layout = layouts[shape] = _layout(shape, routine, domain)
@@ -241,9 +250,9 @@ def completeness_probe(class_spec, routine, domain):
 
         role_lists = []
         list_numbers = []
-        for role, role_free, fixed, lists in order:
+        for role, role_free, fixed, lists, fixed_values in order:
             m = entry[role]
-            key = (role, role_free, fixed, tuple(m[q] for q in fixed))
+            key = (role, role_free, fixed, fixed_values(m))
             admitted = admitted_by_role.get(key)
             if admitted is None:
                 admitted = admitted_by_role[key] = _Admitted()
@@ -257,9 +266,13 @@ def completeness_probe(class_spec, routine, domain):
 
         base = (shape, tuple(list_numbers))
         stored = decided.get(base)
-        if stored is not None and any(
-            _project(entry, args, read) in seen for read, seen in stored.items()
-        ):
+        if stored is not None:
+            for project, seen in stored.values():
+                if project(entry, args) in seen:
+                    break
+            else:
+                stored = None
+        if stored is not None:  # an earlier search decided this pre-state
             continue
         searched += 1
 
@@ -269,7 +282,7 @@ def completeness_probe(class_spec, routine, domain):
         ctx.args = _ReadMap(dict(enumerate(args)))
         exit_maps = {role: _ReadMap(m) for role, m in entry.items()}
         search_lists = _solve(ctx, solved, role_lists)
-        role_maps = [exit_maps[role] for role, _, _, _ in order]
+        role_maps = [exit_maps[role] for role, _, _, _, _ in order]
         ctx.exit_models = exit_maps
         found = []
         # once a search has succeeded every list is whole, so the later
@@ -305,7 +318,11 @@ def completeness_probe(class_spec, routine, domain):
         # a fixed exit value is its entry value; a free one is a candidate
         coords = _reads(ctx.entry_models).union(_reads(exit_maps) - free)
         read = (tuple(sorted(coords)), tuple(sorted(ctx.args)))
-        decided.setdefault(base, {}).setdefault(read, set()).add(_project(entry, args, read))
+        stored = decided.setdefault(base, {})
+        if read not in stored:
+            stored[read] = (_projector(*read), set())
+        project, seen = stored[read]
+        seen.add(project(entry, args))
     return ProbeResult("complete", None, [], checked, searched)
 
 
@@ -315,23 +332,30 @@ def _clause_error(e):
     return str(e) if isinstance(e, ModelEvalError) else repr(e)
 
 
-def _project(entry, args, read):
-    """The values of one pre-state at the coordinates and argument
-    positions of ``read``."""
-    coords, arg_ks = read
-    return (
-        tuple([entry[role][q] for role, q in coords]),
-        tuple([args[k] for k in arg_ks]),
+def _values_at(keys):
+    """``itemgetter(*keys)``, or a function giving () for no keys."""
+    return itemgetter(*keys) if keys else lambda m: ()
+
+
+def _projector(coords, arg_ks):
+    """A function giving one pre-state's values at the sorted ``(role,
+    query)`` coordinates ``coords`` and the argument positions ``arg_ks``:
+    a getter per role read, and one over the arguments."""
+    getters = tuple(
+        (role, itemgetter(*[q for _, q in at]))
+        for role, at in itertools.groupby(coords, key=itemgetter(0))
     )
+    arg_values = _values_at(arg_ks)
+    return lambda entry, args: (tuple([g(entry[r]) for r, g in getters]), arg_values(args))
 
 
 def _layout(shape, routine, domain):
     """How to search the pre-states of one role-map shape:
 
     - the search order, a list with one ``(role name, free query names,
-      fixed query names, candidate value list per free query)`` per role
-      present, target first, then the arguments by role name (``modify is
-      None`` frees every query);
+      fixed query names, candidate value list per free query, getter of
+      the fixed values)`` per role present, target first, then the
+      arguments by role name (``modify is None`` frees every query);
     - the set of free ``(role name, query)`` coordinates;
     - the text of the error the first derived frame predicate to raise on
       this shape raises, or None. On the probe's exit maps a frame
@@ -349,7 +373,7 @@ def _layout(shape, routine, domain):
             q for q in qnames if modified is None or (role, q) in modified
         )
         fixed = tuple(q for q in qnames if q not in free)
-        out.append((role, free, fixed, tuple(domain.value_choices(q) for q in free)))
+        out.append((role, free, fixed, tuple(map(domain.value_choices, free)), _values_at(fixed)))
     placeholders = {role: dict.fromkeys(qnames) for role, qnames in shape}
     frame = AbstractCtx(None, placeholders, ())  # frame predicates read no spec
     frame.exit_models = placeholders
@@ -360,8 +384,8 @@ def _layout(shape, routine, domain):
         except ModelEvalError as e:
             frame_error = str(e)
             break
-    free = frozenset((role, q) for role, role_free, _, _ in out for q in role_free)
-    slots = {role: (slot, role_free) for slot, (role, role_free, _, _) in enumerate(out)}
+    free = frozenset((role, q) for role, role_free, _, _, _ in out for q in role_free)
+    slots = {role: (slot, role_free) for slot, (role, role_free, _, _, _) in enumerate(out)}
     solved = []
     if not routine.returns_value:  # expected could read a result
         for p in routine.post:
@@ -396,10 +420,12 @@ def _solve(ctx, solved, role_lists):
 class _Admitted(list):
     """The candidates of one role that its model invariants admit so far,
     in product order; ``pending`` yields the rest, and is None once the list
-    is complete. ``number`` interns a complete list by content."""
+    is complete. ``number`` interns a complete list by content; ``index``
+    maps ``(position, value)`` to a complete list's candidates there."""
 
     pending = None
     number = None
+    index = None
 
     def draw(self):
         """Append and yield the pending candidates, one at a time."""
@@ -409,11 +435,18 @@ class _Admitted(list):
         self.pending = None
 
     def where(self, pos, want):
-        """The candidates whose value at ``pos`` is ``want``: of those
-        admitted so far at once, of the pending ones on demand."""
+        """A new list of the candidates whose value at ``pos`` is ``want``:
+        of a complete list from ``index``, built on first use; of a pending
+        one, those admitted so far at once and the pending ones on demand."""
+        if self.pending is None:
+            if self.index is None:
+                self.index = {}
+                for a in self:
+                    for at, (_, v) in enumerate(a):
+                        self.index.setdefault((at, v), []).append(a)
+            return _Admitted(self.index.get((pos, want), ()))
         kept = _Admitted([a for a in self if a[pos][1] == want])
-        if self.pending is not None:
-            kept.pending = (a for a in self.draw() if a[pos][1] == want)
+        kept.pending = (a for a in self.draw() if a[pos][1] == want)
         return kept
 
     def fill(self, interned):

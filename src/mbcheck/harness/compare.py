@@ -11,6 +11,7 @@ reports' timing sidecars.
 from __future__ import annotations
 
 import json
+import os
 from statistics import median
 
 from mbcheck.errors import ConfigError
@@ -37,6 +38,12 @@ def _curve(series_by_class, budget, grid_points):
 
 
 def compare_reports(paths):
+    seen = set()
+    for p in paths:
+        where = os.path.abspath(p)  # normalised, without touching the file
+        if where in seen:
+            raise ConfigError("report %s is given twice" % (p,))
+        seen.add(where)
     runs = [read_report(p) for p in paths]
     if not runs:
         raise ConfigError("no reports to compare")

@@ -13,7 +13,7 @@ import json
 import pytest
 
 import mbcheck.values as V
-from mbcheck.containers import ALL_CLASSES, build_class
+from mbcheck.containers import ALL_CLASSES, build_class, domains
 from mbcheck.containers.domains import REF_ARG, SequenceDomain
 from mbcheck.engine import (
     ARG0,
@@ -32,7 +32,7 @@ from mbcheck.engine import (
     pred,
     ref_param,
 )
-from mbcheck.engine.completeness import AbstractCtx, ProbeResult, _ReadMap
+from mbcheck.engine.completeness import AbstractCtx, ProbeResult, _Admitted, _ReadMap
 from mbcheck.engine.specs import NO_EXIT_STATE, ModelCtx
 from mbcheck.errors import ConfigError, ModelEvalError
 
@@ -718,6 +718,27 @@ def test_domain_sequences_match_one_element_at_a_time(bound, unique):
         assert got == want
 
 
+def test_candidate_sequences_are_built_when_first_asked_for(monkeypatch):
+    built = []
+
+    def counted(*a):
+        built.append(a)
+        return all_seqs_of_domain(*a)
+
+    all_seqs_of_domain = domains._all_seqs
+    monkeypatch.setattr(domains, "_all_seqs", counted)
+    strong = build_class("cursor_list", "strong")
+    weak = build_class("cursor_list", "weak")
+    # strong has frees no query; weak forth, unframed, frees the sequence
+    for routine, builds in ((strong.routines["has"], 1), (weak.routines["forth"], 2)):
+        built.clear()
+        got = outcome(completeness_probe, strong, routine, SequenceDomain({"cursor_list": strong}))
+        assert len(built) == builds, routine.name
+        dom = SequenceDomain({"cursor_list": strong})
+        dom.value_seqs  # built up front, as before
+        assert outcome(completeness_probe, strong, routine, dom) == got, routine.name
+
+
 def count_calls(monkeypatch, objs, counts, record=None):
     """Wrap each ``obj.fn`` to count its calls under ``counts[obj.name]``."""
     for obj in objs:
@@ -856,6 +877,65 @@ def test_search_filters_only_the_candidates_it_reaches(monkeypatch):
             if res.verdict != "complete" and res.pre_states_checked == 1:
                 runs[key] = sum(seen.values())
     assert runs == FIRST_PRE_STATE_INVARIANT_RUNS
+
+
+def _fresh(v):
+    """A copy of ``v`` sharing no tuple with it."""
+    return tuple([_fresh(x) for x in v]) if isinstance(v, tuple) else v
+
+
+class FreshCopiesDomain(SequenceDomain):
+    """A ``SequenceDomain`` that hands out fresh copies of every role map,
+    argument tuple and model value for each pre-state, so a probe that
+    keyed anything on object identity would decide fewer pre-states."""
+
+    def pre_states(self, class_spec, routine):
+        for pre in super().pre_states(class_spec, routine):
+            yield {
+                "roles": {
+                    role: {q: _fresh(v) for q, v in m.items()}
+                    for role, m in pre["roles"].items()
+                },
+                "args": tuple(list(pre["args"])),
+            }
+
+
+@pytest.mark.parametrize("class_name", ["cursor_list", "cursor_set"])
+def test_probe_keys_nothing_on_object_identity(class_name):
+    strong = build_class(class_name, "strong")
+    for level in ("strong", "weak"):
+        routines = build_class(class_name, level).routines
+        for rname, routine in sorted(routines.items()):
+            got = []
+            for domain in (SequenceDomain, FreshCopiesDomain):
+                try:
+                    res = completeness_probe(strong, routine, domain({class_name: strong}))
+                except ConfigError as e:
+                    got.append(str(e))
+                    continue
+                searched = (res.pre_states_checked, res.pre_states_searched)
+                got.append((res.verdict, searched, res.witness_pre, res.witness_posts))
+            assert got[0] == got[1], (rname, level)
+
+
+def test_where_gives_what_filtering_gives():
+    free = ("sequence", "index")
+    values = all_seqs(2, 2)
+    candidates = [tuple(zip(free, vs)) for vs in itertools.product(values, range(3))]
+    complete = _Admitted(candidates)
+    for pos, wants in ((0, values + [(V.SEQ, (5,))]), (1, [2, 0, 1, 9])):
+        for want in wants:
+            filtered = [a for a in candidates if a[pos][1] == want]
+            got = complete.where(pos, want)
+            assert got == filtered, (pos, want)
+            got.append(candidates[0])  # a list handed out is the caller's
+            got.reverse()
+            assert complete.where(pos, want) == filtered
+            pending = _Admitted(candidates[:4])
+            pending.pending = iter(candidates[4:])
+            kept = pending.where(pos, want)
+            kept.fill({})
+            assert kept == filtered, (pos, want)
 
 
 def _box_with_invariant(fn):

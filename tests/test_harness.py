@@ -322,6 +322,18 @@ def test_compare_is_deterministic(report_batch):
     assert a == b
 
 
+def test_compare_refuses_a_report_given_twice(report_batch, monkeypatch, capsys):
+    # counted twice, a report would double every figure of its level
+    first = report_batch[0]
+    monkeypatch.chdir(first.parent)
+    again = os.path.join("..", first.parent.name, ".", first.name)
+    with pytest.raises(ConfigError, match="given twice"):
+        compare_reports([first, *report_batch[1:], again])
+    assert main(["compare", str(first), first.name]) == 2
+    assert capsys.readouterr().err == "error: report %s is given twice\n" % first.name
+    assert compare_reports(report_batch)["reports"] == len(report_batch)
+
+
 def test_throughput_ratios_cover_both_level_classes(report_batch):
     ratios = throughput_ratios(report_batch)
     assert set(ratios) == {"cursor_list", "ring_queue"}
