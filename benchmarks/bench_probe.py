@@ -5,7 +5,11 @@ each sequence-model class, strong and weak, probed over the strong model at
 max_len 3, alphabet 2, duplicate-free states for ``cursor_set``. Each task
 runs ``--repeats`` times; the median CPU time (``time.process_time``) is
 printed per task, largest first, with its share of the summed medians, and
-the summed medians per level (strong, weak).
+the summed medians per level (strong, weak). A shared host's CPU speed drifts,
+so each task's CPU time is also divided by the CPU time of the benchmark's
+reference kernel (``perfbench/workloads.py``), run just before and just after
+the task, times 1 ms: the medians in these reference seconds compare two
+checkouts measured at different times.
 
 A last, separate run wraps the clauses to count evaluations: model-kind
 invariants (the probe runs them on each role candidate once, in a probe's
@@ -41,9 +45,16 @@ from collections import Counter
 from pathlib import Path
 from statistics import median
 
-# the bound of the benchmark's probe workload
+# the bound of the benchmark's probe workload, and its reference kernel, so
+# reference seconds here and in perfbench/run.py measure the same work
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from perfbench.workloads import PROBE_ALPHABET, PROBE_MAX_LEN, PROBE_UNIQUE
+from perfbench.workloads import (
+    PROBE_ALPHABET,
+    PROBE_MAX_LEN,
+    PROBE_UNIQUE,
+    REF_NOMINAL_S,
+    reference_kernel,
+)
 
 import mbcheck
 from mbcheck.containers import ALL_CLASSES, build_class
@@ -78,6 +89,20 @@ def run_task(c, strong, routine):
     except Exception as e:  # a crash is an outcome to report, as the benchmark does
         return "error:%s" % type(e).__name__, None
     return "%s/%d" % (res.verdict, res.pre_states_checked), res
+
+
+def reference_kernel_cpu_s():
+    """CPU seconds of one run of the benchmark's reference kernel."""
+    c0 = time.process_time()
+    reference_kernel()
+    return time.process_time() - c0
+
+
+def summed_by_level(medians):
+    return {
+        level: sum(v for key, v in medians.items() if key.endswith("." + level))
+        for level in ("strong", "weak")
+    }
 
 
 def count_evaluations(all_tasks):
@@ -145,25 +170,38 @@ def main():
 
     all_tasks = tasks()
     samples = {key: [] for key, _, _, _ in all_tasks}
+    ref_samples = {key: [] for key in samples}
     outcomes = {}
+    kernel = reference_kernel_cpu_s()
     for _ in range(args.repeats):
         for key, c, strong, routine in all_tasks:
             t0 = time.process_time()
             outcomes[key] = run_task(c, strong, routine)[0]
-            samples[key].append(time.process_time() - t0)
+            cpu = time.process_time() - t0
+            # the kernel run after one task is the one before the next
+            after = reference_kernel_cpu_s()
+            samples[key].append(cpu)
+            ref_samples[key].append(cpu * REF_NOMINAL_S / ((kernel + after) / 2))
+            kernel = after
 
     medians = {key: median(v) for key, v in samples.items()}
+    ref_medians = {key: median(v) for key, v in ref_samples.items()}
     total = sum(medians.values())
-    by_level = {
-        level: sum(v for key, v in medians.items() if key.endswith("." + level))
-        for level in ("strong", "weak")
-    }
+    by_level = summed_by_level(medians)
+    ref_by_level = summed_by_level(ref_medians)
     print("mbcheck from %s" % mbcheck.__file__)
     print("%d tasks, %d repeats, summed median CPU %.3f s" % (len(all_tasks), args.repeats, total))
     for level, cpu in by_level.items():
         print("summed median CPU, %s tasks: %.3f s" % (level, cpu))
+    print("summed median reference seconds: %.3f s" % sum(ref_medians.values()))
+    for level, ref in ref_by_level.items():
+        print("summed median reference seconds, %s tasks: %.3f s" % (level, ref))
+    print("%-42s %10s %6s %10s  %s" % ("task", "CPU", "share", "reference", "outcome"))
     for key in sorted(medians, key=lambda k: (-medians[k], k)):
-        print("%-42s %8.4f s %5.1f%%  %s" % (key, medians[key], 100 * medians[key] / total, outcomes[key]))
+        print(
+            "%-42s %8.4f s %5.1f%% %8.4f s  %s"
+            % (key, medians[key], 100 * medians[key] / total, ref_medians[key], outcomes[key])
+        )
     counts = count_evaluations(all_tasks)
     for layer in ("invariant", "domain_invariant", "post", "solved"):
         print("%s evaluations per pass: %d" % (layer, counts.get(layer, 0)))
@@ -187,6 +225,9 @@ def main():
                 "summed_median_cpu_s": total,
                 "summed_median_cpu_s_by_level": by_level,
                 "median_cpu_s": medians,
+                "summed_median_ref_s": sum(ref_medians.values()),
+                "summed_median_ref_s_by_level": ref_by_level,
+                "median_ref_s": ref_medians,
                 "outcomes": outcomes,
                 "evaluations_per_pass": counts,
             },

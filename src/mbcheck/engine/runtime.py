@@ -21,9 +21,11 @@ time, and the frame predicates derived when its `ClassSpec` was built:
 8. postconditions against the pre-state models,
 9. derived frame predicates.
 
-One loop, `Engine._check`, evaluates the clauses of every phase. It raises
-the re-entrancy guard ``_suppress`` once for the whole phase, so clauses and
-model queries may freely call public routines of their own object unchecked.
+The re-entrancy guard ``_suppress`` goes up once as the protocol starts and
+down only around the body (so qualified calls the body makes are checked);
+one ``finally`` lowers it on every exit. Model queries and clauses thus run
+with it raised and may freely call public routines of their own object
+unchecked. One loop, `Engine._check`, evaluates the clauses of every phase.
 A false clause is a violation of the phase's kind; a raising one is recorded
 as kind ``model_eval_error`` on that clause. Preconditions stop at the first
 violation; the other phases record every clause. An invariant that declares
@@ -193,23 +195,23 @@ class Engine:
 
         co.calls += 1
         sink = self._sink
-        is_top = sink is None
-        if is_top:
+        if sink is None:
             sink = self._sink = []
-        start = len(sink)
-        try:
-            result, invalid = self._protocol(co, routine, args, sink)
-        finally:
-            if is_top:
+            try:
+                result, invalid = self._protocol(co, routine, args, sink)
+            finally:
                 self._sink = None
+            return CallOutcome(result, tuple(sink) if sink else (), invalid)
+        # nested in a checked body: the outcome holds this call's violations
+        start = len(sink)
+        result, invalid = self._protocol(co, routine, args, sink)
         return CallOutcome(result, tuple(sink[start:]), invalid)
 
     def _frame_models(self, co, routine, args, sink):
         """Model maps of the frame universe, keyed by role name: the
-        target's and each present reference argument's, evaluated with
-        checking suppressed. On failure, records a ``model_eval_error`` on
-        clause ``model`` and returns None."""
-        self._suppress += 1
+        target's and each present reference argument's, evaluated under the
+        caller's guard. On failure, records a ``model_eval_error`` on clause
+        ``model`` and returns None."""
         try:
             models = {TARGET: _model_map(co)}
             for k, role in routine.ref_roles:
@@ -220,12 +222,9 @@ class Engine:
         except Exception as e:
             sink.append(_violation(MODEL_EVAL_ERROR, co, routine.name, "model", repr(e)))
             return None
-        finally:
-            self._suppress -= 1
 
     def _check(self, clauses, fnargs, kind, co, rname, sink, first=False):
-        """Evaluate one phase's clauses on ``co``, with checking suppressed
-        once for the whole phase.
+        """Evaluate one phase's clauses on ``co`` under the caller's guard.
 
         ``fnargs`` is what each clause's ``fn`` takes: ``(model map, object)``
         for an invariant, ``(ctx,)`` for a predicate. A false clause records a
@@ -235,87 +234,90 @@ class Engine:
         None when every clause held.
         """
         failed = None
-        self._suppress += 1
-        try:
-            for cl in clauses:
-                try:
-                    ok = cl.fn(*fnargs)
-                except Exception as e:
-                    failed = MODEL_EVAL_ERROR
-                    sink.append(_violation(failed, co, rname, cl.name, repr(e)))
-                else:
-                    if ok:
-                        continue
-                    failed = kind
-                    detail = _frame_detail(cl, fnargs[0]) if kind == FRAME else ""
-                    sink.append(_violation(kind, co, rname, cl.name, detail))
-                if first:
-                    break
-        finally:
-            self._suppress -= 1
+        for cl in clauses:
+            try:
+                ok = cl.fn(*fnargs)
+            except Exception as e:
+                failed = MODEL_EVAL_ERROR
+                sink.append(_violation(failed, co, rname, cl.name, repr(e)))
+            else:
+                if ok:
+                    continue
+                failed = kind
+                detail = _frame_detail(cl, fnargs[0]) if kind == FRAME else ""
+                sink.append(_violation(kind, co, rname, cl.name, detail))
+            if first:
+                break
         return failed
 
     def _protocol(self, co, routine, args, sink):
         """Run the protocol's phases, appending violations to ``sink``.
         Returns ``(result, invalid)``; ``invalid`` is true when a
-        precondition rejected the call."""
+        precondition rejected the call. Entered with the guard down, it
+        holds the guard up in every phase but the body."""
         rname = routine.name
-
-        # (1) pre-state models for the whole frame universe
-        entry_models = self._frame_models(co, routine, args, sink)
-        if entry_models is None:
-            return None, False
-
-        # (2) entry invariants, target only, only when closed; the flag is
-        # saved here for steps 4, 6 and 7
-        was_open = co.is_open
-        if not was_open and self._check(
-            _eligible_invariants(co), (entry_models[TARGET], co.concrete), INVARIANT_ENTRY,
-            co, rname, sink,
-        ):
-            return None, False
-
-        # (3) preconditions; first failing clause aborts
-        ctx = CallCtx(co, args, entry_models)
-        if routine.pre:
-            failed = self._check(routine.pre, (ctx,), PRECONDITION, co, rname, sink, True)
-            if failed:
-                return None, failed == PRECONDITION
-
-        # (4) open the target, (5) body, (6) restore its flag
-        co.is_open = True
+        self._suppress = 1
         try:
-            result = routine.body(co.concrete, *args)
-        except Exception as e:
-            sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "crash", repr(e)))
-            return None, False
+            # (1) pre-state models for the whole frame universe
+            entry_models = self._frame_models(co, routine, args, sink)
+            if entry_models is None:
+                return None, False
+
+            # (2) entry invariants, target only, only when closed; the flag
+            # is saved here for steps 4, 6 and 7
+            was_open = co.is_open
+            spec = co.spec
+            if not was_open and spec.invariants and self._check(
+                _eligible_invariants(spec, co) if spec.depend_gated else spec.invariants,
+                (entry_models[TARGET], co.concrete), INVARIANT_ENTRY, co, rname, sink,
+            ):
+                return None, False
+
+            # (3) preconditions; first failing clause aborts
+            ctx = CallCtx(co, args, entry_models)
+            if routine.pre:
+                failed = self._check(routine.pre, (ctx,), PRECONDITION, co, rname, sink, True)
+                if failed:
+                    return None, failed == PRECONDITION
+
+            # (4) open the target, (5) body with the guard down, (6) its flag
+            co.is_open = True
+            self._suppress = 0
+            try:
+                result = routine.body(co.concrete, *args)
+            except Exception as e:
+                sink.append(_violation(MODEL_EVAL_ERROR, co, rname, "crash", repr(e)))
+                return None, False
+            finally:
+                co.is_open = was_open
+            self._suppress = 1
+
+            # post-state models
+            exit_models = self._frame_models(co, routine, args, sink)
+            if exit_models is None:
+                return result, False
+
+            # (7) exit invariants, target only, only when it was closed
+            if not was_open and spec.invariants and self._check(
+                _eligible_invariants(spec, co) if spec.depend_gated else spec.invariants,
+                (exit_models[TARGET], co.concrete), INVARIANT_EXIT, co, rname, sink,
+            ):
+                # first-failure: a broken exit invariant makes postcondition
+                # and frame reports noise, so they are suppressed
+                return result, False
+
+            # (8) postconditions, (9) derived frame predicates
+            ctx.exit_models = exit_models
+            ctx.result = result
+            fnargs = (ctx,)
+            if routine.post:
+                self._check(routine.post, fnargs, POSTCONDITION, co, rname, sink)
+            if routine.frame_preds:
+                self._check(routine.frame_preds, fnargs, FRAME, co, rname, sink)
+
+            return result, False
         finally:
-            co.is_open = was_open
-
-        # post-state models
-        exit_models = self._frame_models(co, routine, args, sink)
-        if exit_models is None:
-            return result, False
-
-        # (7) exit invariants, target only, only when it was closed
-        if not was_open and self._check(
-            _eligible_invariants(co), (exit_models[TARGET], co.concrete), INVARIANT_EXIT,
-            co, rname, sink,
-        ):
-            # first-failure: a broken exit invariant makes postcondition and
-            # frame reports noise, so they are suppressed
-            return result, False
-
-        # (8) postconditions, (9) derived frame predicates
-        ctx.exit_models = exit_models
-        ctx.result = result
-        fnargs = (ctx,)
-        if routine.post:
-            self._check(routine.post, fnargs, POSTCONDITION, co, rname, sink)
-        if routine.frame_preds:
-            self._check(routine.frame_preds, fnargs, FRAME, co, rname, sink)
-
-        return result, False
+            self._suppress = 0
 
 
 def _violation(kind, co, routine_name, clause_name, detail=""):
@@ -343,13 +345,7 @@ def _model_map(co):
     return m
 
 
-def _eligible_invariants(co):
-    """The invariant clauses checkable on the closed object ``co`` now."""
-    spec = co.spec
-    if not spec.depend_gated:
-        return spec.invariants
-    eligible = []
-    for cl in spec.invariants:
-        if not cl.depend or invariant_clause_eligible(cl, co):
-            eligible.append(cl)
-    return eligible
+def _eligible_invariants(spec, co):
+    """The invariant clauses of ``spec`` checkable on the closed object
+    ``co`` now."""
+    return [cl for cl in spec.invariants if not cl.depend or invariant_clause_eligible(cl, co)]

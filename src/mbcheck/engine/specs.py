@@ -22,7 +22,7 @@ ARG0 = "arg0"
 # what ``now`` raises, in either predicate context, when a precondition
 # asks for the exit state
 NO_EXIT_STATE = "exit state is not available in a precondition"
-
+_NO_ROLE_STATE = "no model state for role %s"  # a role the call does not have
 _ABSENT = object()  # what a role map's ``get`` returns for a query it lacks
 
 
@@ -45,31 +45,36 @@ class ModelCtx:
 
     __slots__ = ("spec", "entry_models", "exit_models", "args", "result")
 
-    def _read(self, models, qname, role):
-        try:
-            m = models[role]
-        except KeyError:
-            raise ModelEvalError("no model state for role %s" % role) from None
-        v = m.get(qname, _ABSENT)
-        if v is _ABSENT:
-            spec = self.spec
-            deriv = spec.attr_derivations.get(qname)
-            if deriv is None:
-                raise ModelEvalError(
-                    "%s is neither a model query nor a derived attribute of %s"
-                    % (qname, spec.name)
-                )
-            return deriv(m)
-        return v
-
     def old(self, qname, role=TARGET):
-        return self._read(self.entry_models, qname, role)
+        try:
+            m = self.entry_models[role]
+        except KeyError:
+            raise ModelEvalError(_NO_ROLE_STATE % role) from None
+        v = m.get(qname, _ABSENT)
+        return self._derive(m, qname) if v is _ABSENT else v
 
     def now(self, qname, role=TARGET):
         models = self.exit_models
         if models is None:
             raise ModelEvalError(NO_EXIT_STATE)
-        return self._read(models, qname, role)
+        try:
+            m = models[role]
+        except KeyError:
+            raise ModelEvalError(_NO_ROLE_STATE % role) from None
+        v = m.get(qname, _ABSENT)
+        return self._derive(m, qname) if v is _ABSENT else v
+
+    def _derive(self, m, qname):
+        """A name the role map ``m`` lacks: run the spec's derivation of it
+        over the map."""
+        spec = self.spec
+        deriv = spec.attr_derivations.get(qname)
+        if deriv is None:
+            raise ModelEvalError(
+                "%s is neither a model query nor a derived attribute of %s"
+                % (qname, spec.name)
+            )
+        return deriv(m)
 
     def arg(self, k):
         return self.args[k]

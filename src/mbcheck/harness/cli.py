@@ -23,7 +23,12 @@ from mbcheck.containers import ALL_CLASSES, build_class
 from mbcheck.containers import bugs as _bugs
 from mbcheck.containers.domains import DEFAULT_ALPHABET, DEFAULT_MAX_LEN, SequenceDomain
 from mbcheck.engine import TARGET, completeness_probe
-from mbcheck.harness.compare import compare_reports, throughput_ratios, write_comparison
+from mbcheck.harness.compare import (
+    compare_runs,
+    read_reports,
+    run_throughput_ratios,
+    write_comparison,
+)
 from mbcheck.harness.reports import render_report, write_report
 from mbcheck.harness.session import SessionConfig, run_session
 
@@ -118,8 +123,9 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    result = compare_reports(args.reports)
-    ratios = throughput_ratios(args.reports)
+    runs = read_reports(args.reports)
+    result = compare_runs(runs)
+    ratios = run_throughput_ratios(runs)
     if args.out:
         write_comparison(args.out, result, ratios)
         print("%s: %d reports compared" % (args.out, result["reports"]))

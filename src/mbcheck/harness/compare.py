@@ -37,14 +37,30 @@ def _curve(series_by_class, budget, grid_points):
     return [[t, sum(_step_value(s, t) for s in series_by_class)] for t in grid]
 
 
-def compare_reports(paths):
+def read_reports(paths):
+    """``(path, report)`` for each path, each report read once. A report
+    given twice, under any spelling of its path, is refused: counted twice
+    it would double every figure of its level."""
     seen = set()
     for p in paths:
         where = os.path.abspath(p)  # normalised, without touching the file
         if where in seen:
             raise ConfigError("report %s is given twice" % (p,))
         seen.add(where)
-    runs = [read_report(p) for p in paths]
+    return [(p, read_report(p)) for p in paths]
+
+
+def compare_reports(paths):
+    return compare_runs(read_reports(paths))
+
+
+def throughput_ratios(paths):
+    return run_throughput_ratios(read_reports(paths))
+
+
+def compare_runs(runs):
+    """The comparison of ``runs``, as ``read_reports`` returns them."""
+    runs = [rep for _, rep in runs]
     if not runs:
         raise ConfigError("no reports to compare")
 
@@ -128,16 +144,15 @@ def compare_reports(paths):
     return out
 
 
-def throughput_ratios(paths):
+def run_throughput_ratios(runs):
     """class -> median weak calls per CPU second over median strong calls per
-    CPU second (how many times faster weak checking runs), from timing
-    sidecars. Reports without a sidecar, reports whose calls or sidecar
-    ``cpu_s`` is 0 (a coarse process clock can read 0), and classes missing
-    either level are skipped; a sidecar that exists but cannot be read
-    raises OSError."""
+    CPU second (how many times faster weak checking runs), from the timing
+    sidecars of ``runs``, as ``read_reports`` returns them. Reports without
+    a sidecar, reports whose calls or sidecar ``cpu_s`` is 0 (a coarse
+    process clock can read 0), and classes missing either level are
+    skipped; a sidecar that exists but cannot be read raises OSError."""
     rates = {}
-    for p in paths:
-        rep = read_report(p)
+    for p, rep in runs:
         h = rep["header"]
         try:
             cpu_s = read_timing(p)["cpu_s"]

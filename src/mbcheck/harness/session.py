@@ -195,12 +195,9 @@ class _Generator:
                 return
 
 
-def _tainted_participants(spec, target, refs):
+def _tainted_participants(probe, target, refs):
     """Participants whose consistency probe already fails before the call.
     Fresh objects are exempt: corruption needs history."""
-    probe = spec.consistency_probe
-    if probe is None:
-        return []
     out = []
     for co in [target] + refs:
         if co.calls > 0 and probe(co.concrete) is False:
@@ -217,6 +214,7 @@ def run_session(cfg):
     by_key = {}
     signature = _bugs.signature_index(cfg.level)
     analogue = _bugs.analogue_index() if cfg.level == "weak" else {}
+    probe = spec.consistency_probe
 
     deadline = None if cfg.wall_secs is None else time.monotonic() + cfg.wall_secs
     started = time.monotonic()
@@ -231,7 +229,7 @@ def run_session(cfg):
         target = gen.pick_target()
         routine = spec.routines[rng.choice(gen.routine_names)]
         args, refs = gen.build_args(target, routine)
-        tainted = _tainted_participants(spec, target, refs)
+        tainted = () if probe is None else _tainted_participants(probe, target, refs)
 
         out = engine.checked_call(target, routine, args)
         res.calls += 1
@@ -239,48 +237,49 @@ def run_session(cfg):
         if out.invalid:
             res.invalid_calls += 1
 
-        call_tainted = bool(tainted)
-        for v in out.violations:
-            if (v.class_name, v.clause) in _EXPERIMENTAL:
-                cls = SUSPECT
-            elif out.invalid and v.blame == "caller":
-                # top-level precondition failure: the generated call itself is
-                # at fault, not the class
-                continue
-            elif call_tainted:
-                cls = INCONSISTENCY
-            elif v.kind == "invariant_entry" and v.obj.calls > 1:
-                # corruption discovered mid-call: everything after it in this
-                # call is fallout, not fresh evidence
-                cls = INCONSISTENCY
-                call_tainted = True
-            else:
-                cls = REAL
+        if out.violations:
+            call_tainted = bool(tainted)
+            for v in out.violations:
+                if (v.class_name, v.clause) in _EXPERIMENTAL:
+                    cls = SUSPECT
+                elif out.invalid and v.blame == "caller":
+                    # top-level precondition failure: the generated call
+                    # itself is at fault, not the class
+                    continue
+                elif call_tainted:
+                    cls = INCONSISTENCY
+                elif v.kind == "invariant_entry" and v.obj.calls > 1:
+                    # corruption discovered mid-call: everything after it
+                    # in this call is fallout, not fresh evidence
+                    cls = INCONSISTENCY
+                    call_tainted = True
+                else:
+                    cls = REAL
 
-            key = v.key()
-            rec = by_key.get(key)
-            if rec is not None:
-                rec.count += 1
-            else:
-                rec = FaultRecord(
-                    class_name=v.class_name,
-                    routine=v.routine,
-                    clause=v.clause,
-                    kind=v.kind,
-                    classification=cls,
-                    blame=v.blame,
-                    first_call=ordinal,
-                    detail=v.detail,
-                    matched_bug=signature.get(key),
-                    analogue_of=analogue.get(key),
-                )
-                by_key[key] = rec
-                res.records.append(rec)
-                if cls == REAL:
-                    res.series.append((ordinal, len(res.series) + 1))
+                key = v.key()
+                rec = by_key.get(key)
+                if rec is not None:
+                    rec.count += 1
+                else:
+                    rec = FaultRecord(
+                        class_name=v.class_name,
+                        routine=v.routine,
+                        clause=v.clause,
+                        kind=v.kind,
+                        classification=cls,
+                        blame=v.blame,
+                        first_call=ordinal,
+                        detail=v.detail,
+                        matched_bug=signature.get(key),
+                        analogue_of=analogue.get(key),
+                    )
+                    by_key[key] = rec
+                    res.records.append(rec)
+                    if cls == REAL:
+                        res.series.append((ordinal, len(res.series) + 1))
 
-            if v.blame == "callee":
-                gen.evict(v.obj)
+                if v.blame == "callee":
+                    gen.evict(v.obj)
 
         for co in tainted:
             gen.evict(co)

@@ -48,6 +48,11 @@ def test_bench_probe_runs_and_counts_the_searched_pre_states(tmp_path):
     assert counts["solved"] == 1_344
     assert counts["invariant"] == 10_462
     assert counts["domain_invariant"] == 4_096
+    # every task's median, and the sums per level, in reference seconds too
+    assert set(out["median_ref_s"]) == set(out["median_cpu_s"])
+    assert min(out["median_ref_s"].values()) > 0
+    assert set(out["summed_median_ref_s_by_level"]) == {"strong", "weak"}
+    assert min(out["summed_median_ref_s_by_level"].values()) > 0
 
 
 def test_bench_sessions_runs(tmp_path):

@@ -690,6 +690,110 @@ def test_suppressed_crash_propagates():
     assert eng._suppress == 0
 
 
+def _model_error_at_entry(spec, co):
+    co.concrete.model_fails = True
+    return "noop", (), (MODEL_EVAL_ERROR, "model"), False
+
+
+def _model_error_at_exit(spec, co):
+    spec.routines["noop"].body = lambda o: setattr(o, "model_fails", True)
+    return "noop", (), (MODEL_EVAL_ERROR, "model"), True
+
+
+def _entry_invariant_violation(spec, co):
+    co.concrete.index = -5
+    return "noop", (), (INVARIANT_ENTRY, "index_bounds"), False
+
+
+def _exit_invariant_violation(spec, co):
+    return "corrupt_then_push", (1,), (INVARIANT_EXIT, "index_bounds"), True
+
+
+def _false_precondition(spec, co):
+    return "set_index", (5,), (PRECONDITION, "in_range"), False
+
+
+def _raising_precondition(spec, co):
+    spec.routines["noop"].pre = (pred("divides", lambda ctx: 1 // 0),)
+    return "noop", (), (MODEL_EVAL_ERROR, "divides"), False
+
+
+def _body_crash(spec, co):
+    return "crashy", (), (MODEL_EVAL_ERROR, "crash"), True
+
+
+def _clean_call(spec, co):
+    return "push", (1,), None, True
+
+
+def _call_back_on_an_open_target(spec, co):
+    # the call back is checked without invariants; noop modifies nothing
+    spec.routines["noop"].body = lambda o: qualified(o, "push", 1)
+    return "noop", (), (FRAME, "unchanged:target.sequence"), True
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _model_error_at_entry,
+        _model_error_at_exit,
+        _entry_invariant_violation,
+        _exit_invariant_violation,
+        _false_precondition,
+        _raising_precondition,
+        _body_crash,
+        _clean_call,
+        _call_back_on_an_open_target,
+    ],
+    ids=lambda case: case.__name__.lstrip("_"),
+)
+def test_guard_is_up_in_every_check_and_down_after_every_exit(case):
+    # the guard is raised in every model query and clause, down in the body,
+    # where a qualified call on another object is checked, and down again
+    # however the call ends
+    def seq_eval(o):
+        if getattr(o, "model_fails", False):
+            raise ZeroDivisionError("model")
+        return V.sequence(o.items)
+
+    eng, co, spec = fresh(toy_specs(seq_eval=seq_eval))
+    peer = eng.create(spec)
+    rname, args, expected, body_runs = case(spec, co)
+    routine = spec.routines[rname]
+    guards, in_body = [], []
+
+    def noting(fn):
+        def noted(*a):
+            guards.append(eng._suppress)
+            return fn(*a)
+
+        return noted
+
+    for q in spec.model:
+        q.evaluate = noting(q.evaluate)
+    for cl in spec.invariants:
+        cl.fn = noting(cl.fn)
+    for r in spec.routines.values():
+        for p in (*r.pre, *r.post, *r.frame_preds):
+            p.fn = noting(p.fn)
+    body = routine.body
+
+    def body_with_peer_call(o, *a):
+        in_body.append(eng._suppress)
+        qualified(peer.concrete, "set_index", 99)  # its precondition fails
+        return body(o, *a)
+
+    routine.body = body_with_peer_call
+    out = eng.checked_call(co, routine, args)
+    assert eng._suppress == 0
+    assert guards and min(guards) >= 1
+    assert in_body == ([0] if body_runs else [])
+    on_target = [(v.kind, v.clause) for v in out.violations if v.obj is co]
+    assert on_target == ([expected] if expected else [])
+    on_peer = [(v.kind, v.routine, v.clause) for v in out.violations if v.obj is peer]
+    assert on_peer == ([(PRECONDITION, "set_index", "in_range")] if body_runs else [])
+
+
 def test_depend_invariant_gated_through_the_protocol():
     # b's body calls a.push while b is open: on a, the depend clause
     # peer_link is skipped and the plain clause index_bounds still runs, at

@@ -19,7 +19,7 @@ from mbcheck.harness import (
     run_session,
     write_report,
 )
-from mbcheck.harness import cli
+from mbcheck.harness import cli, compare
 from mbcheck.harness.compare import throughput_ratios
 from mbcheck.harness.cli import main
 from test_completeness_probe import ShortValuesDomain
@@ -332,6 +332,26 @@ def test_compare_refuses_a_report_given_twice(report_batch, monkeypatch, capsys)
     assert main(["compare", str(first), first.name]) == 2
     assert capsys.readouterr().err == "error: report %s is given twice\n" % first.name
     assert compare_reports(report_batch)["reports"] == len(report_batch)
+
+
+def test_throughput_ratios_refuse_a_report_given_twice(report_batch):
+    # counted twice, a report's rate would move its level's median
+    first = report_batch[0]
+    with pytest.raises(ConfigError, match="given twice"):
+        throughput_ratios([first, first, *report_batch[1:]])
+
+
+def test_cli_compare_reads_each_report_once(report_batch, monkeypatch, tmp_path):
+    read = []
+
+    def counting_read_report(path):
+        read.append(path)
+        return read_report(path)
+
+    monkeypatch.setattr(compare, "read_report", counting_read_report)
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--out", str(out), *map(str, report_batch[:2])]) == 0
+    assert read == [str(p) for p in report_batch[:2]]
 
 
 def test_throughput_ratios_cover_both_level_classes(report_batch):
