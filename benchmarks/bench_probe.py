@@ -14,7 +14,8 @@ checkouts measured at different times.
 A last, separate run wraps the clauses to count evaluations: model-kind
 invariants (the probe runs them on each role candidate once, in a probe's
 first search only if the search reaches it; layer ``domain_invariant``
-holds those the domain runs to keep only the role states they allow),
+holds those the domain runs to keep only the role states they allow, as
+it reaches them),
 postconditions tested on a candidate, and the ``expected`` side of defining clauses, which the
 probe evaluates once per search to solve the clause (layer ``solved``).
 Derived frame predicates are decided once per pre-state shape, not run per
@@ -119,12 +120,19 @@ def count_evaluations(all_tasks):
 
         return wrapper
 
-    def role_states(*a):
+    def filtered(step, *a):
         filtering.append(True)
         try:
-            return saved["_role_states"](*a)
+            return step(*a)
         finally:
             filtering.pop()
+
+    def role_states(*a):
+        # the domain filters each state as it is reached, so every step of
+        # the iterator it hands back is bracketed, not only the call
+        states = filtered(saved["_role_states"], *a)
+        while (state := filtered(next, states, None)) is not None:
+            yield state
 
     saved = {
         name: vars(SequenceDomain)[name]

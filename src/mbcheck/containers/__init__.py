@@ -20,6 +20,7 @@ from mbcheck.containers import (
     ring_queue,
     two_way_list,
 )
+from mbcheck.containers import bugs as _bugs
 
 BUILDERS = {
     array_stack.CLASS_NAME: array_stack.build,
@@ -35,10 +36,12 @@ ALL_CLASSES = tuple(sorted(BUILDERS))
 
 
 def build_class(name, level, bugs=frozenset()):
-    """Build one class spec."""
+    """Build one class spec with the defects ``bugs`` seeded; the ids are
+    checked as a session's are (``bugs.check_ids``)."""
     builder = BUILDERS.get(name)
     if builder is None:
         raise ConfigError("unknown class %r; choose from %s" % (name, ", ".join(ALL_CLASSES)))
     if level not in ("weak", "strong"):
         raise ConfigError("unknown level %r; choose weak or strong" % (level,))
+    _bugs.check_ids(name, bugs)
     return builder(level, frozenset(bugs))

@@ -25,6 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from mbcheck.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -156,6 +158,25 @@ BY_ID = {e.bug_id: e for e in CATALOG}
 # clauses present in one binding only, by design; their violations classify
 # as specification-suspect rather than as detections
 EXPERIMENTAL_CLAUSES = (("binary_node", "no_cycle"),)
+
+
+def check_ids(class_name, ids):
+    """Refuse defect ids to seed into ``class_name`` that are unknown, of
+    another class or given twice, and a bare string, whose characters would
+    each be taken as an id. A set of ids is accepted too."""
+    if isinstance(ids, str):
+        raise ConfigError("bug ids must be a collection of ids, not the string %r" % (ids,))
+    ids = list(ids)
+    for bug_id in ids:
+        if ids.count(bug_id) > 1:
+            raise ConfigError("bug id %s given more than once" % (bug_id,))
+        entry = BY_ID.get(bug_id)
+        if entry is None:
+            raise ConfigError("unknown bug id %r" % (bug_id,))
+        if entry.class_name != class_name:
+            raise ConfigError(
+                "bug %s belongs to class %s, not %s" % (bug_id, entry.class_name, class_name)
+            )
 
 
 def bugs_for_class(class_name):

@@ -26,6 +26,7 @@ from mbcheck.containers._cursor_specs import (
     MOTION,
     MOTION_POST,
     REPORTS_ITEM,
+    REPORTS_MEMBERSHIP,
     CursorChain,
     cursor_decl,
     linked_invariants,
@@ -203,15 +204,7 @@ def build(level, bugs=frozenset()):
                 ],
                 "remove": [defines("value_removed", "sequence", _value_removed)],
                 "wipe_out": [EMPTIED, MOTION_POST["cursor_reset"]],
-                "has": [
-                    pred(
-                        "reports_membership",
-                        lambda ctx: ctx.result
-                        == V.set_has(
-                            V.seq_to_set(ctx.now("sequence")), V.item(ctx.arg(0))
-                        ),
-                    )
-                ],
+                "has": [REPORTS_MEMBERSHIP],
                 "item": [REPORTS_ITEM],
                 "is_equal": [
                     pred(

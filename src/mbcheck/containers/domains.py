@@ -68,16 +68,18 @@ def _sizes(max_len, alphabet):
 class SequenceDomain:
     """Abstract domain for one class whose strong model is sequence + index.
 
-    ``role_specs`` maps class name -> strong spec. A reference argument is
-    of the target's class, so ``pre_states`` takes its role's spec from the
-    map under the target's name. Objects whose model lacks an index query (the
-    stack and the queue) get sequence-only states; a spec whose model lacks
-    a sequence query is refused when its states are first built. A role's
-    states are those on which its spec's model invariants (``kind="model"``)
-    hold, so ``unique`` only narrows the enumeration: it drops repeated
-    elements from the pre-state and candidate sequences before any invariant
-    runs. A present reference argument is ``REF_ARG`` in every pre-state.
-    Candidate values and results depend on the query and the routine alone.
+    A reference argument is of the target's class, so ``pre_states`` takes
+    both roles' states from ``class_spec``. Objects whose model lacks an
+    index query (the stack and the queue) get sequence-only states; a spec
+    whose model lacks a sequence query is refused. A role's states are those
+    on which the spec's model invariants (``kind="model"``) hold, filtered as
+    they are reached, so ``unique`` only narrows the enumeration: it drops
+    repeated elements from the pre-state and candidate sequences before any
+    invariant runs. A present reference argument is ``REF_ARG`` in every
+    pre-state. Candidate values and results depend on the query and the
+    routine alone. Nothing here reads ``role_specs`` or ``role_spec``; they
+    stay for ``perfbench/``, which builds the domain with a class-name map
+    and wraps ``role_spec`` by name.
     """
 
     def __init__(
@@ -103,7 +105,6 @@ class SequenceDomain:
         self.unique = unique
         self.pre_seqs = _all_seqs(max_len, alphabet, unique)
         self.index_values = list(range(2 * max_len + 2))
-        self._states = {}  # spec -> _role_states
 
     @functools.cached_property
     def value_seqs(self):
@@ -120,33 +121,29 @@ class SequenceDomain:
 
     def _role_states(self, spec):
         """The role states of ``spec`` that satisfy its model invariants,
-        built once per spec."""
-        states = self._states.get(spec)
-        if states is None:
-            if "sequence" not in spec.model_names:
-                raise ConfigError("the completeness probe covers the sequence containers only")
-            invariants = spec.model_invariants
-            if "index" in spec.model_names:
-                every = (
-                    {"sequence": s, "index": i}
-                    for s in self.pre_seqs
-                    for i in range(V.seq_count(s) + 2)
-                )
-            else:
-                every = ({"sequence": s} for s in self.pre_seqs)
-            states = self._states[spec] = [
-                m for m in every if all(cl.fn(m, None) for cl in invariants)
-            ]
-        return states
+        each filtered when reached."""
+        if "sequence" not in spec.model_names:
+            raise ConfigError("the completeness probe covers the sequence containers only")
+        invariants = spec.model_invariants
+        if "index" in spec.model_names:
+            every = (
+                {"sequence": s, "index": i}
+                for s in self.pre_seqs
+                for i in range(V.seq_count(s) + 2)
+            )
+        else:
+            every = ({"sequence": s} for s in self.pre_seqs)
+        return (m for m in every if all(cl.fn(m, None) for cl in invariants))
 
     def pre_states(self, class_spec, routine):
+        """Yield ``(roles, args)``: a map from role name to model map, and
+        the argument tuple."""
         refs = routine.ref_roles
         if len(refs) > 1:
             raise ConfigError(
                 "%s.%s has %d reference parameters; the domain takes at most one"
                 % (class_spec.name, routine.name, len(refs))
             )
-        target_states = self._role_states(class_spec)
         pools = [
             range(self.alphabet) if p.kind == "item" else range(-1, self.max_len + 2)
             for p in routine.params
@@ -154,21 +151,22 @@ class SequenceDomain:
         ]
         plain_args = list(itertools.product(*pools))
         if not refs:
-            for tm in target_states:
+            for tm in self._role_states(class_spec):
                 for args in plain_args:
-                    yield {"roles": {TARGET: tm}, "args": args}
+                    yield {TARGET: tm}, args
             return
 
         ((k, role),) = refs
         # the arguments with the reference present, then void
         present = [args[:k] + (REF_ARG,) + args[k:] for args in plain_args]
         void = [args[:k] + (None,) + args[k:] for args in plain_args]
-        for tm in target_states:
-            for am in self._role_states(self.role_spec(class_spec.name)):
+        arg_states = list(self._role_states(class_spec))
+        for tm in self._role_states(class_spec):
+            for am in arg_states:
                 for args in present:
-                    yield {"roles": {TARGET: tm, role: am}, "args": args}
+                    yield {TARGET: tm, role: am}, args
             for args in void:
-                yield {"roles": {TARGET: tm}, "args": args}
+                yield {TARGET: tm}, args
 
     def value_choices(self, qname):
         return self.value_seqs if qname == "sequence" else self.index_values

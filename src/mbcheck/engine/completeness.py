@@ -12,13 +12,14 @@ with an earlier, passing one on every value that search read is counted but
 not searched again (see ``completeness_probe``).
 
 The caller supplies the domain, an object with three methods:
-``pre_states(class_spec, routine)`` yields abstract pre-states (``{"roles":
-{role name: model map}, "args": tuple}``), ``value_choices(query)`` gives
-the candidate exit values of a model query and ``result_choices(routine)``
-the candidate results; candidates depend on no pre-state. A reference
-argument is of the target's class, so every role has ``class_spec``; its
-model lives in its role map, and a present one is the same value in every
-pre-state's arguments, so arguments compare by value.
+``pre_states(class_spec, routine)`` yields abstract pre-states as ``(roles,
+args)`` pairs, a map from role name to model map and the argument tuple;
+``value_choices(query)`` gives the candidate exit values of a model query
+and ``result_choices(routine)`` the candidate results; candidates depend on
+no pre-state. A reference argument is of the target's class, so every role
+has ``class_spec``; its model lives in its role map, and a present one is
+the same value in every pre-state's arguments, so arguments compare by
+value.
 Predicates are evaluated over an abstract context with the same model
 accessors as the runtime one (``ModelCtx``); predicates that probe concrete
 state raise, and a pre- or postcondition that raises any exception is
@@ -100,10 +101,10 @@ def _reads(maps):
 
 
 class ProbeResult:
-    """``verdict`` is ``complete``, ``incomplete`` (``witness_pre`` admits
-    the two post-states in ``witness_posts``: a proof) or ``inconclusive``
-    (``witness_pre`` admits no candidate post-state, which holds only
-    relative to the domain's candidates). ``pre_states_checked`` counts the
+    """``verdict`` is ``complete``, ``incomplete`` (``witness_pre``, a
+    ``(roles, args)`` pair, admits the two post-states in ``witness_posts``:
+    a proof) or ``inconclusive`` (``witness_pre`` admits no candidate
+    post-state, which holds only relative to the domain's candidates). ``pre_states_checked`` counts the
     pre-states that passed the precondition; ``pre_states_searched`` counts
     those of them whose post-states were searched rather than decided by an
     earlier search."""
@@ -170,9 +171,10 @@ def completeness_probe(class_spec, routine, domain):
     - a stored search is keyed by the lists before solving, which with what
       ``expected`` read decide the lists after it.
 
-    Derived frame predicates are not run per candidate: ``_layout`` decides
-    them once per role-map shape, and a shape where one would raise ends
-    the probe at the first candidate that passes the postconditions.
+    Derived frame predicates are not run: ``_layout`` decides them once per
+    role-map shape from each one's ``frame_info``, and a shape that lacks a
+    framed query ends the probe at the first candidate that passes the
+    postconditions.
 
     A pre-state already decided is counted but not searched again. Each
     search that admits exactly one post-state is stored under its *base
@@ -223,9 +225,7 @@ def completeness_probe(class_spec, routine, domain):
     decided = {}  # base key -> {read set: (its projector, projections decided)}
 
     checked = searched = 0
-    for pre in domain.pre_states(class_spec, routine):
-        entry = pre["roles"]
-        args = pre["args"]
+    for entry, args in domain.pre_states(class_spec, routine):
         ctx = AbstractCtx(class_spec, entry, args)
         holds = True
         try:
@@ -305,14 +305,14 @@ def completeness_probe(class_spec, routine, domain):
                         witness = {role: {**entry[role], **m} for role, m in exit_maps.items()}
                         found.append((witness, result))
                         if len(found) == 2:
-                            return ProbeResult("incomplete", pre, found, checked, searched)
+                            return ProbeResult("incomplete", (entry, args), found, checked, searched)
                 except Exception as e:
                     raise ConfigError(
                         "%s.%s postcondition is not abstractly evaluable: %s"
                         % (class_spec.name, routine.name, _clause_error(e))
                     )
         if not found:
-            return ProbeResult("inconclusive", pre, [], checked, searched)
+            return ProbeResult("inconclusive", (entry, args), [], checked, searched)
         if not decided:  # the first search drew every candidate of its lists
             base = (shape, tuple([a.fill(interned) for a in role_lists]))
         # a fixed exit value is its entry value; a free one is a candidate
@@ -357,11 +357,11 @@ def _layout(shape, routine, domain):
       the fixed values)`` per role present, target first, then the
       arguments by role name (``modify is None`` frees every query);
     - the set of free ``(role name, query)`` coordinates;
-    - the text of the error the first derived frame predicate to raise on
-      this shape raises, or None. On the probe's exit maps a frame
-      predicate compares a fixed coordinate with its own entry value, so
-      running the predicates once over maps with the shape's queries, as
-      both entry and exit, decides them for every pre-state of the shape;
+    - the error text for the first derived frame predicate whose
+      ``frame_info`` names a query its role's map lacks, or None. On the
+      probe's exit maps a frame predicate compares a fixed coordinate with
+      its own entry value, so it holds wherever the role is absent (a void
+      argument) or its map has the query, for every pre-state of the shape;
     - the leading run of the routine's postconditions that are defining
       clauses over free coordinates, as ``(search slot, position in the
       slot's free queries, expected)``; none for a routine that returns a
@@ -374,15 +374,12 @@ def _layout(shape, routine, domain):
         )
         fixed = tuple(q for q in qnames if q not in free)
         out.append((role, free, fixed, tuple(map(domain.value_choices, free)), _values_at(fixed)))
-    placeholders = {role: dict.fromkeys(qnames) for role, qnames in shape}
-    frame = AbstractCtx(None, placeholders, ())  # frame predicates read no spec
-    frame.exit_models = placeholders
+    qnames_of = dict(shape)
     frame_error = None
     for p in routine.frame_preds:
-        try:
-            p.fn(frame)
-        except ModelEvalError as e:
-            frame_error = str(e)
+        role, qname = p.frame_info
+        if role in qnames_of and qname not in qnames_of[role]:
+            frame_error = "%s.%s is not in the model map" % (role, qname)
             break
     free = frozenset((role, q) for role, role_free, _, _, _ in out for q in role_free)
     slots = {role: (slot, role_free) for slot, (role, role_free, _, _, _) in enumerate(out)}

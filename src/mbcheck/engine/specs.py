@@ -340,11 +340,7 @@ def _unchanged_pred(role, qname):
     def fn(ctx):
         if role not in ctx.entry_models:  # a void reference argument
             return True
-        try:
-            return ctx.exit_models[role][qname] == ctx.entry_models[role][qname]
-        except KeyError:
-            # an abstract state may leave out queries of the full model
-            raise ModelEvalError("%s.%s is not in the model map" % (role, qname)) from None
+        return ctx.exit_models[role][qname] == ctx.entry_models[role][qname]
 
     p = NamedPred("unchanged:%s.%s" % (role, qname), fn)
     p.frame_info = (role, qname)

@@ -184,10 +184,8 @@ def _cmd_probe(args):
     )
     if res.verdict == "complete":
         return 0
-    pre = "%s args=%s" % (
-        _fmt_roles(res.witness_pre["roles"]),
-        _fmt_args(routine, res.witness_pre["args"]),
-    )
+    roles, pre_args = res.witness_pre
+    pre = "%s args=%s" % (_fmt_roles(roles), _fmt_args(routine, pre_args))
     if res.verdict == "inconclusive":
         print("no admissible post-state among the candidates for pre-state: %s" % pre)
         return 0

@@ -59,18 +59,7 @@ class SessionConfig:
             raise ConfigError("p_new must be a number")
         if self.wall_secs is not None and type(self.wall_secs) not in (int, float):
             raise ConfigError("wall_secs must be a number or None")
-        ids = list(self.bugs)  # a set of ids is accepted too, and has no count
-        for bug_id in ids:
-            if ids.count(bug_id) > 1:
-                raise ConfigError("bug id %s given more than once" % (bug_id,))
-            entry = _bugs.BY_ID.get(bug_id)
-            if entry is None:
-                raise ConfigError("unknown bug id %r" % (bug_id,))
-            if entry.class_name != self.class_name:
-                raise ConfigError(
-                    "bug %s belongs to class %s, not %s"
-                    % (bug_id, entry.class_name, self.class_name)
-                )
+        _bugs.check_ids(self.class_name, self.bugs)
         if (self.max_calls is None) == (self.wall_secs is None):
             raise ConfigError("give exactly one of max_calls and wall_secs")
         if self.max_calls is not None and self.max_calls < 1:

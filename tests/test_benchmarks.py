@@ -47,7 +47,7 @@ def test_bench_probe_runs_and_counts_the_searched_pre_states(tmp_path):
     assert counts["post"] == 7_702
     assert counts["solved"] == 1_344
     assert counts["invariant"] == 10_462
-    assert counts["domain_invariant"] == 4_096
+    assert counts["domain_invariant"] == 2_549
     # every task's median, and the sums per level, in reference seconds too
     assert set(out["median_ref_s"]) == set(out["median_cpu_s"])
     assert min(out["median_ref_s"].values()) > 0

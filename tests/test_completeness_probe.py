@@ -85,14 +85,14 @@ class BoxDomain:
                 for am in self._grid():
                     r2 = dict(roles)
                     r2[ARG0] = am
-                    yield {"roles": r2, "args": (REF_ARG,)}
+                    yield r2, (REF_ARG,)
                 # and the void argument
-                yield {"roles": roles, "args": (None,)}
+                yield roles, (None,)
             elif routine.params:
                 for a in (0, 1):
-                    yield {"roles": roles, "args": (a,)}
+                    yield roles, (a,)
             else:
-                yield {"roles": roles, "args": ()}
+                yield roles, ()
 
     def value_choices(self, qname):
         return list(self.vals)
@@ -528,9 +528,9 @@ class SeqDomain:
                 roles = {TARGET: {"sequence": s, "index": i}}
                 if routine.params:
                     for a in range(self.alphabet):
-                        yield {"roles": roles, "args": (a,)}
+                        yield roles, (a,)
                 else:
-                    yield {"roles": roles, "args": ()}
+                    yield roles, ()
 
     def value_choices(self, qname):
         if qname == "sequence":
@@ -612,8 +612,8 @@ def reference_probe(class_spec, routine, domain):
     model_invariants = tuple(cl for cl in class_spec.invariants if cl.kind == "model")
     checked = 0
     for pre in domain.pre_states(class_spec, routine):
-        entry = pre["roles"]
-        ctx = AbstractCtx(class_spec, entry, pre["args"])
+        entry, args = pre
+        ctx = AbstractCtx(class_spec, entry, args)
         try:
             if not all(p.fn(ctx) for p in routine.pre):
                 continue
@@ -753,15 +753,33 @@ def count_calls(monkeypatch, objs, counts, record=None):
         monkeypatch.setattr(obj, "fn", fn)
 
 
-def count_invariant_runs(monkeypatch, spec):
-    """A Counter of the runs of ``spec``'s invariants from here on, by clause
-    name and role map."""
+def count_invariant_runs(monkeypatch, spec, domain_runs=None):
+    """A Counter of the search's runs of ``spec``'s invariants from here on,
+    by clause name and role map. The runs with which ``SequenceDomain``
+    filters its role states are counted apart, in ``domain_runs`` when it is
+    given, as ``benchmarks/bench_probe.py`` counts them."""
     seen = collections.Counter()
+    filtering = []  # non-empty while the domain filters a role state
 
     def record(name, a):
-        seen[name, tuple(sorted(a[0].items()))] += 1
+        counter = domain_runs if filtering else seen
+        if counter is not None:
+            counter[name, tuple(sorted(a[0].items()))] += 1
+
+    def bracketed(step, *a):
+        filtering.append(True)
+        try:
+            return step(*a)
+        finally:
+            filtering.pop()
+
+    def role_states(*a, _inner=SequenceDomain._role_states):
+        states = iter(bracketed(_inner, *a))
+        while (m := bracketed(next, states, None)) is not None:
+            yield m
 
     count_calls(monkeypatch, spec.invariants, collections.Counter(), record)
+    monkeypatch.setattr(SequenceDomain, "_role_states", role_states)
     return seen
 
 
@@ -814,69 +832,120 @@ def test_invariants_run_once_per_role_candidate(class_name, monkeypatch):
 
 # model-invariant runs of each weak task at len3-abc2 that ends at its first
 # pre-state, over a fresh domain: the runs with which the domain keeps the
-# target states the invariants allow (64 for cursor_list and two_way_list, 16
-# for cursor_set) and those of the candidates the search reaches. Filtering
-# every candidate first made 1,080 runs for an unframed cursor_list or
-# two_way_list routine, 2,096 for one with a list argument, 112 for cursor_set
-# and 192 for cursor_set.is_equal.
+# role states the invariants allow, up to that pre-state's target state (and
+# every state once for the list argument of is_equal and merge_right), and
+# those of the candidates the search reaches.
+# Filtering every candidate first made 1,016 search runs for an unframed
+# cursor_list or two_way_list routine, 2,032 for one with a list argument,
+# 80 for cursor_set and 160 for cursor_set.is_equal.
 FIRST_PRE_STATE_INVARIANT_RUNS = {
-    "cursor_list.back.weak": 73,
-    "cursor_list.extend.weak": 74,
-    "cursor_list.finish.weak": 73,
-    "cursor_list.forth.weak": 74,
-    "cursor_list.go_i_th.weak": 73,
-    "cursor_list.has.weak": 66,
-    "cursor_list.is_equal.weak": 66,
-    "cursor_list.item.weak": 65,
-    "cursor_list.merge_right.weak": 67,
-    "cursor_list.off.weak": 66,
-    "cursor_list.remove.weak": 66,
-    "cursor_list.replace.weak": 74,
-    "cursor_list.start.weak": 74,
-    "cursor_set.forth.weak": 52,
-    "cursor_set.has.weak": 36,
-    "cursor_set.is_equal.weak": 36,
-    "cursor_set.item.weak": 34,
-    "cursor_set.off.weak": 36,
-    "cursor_set.start.weak": 52,
-    "two_way_list.back.weak": 73,
-    "two_way_list.extend.weak": 74,
-    "two_way_list.finish.weak": 73,
-    "two_way_list.forth.weak": 74,
-    "two_way_list.go_i_th.weak": 73,
-    "two_way_list.has.weak": 66,
-    "two_way_list.item.weak": 65,
-    "two_way_list.off.weak": 66,
-    "two_way_list.put_front.weak": 74,
-    "two_way_list.remove.weak": 66,
-    "two_way_list.replace.weak": 74,
-    "two_way_list.start.weak": 74,
+    "cursor_list.back.weak": (2, 9),
+    "cursor_list.extend.weak": (1, 10),
+    "cursor_list.finish.weak": (1, 9),
+    "cursor_list.forth.weak": (1, 10),
+    "cursor_list.go_i_th.weak": (1, 9),
+    "cursor_list.has.weak": (1, 2),
+    "cursor_list.is_equal.weak": (65, 2),
+    "cursor_list.item.weak": (4, 1),
+    "cursor_list.merge_right.weak": (65, 3),
+    "cursor_list.off.weak": (1, 2),
+    "cursor_list.remove.weak": (4, 2),
+    "cursor_list.replace.weak": (4, 10),
+    "cursor_list.start.weak": (1, 10),
+    "cursor_set.forth.weak": (2, 20),
+    "cursor_set.has.weak": (2, 4),
+    "cursor_set.is_equal.weak": (34, 4),
+    "cursor_set.item.weak": (8, 2),
+    "cursor_set.off.weak": (2, 4),
+    "cursor_set.start.weak": (2, 20),
+    "two_way_list.back.weak": (2, 9),
+    "two_way_list.extend.weak": (1, 10),
+    "two_way_list.finish.weak": (1, 9),
+    "two_way_list.forth.weak": (1, 10),
+    "two_way_list.go_i_th.weak": (1, 9),
+    "two_way_list.has.weak": (1, 2),
+    "two_way_list.item.weak": (4, 1),
+    "two_way_list.off.weak": (1, 2),
+    "two_way_list.put_front.weak": (1, 10),
+    "two_way_list.remove.weak": (4, 2),
+    "two_way_list.replace.weak": (4, 10),
+    "two_way_list.start.weak": (1, 10),
 }
 
 
-def test_search_filters_only_the_candidates_it_reaches(monkeypatch):
+def first_pre_state_weak_tasks():
+    """``(key, strong, routine, fresh domain)`` for the weak tasks at
+    len3-abc2 of the sequence classes whose strong model has invariants of
+    kind model."""
     max_len, alphabet, unique, _ = BOUNDS["len3-abc2"]
-    runs = {}
-    # the sequence classes whose strong model has invariants of kind model
     for class_name in ("cursor_list", "cursor_set", "two_way_list"):
         for key, strong, routine, _ in sequence_tasks(class_name, "len3-abc2"):
-            if not key.endswith(".weak"):
+            if key.endswith(".weak"):
+                dom = SequenceDomain(
+                    {class_name: strong},
+                    max_len=max_len,
+                    alphabet=alphabet,
+                    unique=unique and class_name == "cursor_set",
+                )
+                yield key, strong, routine, dom
+
+
+def test_search_filters_only_the_candidates_it_reaches(monkeypatch):
+    runs = {}
+    for key, strong, routine, dom in first_pre_state_weak_tasks():
+        domain_runs = collections.Counter()
+        with monkeypatch.context() as mp:
+            seen = count_invariant_runs(mp, strong, domain_runs)
+            try:
+                res = completeness_probe(strong, routine, dom)
+            except ConfigError:
                 continue
-            dom = SequenceDomain(
-                {class_name: strong},
-                max_len=max_len,
-                alphabet=alphabet,
-                unique=unique and class_name == "cursor_set",
-            )
-            with monkeypatch.context() as mp:
-                seen = count_invariant_runs(mp, strong)
-                try:
-                    res = completeness_probe(strong, routine, dom)
-                except ConfigError:
-                    continue
-            if res.verdict != "complete" and res.pre_states_checked == 1:
-                runs[key] = sum(seen.values())
+        if res.verdict != "complete" and res.pre_states_checked == 1:
+            runs[key] = (sum(domain_runs.values()), sum(seen.values()))
     assert runs == FIRST_PRE_STATE_INVARIANT_RUNS
+
+
+def test_domain_filters_only_the_role_states_it_reaches(monkeypatch):
+    # a task that ends at its first pre-state filters the target states up
+    # to that pre-state's, and a list argument's states once, all of them
+    ended = 0
+    for key, strong, routine, dom in first_pre_state_weak_tasks():
+        domain_runs = collections.Counter()
+        with monkeypatch.context() as mp:
+            count_invariant_runs(mp, strong, domain_runs)
+            try:
+                res = completeness_probe(strong, routine, dom)
+            except ConfigError:
+                continue
+        if res.verdict == "complete" or res.pre_states_checked != 1:
+            continue
+        ended += 1
+        every = [
+            {"sequence": s, "index": i}
+            for s in dom.pre_seqs
+            for i in range(V.seq_count(s) + 2)
+        ]
+        reached = every[: every.index(res.witness_pre[0][TARGET]) + 1]
+        want = collections.Counter()
+        for m in reached + (every if routine.ref_roles else []):
+            for cl in strong.model_invariants:
+                want[cl.name, tuple(sorted(m.items()))] += 1
+                if not cl.fn(m, None):
+                    break
+        assert domain_runs == want, key
+    assert ended == len(FIRST_PRE_STATE_INVARIANT_RUNS)
+
+
+def test_both_roles_take_their_states_from_the_class_spec():
+    # a reference argument is of the target's class; the map goes unread
+    strong = build_class("cursor_list", "strong")
+    for level in ("strong", "weak"):
+        routine = build_class("cursor_list", level).routines["merge_right"]
+        got = [
+            outcome(completeness_probe, strong, routine, SequenceDomain(specs, max_len=2))
+            for specs in ({}, {"cursor_list": strong})
+        ]
+        assert got[0] == got[1] and got[0][0] != "refused", level
 
 
 def _fresh(v):
@@ -890,14 +959,11 @@ class FreshCopiesDomain(SequenceDomain):
     keyed anything on object identity would decide fewer pre-states."""
 
     def pre_states(self, class_spec, routine):
-        for pre in super().pre_states(class_spec, routine):
-            yield {
-                "roles": {
-                    role: {q: _fresh(v) for q, v in m.items()}
-                    for role, m in pre["roles"].items()
-                },
-                "args": tuple(list(pre["args"])),
-            }
+        for roles, args in super().pre_states(class_spec, routine):
+            yield (
+                {role: {q: _fresh(v) for q, v in m.items()} for role, m in roles.items()},
+                tuple(list(args)),
+            )
 
 
 @pytest.mark.parametrize("class_name", ["cursor_list", "cursor_set"])

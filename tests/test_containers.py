@@ -14,7 +14,7 @@ from mbcheck.containers.array_stack import ArrayStack
 from mbcheck.containers.cursor_list import CursorList
 from mbcheck.containers.cursor_set import CursorSet
 from mbcheck.containers.two_way_list import TwoWayList
-from mbcheck.errors import SpecError
+from mbcheck.errors import ConfigError, SpecError
 from mbcheck.harness import SessionConfig, run_session
 from mbcheck.harness import session as session_module
 
@@ -671,3 +671,19 @@ def test_catalog_detectability_follows_the_signatures():
     assert entry("X-1", "ring_queue", "remove", "d", strong=sig, weak=sig).detectability == "both"
     with pytest.raises(ValueError, match="X-1 has a weak signature but no strong one"):
         entry("X-1", "ring_queue", "remove", "d", weak=sig)
+
+
+@pytest.mark.parametrize(
+    "bugs, message",
+    [
+        ("LD-1", "bug ids must be a collection of ids, not the string 'LD-1'"),
+        (("LD-2",), "unknown bug id 'LD-2'"),
+        (("ST-1",), "bug ST-1 belongs to class array_stack, not cursor_list"),
+        (("LD-1", "LD-1"), "bug id LD-1 given more than once"),
+    ],
+    ids=["bare_string", "unknown", "other_class", "repeated"],
+)
+def test_build_class_refuses_the_bug_ids_a_session_refuses(bugs, message):
+    # each would otherwise build the class with no defect seeded
+    with pytest.raises(ConfigError, match=message):
+        build_class("cursor_list", "strong", bugs)

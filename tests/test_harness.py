@@ -119,8 +119,9 @@ def test_config_rejects_unknown_class_and_level():
         (("XX-9",), "unknown bug id 'XX-9'"),
         (("QU-1",), "bug QU-1 belongs to class ring_queue, not cursor_list"),
         (("MB-1", "MB-1"), "bug id MB-1 given more than once"),
+        ("MB-1", "bug ids must be a collection of ids, not the string 'MB-1'"),
     ],
-    ids=["unknown", "other_class", "repeated"],
+    ids=["unknown", "other_class", "repeated", "bare_string"],
 )
 def test_config_refuses_the_bug_ids_the_cli_refuses(bugs, message):
     # a session would otherwise run and write these ids into its report header
