@@ -11,6 +11,11 @@ fault records, and classifies each record:
 The classifier is deliberately local: no bug oracle is consulted. The bug
 catalog enters only to label records afterwards (``matched_bug``), so the
 session transcript stays honest about what checking alone can see.
+
+The call stream is defined by two draws on one ``random.Random`` seeded with
+the config's seed: ``random()`` and ``below(n)``, this module's bounded draw
+over ``getrandbits``. Python documents that ``choice``, ``randrange`` and
+``randint`` may change between versions, so sessions use none of them.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ class SessionConfig:
         _bugs.check_ids(self.class_name, self.bugs)
         if (self.max_calls is None) == (self.wall_secs is None):
             raise ConfigError("give exactly one of max_calls and wall_secs")
+        # Random(-s) seeds as Random(s) does: one session under two seeds
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.max_calls is not None and self.max_calls < 1:
             raise ConfigError("max_calls must be positive")
         # nan <= 0 is false, and a nan or infinite budget never runs out
@@ -123,59 +131,92 @@ class SessionResult:
         )
 
 
+def _below(getrandbits):
+    """Return ``below(n)``, a uniform draw from ``range(n)``: draw
+    ``n.bit_length()`` bits until the value is below ``n``.
+
+    This is CPython 3.11's rule for ``Random._randbelow``, so the stream
+    matches the stdlib draws of 3.11 bit for bit. There is no shortcut for
+    ``n == 1`` or a power of two: it would consume fewer bits and shift every
+    later draw.
+    """
+
+    def below(n):
+        if n < 1:
+            # getrandbits(0) is 0, so the loop below would never end
+            raise ValueError("below(n) needs n >= 1, got %r" % (n,))
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 class _Generator:
-    """Argument and target selection. All randomness flows through one
-    ``random.Random`` so seed + config fixes the call sequence."""
+    """Target, routine and argument selection. Every draw is
+    ``rng.random()`` or ``below(n)`` over ``rng.getrandbits``, so seed +
+    config fixes the call sequence."""
 
     def __init__(self, cfg, spec, engine, rng):
         self.cfg = cfg
         self.spec = spec
         self.engine = engine
-        self.rng = rng
+        self.random = rng.random
+        self.below = _below(rng.getrandbits)
         self.pool = []
         self.created = 0
-        self.routine_names = sorted(spec.routines)
+        self.routines = tuple(spec.routines[name] for name in sorted(spec.routines))
 
     def _new_object(self):
-        if len(self.pool) >= self.cfg.pool_max:
-            self.pool.pop(self.rng.randrange(len(self.pool)))
+        pool = self.pool
+        if len(pool) >= self.cfg.pool_max:
+            pool.pop(self.below(len(pool)))
         co = self.engine.create(self.spec)
-        self.pool.append(co)
+        pool.append(co)
         self.created += 1
         return co
 
-    def pick_target(self):
-        if not self.pool or self.rng.random() < self.cfg.p_new:
-            return self._new_object()
-        return self.rng.choice(self.pool)
-
-    def _index_arg(self, target):
-        if self.rng.random() < 0.5:
-            n = self.spec.size_of(target.concrete)
-            return self.rng.choice((0, 1, -1, n, n + 1, max(n - 1, 0)))
-        return self.rng.randint(-10, 10)
-
-    def build_args(self, target, routine):
-        """Returns (args for the call, checked ref participants)."""
+    def next_call(self):
+        """Draw one call: returns (target, routine, args, checked ref
+        participants)."""
+        random = self.random
+        below = self.below
+        pool = self.pool
+        p_new = self.cfg.p_new
+        if not pool or random() < p_new:
+            target = self._new_object()
+        else:
+            target = pool[below(len(pool))]
+        routines = self.routines
+        routine = routines[below(len(routines))]
+        params = routine.params
+        if not params:
+            return target, routine, (), ()
         args = []
         refs = []
-        for p in routine.params:
-            if p.kind == "item":
-                args.append(self.rng.randrange(self.cfg.alphabet))
-            elif p.kind == "index":
-                args.append(self._index_arg(target))
-            else:
-                if self.rng.random() < 0.1:
-                    args.append(None)
-                elif self.pool and self.rng.random() >= self.cfg.p_new:
-                    co = self.rng.choice(self.pool)
-                    args.append(co.concrete)
-                    refs.append(co)
+        for p in params:
+            kind = p.kind
+            if kind == "item":
+                args.append(below(self.cfg.alphabet))
+            elif kind == "index":
+                if random() < 0.5:
+                    n = self.spec.size_of(target.concrete)
+                    args.append((0, 1, -1, n, n + 1, max(n - 1, 0))[below(6)])
                 else:
-                    co = self._new_object()
-                    args.append(co.concrete)
-                    refs.append(co)
-        return tuple(args), refs
+                    args.append(-10 + below(21))
+            elif random() < 0.1:
+                args.append(None)
+            elif pool and random() >= p_new:
+                co = pool[below(len(pool))]
+                args.append(co.concrete)
+                refs.append(co)
+            else:
+                co = self._new_object()
+                args.append(co.concrete)
+                refs.append(co)
+        return target, routine, tuple(args), refs
 
     def evict(self, co):
         for i, other in enumerate(self.pool):
@@ -188,7 +229,7 @@ def _tainted_participants(probe, target, refs):
     """Participants whose consistency probe already fails before the call.
     Fresh objects are exempt: corruption needs history."""
     out = []
-    for co in [target] + refs:
+    for co in (target, *refs):
         if co.calls > 0 and probe(co.concrete) is False:
             out.append(co)
     return out
@@ -197,34 +238,40 @@ def _tainted_participants(probe, target, refs):
 def run_session(cfg):
     spec = build_class(cfg.class_name, cfg.level, frozenset(cfg.bugs))
     engine = Engine()
-    rng = random.Random(cfg.seed)
-    gen = _Generator(cfg, spec, engine, rng)
+    gen = _Generator(cfg, spec, engine, random.Random(cfg.seed))
     res = SessionResult(cfg)
     by_key = {}
     signature = _bugs.signature_index(cfg.level)
     analogue = _bugs.analogue_index() if cfg.level == "weak" else {}
     probe = spec.consistency_probe
 
-    deadline = None if cfg.wall_secs is None else time.monotonic() + cfg.wall_secs
-    started = time.monotonic()
+    # bound per session, not at import: a tracer may wrap
+    # Engine.checked_call on the class between sessions
+    checked_call = engine.checked_call
+    next_call = gen.next_call
+    evict = gen.evict
+    pool = gen.pool
+    size_of = spec.size_of
+    max_object_size = cfg.max_object_size
+    max_calls = math.inf if cfg.max_calls is None else cfg.max_calls
+    monotonic = time.monotonic
+    deadline = None if cfg.wall_secs is None else monotonic() + cfg.wall_secs
+    calls = 0
+    invalid_calls = 0
+    started = monotonic()
     cpu_started = time.process_time()
 
-    while True:
-        if cfg.max_calls is not None and res.calls >= cfg.max_calls:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
+    while calls < max_calls:
+        if deadline is not None and monotonic() >= deadline:
             break
 
-        target = gen.pick_target()
-        routine = spec.routines[rng.choice(gen.routine_names)]
-        args, refs = gen.build_args(target, routine)
+        target, routine, args, refs = next_call()
         tainted = () if probe is None else _tainted_participants(probe, target, refs)
 
-        out = engine.checked_call(target, routine, args)
-        res.calls += 1
-        ordinal = res.calls
+        out = checked_call(target, routine, args)
+        calls += 1
         if out.invalid:
-            res.invalid_calls += 1
+            invalid_calls += 1
 
         if out.violations:
             call_tainted = bool(tainted)
@@ -257,7 +304,7 @@ def run_session(cfg):
                         kind=v.kind,
                         classification=cls,
                         blame=v.blame,
-                        first_call=ordinal,
+                        first_call=calls,
                         detail=v.detail,
                         matched_bug=signature.get(key),
                         analogue_of=analogue.get(key),
@@ -265,19 +312,21 @@ def run_session(cfg):
                     by_key[key] = rec
                     res.records.append(rec)
                     if cls == REAL:
-                        res.series.append((ordinal, len(res.series) + 1))
+                        res.series.append((calls, len(res.series) + 1))
 
                 if v.blame == "callee":
-                    gen.evict(v.obj)
+                    evict(v.obj)
 
         for co in tainted:
-            gen.evict(co)
+            evict(co)
         # ``in`` on the pool is identity membership: CheckedObject defines no
         # __eq__
-        if target in gen.pool and spec.size_of(target.concrete) > cfg.max_object_size:
-            gen.evict(target)
+        if target in pool and size_of(target.concrete) > max_object_size:
+            evict(target)
 
-    res.wall_s = time.monotonic() - started
+    res.wall_s = monotonic() - started
     res.cpu_s = time.process_time() - cpu_started
+    res.calls = calls
+    res.invalid_calls = invalid_calls
     res.objects_created = gen.created
     return res

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -22,8 +26,9 @@ from test_containers import binary_node_without_depend
 GOLDEN_REPORTS_SHA256 = "f8a014a2c32f7b30c9edf779a5efc38484f644bd9fcadeb8d221ab1a21199f8e"
 
 
-def test_golden_reports():
-    # every class x (strong, weak) x seeds 0 and 1, 2,000 calls, full bug set
+def golden_report_digest():
+    """sha256 of the reports of every class x (strong, weak) x seeds 0 and 1,
+    2,000 calls each, full bug set."""
     bodies = []
     for cls in ALL_CLASSES:
         bugs = tuple(e.bug_id for e in bugs_for_class(cls))
@@ -33,8 +38,41 @@ def test_golden_reports():
                     SessionConfig(cls, level, seed, max_calls=2000, bugs=bugs)
                 )
                 bodies.append(render_report(res))
-    digest = hashlib.sha256("".join(bodies).encode()).hexdigest()
-    assert digest == GOLDEN_REPORTS_SHA256
+    return hashlib.sha256("".join(bodies).encode()).hexdigest()
+
+
+def test_golden_reports():
+    assert golden_report_digest() == GOLDEN_REPORTS_SHA256
+
+
+def test_golden_reports_draw_only_through_random_and_getrandbits(monkeypatch):
+    # Python may change how choice, randrange and randint turn bits into
+    # values; the session stream is fixed only if it rests on random() and
+    # getrandbits alone
+    def refused(*args, **kwargs):
+        raise AssertionError("a session drew through a stdlib helper")
+
+    for name in ("choice", "randrange", "randint", "_randbelow"):
+        monkeypatch.setattr(random.Random, name, refused)
+    assert golden_report_digest() == GOLDEN_REPORTS_SHA256
+
+
+def test_golden_reports_do_not_depend_on_the_hash_seed():
+    # str hashes, and so set and dict-of-set order, change with the hash
+    # seed; a report that iterated one of them would differ between runs
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, tests, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import test_golden_reports as g; print(g.golden_report_digest())"],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        assert out.stdout.strip() == GOLDEN_REPORTS_SHA256, hash_seed
 
 
 LARGE_OBJECT_REPORTS_SHA256 = "d13604a41d50a6f58ae0f077b4b4ef16d51b2a6a7ba86d3c6a649d808d27a5ba"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 
 import pytest
@@ -21,6 +22,7 @@ from mbcheck.harness import (
 )
 from mbcheck.harness import cli, compare
 from mbcheck.harness.compare import throughput_ratios
+from mbcheck.harness.session import _below
 from mbcheck.harness.cli import main
 from test_completeness_probe import ShortValuesDomain
 
@@ -50,8 +52,11 @@ def test_config_requires_exactly_one_budget():
         ({"wall_secs": float("nan")}, "wall_secs must be positive and finite"),
         ({"wall_secs": float("inf")}, "wall_secs must be positive and finite"),
         ({"max_object_size": -3}, "max_object_size must be >= 0"),
+        # Random(-5) seeds exactly as Random(5) does, so compare would count
+        # one session as two seeds
+        ({"seed": -5}, "seed must be >= 0"),
     ],
-    ids=["nan_wall_secs", "inf_wall_secs", "negative_max_object_size"],
+    ids=["nan_wall_secs", "inf_wall_secs", "negative_max_object_size", "negative_seed"],
 )
 def test_config_rejects_unbounded_budget_and_negative_size(kw, message):
     # a nan budget never ends a session; a negative size evicts every object
@@ -153,6 +158,57 @@ def test_same_seed_same_outcome_different_seed_differs():
     assert render_report(a) == render_report(b)
     c = run_session(cfg(bugs=("MB-2",), seed=43))
     assert render_report(a) != render_report(c)
+
+
+# the first 200 draws of below(n) over Random(2012).getrandbits, a fresh
+# stream for each n, one base-36 digit per draw
+BELOW_DRAWS = {
+    1: "0" * 200,
+    2: "0110101110110110111100100101101011010111011011100100110000100000100010101100110100100011001110001010"
+       "0110010101010101101111000010100000011001000100001000000110111110111110010000001100011001111110111110",
+    3: "0110120221110110110122221212120010010110101102122012212102110112212001001100002100020222022210222200"
+       "2120122012122022011220102012200012120011122022001201022021221202012012201220101011201211212000021022",
+    4: "0321202230231321322201300312312133021323132033211301330100201000300121312210230300201023003230113131"
+       "1331131303131212312233010021211011132103100300103010001220322331332321120001002301022002333230232320",
+    6: "0321240442230231321354442424240130031231213304245134425314320335524113013301004201040455054530454501"
+       "5251344125245154023550304024501025350032355045113513155143443514134134403441312123512523434010042155",
+    13: "17535908945714637426a99948594903cc6006256352671948a26885b72965c077bbc492271277020185c0208c09ab1b8b61"
+        "8a8b03ca5a368834a49b2b8056ccbb1609148b0204b6ac10747ba09b326cb262ab2869c87b38369279906892625357b34a5c",
+    21: "3fb6ai0gj9af38d6f95dkiii9hbi9j06d01d5bc6b4df3i8h4dggae4idb1ee8i44e24ff0413ga040h1ik3gd3gkh07kb7dgg79"
+        "8i4h0ac2c1j39h0408d21e8e1j74c4c5k5gcihe6h7ci5fij0dhi5d5b6be79kaejfg2621g94b640i55j6db40ke710fj13kh50",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BELOW_DRAWS))
+def test_below_draws_are_pinned(n):
+    # every report hash rests on this stream, so it is pinned here rather
+    # than compared with whatever the running interpreter's randrange does
+    below = _below(random.Random(2012).getrandbits)
+    assert [below(n) for _ in range(200)] == [int(c, 36) for c in BELOW_DRAWS[n]]
+
+
+def test_below_one_is_zero_and_still_draws_a_bit_until_zero():
+    # no shortcut for n == 1: it consumes one-bit draws exactly as the
+    # rejection rule does, so later draws stay where they were
+    script = [1, 1, 0, 0, 1, 0]
+    seen = []
+
+    def getrandbits(k):
+        seen.append(k)
+        return script.pop(0)
+
+    below = _below(getrandbits)
+    assert [below(1), below(1), below(1)] == [0, 0, 0]
+    assert seen == [1] * 6
+    assert script == []
+
+
+@pytest.mark.parametrize("n", [0, -1, -21])
+def test_below_refuses_an_empty_range(n):
+    # getrandbits(0) is always 0, so without the check below(0) never returns
+    below = _below(random.Random(0).getrandbits)
+    with pytest.raises(ValueError):
+        below(n)
 
 
 def test_levels_see_the_same_generated_calls():
@@ -496,6 +552,14 @@ def test_cli_rejects_bad_config(capsys):
         == 2
     )
     assert "MB-1 given more than once" in capsys.readouterr().err
+    assert (
+        main(
+            ["run", "--class", "cursor_list", "--spec", "strong", "--seed", "-1",
+             "--max-calls", "10"]
+        )
+        == 2
+    )
+    assert "error: seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
