@@ -35,13 +35,19 @@ BUILDERS = {
 ALL_CLASSES = tuple(sorted(BUILDERS))
 
 
-def build_class(name, level, bugs=frozenset()):
-    """Build one class spec with the defects ``bugs`` seeded; the ids are
-    checked as a session's are (``bugs.check_ids``)."""
-    builder = BUILDERS.get(name)
-    if builder is None:
+def check_class(name, level, bugs=()):
+    """Refuse an unknown class or level, then the defect ids as
+    ``bugs.check_ids`` does; returns the ids as a sorted tuple.
+    ``build_class`` and ``SessionConfig`` both check through here, so a
+    config refuses what a build would."""
+    if name not in BUILDERS:
         raise ConfigError("unknown class %r; choose from %s" % (name, ", ".join(ALL_CLASSES)))
     if level not in ("weak", "strong"):
         raise ConfigError("unknown level %r; choose weak or strong" % (level,))
-    _bugs.check_ids(name, bugs)
-    return builder(level, frozenset(bugs))
+    return _bugs.check_ids(name, bugs)
+
+
+def build_class(name, level, bugs=frozenset()):
+    """Build one class spec with the defects ``bugs`` seeded, checked by
+    ``check_class``."""
+    return BUILDERS[name](level, frozenset(check_class(name, level, bugs)))

@@ -163,7 +163,8 @@ EXPERIMENTAL_CLAUSES = (("binary_node", "no_cycle"),)
 def check_ids(class_name, ids):
     """Refuse defect ids to seed into ``class_name`` that are unknown, of
     another class or given twice, and a bare string, whose characters would
-    each be taken as an id. A set of ids is accepted too."""
+    each be taken as an id. A set of ids is accepted too. Returns the ids as
+    a sorted tuple."""
     if isinstance(ids, str):
         raise ConfigError("bug ids must be a collection of ids, not the string %r" % (ids,))
     ids = list(ids)
@@ -177,6 +178,7 @@ def check_ids(class_name, ids):
             raise ConfigError(
                 "bug %s belongs to class %s, not %s" % (bug_id, entry.class_name, class_name)
             )
+    return tuple(sorted(ids))
 
 
 def bugs_for_class(class_name):

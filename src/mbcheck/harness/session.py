@@ -1,8 +1,8 @@
 """Seeded random call sessions against one checked class.
 
-A session drives a pool of objects with generated calls, discards invalid
-ones (top-level precondition failures), deduplicates contract violations into
-fault records, and classifies each record:
+A session checks the calls a call source (``_Generator``) draws from its
+object pool; a recorder (``_Recorder``) drops invalid calls' precondition
+failures, deduplicates the rest into fault records and classifies each:
 
   real                   evidence of a body defect
   inconsistency          fallout of earlier corruption, not a fresh defect
@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from mbcheck.errors import ConfigError
-from mbcheck.containers import build_class
+from mbcheck.containers import build_class, check_class
 from mbcheck.containers import bugs as _bugs
 from mbcheck.engine import Engine
 
@@ -64,7 +64,8 @@ class SessionConfig:
             raise ConfigError("p_new must be a number")
         if self.wall_secs is not None and type(self.wall_secs) not in (int, float):
             raise ConfigError("wall_secs must be a number or None")
-        _bugs.check_ids(self.class_name, self.bugs)
+        # stored sorted: two configs naming the same ids replay alike, so compare equal
+        object.__setattr__(self, "bugs", check_class(self.class_name, self.level, self.bugs))
         if (self.max_calls is None) == (self.wall_secs is None):
             raise ConfigError("give exactly one of max_calls and wall_secs")
         # Random(-s) seeds as Random(s) does: one session under two seeds
@@ -155,9 +156,9 @@ def _below(getrandbits):
 
 
 class _Generator:
-    """Target, routine and argument selection. Every draw is
-    ``rng.random()`` or ``below(n)`` over ``rng.getrandbits``, so seed +
-    config fixes the call sequence."""
+    """The call source: target, routine and argument selection, and every
+    pool rule. Every draw is ``rng.random()`` or ``below(n)`` over
+    ``rng.getrandbits``, so seed + config fixes the call sequence."""
 
     def __init__(self, cfg, spec, engine, rng):
         self.cfg = cfg
@@ -178,81 +179,127 @@ class _Generator:
         self.created += 1
         return co
 
-    def next_call(self):
-        """Draw one call: returns (target, routine, args, checked ref
-        participants)."""
+    def calls(self):
+        """Yield calls forever as (target, routine, args, checked ref
+        participants). Before each draw, the previous target leaves the pool
+        if its call left it larger than ``max_object_size``."""
         random = self.random
         below = self.below
         pool = self.pool
         p_new = self.cfg.p_new
-        if not pool or random() < p_new:
-            target = self._new_object()
-        else:
-            target = pool[below(len(pool))]
         routines = self.routines
-        routine = routines[below(len(routines))]
-        params = routine.params
-        if not params:
-            return target, routine, (), ()
-        args = []
-        refs = []
-        for p in params:
-            kind = p.kind
-            if kind == "item":
-                args.append(below(self.cfg.alphabet))
-            elif kind == "index":
-                if random() < 0.5:
-                    n = self.spec.size_of(target.concrete)
-                    args.append((0, 1, -1, n, n + 1, max(n - 1, 0))[below(6)])
-                else:
-                    args.append(-10 + below(21))
-            elif random() < 0.1:
-                args.append(None)
-            elif pool and random() >= p_new:
-                co = pool[below(len(pool))]
-                args.append(co.concrete)
-                refs.append(co)
+        size_of = self.spec.size_of
+        max_object_size = self.cfg.max_object_size
+        while True:
+            if not pool or random() < p_new:
+                target = self._new_object()
             else:
-                co = self._new_object()
-                args.append(co.concrete)
-                refs.append(co)
-        return target, routine, tuple(args), refs
+                target = pool[below(len(pool))]
+            routine = routines[below(len(routines))]
+            args = []
+            refs = []
+            for p in routine.params:
+                kind = p.kind
+                if kind == "item":
+                    args.append(below(self.cfg.alphabet))
+                elif kind == "index":
+                    if random() < 0.5:
+                        n = size_of(target.concrete)
+                        args.append((0, 1, -1, n, n + 1, max(n - 1, 0))[below(6)])
+                    else:
+                        args.append(-10 + below(21))
+                elif random() < 0.1:
+                    args.append(None)
+                elif pool and random() >= p_new:
+                    co = pool[below(len(pool))]
+                    args.append(co.concrete)
+                    refs.append(co)
+                else:
+                    co = self._new_object()
+                    args.append(co.concrete)
+                    refs.append(co)
+            yield target, routine, tuple(args), refs
+            if target in pool and size_of(target.concrete) > max_object_size:
+                self.evict(target)
 
     def evict(self, co):
-        for i, other in enumerate(self.pool):
-            if other is co:
-                self.pool.pop(i)
-                return
+        if co in self.pool:  # identity: CheckedObject defines no __eq__
+            self.pool.remove(co)
 
 
-def _tainted_participants(probe, target, refs):
-    """Participants whose consistency probe already fails before the call.
-    Fresh objects are exempt: corruption needs history."""
-    out = []
-    for co in (target, *refs):
-        if co.calls > 0 and probe(co.concrete) is False:
-            out.append(co)
-    return out
+class _Recorder:
+    """The classifier: files each call's violations as deduplicated fault
+    records, labels them from the bug catalog and keeps the series."""
+
+    def __init__(self, cfg, spec):
+        self.records = []
+        self.series = []  # (call ordinal, unique real so far)
+        self.by_key = {}
+        self.signature = _bugs.signature_index(cfg.level)
+        self.analogue = _bugs.analogue_index() if cfg.level == "weak" else {}
+        self.probe = spec.consistency_probe
+        if self.probe is None:
+            self.tainted = None  # nothing to probe: the loop skips the call
+
+    def tainted(self, target, refs):
+        """Participants whose consistency probe already fails before the
+        call. Fresh objects are exempt: corruption needs history."""
+        out = []
+        for co in (target, *refs):
+            if co.calls > 0 and self.probe(co.concrete) is False:
+                out.append(co)
+        return out
+
+    def record(self, ordinal, out, tainted):
+        """File the violations of call ``ordinal``; returns the objects of
+        the callee-blamed ones, for eviction."""
+        call_tainted = bool(tainted)
+        blamed = []
+        for v in out.violations:
+            if (v.class_name, v.clause) in _EXPERIMENTAL:
+                cls = SUSPECT
+            elif out.invalid and v.blame == "caller":
+                # top-level precondition failure: the generated call itself
+                # is at fault, not the class
+                continue
+            elif call_tainted:
+                cls = INCONSISTENCY
+            elif v.kind == "invariant_entry" and v.obj.calls > 1:
+                # corruption discovered mid-call: everything after it in this
+                # call is fallout, not fresh evidence
+                cls = INCONSISTENCY
+                call_tainted = True
+            else:
+                cls = REAL
+
+            key = v.key()
+            rec = self.by_key.get(key)
+            if rec is not None:
+                rec.count += 1
+            else:
+                rec = self.by_key[key] = FaultRecord(
+                    v.class_name, v.routine, v.clause, v.kind, cls, v.blame, ordinal, v.detail,
+                    matched_bug=self.signature.get(key), analogue_of=self.analogue.get(key),
+                )
+                self.records.append(rec)
+                if cls == REAL:
+                    self.series.append((ordinal, len(self.series) + 1))
+            if v.blame == "callee":
+                blamed.append(v.obj)
+        return blamed
 
 
 def run_session(cfg):
-    spec = build_class(cfg.class_name, cfg.level, frozenset(cfg.bugs))
+    spec = build_class(cfg.class_name, cfg.level, cfg.bugs)
     engine = Engine()
     gen = _Generator(cfg, spec, engine, random.Random(cfg.seed))
-    res = SessionResult(cfg)
-    by_key = {}
-    signature = _bugs.signature_index(cfg.level)
-    analogue = _bugs.analogue_index() if cfg.level == "weak" else {}
-    probe = spec.consistency_probe
+    recorder = _Recorder(cfg, spec)
 
     # bound per session, not at import: a tracer may wrap
     # Engine.checked_call on the class between sessions
     checked_call = engine.checked_call
-    next_call = gen.next_call
-    evict = gen.evict
-    pool = gen.pool
-    size_of = spec.size_of
-    max_object_size = cfg.max_object_size
+    next_call = gen.calls().__next__
+    tainted_of = recorder.tainted
     max_calls = math.inf if cfg.max_calls is None else cfg.max_calls
     monotonic = time.monotonic
     deadline = None if cfg.wall_secs is None else monotonic() + cfg.wall_secs
@@ -266,7 +313,7 @@ def run_session(cfg):
             break
 
         target, routine, args, refs = next_call()
-        tainted = () if probe is None else _tainted_participants(probe, target, refs)
+        tainted = () if tainted_of is None else tainted_of(target, refs)
 
         out = checked_call(target, routine, args)
         calls += 1
@@ -274,59 +321,12 @@ def run_session(cfg):
             invalid_calls += 1
 
         if out.violations:
-            call_tainted = bool(tainted)
-            for v in out.violations:
-                if (v.class_name, v.clause) in _EXPERIMENTAL:
-                    cls = SUSPECT
-                elif out.invalid and v.blame == "caller":
-                    # top-level precondition failure: the generated call
-                    # itself is at fault, not the class
-                    continue
-                elif call_tainted:
-                    cls = INCONSISTENCY
-                elif v.kind == "invariant_entry" and v.obj.calls > 1:
-                    # corruption discovered mid-call: everything after it
-                    # in this call is fallout, not fresh evidence
-                    cls = INCONSISTENCY
-                    call_tainted = True
-                else:
-                    cls = REAL
-
-                key = v.key()
-                rec = by_key.get(key)
-                if rec is not None:
-                    rec.count += 1
-                else:
-                    rec = FaultRecord(
-                        class_name=v.class_name,
-                        routine=v.routine,
-                        clause=v.clause,
-                        kind=v.kind,
-                        classification=cls,
-                        blame=v.blame,
-                        first_call=calls,
-                        detail=v.detail,
-                        matched_bug=signature.get(key),
-                        analogue_of=analogue.get(key),
-                    )
-                    by_key[key] = rec
-                    res.records.append(rec)
-                    if cls == REAL:
-                        res.series.append((calls, len(res.series) + 1))
-
-                if v.blame == "callee":
-                    evict(v.obj)
-
+            for co in recorder.record(calls, out, tainted):
+                gen.evict(co)
         for co in tainted:
-            evict(co)
-        # ``in`` on the pool is identity membership: CheckedObject defines no
-        # __eq__
-        if target in pool and size_of(target.concrete) > max_object_size:
-            evict(target)
+            gen.evict(co)
 
-    res.wall_s = monotonic() - started
-    res.cpu_s = time.process_time() - cpu_started
-    res.calls = calls
-    res.invalid_calls = invalid_calls
-    res.objects_created = gen.created
-    return res
+    return SessionResult(
+        cfg, recorder.records, recorder.series, calls, invalid_calls, gen.created,
+        wall_s=monotonic() - started, cpu_s=time.process_time() - cpu_started,
+    )

@@ -57,32 +57,14 @@ def test_golden_reports_draw_only_through_random_and_getrandbits(monkeypatch):
     assert golden_report_digest() == GOLDEN_REPORTS_SHA256
 
 
-def test_golden_reports_do_not_depend_on_the_hash_seed():
-    # str hashes, and so set and dict-of-set order, change with the hash
-    # seed; a report that iterated one of them would differ between runs
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(tests), "src")
-    for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, tests, env.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import test_golden_reports as g; print(g.golden_report_digest())"],
-            env=env, capture_output=True, text=True, check=True, timeout=300,
-        )
-        assert out.stdout.strip() == GOLDEN_REPORTS_SHA256, hash_seed
-
-
 LARGE_OBJECT_REPORTS_SHA256 = "d13604a41d50a6f58ae0f077b4b4ef16d51b2a6a7ba86d3c6a649d808d27a5ba"
 
 
-def test_golden_large_object_reports():
-    # every class x (strong, weak), seed 0, full and empty bug sets, 4,000
-    # calls. With p_new at 0.02 objects live long: resizable_array grows to
-    # 54 elements, well past the item_sequence gate, and ring_queue's content
-    # wraps around its storage
+def large_object_report_digest():
+    """sha256 of the reports of every class x (strong, weak), seed 0, full
+    and empty bug sets, 4,000 calls each. With p_new at 0.02 objects live
+    long: resizable_array grows to 54 elements, well past the item_sequence
+    gate, and ring_queue's content wraps around its storage."""
     bodies = []
     for cls in ALL_CLASSES:
         full = tuple(e.bug_id for e in bugs_for_class(cls))
@@ -93,8 +75,32 @@ def test_golden_large_object_reports():
                     max_object_size=160, p_new=0.02,
                 )
                 bodies.append(render_report(run_session(cfg)))
-    digest = hashlib.sha256("".join(bodies).encode()).hexdigest()
-    assert digest == LARGE_OBJECT_REPORTS_SHA256
+    return hashlib.sha256("".join(bodies).encode()).hexdigest()
+
+
+def test_golden_large_object_reports():
+    assert large_object_report_digest() == LARGE_OBJECT_REPORTS_SHA256
+
+
+def test_golden_reports_do_not_depend_on_the_hash_seed():
+    # str hashes, and so set and dict-of-set order, change with the hash
+    # seed; a report that iterated one of them would differ between runs.
+    # Both grids: the large one keeps objects alive far longer
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, tests, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import test_golden_reports as g; "
+             "print(g.golden_report_digest(), g.large_object_report_digest())"],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        digests = out.stdout.split()
+        assert digests == [GOLDEN_REPORTS_SHA256, LARGE_OBJECT_REPORTS_SHA256], hash_seed
 
 
 def spec_fingerprint(spec):

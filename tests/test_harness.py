@@ -6,10 +6,12 @@ import json
 import os
 import random
 import shutil
+import types
 
 import pytest
 
 from mbcheck.containers import build_class, domains
+from mbcheck.engine import CallOutcome, Engine, Violation
 from mbcheck.errors import ConfigError
 from mbcheck.harness import (
     SessionConfig,
@@ -22,7 +24,7 @@ from mbcheck.harness import (
 )
 from mbcheck.harness import cli, compare
 from mbcheck.harness.compare import throughput_ratios
-from mbcheck.harness.session import _below
+from mbcheck.harness.session import _below, _Generator, _Recorder
 from mbcheck.harness.cli import main
 from test_completeness_probe import ShortValuesDomain
 
@@ -116,6 +118,37 @@ def test_config_rejects_unknown_class_and_level():
         run_session(cfg(class_name="no_such_class"))
     with pytest.raises(ConfigError):
         run_session(cfg(level="medium"))
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"class_name": "no_such_class"}, "unknown class 'no_such_class'"),
+        ({"level": "medium"}, "unknown level 'medium'"),
+        # the class is refused before its ids are, not as "MB-1 belongs to
+        # class cursor_list, not no_such_class"
+        ({"class_name": "no_such_class", "bugs": ("MB-1",)}, "unknown class 'no_such_class'"),
+    ],
+    ids=["class", "level", "class_with_bugs"],
+)
+def test_config_refuses_an_unknown_class_or_level_when_built(kw, message):
+    with pytest.raises(ConfigError, match=message):
+        cfg(**kw)
+
+
+@pytest.mark.parametrize(
+    "bugs",
+    [["MB-2", "MB-1"], ("MB-1", "MB-2"), {"MB-2", "MB-1"}, iter(["MB-2", "MB-1"])],
+    ids=["list", "tuple", "set", "iterator"],
+)
+def test_config_stores_bugs_as_a_sorted_tuple(bugs):
+    # a list left the frozen config unhashable, an order other than sorted
+    # made two configs that replay alike compare unequal, and an iterator
+    # was used up by the id check and ran with no bug seeded
+    c = cfg(bugs=bugs)
+    assert c.bugs == ("MB-1", "MB-2")
+    assert c == cfg(bugs=("MB-2", "MB-1"))
+    assert hash(c) == hash(cfg(bugs=("MB-1", "MB-2")))
 
 
 @pytest.mark.parametrize(
@@ -273,6 +306,167 @@ def test_weak_binary_node_builds_cycles_without_crashing():
     # survive it (bounded traversals) and stay silent on correct code
     res = run_session(cfg(class_name="binary_node", level="weak", max_calls=12000))
     assert res.records == []
+
+
+# --- the recorder, over synthetic outcomes ----------------------------------
+
+
+class Participant:
+    """Stands in for a CheckedObject: the recorder reads ``calls``, and its
+    taint probe ``concrete``."""
+
+    def __init__(self, calls, concrete=None):
+        self.calls = calls
+        self.concrete = concrete
+
+
+USED, FRESH = Participant(calls=2), Participant(calls=1)
+
+
+def violation(clause, kind="postcondition", blame="callee", obj=USED, class_name="cursor_list"):
+    return Violation(kind, class_name, "merge_right", clause, blame, obj)
+
+
+def recorder(level="strong", probe=None):
+    return _Recorder(cfg(level=level), types.SimpleNamespace(consistency_probe=probe))
+
+
+@pytest.mark.parametrize(
+    "violations, invalid, tainted, filed",
+    [
+        (
+            [violation("no_cycle", "precondition", "caller", class_name="binary_node")],
+            True, (), [("no_cycle", "specification_suspect")],
+        ),
+        ([violation("not_off", "precondition", "caller")], True, (), []),
+        ([violation("not_off", "precondition", "caller")], False, (), [("not_off", "real")]),
+        (
+            [violation("spliced"), violation("sorted", "invariant_exit")],
+            False, (USED,), [("spliced", "inconsistency"), ("sorted", "inconsistency")],
+        ),
+        (
+            [violation("a"), violation("sorted", "invariant_entry"), violation("b")],
+            False, (),
+            [("a", "real"), ("sorted", "inconsistency"), ("b", "inconsistency")],
+        ),
+        (
+            [violation("sorted", "invariant_entry", obj=FRESH), violation("b")],
+            False, (), [("sorted", "real"), ("b", "real")],
+        ),
+    ],
+    ids=[
+        "experimental_beats_invalid_skip",
+        "caller_blame_dropped_on_invalid_call",
+        "caller_blame_kept_on_valid_call",
+        "tainted_call_is_all_inconsistency",
+        "entry_invariant_after_a_checked_call_quarantines_the_rest",
+        "entry_invariant_on_first_call_is_real",
+    ],
+)
+def test_recorder_classifies_each_rule(violations, invalid, tainted, filed):
+    r = recorder()
+    r.record(1, CallOutcome(None, violations, invalid), tainted)
+    assert [(rec.clause, rec.classification) for rec in r.records] == filed
+
+
+def test_recorder_dedups_keeps_first_ordinal_and_plots_only_new_real_records():
+    r = recorder()
+    calls = [
+        (3, violation("spliced"), ()),
+        (5, violation("spliced"), ()),
+        (6, violation("no_cycle", class_name="binary_node"), ()),
+        (7, violation("index_unchanged"), (USED,)),
+        (9, violation("frozen"), ()),
+    ]
+    for ordinal, v, tainted in calls:
+        r.record(ordinal, CallOutcome(None, [v], False), tainted)
+    assert [(rec.clause, rec.classification, rec.first_call, rec.count) for rec in r.records] == [
+        ("spliced", "real", 3, 2),
+        ("no_cycle", "specification_suspect", 6, 1),
+        ("index_unchanged", "inconsistency", 7, 1),
+        ("frozen", "real", 9, 1),
+    ]
+    assert r.series == [(3, 1), (9, 2)]
+    # labels come from the catalog: MB-1's strong signature
+    assert r.records[0].matched_bug == "MB-1"
+
+
+def test_recorder_labels_weak_analogues():
+    r = recorder("weak")
+    v = Violation("postcondition", "cursor_set", "remove", "not_has", "callee", USED)
+    r.record(1, CallOutcome(None, [v], False), ())
+    assert (r.records[0].matched_bug, r.records[0].analogue_of) == (None, "SR-1")
+
+
+def test_recorder_returns_exactly_the_callee_blamed_objects():
+    a, b, c = Participant(1), Participant(1), Participant(1)
+    r = recorder()
+    out = CallOutcome(
+        None,
+        [violation("x", obj=a), violation("y", blame="caller", obj=b), violation("z", obj=c)],
+        False,
+    )
+    evicted = r.record(1, out, ())
+    assert len(evicted) == 2 and evicted[0] is a and evicted[1] is c
+
+
+def test_recorder_taint_probe_exempts_fresh_objects():
+    assert recorder().tainted is None
+    r = recorder(probe=lambda concrete: concrete != "corrupt")
+    fresh = Participant(0, "corrupt")
+    used = Participant(1, "corrupt")
+    sound = Participant(1, "sound")
+    tainted = r.tainted(fresh, [used, sound])
+    assert len(tainted) == 1 and tainted[0] is used
+
+
+# --- the generator's pool rules ---------------------------------------------
+
+
+def generator(**kw):
+    c = cfg(**kw)
+    engine = Engine()
+    spec = build_class(c.class_name, c.level)
+    return _Generator(c, spec, engine, random.Random(c.seed)), engine, spec
+
+
+def test_generator_pool_never_exceeds_pool_max():
+    # cursor_list's merge_right takes a reference, so refs add objects too
+    gen, _, _ = generator(pool_max=3, p_new=0.5)
+    calls = gen.calls()
+    for _ in range(3000):
+        next(calls)
+        assert len(gen.pool) <= 3
+    assert gen.created > 3
+
+
+def test_generator_never_draws_a_target_left_too_large_again():
+    gen, engine, spec = generator(max_object_size=2, p_new=0.05)
+    calls = gen.calls()
+    too_large = []
+    for _ in range(3000):
+        target, routine, args, refs = next(calls)
+        assert all(target is not co and all(r is not co for r in refs) for co in too_large)
+        engine.checked_call(target, routine, args)
+        if spec.size_of(target.concrete) > 2:
+            too_large.append(target)
+    assert len(too_large) > 10
+
+
+def test_generator_never_draws_an_evicted_object_again():
+    gen, _, _ = generator()
+    calls = gen.calls()
+    pick = random.Random(7)
+    evicted = []
+    for _ in range(3000):
+        target, _, _, refs = next(calls)
+        assert all(target is not co and all(r is not co for r in refs) for co in evicted)
+        if pick.random() < 0.2:
+            co = gen.pool[pick.randrange(len(gen.pool))]
+            gen.evict(co)
+            evicted.append(co)
+            assert all(other is not co for other in gen.pool)
+    assert len(evicted) > 100
 
 
 # --- reports --------------------------------------------------------------
