@@ -4,11 +4,15 @@ For each class, runs ``--seeds`` seeded sessions of ``--calls`` calls (default
 generator parameters, no seeded defects) at the strong level, at the weak
 level, and unchecked, and prints the median calls per CPU second
 (``time.process_time``) over the seeds, and the same rate in calls per
-reference second. A shared host's CPU speed can drift by tens of percent within
-minutes, so each session's CPU time is also divided by the CPU time of a fixed
-pure-Python kernel run just before and just after it (the benchmark's
-reference kernel, ``perfbench/workloads.py``), times 1 ms; compare two
-checkouts by the reference rates. "Unchecked" drives the same generator
+reference second. A shared host's CPU speed can drift by tens of percent
+within minutes, so each session's CPU time is also divided by the CPU time
+of a fixed pure-Python kernel run just before and just after it (the
+benchmark's reference kernel, ``perfbench/workloads.py``), times 1 ms;
+compare two checkouts by the reference rates. Beside the ratio of the weak
+and strong medians, each unit gets the paired ratio
+(``paired_weak_over_strong``): the median over the seeds of each seed's weak
+rate over its strong rate, from two sessions run back to back, so a drift
+between seeds cancels out of it. "Unchecked" drives the same generator
 and harness, but each call runs only the routine's body: no model, no clause,
 no frame. A call whose body raises counts as invalid. The generated calls
 differ between the three columns, since the checked columns reject
@@ -103,7 +107,11 @@ def main(argv=None):
             for col in COLUMNS:
                 runs[col].append(rates(c, col, seed, args.calls))
         for i, unit in enumerate(UNITS):
-            tables[unit][c] = {col: round(median(r[i] for r in v)) for col, v in runs.items()}
+            row = {col: round(median(r[i] for r in v)) for col, v in runs.items()}
+            pairs = zip(runs["weak"], runs["strong"])
+            paired = median(weak[i] / strong[i] for weak, strong in pairs)
+            row["paired_weak_over_strong"] = round(paired, 3)
+            tables[unit][c] = row
 
     print("mbcheck from %s" % mbcheck.__file__)
     print(
@@ -111,11 +119,19 @@ def main(argv=None):
         % (platform.python_version(), platform.machine(), args.seeds, args.calls)
     )
     for unit, table in tables.items():
-        print("%-16s %10s %10s %10s %12s  %s" % ("class", *COLUMNS, "weak/strong", unit))
+        print(
+            "%-16s %10s %10s %10s %12s %7s  %s"
+            % ("class", *COLUMNS, "weak/strong", "paired", unit)
+        )
         for c, row in table.items():
             print(
-                "%-16s %10.0f %10.0f %10.0f %12.2f"
-                % (c, *(row[col] for col in COLUMNS), row["weak"] / row["strong"])
+                "%-16s %10.0f %10.0f %10.0f %12.2f %7.2f"
+                % (
+                    c,
+                    *(row[col] for col in COLUMNS),
+                    row["weak"] / row["strong"],
+                    row["paired_weak_over_strong"],
+                )
             )
     print(json.dumps({"seeds": args.seeds, "calls": args.calls, **tables}, sort_keys=True))
     return 0

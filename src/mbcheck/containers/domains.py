@@ -75,7 +75,10 @@ class SequenceDomain:
     on which the spec's model invariants (``kind="model"``) hold, filtered as
     they are reached, so ``unique`` only narrows the enumeration: it drops
     repeated elements from the pre-state and candidate sequences before any
-    invariant runs. A present reference argument is ``REF_ARG`` in every
+    invariant runs. Each role state is one map, handed to every pre-state
+    that holds it and never changed once yielded, as the probe's domain
+    contract asks: the probe keeps a role map's invariant verdict by its
+    identity. A present reference argument is ``REF_ARG`` in every
     pre-state. Candidate values and results depend on the query and the
     routine alone. Nothing here reads ``role_specs`` or ``role_spec``; they
     stay for ``perfbench/``, which builds the domain with a class-name map

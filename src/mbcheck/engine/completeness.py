@@ -6,20 +6,25 @@ postconditions plus derived frame predicates. The probe enumerates a finite
 abstract domain and counts admitted post-states, stopping at the first
 pre-state that admits two (the spec is incomplete: a proof) or none (the
 verdict is inconclusive, since the admissible exit may lie outside the
-domain's candidates). A proof at the first pre-state runs the model
-invariants only on the candidates it visits, and a pre-state that agrees
-with an earlier, passing one on every value that search read is counted but
-not searched again (see ``completeness_probe``).
+domain's candidates). A pre-state none of whose queries the routine may
+modify (a query's) is its own one candidate post-state, so the probe tests
+each result on it directly. Every other pre-state's candidates are searched;
+a proof at the first pre-state runs the model invariants only on the
+candidates it visits, and a pre-state that agrees with an earlier, passing
+one on every value that search read is counted but not searched again (see
+``completeness_probe``).
 
 The caller supplies the domain, an object with three methods:
 ``pre_states(class_spec, routine)`` yields abstract pre-states as ``(roles,
 args)`` pairs, a map from role name to model map and the argument tuple;
 ``value_choices(query)`` gives the candidate exit values of a model query
 and ``result_choices(routine)`` the candidate results; candidates depend on
-no pre-state. A reference argument is of the target's class, so every role
-has ``class_spec``; its model lives in its role map, and a present one is
-the same value in every pre-state's arguments, so arguments compare by
-value.
+no pre-state. A role map, once yielded, is never changed: the probe may
+hand the same map object to several pre-states and keeps what it learnt of
+one by its identity. A reference argument is of the target's class, so
+every role has ``class_spec``; its model lives in its role map, and a
+present one is the same value in every pre-state's arguments, so arguments
+compare by value.
 Predicates are evaluated over an abstract context with the same model
 accessors as the runtime one (``ModelCtx``); predicates that probe concrete
 state raise, and a pre- or postcondition that raises any exception is
@@ -104,10 +109,11 @@ class ProbeResult:
     """``verdict`` is ``complete``, ``incomplete`` (``witness_pre``, a
     ``(roles, args)`` pair, admits the two post-states in ``witness_posts``:
     a proof) or ``inconclusive`` (``witness_pre`` admits no candidate
-    post-state, which holds only relative to the domain's candidates). ``pre_states_checked`` counts the
-    pre-states that passed the precondition; ``pre_states_searched`` counts
-    those of them whose post-states were searched rather than decided by an
-    earlier search."""
+    post-state, which holds only relative to the domain's candidates).
+    ``pre_states_checked`` counts the pre-states that passed the
+    precondition; ``pre_states_searched`` counts those of them whose
+    post-states were searched or, for a pre-state that frees no coordinate,
+    tested directly, rather than decided by an earlier search."""
 
     __slots__ = (
         "verdict",
@@ -176,6 +182,20 @@ def completeness_probe(class_spec, routine, domain):
     framed query ends the probe at the first candidate that passes the
     postconditions.
 
+    A pre-state whose layout frees no coordinate (a query's: the routine
+    may modify none of its role maps' queries) has one candidate post-state,
+    itself, so it is tested directly: each result runs the postconditions
+    with the entry maps as the exit maps and the arguments by position, as
+    a search reads them, and it counts as searched. No read is recorded and
+    nothing is stored, since a later such pre-state costs no more to test
+    than to look up. The one candidate passes the model invariants where
+    every role map does; each role map's verdict is kept by its identity
+    (with the map, so the identity stays its own), so the invariants run
+    once per role map yielded, not once per pre-state. A model invariant
+    that raises keeps its own exception, as in a search. The choice rests
+    on the layout alone: every pre-state that frees a coordinate goes
+    through the memo below.
+
     A pre-state already decided is counted but not searched again. Each
     search that admits exactly one post-state is stored under its *base
     key* (the role-map shape and each role's filtered candidate list by
@@ -219,10 +239,14 @@ def completeness_probe(class_spec, routine, domain):
     """
     posts = routine.post
     results = tuple(domain.result_choices(routine)) if routine.returns_value else (None,)
+    invariants = class_spec.model_invariants
     layouts = {}  # role-map shape -> see _layout
     admitted_by_role = {}  # role key -> _Admitted; see _role_candidates
     interned = {}  # filtered candidate list -> its number, so equal lists key alike
     decided = {}  # base key -> {read set: (its projector, projections decided)}
+    # id(role map) -> (the map, kept so its id is not reused; whether the
+    # model invariants hold on it), for the pre-states that free nothing
+    role_verdicts = {}
 
     checked = searched = 0
     for entry, args in domain.pre_states(class_spec, routine):
@@ -248,49 +272,64 @@ def completeness_probe(class_spec, routine, domain):
             layout = layouts[shape] = _layout(shape, routine, domain)
         order, free, frame_error, solved = layout
 
-        role_lists = []
-        list_numbers = []
-        for role, role_free, fixed, lists, fixed_values in order:
-            m = entry[role]
-            key = (role, role_free, fixed, fixed_values(m))
-            admitted = admitted_by_role.get(key)
-            if admitted is None:
-                admitted = admitted_by_role[key] = _Admitted()
-                admitted.pending = _role_candidates(
-                    dict(m), role_free, lists, class_spec.model_invariants
-                )
-                if decided:  # the base key needs the list whole
-                    admitted.fill(interned)
-            role_lists.append(admitted)
-            list_numbers.append(admitted.number)
-
-        base = (shape, tuple(list_numbers))
-        stored = decided.get(base)
-        if stored is not None:
-            for project, seen in stored.values():
-                if project(entry, args) in seen:
+        if not free:
+            # the pre-state is its own one candidate post-state, admitted
+            # where every role map passes the model invariants
+            exit_maps = entry
+            role_maps = ()
+            ctx.args = dict(enumerate(args))  # by position, as a search reads them
+            combos = ((),)
+            for m in entry.values():
+                verdict = role_verdicts.get(id(m))
+                if verdict is None:
+                    ok = all(cl.fn(m, None) for cl in invariants)
+                    verdict = role_verdicts[id(m)] = (m, ok)
+                if not verdict[1]:
+                    combos = ()
                     break
-            else:
-                stored = None
-        if stored is not None:  # an earlier search decided this pre-state
-            continue
-        searched += 1
+        else:
+            role_lists = []
+            list_numbers = []
+            for role, role_free, fixed, lists, fixed_values in order:
+                m = entry[role]
+                key = (role, role_free, fixed, fixed_values(m))
+                admitted = admitted_by_role.get(key)
+                if admitted is None:
+                    admitted = admitted_by_role[key] = _Admitted()
+                    admitted.pending = _role_candidates(dict(m), role_free, lists, invariants)
+                    if decided:  # the base key needs the list whole
+                        admitted.fill(interned)
+                role_lists.append(admitted)
+                list_numbers.append(admitted.number)
 
-        # the exit maps hold the free coordinates, which each candidate
-        # assigns; fixed ones fill from the entry maps when first read
-        ctx.entry_models = {role: _ReadMap(m) for role, m in entry.items()}
-        ctx.args = _ReadMap(dict(enumerate(args)))
-        exit_maps = {role: _ReadMap(m) for role, m in entry.items()}
-        search_lists = _solve(ctx, solved, role_lists)
-        role_maps = [exit_maps[role] for role, _, _, _, _ in order]
+            base = (shape, tuple(list_numbers))
+            stored = decided.get(base)
+            if stored is not None:
+                for project, seen in stored.values():
+                    if project(entry, args) in seen:
+                        break
+                else:
+                    stored = None
+            if stored is not None:  # an earlier search decided this pre-state
+                continue
+
+            # the exit maps hold the free coordinates, which each candidate
+            # assigns; fixed ones fill from the entry maps when first read
+            ctx.entry_models = {role: _ReadMap(m) for role, m in entry.items()}
+            ctx.args = _ReadMap(dict(enumerate(args)))
+            exit_maps = {role: _ReadMap(m) for role, m in entry.items()}
+            search_lists = _solve(ctx, solved, role_lists)
+            role_maps = [exit_maps[role] for role, _, _, _, _ in order]
+            # once a search has succeeded every list is whole, so the later
+            # searches take itertools.product: through _product's generators
+            # they read strong probe throughput 3-5% lower
+            combos = (itertools.product if decided else _product)(*search_lists)
+        searched += 1
         ctx.exit_models = exit_maps
         found = []
-        # once a search has succeeded every list is whole, so the later
-        # searches take itertools.product: through _product's generators
-        # they read strong probe throughput 3-5% lower. Only a
-        # postcondition's exception is converted; a model invariant
+        # only a postcondition's exception is converted; a model invariant
         # raising as a candidate is drawn keeps its own exception
-        for combo in (itertools.product if decided else _product)(*search_lists):
+        for combo in combos:
             for m, assignment in zip(role_maps, combo):
                 m.update(assignment)
             for result in results:
@@ -302,10 +341,12 @@ def completeness_probe(class_spec, routine, domain):
                     else:
                         if frame_error is not None:
                             raise ModelEvalError(frame_error)
-                        witness = {role: {**entry[role], **m} for role, m in exit_maps.items()}
-                        found.append((witness, result))
+                        found.append((combo, result))
                         if len(found) == 2:
-                            return ProbeResult("incomplete", (entry, args), found, checked, searched)
+                            witnesses = _exits(entry, order, found)
+                            return ProbeResult(
+                                "incomplete", (entry, args), witnesses, checked, searched
+                            )
                 except Exception as e:
                     raise ConfigError(
                         "%s.%s postcondition is not abstractly evaluable: %s"
@@ -313,6 +354,8 @@ def completeness_probe(class_spec, routine, domain):
                     )
         if not found:
             return ProbeResult("inconclusive", (entry, args), [], checked, searched)
+        if not free:  # nothing to store: the next pre-state is tested as this one
+            continue
         if not decided:  # the first search drew every candidate of its lists
             base = (shape, tuple([a.fill(interned) for a in role_lists]))
         # a fixed exit value is its entry value; a free one is a candidate
@@ -324,6 +367,19 @@ def completeness_probe(class_spec, routine, domain):
         project, seen = stored[read]
         seen.add(project(entry, args))
     return ProbeResult("complete", None, [], checked, searched)
+
+
+def _exits(entry, order, found):
+    """The admitted ``(combo, result)`` pairs in ``found`` as ``(role maps,
+    result)``: copies of the entry maps with each role's assignment in
+    ``combo``, taken in the search order ``order``, written over its map."""
+    out = []
+    for combo, result in found:
+        maps = {role: dict(m) for role, m in entry.items()}
+        for (role, _, _, _, _), assignment in zip(order, combo):
+            maps[role].update(assignment)
+        out.append((maps, result))
+    return out
 
 
 def _clause_error(e):

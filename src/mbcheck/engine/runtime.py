@@ -30,7 +30,9 @@ A false clause is a violation of the phase's kind; a raising one is recorded
 as kind ``model_eval_error`` on that clause. Preconditions stop at the first
 violation; the other phases record every clause. An invariant that declares
 ``depend`` is skipped while an attached object is open; only a class with
-such a clause (``ClassSpec.depend_gated``) pays for that test.
+such a clause (``ClassSpec.depend_gated``) looks at its attached objects,
+once per check, and it tests the clauses one by one only while one of them
+is open.
 
 First-failure rules: a model evaluation error or an entry-invariant violation
 aborts the call before the precondition check and body; an exit-invariant
@@ -347,5 +349,17 @@ def _model_map(co):
 
 def _eligible_invariants(spec, co):
     """The invariant clauses of ``spec`` checkable on the closed object
-    ``co`` now."""
-    return [cl for cl in spec.invariants if not cl.depend or invariant_clause_eligible(cl, co)]
+    ``co`` now: every one unless an object attached through one of
+    ``spec.depend_attrs`` is open, and then those that
+    ``invariant_clause_eligible`` admits."""
+    obj = co.concrete
+    for attr in spec.depend_attrs:
+        other = getattr(obj, attr)
+        if other is None:
+            continue
+        oc = getattr(other, "_checked", None)
+        if oc is not None and oc.is_open:
+            return [
+                cl for cl in spec.invariants if not cl.depend or invariant_clause_eligible(cl, co)
+            ]
+    return spec.invariants

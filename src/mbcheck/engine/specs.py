@@ -257,8 +257,11 @@ class ClassSpec:
     object's size for the pool's discard heuristic. ``model_invariants`` are
     the invariants of kind ``model``, the ones an abstract state obeys on its
     own; the probe's domains and searches filter candidate states by them.
-    ``depend_gated`` is true when some invariant declares ``depend``; only
-    then does the runtime test invariant eligibility clause by clause.
+    ``depend_attrs`` names, once each in clause order, the attributes the
+    invariants' ``depend`` clauses name, and ``depend_gated`` is true when
+    there is one; only then does the runtime look at the attached objects,
+    and only while one of them is open does it test invariant eligibility
+    clause by clause.
     """
 
     __slots__ = (
@@ -273,6 +276,7 @@ class ClassSpec:
         "attr_derivations",
         "consistency_probe",
         "size_of",
+        "depend_attrs",
         "depend_gated",
     )
 
@@ -298,7 +302,8 @@ class ClassSpec:
             raise SpecError("duplicate model query names in %s" % name)
         self.invariants = tuple(invariants)
         self.model_invariants = tuple(cl for cl in self.invariants if cl.kind == "model")
-        self.depend_gated = any(cl.depend for cl in self.invariants)
+        self.depend_attrs = tuple(dict.fromkeys(a for cl in self.invariants for a in cl.depend))
+        self.depend_gated = bool(self.depend_attrs)
         self.routines = dict(routines)
         self.make = make
         self.attr_derivations = dict(attr_derivations or {})

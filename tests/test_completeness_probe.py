@@ -32,6 +32,7 @@ from mbcheck.engine import (
     pred,
     ref_param,
 )
+import mbcheck.engine.completeness as completeness_module
 from mbcheck.engine.completeness import AbstractCtx, ProbeResult, _Admitted, _ReadMap
 from mbcheck.engine.specs import NO_EXIT_STATE, ModelCtx
 from mbcheck.errors import ConfigError, ModelEvalError
@@ -1087,6 +1088,64 @@ def test_merge_right_postcondition_evaluations_as_pinned(monkeypatch):
     assert counts == {"spliced": 735, "solved": 735}
 
 
+def test_is_equal_tests_every_pre_state_on_its_entry_maps(monkeypatch):
+    # strong is_equal modifies nothing, so a pre-state is its own one
+    # candidate post-state: the probe tests each of the two results on the
+    # entry maps, records no read (no _ReadMap) and stores nothing, and so
+    # searches every pre-state it checks. The memo searched 225 of them
+    strong = build_class("cursor_list", "strong")
+    routine = strong.routines["is_equal"]
+    dom = SequenceDomain({"cursor_list": strong}, max_len=3, alphabet=2)
+    counts = collections.Counter()
+    count_calls(monkeypatch, routine.post, counts)
+    built = []
+
+    class CountedReadMap(_ReadMap):
+        __slots__ = ()
+
+        def __init__(self, src):
+            built.append(src)
+            super().__init__(src)
+
+    monkeypatch.setattr(completeness_module, "_ReadMap", CountedReadMap)
+    res = completeness_probe(strong, routine, dom)
+    assert (res.verdict, res.pre_states_searched, res.pre_states_checked) == (
+        "complete",
+        4096,
+        4096,
+    )
+    assert built == []
+    assert counts == {"reports_equality": 8192}
+
+
+def test_query_runs_the_invariants_once_per_role_map(monkeypatch):
+    # BoxDomain hands one role map to both arguments of a grid state, and
+    # a query frees nothing, so each map's invariant runs once, where the
+    # flat search runs it for each pre-state; (n, cap) = (1, 2) breaks the
+    # invariant here, so its pre-state admits no post-state
+    r = RoutineSpec(
+        "peek",
+        [item_param()],
+        lambda o, v: None,
+        post=[pred("reports_n", lambda ctx: ctx.result == ctx.old("n"))],
+        modify=(),
+        returns_value=True,
+    )
+    spec = box_spec({r.name: r})
+    (invariant,) = spec.invariants
+    invariant.fn = lambda m, o: (m["n"], m["cap"]) != (1, 2)
+    runs = {}
+    for probe_fn in (reference_probe, completeness_probe):
+        counts = collections.Counter()
+        with monkeypatch.context() as mp:
+            count_calls(mp, spec.invariants, counts)
+            runs[probe_fn] = (outcome(probe_fn, spec, spec.routines["peek"], BoxDomain()), counts)
+    got, want = runs[completeness_probe][0], runs[reference_probe][0]
+    assert got == want and got[:2] == ("inconclusive", 9)
+    assert runs[reference_probe][1]["n_in_cap"] == 9
+    assert runs[completeness_probe][1]["n_in_cap"] == 5
+
+
 def search_figures(bound):
     """``(pre_states_searched, pre_states_checked)`` of every probe task at
     ``bound``, or the text of the probe's refusal."""
@@ -1107,8 +1166,10 @@ def search_figures(bound):
 # set. Measured before the recording maps filled on demand; the sha256 covers
 # all three BOUNDS, as json.dumps({bound: figures}, sort_keys=True), and moved
 # for cursor_set at len2-abc3 alone once the domain left out the pre-states
-# with repeated elements that cursor_set's model invariant forbids.
-SEARCH_FIGURES_SHA256 = "7baa700817b9108a4bd059f4ae7a583f5f483b812260451d6685c5da54c688a5"
+# with repeated elements that cursor_set's model invariant forbids. A
+# routine that modifies nothing (a query) searches every pre-state it
+# checks: each one is tested on its entry maps and none is stored.
+SEARCH_FIGURES_SHA256 = "4819485d08abc3c398e2ffc9d5a97145528b2398be9ea5a5793413c28d01297a"
 SEARCH_FIGURES_LEN3_ABC2 = {
     "array_stack.is_empty.strong": (15, 15),
     "array_stack.is_empty.weak": (1, 1),
@@ -1130,15 +1191,15 @@ SEARCH_FIGURES_LEN3_ABC2 = {
     "cursor_list.forth.weak": (1, 1),
     "cursor_list.go_i_th.strong": (14, 286),
     "cursor_list.go_i_th.weak": (1, 1),
-    "cursor_list.has.strong": (30, 128),
+    "cursor_list.has.strong": (128, 128),
     "cursor_list.has.weak": (1, 1),
-    "cursor_list.is_equal.strong": (225, 4096),
+    "cursor_list.is_equal.strong": (4096, 4096),
     "cursor_list.is_equal.weak": (1, 1),
     "cursor_list.item.strong": (34, 34),
     "cursor_list.item.weak": (1, 1),
     "cursor_list.merge_right.strong": (735, 3136),
     "cursor_list.merge_right.weak": (1, 1),
-    "cursor_list.off.strong": (50, 64),
+    "cursor_list.off.strong": (64, 64),
     "cursor_list.off.weak": (1, 1),
     "cursor_list.remove.strong": (34, 34),
     "cursor_list.remove.weak": (1, 1),
@@ -1154,13 +1215,13 @@ SEARCH_FIGURES_LEN3_ABC2 = {
         "state is not available on abstract states",
     "cursor_set.forth.strong": (6, 11),
     "cursor_set.forth.weak": (1, 1),
-    "cursor_set.has.strong": (10, 32),
+    "cursor_set.has.strong": (32, 32),
     "cursor_set.has.weak": (1, 1),
-    "cursor_set.is_equal.strong": (25, 256),
+    "cursor_set.is_equal.strong": (256, 256),
     "cursor_set.is_equal.weak": (1, 1),
     "cursor_set.item.strong": (6, 6),
     "cursor_set.item.weak": (1, 1),
-    "cursor_set.off.strong": (12, 16),
+    "cursor_set.off.strong": (16, 16),
     "cursor_set.off.weak": (1, 1),
     "cursor_set.remove.strong": (1, 1),
     "cursor_set.remove.weak":
@@ -1226,11 +1287,11 @@ SEARCH_FIGURES_LEN3_ABC2 = {
     "two_way_list.forth.weak": (1, 1),
     "two_way_list.go_i_th.strong": (14, 286),
     "two_way_list.go_i_th.weak": (1, 1),
-    "two_way_list.has.strong": (30, 128),
+    "two_way_list.has.strong": (128, 128),
     "two_way_list.has.weak": (1, 1),
     "two_way_list.item.strong": (34, 34),
     "two_way_list.item.weak": (1, 1),
-    "two_way_list.off.strong": (50, 64),
+    "two_way_list.off.strong": (64, 64),
     "two_way_list.off.weak": (1, 1),
     "two_way_list.put_front.strong": (98, 128),
     "two_way_list.put_front.weak": (1, 1),
